@@ -18,21 +18,18 @@ namespace {
 /// duplicates (same person, one field re-entered differently).
 qikey::Dataset MakeCustomerTable(int n, int dup_count, qikey::Rng* rng) {
   qikey::DatasetBuilder b({"first", "last", "street", "zip", "phone"});
-  auto row_of = [&](int i, int variant) {
-    std::vector<std::string> row = {
-        "first" + std::to_string(i % 400),
-        "last" + std::to_string(i % 700),
-        "street" + std::to_string(i),
-        "zip" + std::to_string(i % 90),
-        "phone" + std::to_string(i),
-    };
-    if (variant == 1) row[2] = "street" + std::to_string(i) + "_apt";
-    return row;
+  auto add_row = [&](int i, int variant) {
+    std::string street = "street" + std::to_string(i);
+    if (variant == 1) street += "_apt";
+    return b.AddRow({"first" + std::to_string(i % 400),
+                     "last" + std::to_string(i % 700), street,
+                     "zip" + std::to_string(i % 90),
+                     "phone" + std::to_string(i)});
   };
-  for (int i = 0; i < n; ++i) QIKEY_CHECK(b.AddRow(row_of(i, 0)).ok());
+  for (int i = 0; i < n; ++i) QIKEY_CHECK(add_row(i, 0).ok());
   for (int d = 0; d < dup_count; ++d) {
     int victim = static_cast<int>(rng->Uniform(n));
-    QIKEY_CHECK(b.AddRow(row_of(victim, 1)).ok());  // re-entered record
+    QIKEY_CHECK(add_row(victim, 1).ok());  // re-entered record
   }
   return std::move(b).Finish();
 }

@@ -1,12 +1,31 @@
 // Fuzz target: the quote-aware CSV machinery — `CsvRecordScanner` byte
-// feeding and full `ParseCsv` — must never crash on arbitrary bytes,
-// and the scanner's record boundaries must be self-consistent with the
-// parser's quoting rules.
+// feeding, full `ParseCsv`, and the streaming dataset loader — must
+// never crash on arbitrary bytes, and `LoadCsvDatasetFromString` must
+// agree with the reference materialize-then-encode ingest
+// (tests/csv_oracle.h): the same dataset fingerprint or the same error.
 
 #include <string_view>
 
+#include "csv_oracle.h"
+#include "data/csv_loader.h"
 #include "fuzz_target.h"
 #include "util/csv.h"
+#include "util/logging.h"
+
+namespace {
+
+void CheckLoaderMatchesOracle(std::string_view text,
+                              const qikey::CsvOptions& options) {
+  std::string actual = qikey::csv_oracle::Describe(
+      qikey::LoadCsvDatasetFromString(text, options));
+  std::string expected =
+      qikey::csv_oracle::Describe(qikey::csv_oracle::Load(text, options));
+  QIKEY_CHECK(actual == expected)
+      << "streaming CSV ingest disagrees with the oracle\nloader: " << actual
+      << "\noracle: " << expected;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view text(reinterpret_cast<const char*>(data), size);
@@ -24,11 +43,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (table.ok()) {
     (void)qikey::WriteCsv(*table, options);
   }
+  CheckLoaderMatchesOracle(text, options);
   // Alternate delimiters exercise the option paths.
   qikey::CsvOptions semicolon;
   semicolon.delimiter = ';';
   semicolon.has_header = false;
   (void)qikey::ParseCsv(text, semicolon);
+  CheckLoaderMatchesOracle(text, semicolon);
   return 0;
 }
 
@@ -41,5 +62,6 @@ std::vector<std::string> FuzzSeedInputs() {
       "one\n\n\ntwo\n",
       "\"unterminated,quote\nnext,line\n",
       ",,,\n,,,\n",
+      "h1,h2\r\n \t\r\n1,\"a\r\nb\"\r\n2,c",
   };
 }

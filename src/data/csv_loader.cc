@@ -1,6 +1,7 @@
 #include "data/csv_loader.h"
 
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "data/dataset_builder.h"
@@ -9,33 +10,47 @@ namespace qikey {
 
 namespace {
 
-Result<Dataset> TableToDataset(CsvTable table) {
-  std::vector<std::string> names = std::move(table.header);
-  if (names.empty()) {
-    size_t width = table.rows.empty() ? 0 : table.rows[0].size();
-    names = Schema::Anonymous(width).names();
+/// Encodes rows straight from the scanner's field views: the header (or
+/// the first record's width) names the columns, every data row goes to
+/// the builder as it is read, and no intermediate table exists.
+class DatasetSink {
+ public:
+  CsvRowVisitor Visitor() {
+    return [this](std::span<const std::string_view> fields, bool is_header) {
+      if (!builder_.has_value()) {
+        builder_.emplace(is_header
+                             ? std::vector<std::string>(fields.begin(),
+                                                        fields.end())
+                             : Schema::Anonymous(fields.size()).names());
+        if (is_header) return Status::OK();
+      }
+      return builder_->AddRow(fields);
+    };
   }
-  DatasetBuilder builder(std::move(names));
-  for (auto& row : table.rows) {
-    QIKEY_RETURN_NOT_OK(builder.AddRow(row));
+
+  Dataset Finish() && {
+    if (!builder_.has_value()) builder_.emplace(std::vector<std::string>{});
+    return std::move(*builder_).Finish();
   }
-  return std::move(builder).Finish();
-}
+
+ private:
+  std::optional<DatasetBuilder> builder_;
+};
 
 }  // namespace
 
 Result<Dataset> LoadCsvDataset(const std::string& path,
                                const CsvOptions& options) {
-  Result<CsvTable> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return TableToDataset(std::move(table).ValueOrDie());
+  DatasetSink sink;
+  QIKEY_RETURN_NOT_OK(ScanCsvFile(path, options, sink.Visitor()));
+  return std::move(sink).Finish();
 }
 
 Result<Dataset> LoadCsvDatasetFromString(std::string_view text,
                                          const CsvOptions& options) {
-  Result<CsvTable> table = ParseCsv(text, options);
-  if (!table.ok()) return table.status();
-  return TableToDataset(std::move(table).ValueOrDie());
+  DatasetSink sink;
+  QIKEY_RETURN_NOT_OK(ScanCsv(text, options, sink.Visitor()));
+  return std::move(sink).Finish();
 }
 
 std::string DatasetToCsv(const Dataset& dataset, const CsvOptions& options) {

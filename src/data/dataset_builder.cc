@@ -39,7 +39,7 @@ uint64_t DatasetBuilder::DictionaryBytes() const {
   return bytes;
 }
 
-Status DatasetBuilder::AddRow(const std::vector<std::string>& fields) {
+Status DatasetBuilder::AddRow(std::span<const std::string_view> fields) {
   if (fields.size() != dictionaries_.size()) {
     std::ostringstream msg;
     msg << "row has " << fields.size() << " fields, expected "
@@ -55,13 +55,6 @@ Status DatasetBuilder::AddRow(const std::vector<std::string>& fields) {
   }
   ++num_rows_;
   return Status::OK();
-}
-
-Status DatasetBuilder::AddRow(std::initializer_list<std::string_view> fields) {
-  std::vector<std::string> copy;
-  copy.reserve(fields.size());
-  for (std::string_view f : fields) copy.emplace_back(f);
-  return AddRow(copy);
 }
 
 uint64_t DatasetBuilder::EstimatedBytes() const {

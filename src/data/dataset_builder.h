@@ -2,6 +2,7 @@
 #define QIKEY_DATA_DATASET_BUILDER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,9 +32,14 @@ class DatasetBuilder {
   DatasetBuilder(std::vector<std::string> attribute_names,
                  std::vector<std::shared_ptr<Dictionary>> dictionaries);
 
-  /// Appends one tuple. Must have exactly `num_attributes` fields.
-  Status AddRow(const std::vector<std::string>& fields);
-  Status AddRow(std::initializer_list<std::string_view> fields);
+  /// Appends one tuple. Must have exactly `num_attributes` fields. The
+  /// views need only live for the call: values are copied into the
+  /// dictionaries on first appearance.
+  Status AddRow(std::span<const std::string_view> fields);
+  Status AddRow(std::initializer_list<std::string_view> fields) {
+    return AddRow(std::span<const std::string_view>(fields.begin(),
+                                                    fields.size()));
+  }
 
   size_t num_rows() const { return num_rows_; }
   size_t num_attributes() const { return dictionaries_.size(); }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace qikey {
@@ -20,6 +19,11 @@ using ValueCode = uint32_t;
 /// universe `U` with a total order can be encoded this way (Section 1's
 /// "mild assumption"). The dictionary is only consulted when loading
 /// text data or rendering results.
+///
+/// Codes follow first appearance. Each value is stored once, in
+/// `values_`; the index is a flat open-addressing table of codes into it,
+/// so a lookup hashes the `string_view` directly and builds no temporary
+/// string.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -38,8 +42,18 @@ class Dictionary {
   size_t size() const { return values_.size(); }
 
  private:
-  std::unordered_map<std::string, ValueCode> index_;
+  // A slot packs the value's 32-bit hash (high half) with its code (low
+  // half), so probes and rehashing never touch the strings of other
+  // values. An empty slot is all ones (kNotFound is never a code).
+  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
+
+  /// Index of the slot holding `value`, or of the empty slot ending its
+  /// probe sequence. The table must be non-empty.
+  size_t Probe(std::string_view value, uint32_t hash) const;
+  void Grow();
+
   std::vector<std::string> values_;
+  std::vector<uint64_t> slots_;  // power-of-two size, at most half full
 };
 
 }  // namespace qikey

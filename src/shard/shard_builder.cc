@@ -69,6 +69,9 @@ struct ShardArtifactBuilder::Impl {
 
   // Tuple side: reservoir of (codes, local position).
   ReservoirSampler<std::pair<std::vector<ValueCode>, uint64_t>> tuples;
+  // The row being offered, encoded in place; the reservoirs copy it only
+  // when they keep it.
+  std::pair<std::vector<ValueCode>, uint64_t> offered;
   // MX side: per-slot pair reservoirs over positions + retained payloads.
   std::unique_ptr<PairReservoir> pairs;
   std::unordered_map<uint64_t, std::vector<ValueCode>> payloads;
@@ -120,13 +123,13 @@ ShardArtifactBuilder::ShardArtifactBuilder(ShardArtifactBuilder&&) noexcept =
     default;
 
 Status ShardArtifactBuilder::OfferFields(
-    const std::vector<std::string>& fields) {
+    std::span<const std::string_view> fields) {
   Impl& im = *impl_;
   if (fields.size() != im.names.size()) {
     return Status::InvalidArgument("row arity mismatch in shard");
   }
-  std::vector<ValueCode> row;
-  row.reserve(fields.size());
+  auto& [row, pos] = im.offered;
+  row.clear();
   for (size_t j = 0; j < fields.size(); ++j) {
     size_t before = im.dicts[j]->size();
     row.push_back(im.dicts[j]->GetOrAdd(fields[j]));
@@ -134,7 +137,7 @@ Status ShardArtifactBuilder::OfferFields(
       im.dict_bytes += fields[j].size() + 2 * sizeof(void*);
     }
   }
-  uint64_t pos = im.tuples.seen();  // local position of this row
+  pos = im.tuples.seen();  // local position of this row
   if (im.pairs != nullptr) {
     if (im.pairs->Offer()) im.payloads[pos] = row;
     if (im.payloads.size() >= im.next_gc) {
@@ -144,7 +147,7 @@ Status ShardArtifactBuilder::OfferFields(
           im.payloads.size();
     }
   }
-  im.tuples.Offer({std::move(row), pos});
+  im.tuples.Offer(im.offered);
   return Status::OK();
 }
 
@@ -339,7 +342,7 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
                                    range.first_row, seeds[i]);
       Status st = ForEachCsvRecordInRange(
           path, range, options.csv,
-          [&](const std::vector<std::string>& fields) {
+          [&](std::span<const std::string_view> fields) {
             return builder.OfferFields(fields);
           });
       if (st.ok()) {

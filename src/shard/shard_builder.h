@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/filter.h"
@@ -55,8 +57,9 @@ class ShardArtifactBuilder {
   ShardArtifactBuilder(ShardArtifactBuilder&&) noexcept;
   ShardArtifactBuilder& operator=(ShardArtifactBuilder&&) noexcept = delete;
 
-  /// Offers the next row of the shard (string fields, CSV path).
-  Status OfferFields(const std::vector<std::string>& fields);
+  /// Offers the next row of the shard (field views, CSV path). The views
+  /// need only live for the call.
+  Status OfferFields(std::span<const std::string_view> fields);
 
   uint64_t rows_seen() const;
 

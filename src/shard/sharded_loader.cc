@@ -1,7 +1,7 @@
 #include "shard/sharded_loader.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 #include <fstream>
 #include <memory>
 #include <utility>
@@ -17,49 +17,54 @@ constexpr size_t kIoBufferBytes = size_t{1} << 18;  // 256 KiB
 constexpr size_t kMaxBoundaryMarks = size_t{1} << 16;
 constexpr size_t kDefaultShardRows = size_t{1} << 16;
 
-/// Walks a file record-by-record through a fixed buffer, tracking quote
-/// state across buffer refills. `on_record(offset, text, blank)` gets
-/// each record (text WITHOUT the terminating newline); returning false
-/// stops the walk early.
+/// Walks a file record by record through a sliding buffer.
+/// `on_record(begin, end, record)` gets each record with its byte range
+/// [begin, end) in the file; the record's text is a view into the buffer,
+/// valid for the call. Returning false stops the walk early. Only a
+/// record that straddles a refill is moved (to the buffer's front); one
+/// longer than the buffer doubles it.
 Status WalkCsvRecords(
     std::ifstream& in, uint64_t start_offset, const CsvOptions& options,
-    const std::function<bool(uint64_t offset, std::string_view text,
-                             bool blank)>& on_record) {
-  CsvRecordScanner scanner(options);
+    const std::function<bool(uint64_t begin, uint64_t end,
+                             const CsvRecord& record)>& on_record) {
   std::string buffer(kIoBufferBytes, '\0');
-  std::string record;
-  uint64_t record_offset = start_offset;
-  uint64_t pos = start_offset;
-  bool stopped = false;
-  while (!stopped) {
-    in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-    std::streamsize got = in.gcount();
-    if (got <= 0) break;
-    for (std::streamsize i = 0; i < got && !stopped; ++i) {
-      char c = buffer[static_cast<size_t>(i)];
-      bool blank = scanner.record_blank();
-      if (scanner.Feed(c)) {
-        if (!on_record(record_offset, record, blank)) stopped = true;
-        record.clear();
-        record_offset = pos + static_cast<uint64_t>(i) + 1;
-      } else {
-        record.push_back(c);
-      }
+  size_t head = 0;  // unconsumed bytes are buffer[head, tail)
+  size_t tail = 0;
+  uint64_t offset = start_offset;  // file offset of buffer[head]
+  bool at_end = false;
+  CsvRecord record;
+  while (true) {
+    std::string_view pending(buffer.data() + head, tail - head);
+    if (size_t used = NextCsvRecord(pending, at_end, options, &record)) {
+      if (!on_record(offset, offset + used, record)) break;
+      head += used;
+      offset += used;
+      continue;
     }
-    pos += static_cast<uint64_t>(got);
-  }
-  if (!stopped && !record.empty()) {
-    // Final record without a trailing newline; the scanner's live state
-    // still describes it.
-    on_record(record_offset, record, scanner.record_blank());
+    if (at_end) break;
+    std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(head),
+              buffer.begin() + static_cast<std::ptrdiff_t>(tail),
+              buffer.begin());
+    tail -= head;
+    head = 0;
+    if (tail == buffer.size()) buffer.resize(2 * buffer.size());
+    in.read(buffer.data() + tail,
+            static_cast<std::streamsize>(buffer.size() - tail));
+    std::streamsize got = in.gcount();
+    tail += static_cast<size_t>(got);
+    at_end = got <= 0;
   }
   if (in.bad()) return Status::IOError("read failed");
   return Status::OK();
 }
 
-std::string_view StripTrailingCr(std::string_view record) {
-  if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
-  return record;
+/// Attribute names fixed by the first non-blank record: the header, or
+/// anonymous names of the record's width.
+std::vector<std::string> NamesFromFirstRecord(
+    std::span<const std::string_view> fields, const CsvOptions& options) {
+  return options.has_header
+             ? std::vector<std::string>(fields.begin(), fields.end())
+             : Schema::Anonymous(fields.size()).names();
 }
 
 }  // namespace
@@ -73,7 +78,7 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
   if (!in) return Status::IOError("cannot open: " + path);
 
   CsvShardPlan plan;
-  bool header_pending = options.has_header;
+  CsvFieldSplitter splitter(options);
   bool names_known = false;
   uint64_t data_rows = 0;
   uint64_t end_offset = 0;  // one past the last data record
@@ -83,19 +88,13 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
 
   Status walk = WalkCsvRecords(
       in, 0, options,
-      [&](uint64_t offset, std::string_view text, bool blank) {
-        if (blank) return true;
-        if (header_pending) {
-          plan.attribute_names = SplitCsvLine(StripTrailingCr(text), options);
-          header_pending = false;
-          names_known = true;
-          return true;
-        }
+      [&](uint64_t offset, uint64_t next, const CsvRecord& record) {
+        if (record.blank) return true;
         if (!names_known) {
-          // No header: anonymous names, width of the first data record.
-          size_t width = SplitCsvLine(StripTrailingCr(text), options).size();
-          plan.attribute_names = Schema::Anonymous(width).names();
+          plan.attribute_names =
+              NamesFromFirstRecord(splitter.Split(record.text), options);
           names_known = true;
+          if (options.has_header) return true;
         }
         if (data_rows % stride == 0) {
           marks.emplace_back(data_rows, offset);
@@ -108,7 +107,7 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
           }
         }
         ++data_rows;
-        end_offset = offset + text.size() + 1;
+        end_offset = next;
         return true;
       });
   QIKEY_RETURN_NOT_OK(walk);
@@ -167,14 +166,11 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open: " + path);
   std::vector<std::string> names;
+  CsvFieldSplitter splitter(options);
   Status walk = WalkCsvRecords(
-      in, 0, options, [&](uint64_t, std::string_view text, bool blank) {
-        if (blank) return true;
-        std::vector<std::string> fields =
-            SplitCsvLine(StripTrailingCr(text), options);
-        names = options.has_header
-                    ? std::move(fields)
-                    : Schema::Anonymous(fields.size()).names();
+      in, 0, options, [&](uint64_t, uint64_t, const CsvRecord& record) {
+        if (record.blank) return true;
+        names = NamesFromFirstRecord(splitter.Split(record.text), options);
         return false;  // one record is enough
       });
   QIKEY_RETURN_NOT_OK(walk);
@@ -187,19 +183,20 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
 Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,
-    const std::function<Status(const std::vector<std::string>&)>& fn) {
+    const std::function<Status(std::span<const std::string_view>)>& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open: " + path);
   in.seekg(static_cast<std::streamoff>(range.byte_begin));
   if (!in) return Status::IOError("cannot seek: " + path);
   uint64_t remaining = range.num_rows;
+  CsvFieldSplitter splitter(options);
   Status inner = Status::OK();
   Status walk = WalkCsvRecords(
       in, range.byte_begin, options,
-      [&](uint64_t offset, std::string_view text, bool blank) {
+      [&](uint64_t offset, uint64_t, const CsvRecord& record) {
         if (remaining == 0 || offset >= range.byte_end) return false;
-        if (blank) return true;
-        inner = fn(SplitCsvLine(StripTrailingCr(text), options));
+        if (record.blank) return true;
+        inner = fn(splitter.Split(record.text));
         if (!inner.ok()) return false;
         --remaining;
         return remaining > 0;
@@ -236,14 +233,18 @@ Result<ShardedIngestStats> ShardedLoader::Load(
   }
   shard_rows = std::max<size_t>(shard_rows, 2);
 
-  bool header_pending = options_.csv.has_header;
   std::unique_ptr<DatasetBuilder> builder;
+  CsvFieldSplitter splitter(options_.csv);
   uint32_t shard_index = 0;
   uint64_t first_row = 0;
   Status inner = Status::OK();
   // Two-record lookahead so a flush never strands a final one-row
-  // shard (pair merges need >= 2 rows per shard).
-  std::deque<std::vector<std::string>> lookahead;
+  // shard (pair merges need >= 2 rows per shard). Held records outlive
+  // the read buffer, so their text is copied into a ring of reused
+  // strings (no allocation once they reach the longest record).
+  std::array<std::string, 3> lookahead;
+  size_t lookahead_head = 0;
+  size_t lookahead_size = 0;
 
   auto track = [&](uint64_t live_chunk_bytes) -> Status {
     uint64_t tracked = live_chunk_bytes;
@@ -275,17 +276,16 @@ Result<ShardedIngestStats> ShardedLoader::Load(
     return track(chunk_bytes);
   };
 
-  auto add_row = [&](const std::vector<std::string>& fields) -> Status {
+  // Encodes the oldest held record, flushing the chunk first when full.
+  auto add_row = [&](std::string_view record) -> Status {
     bool full = builder->num_rows() >= shard_rows;
     if (chunk_byte_cap > 0 && builder->num_rows() >= 2) {
       uint64_t chunk_bytes = builder->num_rows() *
                              builder->num_attributes() * sizeof(ValueCode);
       full = full || chunk_bytes >= chunk_byte_cap;
     }
-    if (full && lookahead.size() >= 2) {
-      QIKEY_RETURN_NOT_OK(flush());
-    }
-    QIKEY_RETURN_NOT_OK(builder->AddRow(fields));
+    if (full) QIKEY_RETURN_NOT_OK(flush());
+    QIKEY_RETURN_NOT_OK(builder->AddRow(splitter.Split(record)));
     if (builder->num_rows() % 256 == 0) {
       QIKEY_RETURN_NOT_OK(track(0));
     }
@@ -294,41 +294,34 @@ Result<ShardedIngestStats> ShardedLoader::Load(
   };
 
   Status walk = WalkCsvRecords(
-      in, 0, options_.csv, [&](uint64_t, std::string_view text, bool blank) {
-        if (blank) return true;
-        std::vector<std::string> fields =
-            SplitCsvLine(StripTrailingCr(text), options_.csv);
-        if (header_pending) {
-          header_pending = false;
-          dictionaries_.assign(fields.size(), nullptr);
-          for (auto& d : dictionaries_) d = std::make_shared<Dictionary>();
-          builder = std::make_unique<DatasetBuilder>(fields, dictionaries_);
-          return true;
-        }
+      in, 0, options_.csv, [&](uint64_t, uint64_t, const CsvRecord& record) {
+        if (record.blank) return true;
         if (builder == nullptr) {
-          std::vector<std::string> names =
-              Schema::Anonymous(fields.size()).names();
+          std::span<const std::string_view> fields =
+              splitter.Split(record.text);
           dictionaries_.assign(fields.size(), nullptr);
           for (auto& d : dictionaries_) d = std::make_shared<Dictionary>();
-          builder = std::make_unique<DatasetBuilder>(std::move(names),
-                                                     dictionaries_);
+          builder = std::make_unique<DatasetBuilder>(
+              NamesFromFirstRecord(fields, options_.csv), dictionaries_);
+          if (options_.csv.has_header) return true;
         }
-        lookahead.push_back(std::move(fields));
-        if (lookahead.size() > 2) {
-          inner = add_row(lookahead.front());
-          lookahead.pop_front();
+        lookahead[(lookahead_head + lookahead_size++) % 3].assign(
+            record.text);
+        if (lookahead_size == 3) {
+          inner = add_row(lookahead[lookahead_head]);
+          lookahead_head = (lookahead_head + 1) % 3;
+          --lookahead_size;
           if (!inner.ok()) return false;
         }
         return true;
       });
   QIKEY_RETURN_NOT_OK(walk);
   QIKEY_RETURN_NOT_OK(inner);
-  while (!lookahead.empty()) {
-    QIKEY_RETURN_NOT_OK(builder == nullptr
-                            ? Status::InvalidArgument("CSV has no records")
-                            : builder->AddRow(lookahead.front()));
+  for (; lookahead_size > 0; --lookahead_size) {
+    QIKEY_RETURN_NOT_OK(
+        builder->AddRow(splitter.Split(lookahead[lookahead_head])));
+    lookahead_head = (lookahead_head + 1) % 3;
     ++stats.total_rows;
-    lookahead.pop_front();
   }
   QIKEY_RETURN_NOT_OK(flush());
   if (stats.total_rows == 0) {

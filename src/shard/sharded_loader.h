@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
@@ -39,9 +41,10 @@ struct CsvShardPlan {
 /// Memory is bounded: boundary candidates are kept as stride-compacted
 /// marks (the stride doubles whenever 64Ki marks accumulate), so shard
 /// boundaries land within one stride of the ideal even split. The scan
-/// does not parse fields — it only tracks quote state — and is several
-/// times cheaper than a full parse, which is what makes the parse
-/// itself worth fanning out over the ranges afterwards.
+/// does not parse fields — it finds record ends with `NextCsvRecord`
+/// (`memchr`, plus quote tracking for records that hold a quote) — and
+/// is several times cheaper than a full parse, which is what makes the
+/// parse itself worth fanning out over the ranges afterwards.
 Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
                                    const CsvOptions& options = {});
 
@@ -52,13 +55,15 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
     const std::string& path, const CsvOptions& options = {});
 
 /// \brief Streams the data records of `range` (in file order), invoking
-/// `fn` with the split fields of each. Blank records are skipped; reads
-/// stop at `range.byte_end` / `range.num_rows`. Each call opens its own
-/// stream, so ranges can be consumed from concurrent workers.
+/// `fn` with the field views of each (valid for the call; nothing is
+/// copied unless a record is quoted or straddles a buffer refill).
+/// Blank records are skipped; reads stop at `range.byte_end` /
+/// `range.num_rows`. Each call opens its own stream, so ranges can be
+/// consumed from concurrent workers.
 Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,
-    const std::function<Status(const std::vector<std::string>&)>& fn);
+    const std::function<Status(std::span<const std::string_view>)>& fn);
 
 /// Options for `ShardedLoader`.
 struct ShardedLoaderOptions {

@@ -16,6 +16,15 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+/// `CsvRecordScanner::record_blank` for a quote-free record: only spaces,
+/// tabs and carriage returns, none of them the delimiter.
+bool IsBlankRecord(std::string_view record, char delimiter) {
+  for (char c : record) {
+    if (c == delimiter || (c != ' ' && c != '\t' && c != '\r')) return false;
+  }
+  return true;
+}
+
 bool NeedsQuoting(std::string_view field, const CsvOptions& options) {
   for (char c : field) {
     if (c == options.delimiter || c == options.quote || c == '\n' || c == '\r') {
@@ -30,6 +39,40 @@ bool NeedsQuoting(std::string_view field, const CsvOptions& options) {
     return true;
   }
   return false;
+}
+
+/// Reads a whole file with one allocation (streams it when the size is
+/// unknown, e.g. a pipe).
+Status ReadWholeFile(const std::string& path, std::string* text) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open file: " + path);
+  in.seekg(0, std::ios::end);
+  std::streamoff size = in.tellg();
+  if (size < 0) {
+    in.clear();
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    *text = std::move(buffer).str();
+    return Status::OK();
+  }
+  in.seekg(0, std::ios::beg);
+  text->resize(static_cast<size_t>(size));
+  if (size > 0 && !in.read(text->data(), size)) {
+    return Status::IOError("read failed: " + path);
+  }
+  return Status::OK();
+}
+
+CsvRowVisitor AppendTo(CsvTable* table) {
+  return [table](std::span<const std::string_view> fields, bool is_header) {
+    std::vector<std::string> row(fields.begin(), fields.end());
+    if (is_header) {
+      table->header = std::move(row);
+    } else {
+      table->rows.push_back(std::move(row));
+    }
+    return Status::OK();
+  };
 }
 
 }  // namespace
@@ -80,29 +123,51 @@ void CsvRecordScanner::ResetRecord() {
   record_blank_ = true;
 }
 
-std::vector<std::string> SplitCsvLine(std::string_view line,
-                                      const CsvOptions& options) {
-  std::vector<std::string> fields;
-  std::string current;
+std::span<const std::string_view> CsvFieldSplitter::Split(
+    std::string_view record) {
+  fields_.clear();
+  if (record.find(options_.quote) != std::string_view::npos) {
+    DecodeQuoted(record);
+    return fields_;
+  }
+  // A plain byte loop: fields are typically a few bytes, too short for a
+  // memchr call per field to pay off.
+  const char* begin = record.data();
+  const char* end = begin + record.size();
+  for (const char* p = begin;; ++p) {
+    if (p == end || *p == options_.delimiter) {
+      std::string_view field(begin, static_cast<size_t>(p - begin));
+      fields_.push_back(options_.trim_whitespace ? Trim(field) : field);
+      if (p == end) break;
+      begin = p + 1;
+    }
+  }
+  return fields_;
+}
+
+void CsvFieldSplitter::DecodeQuoted(std::string_view record) {
+  // Decoding only ever drops bytes, so a scratch buffer as long as the
+  // record never reallocates while the views below are taken.
+  if (scratch_.size() < record.size()) scratch_.resize(record.size());
+  char* out = scratch_.data();
+  size_t n = 0;            // decoded bytes so far
+  size_t field_begin = 0;  // where the current field's bytes start
   bool in_quotes = false;
   bool was_quoted = false;
-  size_t i = 0;
   auto flush = [&]() {
-    if (options.trim_whitespace && !was_quoted) {
-      std::string_view t = Trim(current);
-      fields.emplace_back(t);
-    } else {
-      fields.push_back(std::move(current));
-    }
-    current.clear();
+    std::string_view field(out + field_begin, n - field_begin);
+    fields_.push_back(options_.trim_whitespace && !was_quoted ? Trim(field)
+                                                              : field);
+    field_begin = n;
     was_quoted = false;
   };
-  while (i < line.size()) {
-    char c = line[i];
+  size_t i = 0;
+  while (i < record.size()) {
+    char c = record[i];
     if (in_quotes) {
-      if (c == options.quote) {
-        if (i + 1 < line.size() && line[i + 1] == options.quote) {
-          current.push_back(options.quote);  // doubled quote -> literal
+      if (c == options_.quote) {
+        if (i + 1 < record.size() && record[i + 1] == options_.quote) {
+          out[n++] = options_.quote;  // doubled quote -> literal
           i += 2;
           continue;
         }
@@ -110,96 +175,103 @@ std::vector<std::string> SplitCsvLine(std::string_view line,
         ++i;
         continue;
       }
-      current.push_back(c);
+      out[n++] = c;
       ++i;
       continue;
     }
-    if (c == options.quote && current.empty()) {
+    if (c == options_.quote && n == field_begin) {
       in_quotes = true;
       was_quoted = true;
       ++i;
       continue;
     }
-    if (c == options.delimiter) {
+    if (c == options_.delimiter) {
       flush();
       ++i;
       continue;
     }
-    current.push_back(c);
+    out[n++] = c;
     ++i;
   }
   flush();
-  return fields;
+}
+
+std::vector<std::string> SplitCsvLine(std::string_view line,
+                                      const CsvOptions& options) {
+  CsvFieldSplitter splitter(options);
+  std::span<const std::string_view> fields = splitter.Split(line);
+  return std::vector<std::string>(fields.begin(), fields.end());
+}
+
+size_t NextCsvRecord(std::string_view text, bool at_end,
+                     const CsvOptions& options, CsvRecord* record) {
+  size_t newline = text.find('\n');
+  if (newline == std::string_view::npos && !at_end) return 0;
+  size_t length = newline == std::string_view::npos ? text.size() : newline;
+  size_t used = newline == std::string_view::npos ? length : length + 1;
+  bool blank = false;  // any quote makes a record non-blank
+  if (text.substr(0, length).find(options.quote) == std::string_view::npos) {
+    blank = IsBlankRecord(text.substr(0, length), options.delimiter);
+  } else {
+    // A quote may hide newlines: walk the record byte by byte.
+    CsvRecordScanner scanner(options);
+    size_t i = 0;
+    while (i < text.size() && !scanner.Feed(text[i])) ++i;
+    if (i == text.size() && !at_end) return 0;
+    length = i;
+    used = i < text.size() ? i + 1 : i;
+  }
+  std::string_view body = text.substr(0, length);
+  if (!body.empty() && body.back() == '\r') body.remove_suffix(1);
+  record->text = body;
+  record->blank = blank;
+  return used;
+}
+
+Status ScanCsv(std::string_view text, const CsvOptions& options,
+               const CsvRowVisitor& visit) {
+  CsvFieldSplitter splitter(options);
+  bool header_pending = options.has_header;
+  size_t expected_fields = 0;  // fixed by the header or first data row
+  size_t record_no = 0;
+  CsvRecord record;
+  while (size_t used = NextCsvRecord(text, /*at_end=*/true, options, &record)) {
+    text.remove_prefix(used);
+    ++record_no;
+    if (record.blank) continue;
+    std::span<const std::string_view> fields = splitter.Split(record.text);
+    if (expected_fields == 0) {
+      expected_fields = fields.size();
+    } else if (fields.size() != expected_fields) {
+      std::ostringstream msg;
+      msg << "CSV record " << record_no << " has " << fields.size()
+          << " fields, expected " << expected_fields;
+      return Status::InvalidArgument(msg.str());
+    }
+    QIKEY_RETURN_NOT_OK(visit(fields, header_pending));
+    header_pending = false;
+  }
+  return Status::OK();
+}
+
+Status ScanCsvFile(const std::string& path, const CsvOptions& options,
+                   const CsvRowVisitor& visit) {
+  std::string text;
+  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
+  return ScanCsv(text, options, visit);
 }
 
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
   CsvTable table;
-  size_t expected_fields = 0;
-  bool saw_first_row = false;
-  bool header_pending = options.has_header;
-  size_t record_no = 0;
-
-  // Record-at-a-time walk with the quote-aware scanner, so newlines
-  // inside quoted fields stay part of their record.
-  CsvRecordScanner scanner(options);
-  size_t record_start = 0;
-  size_t i = 0;
-  Status error = Status::OK();
-  auto handle_record = [&](std::string_view record, bool blank) -> bool {
-    // Strip one trailing \r so CRLF input parses like LF input even for
-    // records ending in a quoted field.
-    if (!record.empty() && record.back() == '\r') {
-      record.remove_suffix(1);
-    }
-    ++record_no;
-    if (blank) return true;
-    std::vector<std::string> fields = SplitCsvLine(record, options);
-    if (header_pending) {
-      table.header = std::move(fields);
-      expected_fields = table.header.size();
-      header_pending = false;
-      return true;
-    }
-    if (!saw_first_row && expected_fields == 0) {
-      expected_fields = fields.size();
-    }
-    saw_first_row = true;
-    if (fields.size() != expected_fields) {
-      std::ostringstream msg;
-      msg << "CSV record " << record_no << " has " << fields.size()
-          << " fields, expected " << expected_fields;
-      error = Status::InvalidArgument(msg.str());
-      return false;
-    }
-    table.rows.push_back(std::move(fields));
-    return true;
-  };
-  for (; i < text.size(); ++i) {
-    bool blank = scanner.record_blank();
-    if (scanner.Feed(text[i])) {
-      if (!handle_record(text.substr(record_start, i - record_start), blank)) {
-        return error;
-      }
-      record_start = i + 1;
-    }
-  }
-  if (record_start < text.size()) {  // final record without a newline
-    if (!handle_record(text.substr(record_start), scanner.record_blank())) {
-      return error;
-    }
-  }
+  QIKEY_RETURN_NOT_OK(ScanCsv(text, options, AppendTo(&table)));
   return table;
 }
 
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str(), options);
+  CsvTable table;
+  QIKEY_RETURN_NOT_OK(ScanCsvFile(path, options, AppendTo(&table)));
+  return table;
 }
 
 std::string WriteCsv(const CsvTable& table, const CsvOptions& options) {

@@ -1,6 +1,8 @@
 #ifndef QIKEY_UTIL_CSV_H_
 #define QIKEY_UTIL_CSV_H_
 
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,9 +25,32 @@ struct CsvOptions {
 ///
 /// Handles RFC-4180 style quoting including embedded delimiters,
 /// doubled quotes, and (when the caller hands it a whole record, as
-/// `ParseCsv` does) newlines inside quoted fields.
+/// `ParseCsv` does) newlines inside quoted fields. Copies every field;
+/// the ingest paths use `CsvFieldSplitter`, which does not.
 std::vector<std::string> SplitCsvLine(std::string_view line,
                                       const CsvOptions& options = {});
+
+/// \brief Zero-copy field splitter with `SplitCsvLine`'s semantics.
+///
+/// A quote-free record (the common case) is split in place: the views
+/// point into the record itself. A record containing a quote is decoded
+/// into an internal scratch buffer that is reused across calls, so a
+/// splitter allocates only until its buffers reach the longest record.
+class CsvFieldSplitter {
+ public:
+  explicit CsvFieldSplitter(const CsvOptions& options) : options_(options) {}
+
+  /// The fields of `record`, valid until the next `Split` (and, for a
+  /// quote-free record, while `record`'s bytes live).
+  std::span<const std::string_view> Split(std::string_view record);
+
+ private:
+  void DecodeQuoted(std::string_view record);
+
+  CsvOptions options_;
+  std::string scratch_;
+  std::vector<std::string_view> fields_;
+};
 
 /// \brief Incremental quote-aware record-boundary detector.
 ///
@@ -33,8 +58,8 @@ std::vector<std::string> SplitCsvLine(std::string_view line,
 /// is a record terminator (a newline at quote depth zero). Mirrors
 /// `SplitCsvLine`'s quoting rules (quotes open only on an empty field,
 /// doubled quotes are literal), so newlines inside quoted fields do not
-/// end a record. Used by `ParseCsv` and by the sharded loader's file
-/// scanner, which must find shard boundaries without parsing fields.
+/// end a record. `NextCsvRecord` falls back to it for records that
+/// contain a quote.
 class CsvRecordScanner {
  public:
   explicit CsvRecordScanner(const CsvOptions& options)
@@ -63,14 +88,52 @@ class CsvRecordScanner {
   bool record_blank_ = true;
 };
 
+/// One record located by `NextCsvRecord`.
+struct CsvRecord {
+  /// The record without its '\n' terminator and without one trailing
+  /// '\r', so CRLF input reads like LF input.
+  std::string_view text;
+  /// Only whitespace; every loader skips such records (they still count
+  /// in the record numbers of error messages).
+  bool blank = false;
+};
+
+/// \brief Locates the record at the front of `text` without copying it.
+///
+/// Returns the bytes the record spans, terminator included. A quote-free
+/// record ends at the first '\n' (found with `memchr`); a record holding
+/// a quote is walked by a `CsvRecordScanner`, so quoted newlines stay
+/// inside it. Returns 0 when `text` ends before the record does — the
+/// caller supplies more input — unless `at_end`, in which case the rest
+/// of `text` is the final record. Returns 0 for empty `text`.
+size_t NextCsvRecord(std::string_view text, bool at_end,
+                     const CsvOptions& options, CsvRecord* record);
+
+/// Receives each non-blank record's fields; `is_header` marks the
+/// header record. A non-OK status stops the scan and is returned.
+using CsvRowVisitor = std::function<Status(
+    std::span<const std::string_view> fields, bool is_header)>;
+
+/// \brief Streams the records of in-memory CSV text to `visit` as field
+/// views, without materializing a table. Rows whose field count differs
+/// from the header (or the first data row) stop the scan with an
+/// InvalidArgument error naming the record (blank records counted).
+Status ScanCsv(std::string_view text, const CsvOptions& options,
+               const CsvRowVisitor& visit);
+
+/// `ScanCsv` over the contents of a file, read into memory once.
+Status ScanCsvFile(const std::string& path, const CsvOptions& options,
+                   const CsvRowVisitor& visit);
+
 /// Parsed CSV content: optional header plus rows of string fields.
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
 };
 
-/// \brief Parses CSV text. Rows with a field count differing from the
-/// first data row produce an InvalidArgument error.
+/// \brief Parses CSV text into an owning table (`ScanCsv` with copies).
+/// Rows with a field count differing from the first data row produce an
+/// InvalidArgument error.
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options = {});
 
 /// \brief Reads and parses a CSV file from disk.

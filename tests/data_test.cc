@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "data/concat.h"
 #include "data/csv_loader.h"
 #include "data/dataset.h"
@@ -26,6 +28,77 @@ TEST(DictionaryTest, FindMissing) {
   d.GetOrAdd("present");
   EXPECT_EQ(d.Find("present"), 0u);
   EXPECT_EQ(d.Find("absent"), Dictionary::kNotFound);
+}
+
+/// `prefix` followed by the decimal `i`.
+std::string Tagged(const char* prefix, uint32_t i) {
+  std::string value = prefix;
+  value += std::to_string(i);
+  return value;
+}
+
+TEST(DictionaryTest, DenseFirstAppearanceCodesAcrossGrowth) {
+  // 150k distinct values force many table doublings; every lookup after
+  // each growth must still land on the first-appearance code.
+  const uint32_t n = 150000;
+  Dictionary d;
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_EQ(d.GetOrAdd(Tagged("v", i * 7u)), i);
+    if (i % 1000 == 0) {
+      ASSERT_EQ(d.GetOrAdd("v0"), 0u);
+    }
+  }
+  ASSERT_EQ(d.size(), n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSERT_EQ(d.Find(Tagged("v", i * 7u)), i);
+    ASSERT_EQ(d.Value(i), Tagged("v", i * 7u));
+  }
+  EXPECT_EQ(d.Find("v1"), Dictionary::kNotFound);  // 1 is not a multiple of 7
+  EXPECT_EQ(d.GetOrAdd("v1"), n);
+}
+
+TEST(DictionaryTest, EmptyStringAndEmbeddedNul) {
+  Dictionary d;
+  const std::string nul_a("a\0b", 3);
+  const std::string nul_c("a\0c", 3);
+  EXPECT_EQ(d.GetOrAdd(""), 0u);
+  EXPECT_EQ(d.GetOrAdd(nul_a), 1u);
+  EXPECT_EQ(d.GetOrAdd(nul_c), 2u);
+  EXPECT_EQ(d.GetOrAdd("a"), 3u);  // a prefix of both, up to the NUL
+  EXPECT_EQ(d.GetOrAdd(std::string(1, '\0')), 4u);
+  EXPECT_EQ(d.GetOrAdd(""), 0u);
+  EXPECT_EQ(d.Find(nul_c), 2u);
+  EXPECT_EQ(d.Value(1), nul_a);
+  EXPECT_EQ(d.Value(1).size(), 3u);
+  EXPECT_EQ(d.Value(0), "");
+  EXPECT_EQ(d.size(), 5u);
+}
+
+TEST(DictionaryTest, FindOnEmptyAndAbsent) {
+  Dictionary d;
+  EXPECT_EQ(d.Find(""), Dictionary::kNotFound);
+  EXPECT_EQ(d.Find("x"), Dictionary::kNotFound);
+  EXPECT_EQ(d.size(), 0u);
+  d.GetOrAdd("x");
+  EXPECT_EQ(d.Find(""), Dictionary::kNotFound);
+  EXPECT_EQ(d.Find("xx"), Dictionary::kNotFound);
+  EXPECT_EQ(d.Find("x"), 0u);
+}
+
+TEST(DictionaryTest, CopiesAreIndependent) {
+  Dictionary a;
+  for (uint32_t i = 0; i < 100; ++i) a.GetOrAdd(Tagged("k", i));
+  Dictionary b = a;
+  EXPECT_EQ(b.GetOrAdd("only-in-b"), 100u);
+  EXPECT_EQ(a.GetOrAdd("only-in-a"), 100u);
+  EXPECT_EQ(a.Find("only-in-b"), Dictionary::kNotFound);
+  EXPECT_EQ(b.Find("only-in-a"), Dictionary::kNotFound);
+  EXPECT_EQ(a.Value(100), "only-in-a");
+  EXPECT_EQ(b.Value(100), "only-in-b");
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(b.Find(Tagged("k", i)), i);
+  a = Dictionary();
+  EXPECT_EQ(b.Find("k7"), 7u);
+  EXPECT_EQ(a.Find("k7"), Dictionary::kNotFound);
 }
 
 // ---------------------------------------------------------------- Column

@@ -4,7 +4,9 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/key_enumeration.h"
@@ -307,8 +309,8 @@ TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
       covered += range.num_rows;
       Status st = ForEachCsvRecordInRange(
           path, range, CsvOptions{},
-          [&](const std::vector<std::string>& fields) {
-            collected.push_back(fields);
+          [&](std::span<const std::string_view> fields) {
+            collected.emplace_back(fields.begin(), fields.end());
             return Status::OK();
           });
       ASSERT_TRUE(st.ok()) << st.ToString();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/tuple_sample_filter.h"
+#include "data/csv_loader.h"
 #include "data/wire_codec.h"
 #include "engine/pipeline.h"
 #include "serve/protocol.h"
@@ -450,6 +451,42 @@ TEST(SnapfileTest, RejectsMisalignedOverlappingAndOutOfBoundsSections) {
   PatchU64(&bad, 40, image.size() + 64);
   RestampHeaderChecksum(&bad);
   EXPECT_FALSE(snapfile::SnapshotFromOwnedBytes(bad).ok());
+}
+
+TEST(SnapfileTest, RejectsDuplicateDictionaryEntry) {
+  // A dictionary-encoded sample column whose two values differ in their
+  // last byte; rewriting one into the other (with valid checksums) must
+  // surface as a clean error from the dictionary rebuild, not a crash or
+  // a silently merged code.
+  std::string csv = "id,tag\n";
+  for (int i = 0; i < 64; ++i) {
+    csv += std::to_string(i) + (i % 2 == 0 ? ",tagvalA\n" : ",tagvalB\n");
+  }
+  auto data = LoadCsvDatasetFromString(csv);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ServeSnapshot built =
+      BuildPipelineSnapshot(*data, FilterBackend::kBitset, 0.01, 3);
+  auto image = snapfile::SerializeSnapshot(built);
+  ASSERT_TRUE(image.ok());
+  std::string bad = *image;
+  size_t at = bad.find("tagvalB");
+  ASSERT_NE(at, std::string::npos);
+  bad[at + 6] = 'A';
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, bad.data() + 12, sizeof(section_count));
+  for (uint32_t i = 0; i < section_count; ++i) {
+    size_t entry = snapfile::kHeaderBytes + i * snapfile::kSectionEntryBytes;
+    uint64_t offset = ReadU64(bad, entry + 8);
+    uint64_t bytes = ReadU64(bad, entry + 16);
+    if (at >= offset && at < offset + bytes) {
+      PatchU64(&bad, entry + 24, Fnv1a64(bad.data() + offset, bytes));
+    }
+  }
+  RestampHeaderChecksum(&bad);
+  auto status = snapfile::SnapshotFromOwnedBytes(bad).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("duplicate"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SnapfileTest, SurvivesRandomByteFlipsOnEveryBackend) {
