@@ -254,7 +254,6 @@ int Run(int argc, char** argv) {
     // Generous admission caps: this bench measures latency under load
     // the server can admit; sheds would poison the latency pool.
     sopts.max_pending_per_conn = per_conn + 1;
-    sopts.max_pending_global = conns * (per_conn + 1);
     MetricsRegistry registry;
     if (instrumented) {
       sopts.metrics = &registry;

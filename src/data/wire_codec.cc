@@ -32,6 +32,7 @@ void ByteWriter::AlignTo(size_t alignment) {
 }
 
 bool ByteReader::Raw(void* dst, size_t n) {
+  if (n == 0) return true;  // empty targets may hand over a null pointer
   if (n > remaining()) return false;
   std::memcpy(dst, bytes_.data() + pos_, n);
   pos_ += n;

@@ -39,8 +39,8 @@ struct HistogramSnapshot {
 /// clamp to 0.
 ///
 /// `Record` is two relaxed `fetch_add`s (bucket + sum) — no locks, no
-/// CAS loops — so it is safe and cheap to call from the reactor,
-/// worker threads, and pool tasks concurrently. Reads (`Snapshot`,
+/// CAS loops — so it is safe and cheap to call from the serve shards
+/// and pool tasks concurrently. Reads (`Snapshot`,
 /// `count`, `sum`) are relaxed too: a snapshot taken while writers are
 /// active is a consistent-enough view (each bucket is atomically
 /// read), and is exact once writers quiesce.

@@ -17,7 +17,7 @@ namespace qikey {
 ///
 /// `Increment` is one relaxed `fetch_add` on a per-thread slot (8
 /// slots, each on its own cache line), so concurrent writers from the
-/// reactor, workers, and pool tasks do not bounce a shared line.
+/// serve shards and pool tasks do not bounce a shared line.
 /// `value()` sums the slots; it is exact once writers quiesce and
 /// never under-counts completed increments.
 class Counter {
@@ -53,8 +53,8 @@ class Counter {
 
 /// \brief Last-written-value gauge (queue depths, buffer bytes).
 ///
-/// Typically written from one thread (the reactor) and read from any;
-/// all accesses are relaxed atomics.
+/// Written from any thread and read from any; all accesses are relaxed
+/// atomics.
 class Gauge {
  public:
   Gauge() = default;

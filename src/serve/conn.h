@@ -2,7 +2,6 @@
 #define QIKEY_SERVE_CONN_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,75 +38,49 @@ class LineSplitter {
   bool overflowed_ = false;
 };
 
-/// \brief One admitted request line, stamped with the observability
-/// context it was admitted under: its admission timestamp (feeding the
-/// admission-to-flush latency histogram), a server-wide request id,
-/// and whether this request was picked by trace sampling.
-struct PendingLine {
-  std::string line;
-  /// Steady-clock ns at admission (reactor thread).
-  int64_t admit_ns = 0;
-  /// Monotonic across the server's lifetime; labels trace output.
-  uint64_t request_id = 0;
-  /// True when `--trace-sample` selected this request for a per-stage
-  /// timing trace.
-  bool traced = false;
-};
-
-/// \brief One client connection of the serve reactor: owned socket,
-/// line framing, the bounded queue of lines awaiting execution, and
-/// the outgoing write buffer.
+/// \brief One client connection of a serve shard: owned socket, line
+/// framing, and the outgoing write buffer.
 ///
-/// All state is touched only by the reactor thread; workers never see
-/// a connection, only copies of its request lines keyed by `id`.
-/// Deliberately unannotated: single-thread ownership is the invariant
-/// here, not a lock — there is no mutex a GUARDED_BY could name, and
-/// cross-thread handoff happens only via the server's annotated
-/// work/completion queues (`ServeServer::work_mu_`/`completion_mu_`).
+/// Touched only by the thread of the shard that owns it; no request or
+/// response ever crosses threads, so there is no lock a GUARDED_BY
+/// could name. The connection itself changes threads once, at accept,
+/// through the owning shard's annotated inbox.
 struct ServeConn {
   ServeConn(OwnedFd socket, uint64_t conn_id, size_t max_line_bytes)
       : fd(std::move(socket)), id(conn_id), splitter(max_line_bytes) {}
 
   OwnedFd fd;
-  /// Monotonic across the server's lifetime (never a reused fd number),
-  /// so a completion for a closed connection can never be misdelivered.
+  /// Monotonic across the server's lifetime (never a reused fd number);
+  /// labels trace output.
   uint64_t id = 0;
 
   LineSplitter splitter;
-  /// Parsed-off request lines admitted but not yet handed to a worker.
-  /// Bounded by the server's per-connection admission cap.
-  std::deque<PendingLine> pending;
-  /// Lines currently executing in a worker batch (0 = none). At most
-  /// one batch per connection is in flight, which is what keeps
-  /// responses in request order without any sequencing metadata.
-  size_t inflight_lines = 0;
 
   /// Encoded response bytes not yet accepted by the socket.
   std::string write_buf;
   /// Prefix of `write_buf` already written (compacted on flush).
   size_t write_pos = 0;
 
-  /// Reactor-loop timestamp of the last byte received (ms, steady
+  /// Shard-loop timestamp of the last byte received (ms, steady
   /// clock); drives idle/slow-loris reaping.
   int64_t last_activity_ms = 0;
   /// Set when the connection must close once `write_buf` drains
   /// (oversized line, overload-close policy, drain).
   bool close_after_flush = false;
-  /// Set when the peer half-closed (EOF read); pending work still
-  /// completes and flushes, then the connection closes.
+  /// Set when the peer half-closed (EOF read); the responses already
+  /// queued flush, then the connection closes.
   bool peer_eof = false;
-  /// True while registered for EPOLLOUT (write buffer non-empty).
-  bool want_write = false;
+  /// The epoll events the socket is registered for (re-armed only on
+  /// change).
+  uint32_t epoll_interest = 0;
 
   /// Read/write buffer bytes last folded into the server's aggregate
-  /// buffer gauges (reactor-only bookkeeping; see SyncConnGauges).
+  /// buffer gauges (owner-shard bookkeeping; see SyncConnGauges).
   size_t obs_read_bytes = 0;
   size_t obs_write_bytes = 0;
 
   size_t unsent_bytes() const { return write_buf.size() - write_pos; }
-  bool idle() const {
-    return pending.empty() && inflight_lines == 0 && unsent_bytes() == 0;
-  }
+  bool idle() const { return unsent_bytes() == 0; }
 
   /// Appends `line` + '\n' to the write buffer.
   void QueueResponse(std::string_view line) {

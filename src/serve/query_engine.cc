@@ -1,7 +1,6 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
@@ -154,23 +153,17 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
   int64_t pass_start = NowNs();
   // A miss is an is-key request the cache could not answer. Chunks
   // collect them in PER-WORKER scratch and merge once under a mutex —
-  // no per-request shared byte array for worker threads to false-share
-  // — tagged with the hash shard the dedupe pass will route them to.
-  constexpr size_t kDedupeShards = 16;
-  struct Miss {
-    uint32_t index;  ///< Request position.
-    uint32_t shard;  ///< Hash shard of the request's attribute set.
-  };
+  // no per-request shared byte array for worker threads to false-share.
   struct MissChunk {
     size_t begin;
-    std::vector<Miss> misses;
+    std::vector<uint32_t> misses;  ///< Request positions, ascending.
   };
   Mutex miss_mu;
   std::vector<MissChunk> miss_chunks;
   ThreadPool::ParallelFor(
       pool_.get(), requests.size(),
       [&](size_t begin, size_t end) {
-        std::vector<Miss> local;
+        std::vector<uint32_t> local;
         for (size_t i = begin; i < end; ++i) {
           responses[i].epoch = snapshot->epoch;
           responses[i].status = ValidateRequest(*snapshot, requests[i]);
@@ -184,11 +177,7 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
               responses[i].verdict = cached;
               responses[i].cache_hit = true;
             } else {
-              local.push_back(
-                  Miss{static_cast<uint32_t>(i),
-                       static_cast<uint32_t>(
-                           AttributeSetHasher{}(requests[i].attrs) %
-                           kDedupeShards)});
+              local.push_back(static_cast<uint32_t>(i));
             }
           } else {
             AnswerOnSample(*snapshot, requests[i], &responses[i]);
@@ -208,56 +197,37 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
             [](const MissChunk& a, const MissChunk& b) {
               return a.begin < b.begin;
             });
-  std::vector<Miss> misses;
-  for (MissChunk& chunk : miss_chunks) {
-    misses.insert(misses.end(), chunk.misses.begin(), chunk.misses.end());
-  }
 
   int64_t pass_end = NowNs();
   validate_ns_.Record(pass_end - pass_start);
   pass_start = pass_end;
 
-  // Pass 2 (sharded): dedupe the missed is-key sets — duplicates
-  // within the batch share one filter slot. Sharding is by attribute-
-  // set hash, NOT by thread, so the shard contents (and thus the slot
-  // numbering below) are a pure function of the request sequence.
-  struct ShardDedupe {
-    std::vector<uint32_t> unique_miss;  ///< First-occurrence miss positions.
-    std::vector<std::pair<uint32_t, uint32_t>> assign;  ///< (miss, local slot)
+  // Pass 2 (serial): dedupe the missed is-key sets in request order —
+  // duplicates within the batch share one filter slot, numbered by
+  // first occurrence. Keyed by pointer into `requests`, so no set is
+  // copied until it earns a slot.
+  struct DerefHash {
+    size_t operator()(const AttributeSet* set) const {
+      return AttributeSetHasher{}(*set);
+    }
   };
-  std::array<ShardDedupe, kDedupeShards> dedupe_shards;
-  ThreadPool::ParallelFor(
-      pool_.get(), kDedupeShards, [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-          ShardDedupe& shard = dedupe_shards[s];
-          std::unordered_map<AttributeSet, uint32_t, AttributeSetHasher>
-              slot_of;
-          for (size_t p = 0; p < misses.size(); ++p) {
-            if (misses[p].shard != s) continue;
-            auto [it, inserted] = slot_of.try_emplace(
-                requests[misses[p].index].attrs,
-                static_cast<uint32_t>(shard.unique_miss.size()));
-            if (inserted) {
-              shard.unique_miss.push_back(static_cast<uint32_t>(p));
-            }
-            shard.assign.emplace_back(static_cast<uint32_t>(p), it->second);
-          }
-        }
-      });
-
-  // Serial stitch: shard-local slots become global filter slots.
+  struct DerefEq {
+    bool operator()(const AttributeSet* a, const AttributeSet* b) const {
+      return *a == *b;
+    }
+  };
+  std::unordered_map<const AttributeSet*, uint32_t, DerefHash, DerefEq>
+      slot_of;
   std::vector<std::pair<size_t, size_t>> filter_slots;  // (request, slot)
   std::vector<AttributeSet> filter_attrs;
-  filter_slots.reserve(misses.size());
-  size_t shard_base = 0;
-  for (const ShardDedupe& shard : dedupe_shards) {
-    for (uint32_t p : shard.unique_miss) {
-      filter_attrs.push_back(requests[misses[p].index].attrs);
+  for (const MissChunk& chunk : miss_chunks) {
+    for (uint32_t index : chunk.misses) {
+      const AttributeSet& attrs = requests[index].attrs;
+      auto [it, inserted] = slot_of.try_emplace(
+          &attrs, static_cast<uint32_t>(filter_attrs.size()));
+      if (inserted) filter_attrs.push_back(attrs);
+      filter_slots.emplace_back(index, it->second);
     }
-    for (const auto& [p, local_slot] : shard.assign) {
-      filter_slots.emplace_back(misses[p].index, shard_base + local_slot);
-    }
-    shard_base += shard.unique_miss.size();
   }
   pass_end = NowNs();
   dedupe_ns_.Record(pass_end - pass_start);

@@ -65,6 +65,7 @@ class QueryEngine {
 
   uint64_t cache_hits() const { return cache_.hits(); }
   uint64_t cache_misses() const { return cache_.misses(); }
+  size_t cache_size() const { return cache_.size(); }
 
   size_t num_threads() const {
     return pool_ != nullptr ? pool_->num_threads() : 1;

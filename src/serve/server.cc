@@ -1,16 +1,25 @@
 #include "serve/server.h"
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
-#include "util/jsonw.h"
+#include "serve/conn.h"
+#include "serve/protocol.h"
 #include "util/logging.h"
+#include "util/mutex.h"
 
 namespace qikey {
 
@@ -37,12 +46,130 @@ int64_t NowNs() {
       .count();
 }
 
+/// One shard per CPU the process may run on (at least one).
+size_t ShardCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(std::max(CPU_COUNT(&set), 1));
+}
+
 /// The server's reply to a client's `QIKEY/<n>` version assertion.
 std::string HelloAck(ProtocolVersion version) {
   return "ok v" + std::to_string(static_cast<uint32_t>(version));
 }
 
+Status Errno(const std::string& what) {
+  return Status::IOError(what + ": " + std::strerror(errno));
+}
+
+/// Per-stage timings of one trace-sampled request (steady ns).
+struct TraceRecord {
+  uint64_t request_id = 0;
+  int64_t admit_ns = 0;        ///< the read that framed the line ended
+  int64_t parse_start_ns = 0;  ///< the shard started parsing this line
+  int64_t parse_ns = 0;        ///< time parsing this line
+  int64_t execute_ns = 0;      ///< engine batch execution (shared by batch)
+  int64_t done_ns = 0;         ///< the batch's responses were encoded
+};
+
 }  // namespace
+
+/// One event loop: an epoll set, the connections it owns, and the inbox
+/// through which shard 0 hands it newly accepted connections. Everything
+/// but the inbox and `open_conns_` is touched by the shard's own thread
+/// only.
+class ServeServer::Shard {
+ public:
+  Shard(ServeServer* server, bool acceptor)
+      : server_(server), acceptor_(acceptor) {}
+
+  Status Init() {
+    epoll_fd_ = OwnedFd(::epoll_create1(EPOLL_CLOEXEC));
+    if (!epoll_fd_.valid()) return Errno("epoll_create1");
+    wake_fd_ = OwnedFd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+    if (!wake_fd_.valid()) return Errno("eventfd");
+    QIKEY_RETURN_NOT_OK(Watch(wake_fd_.get(), kWakeId));
+    if (acceptor_) return Watch(server_->listen_fd_.get(), kListenId);
+    return Status::OK();
+  }
+
+  void Start() { thread_ = std::thread([this] { Run(); }); }
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Any thread: interrupts the shard's `epoll_wait`.
+  void Wake() {
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n =
+        ::write(wake_fd_.get(), &one, sizeof(one));
+  }
+
+ private:
+  Status Watch(int fd, uint64_t id) {
+    epoll_event event{};
+    event.events = EPOLLIN;
+    event.data.u64 = id;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &event) < 0) {
+      return Errno("epoll_ctl");
+    }
+    return Status::OK();
+  }
+
+  void Run();
+  /// Acceptor only: accepts every pending connection and gives each to
+  /// the shard with the fewest open connections.
+  void AcceptNewConnections();
+  /// Acceptor thread: queues an accepted connection for this shard.
+  void Post(OwnedFd fd, uint64_t id);
+  void AdoptInbox();
+  void AddConn(OwnedFd fd, uint64_t id);
+  /// Whether the shard still reads requests from `conn`.
+  bool Reading(const ServeConn& conn) const {
+    return !draining_ && !conn.close_after_flush && !conn.peer_eof &&
+           !conn.splitter.overflowed();
+  }
+  void HandleReadable(ServeConn* conn);
+  /// Parses, executes and encodes `lines` into the connection's write
+  /// buffer, in order; appends a record per trace-sampled line.
+  void Answer(ServeConn* conn, std::span<const std::string> lines,
+              std::vector<TraceRecord>* traces);
+  void EmitTrace(uint64_t conn_id, const TraceRecord& trace,
+                 int64_t flush_done_ns);
+  /// After any I/O on `conn`: flush, then close it if it is done, or
+  /// re-arm its epoll interest.
+  void Settle(ServeConn* conn);
+  /// Writes what the socket accepts; false if the connection was closed.
+  bool FlushWrites(ServeConn* conn);
+  void UpdateEpollInterest(ServeConn* conn);
+  void SyncConnGauges(ServeConn* conn);
+  void CloseConn(uint64_t conn_id);
+  void CloseAll();
+  void ReapIdleConns(int64_t now_ms);
+  void BeginDrain(int64_t now_ms);
+  bool Drained();
+
+  ServeServer* const server_;
+  const bool acceptor_;  ///< owns the listening socket
+  OwnedFd epoll_fd_;
+  OwnedFd wake_fd_;  ///< eventfd: inbox non-empty / shutdown requested
+  /// Open connections, including ones still in the inbox: raised by the
+  /// acceptor when it picks this shard, lowered by the shard on close.
+  std::atomic<size_t> open_conns_{0};
+
+  // Shard-thread only.
+  std::unordered_map<uint64_t, std::unique_ptr<ServeConn>> conns_;
+  std::vector<std::string> lines_;  ///< scratch: lines of one read
+  bool draining_ = false;
+  int64_t drain_deadline_ms_ = 0;
+
+  // Inbox capability: the acceptor-to-shard connection hand-off.
+  Mutex inbox_mu_;
+  std::vector<std::pair<uint64_t, OwnedFd>> inbox_ GUARDED_BY(inbox_mu_);
+
+  std::thread thread_;  ///< last: runs over every member above
+};
 
 ServeServer::ServeServer(const QueryEngine* engine, Schema schema,
                          const ServerOptions& options)
@@ -60,70 +187,40 @@ Status ServeServer::Start() {
   if (started_.exchange(true)) {
     return Status::InvalidArgument("server already started");
   }
-  if (options_.max_line_bytes == 0 || options_.max_pending_per_conn == 0 ||
-      options_.max_pending_global == 0 || options_.max_batch == 0) {
+  if (options_.max_line_bytes == 0 || options_.max_pending_per_conn == 0) {
     return Status::InvalidArgument(
-        "max_line_bytes, admission caps, and max_batch must be positive");
+        "max_line_bytes and max_pending_per_conn must be positive");
   }
   Result<OwnedFd> listen_fd = OpenListenSocket(options_.listen, &port_);
   if (!listen_fd.ok()) return listen_fd.status();
   listen_fd_ = std::move(*listen_fd);
 
-  epoll_fd_ = OwnedFd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_fd_.valid()) {
-    return Status::IOError(std::string("epoll_create1: ") +
-                           std::strerror(errno));
-  }
-  wake_fd_ = OwnedFd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-  if (!wake_fd_.valid()) {
-    return Status::IOError(std::string("eventfd: ") + std::strerror(errno));
-  }
-  epoll_event event{};
-  event.events = EPOLLIN;
-  event.data.u64 = kWakeId;
-  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &event) <
-      0) {
-    return Status::IOError(std::string("epoll_ctl(wake): ") +
-                           std::strerror(errno));
-  }
-  event.events = EPOLLIN;
-  event.data.u64 = kListenId;
-  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, listen_fd_.get(),
-                  &event) < 0) {
-    return Status::IOError(std::string("epoll_ctl(listen): ") +
-                           std::strerror(errno));
+  size_t count = ShardCount();
+  for (size_t i = 0; i < count; ++i) {
+    shards_.push_back(std::make_unique<Shard>(this, /*acceptor=*/i == 0));
+    QIKEY_RETURN_NOT_OK(shards_.back()->Init());
   }
 
   // Registry wiring happens strictly before any server thread exists,
-  // so workers rendering the `stats` verb see a fully built registry
+  // so shards rendering the `stats` verb see a fully built registry
   // without synchronization beyond thread creation.
   RegisterMetrics();
 
-  running_.store(true, std::memory_order_release);
-  size_t workers = options_.worker_threads > 0 ? options_.worker_threads : 1;
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  reactor_ = std::thread([this] { ReactorLoop(); });
+  accepting_.store(true, std::memory_order_release);
+  live_shards_.store(count, std::memory_order_release);
+  for (const auto& shard : shards_) shard->Start();
   return Status::OK();
 }
 
 void ServeServer::Shutdown() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (shutdown_requested_.exchange(true)) return;
-  uint64_t one = 1;
-  // Best-effort wake; the reactor also polls the flag every tick.
-  [[maybe_unused]] ssize_t n =
-      ::write(wake_fd_.get(), &one, sizeof(one));
+  // Best-effort wake; every shard also polls the flag each tick.
+  for (const auto& shard : shards_) shard->Wake();
 }
 
 void ServeServer::Join() {
-  if (reactor_.joinable()) reactor_.join();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  for (const auto& shard : shards_) shard->Join();
 }
 
 ServerStats ServeServer::stats() const {
@@ -161,64 +258,26 @@ void ServeServer::RegisterMetrics() {
   registry_->RegisterGauge("server.connections", &connections_);
   registry_->RegisterGauge("server.admission_queue_depth",
                            &admission_queue_depth_);
-  registry_->RegisterGauge("server.work_queue_depth", &work_queue_depth_);
   registry_->RegisterGauge("server.read_buffer_bytes", &read_buffer_bytes_);
   registry_->RegisterGauge("server.write_buffer_bytes", &write_buffer_bytes_);
   registry_->RegisterHistogram("server.request_ns", &request_ns_);
   engine_->RegisterMetrics(registry_);
 }
 
-void ServeServer::SyncConnGauges(ServeConn* conn) {
-  size_t read_bytes = conn->splitter.buffered_bytes();
-  size_t write_bytes = conn->unsent_bytes();
-  read_buffer_bytes_.Add(static_cast<int64_t>(read_bytes) -
-                         static_cast<int64_t>(conn->obs_read_bytes));
-  write_buffer_bytes_.Add(static_cast<int64_t>(write_bytes) -
-                          static_cast<int64_t>(conn->obs_write_bytes));
-  conn->obs_read_bytes = read_bytes;
-  conn->obs_write_bytes = write_bytes;
-}
-
-void ServeServer::EmitTrace(uint64_t conn_id, const TraceRecord& trace,
-                            int64_t flush_done_ns) {
-  std::string line;
-  line.reserve(192);
-  line += "{\"type\":\"trace\",\"request_id\":";
-  line += std::to_string(trace.request_id);
-  line += ",\"conn\":";
-  line += std::to_string(conn_id);
-  line += ",\"parse_ns\":";
-  line += std::to_string(trace.parse_ns);
-  line += ",\"queue_ns\":";
-  line += std::to_string(trace.queue_ns);
-  line += ",\"execute_ns\":";
-  line += std::to_string(trace.execute_ns);
-  line += ",\"flush_ns\":";
-  line += std::to_string(flush_done_ns - trace.done_ns);
-  line += ",\"total_ns\":";
-  line += std::to_string(flush_done_ns - trace.admit_ns);
-  line += '}';
-  traces_emitted_.Increment();
-  if (options_.trace_sink) {
-    options_.trace_sink(line);
-  } else {
-    WriteRawLine(line);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Reactor thread
+// Shard loop
 // ---------------------------------------------------------------------------
 
-void ServeServer::ReactorLoop() {
+void ServeServer::Shard::Run() {
   epoll_event events[kEpollBatch];
   while (true) {
     int n = ::epoll_wait(epoll_fd_.get(), events, kEpollBatch, kEpollTickMs);
     if (n < 0 && errno != EINTR) break;  // epoll itself failed; bail out
     int64_t now_ms = NowMs();
 
-    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
-      BeginDrain();
+    if (server_->shutdown_requested_.load(std::memory_order_acquire) &&
+        !draining_) {
+      BeginDrain(now_ms);
     }
 
     for (int i = 0; i < std::max(n, 0); ++i) {
@@ -227,6 +286,7 @@ void ServeServer::ReactorLoop() {
         uint64_t drained;
         while (::read(wake_fd_.get(), &drained, sizeof(drained)) > 0) {
         }
+        AdoptInbox();
       } else if (id == kListenId) {
         AcceptNewConnections();
       } else {
@@ -242,49 +302,41 @@ void ServeServer::ReactorLoop() {
         if (events[i].events & EPOLLIN) {
           conn->last_activity_ms = now_ms;
           HandleReadable(conn);
-          if (conns_.find(id) == conns_.end()) continue;
+        } else {
+          Settle(conn);  // EPOLLOUT: the socket takes more bytes
         }
-        if (events[i].events & EPOLLOUT) HandleWritable(conn);
       }
     }
 
-    ProcessCompletions();
     ReapIdleConns(now_ms);
-
     if (draining_) {
-      if (now_ms >= drain_deadline_ms_ && !conns_.empty()) {
-        // Drain timeout: force-close whatever is left (stalled clients,
-        // wedged batches). Collect ids first — CloseConn mutates the map.
-        std::vector<uint64_t> remaining;
-        remaining.reserve(conns_.size());
-        for (const auto& [id, conn] : conns_) remaining.push_back(id);
-        for (uint64_t id : remaining) CloseConn(id);
-      }
-      if (DrainComplete()) break;
+      // Drain timeout: force-close whatever is left (stalled readers).
+      if (now_ms >= drain_deadline_ms_) CloseAll();
+      if (Drained()) break;
     }
   }
-
-  // Stop the workers: they finish the queue (it is empty by the time
-  // drain completes, non-empty only after a forced drain) and exit.
-  {
-    MutexLock lock(work_mu_);
-    workers_stop_ = true;
-  }
-  work_ready_.NotifyAll();
-  running_.store(false, std::memory_order_release);
+  server_->live_shards_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void ServeServer::AcceptNewConnections() {
+void ServeServer::Shard::AcceptNewConnections() {
+  ServeServer& s = *server_;
   while (true) {
-    int raw = ::accept4(listen_fd_.get(), nullptr, nullptr,
-                        SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (raw < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    OwnedFd fd = AcceptConnection(s.listen_fd_.get());
+    if (!fd.valid()) {
       if (errno == EINTR) continue;
-      return;  // transient accept failure (EMFILE, ...): try next tick
+      return;  // EAGAIN, or a transient failure (EMFILE, ...): next tick
     }
-    OwnedFd fd(raw);
-    if (conns_.size() >= options_.max_connections) {
+    Shard* target = this;
+    size_t fewest = SIZE_MAX, open = 0;
+    for (const auto& shard : s.shards_) {
+      size_t count = shard->open_conns_.load(std::memory_order_relaxed);
+      open += count;
+      if (count < fewest) {
+        target = shard.get();
+        fewest = count;
+      }
+    }
+    if (open >= s.options_.max_connections) {
       // Best effort: tell the client why before dropping it. The
       // socket buffer of a fresh connection always has room for one
       // line, so a short write just means the client never sees it.
@@ -294,333 +346,158 @@ void ServeServer::AcceptNewConnections() {
           "\n";
       [[maybe_unused]] ssize_t n =
           ::send(fd.get(), line.data(), line.size(), MSG_NOSIGNAL);
-      overload_responses_.Increment();
+      s.overload_responses_.Increment();
       continue;  // OwnedFd closes it
     }
-    uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<ServeConn>(std::move(fd), id,
-                                            options_.max_line_bytes);
-    conn->last_activity_ms = NowMs();
-    conn->QueueResponse(FormatHelloLine(kProtocolCurrent));
-    epoll_event event{};
-    event.events = EPOLLIN | EPOLLOUT;
-    event.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, conn->fd.get(),
-                    &event) < 0) {
-      continue;  // conn (and fd) dropped
-    }
-    ServeConn* raw_conn = conn.get();
-    conns_.emplace(id, std::move(conn));
-    connections_accepted_.Increment();
-    connections_.Set(static_cast<int64_t>(conns_.size()));
-    FlushWrites(raw_conn);
-    if (conns_.find(id) != conns_.end()) {
-      SyncConnGauges(raw_conn);
-      UpdateEpollInterest(raw_conn);
+    target->open_conns_.fetch_add(1, std::memory_order_relaxed);
+    uint64_t id = s.next_conn_id_++;
+    if (target == this) {
+      AddConn(std::move(fd), id);
+    } else {
+      target->Post(std::move(fd), id);
     }
   }
 }
 
-void ServeServer::HandleReadable(ServeConn* conn) {
-  if (draining_ || conn->close_after_flush || conn->peer_eof ||
-      conn->splitter.overflowed()) {
+void ServeServer::Shard::Post(OwnedFd fd, uint64_t id) {
+  {
+    MutexLock lock(inbox_mu_);
+    inbox_.emplace_back(id, std::move(fd));
+  }
+  Wake();
+}
+
+void ServeServer::Shard::AdoptInbox() {
+  std::vector<std::pair<uint64_t, OwnedFd>> arrived;
+  {
+    MutexLock lock(inbox_mu_);
+    arrived.swap(inbox_);
+  }
+  for (auto& [id, fd] : arrived) AddConn(std::move(fd), id);
+}
+
+void ServeServer::Shard::AddConn(OwnedFd fd, uint64_t id) {
+  auto conn = std::make_unique<ServeConn>(std::move(fd), id,
+                                          server_->options_.max_line_bytes);
+  conn->last_activity_ms = NowMs();
+  conn->QueueResponse(FormatHelloLine(kProtocolCurrent));
+  conn->epoll_interest = EPOLLIN | EPOLLOUT;
+  epoll_event event{};
+  event.events = conn->epoll_interest;
+  event.data.u64 = id;
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, conn->fd.get(), &event) <
+      0) {
+    open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    return;  // conn (and fd) dropped
+  }
+  ServeConn* raw = conn.get();
+  conns_.emplace(id, std::move(conn));
+  server_->connections_accepted_.Increment();
+  server_->connections_.Add(1);
+  Settle(raw);
+}
+
+void ServeServer::Shard::HandleReadable(ServeConn* conn) {
+  if (!Reading(*conn)) {
+    Settle(conn);
     return;
   }
-  uint64_t id = conn->id;
+  ServeServer& s = *server_;
+  const size_t cap = s.options_.max_pending_per_conn;
   char chunk[16384];
-  std::vector<std::string> lines;
+  lines_.clear();
   bool framing_lost = false;
-  while (true) {
+  while (lines_.size() < cap) {
     ssize_t n = ::recv(conn->fd.get(), chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConn(id);
-      return;
-    }
-    if (n == 0) {
-      conn->peer_eof = true;
-      break;
-    }
-    if (!conn->splitter.Ingest(std::string_view(chunk, n), &lines)) {
-      framing_lost = true;
-      break;
-    }
-  }
-
-  size_t admitted = 0;
-  size_t overloaded = 0;
-  size_t received = lines.size();
-  int64_t admit_ns = received > 0 ? NowNs() : 0;
-  for (std::string& line : lines) {
-    if (conn->close_after_flush) break;  // overload-close already tripped
-    bool conn_full = conn->pending.size() + conn->inflight_lines >=
-                     options_.max_pending_per_conn;
-    if (conn_full || global_pending_ >= options_.max_pending_global) {
-      conn->QueueResponse(EncodeErrorLine(
-          ServeErrorCode::kOverload,
-          conn_full ? "connection request queue full"
-                    : "server request queue full"));
-      ++overloaded;
-      if (options_.close_on_overload) conn->close_after_flush = true;
-      continue;
-    }
-    PendingLine pending;
-    pending.line = std::move(line);
-    pending.admit_ns = admit_ns;
-    pending.request_id = next_request_id_++;
-    pending.traced = options_.trace_sample > 0 &&
-                     (++trace_seq_ % options_.trace_sample) == 0;
-    conn->pending.push_back(std::move(pending));
-    ++global_pending_;
-    ++admitted;
-  }
-  lines_received_.Increment(received);
-  lines_admitted_.Increment(admitted);
-  overload_responses_.Increment(overloaded);
-  responses_sent_.Increment(overloaded);
-  admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
-
-  if (framing_lost) {
-    conn->QueueResponse(EncodeErrorLine(
-        ServeErrorCode::kParse,
-        "request line exceeds " + std::to_string(options_.max_line_bytes) +
-            " bytes"));
-    conn->close_after_flush = true;
-    parse_errors_.Increment();
-    responses_sent_.Increment();
-  }
-
-  SubmitBatchIfReady(conn);
-  FlushWrites(conn);
-  if (conns_.find(id) == conns_.end()) return;
-  SyncConnGauges(conn);
-  if ((conn->peer_eof || conn->close_after_flush) && conn->idle()) {
-    CloseConn(id);
-    return;
-  }
-  UpdateEpollInterest(conn);
-}
-
-void ServeServer::HandleWritable(ServeConn* conn) {
-  uint64_t id = conn->id;
-  FlushWrites(conn);
-  if (conns_.find(id) == conns_.end()) return;
-  SyncConnGauges(conn);
-  if ((conn->close_after_flush || conn->peer_eof) && conn->idle()) {
-    CloseConn(id);
-    return;
-  }
-  UpdateEpollInterest(conn);
-}
-
-void ServeServer::SubmitBatchIfReady(ServeConn* conn) {
-  if (conn->inflight_lines > 0 || conn->pending.empty()) return;
-  WorkItem work;
-  work.conn_id = conn->id;
-  size_t take = std::min(conn->pending.size(), options_.max_batch);
-  work.lines.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    work.lines.push_back(std::move(conn->pending.front()));
-    conn->pending.pop_front();
-  }
-  conn->inflight_lines = take;
-  {
-    MutexLock lock(work_mu_);
-    work_queue_.push_back(std::move(work));
-    work_queue_depth_.Set(static_cast<int64_t>(work_queue_.size()));
-  }
-  work_ready_.NotifyOne();
-}
-
-void ServeServer::ProcessCompletions() {
-  std::vector<Completion> done;
-  {
-    MutexLock lock(completion_mu_);
-    done.swap(completions_);
-  }
-  for (Completion& completion : done) {
-    // The admission slots are released even when the connection died
-    // while its batch was executing — otherwise a churning client
-    // could leak the global queue shut.
-    global_pending_ -= completion.num_lines;
-    batches_executed_.Increment();
-    responses_sent_.Increment(completion.num_lines);
-    admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
-    // Admission -> flush latency, recorded BEFORE the response bytes
-    // can reach the client: a lockstep client therefore always
-    // observes its own request already counted, which is what makes
-    // `stats` output reproducible across identical request sequences.
-    int64_t flushed_ns = NowNs();
-    for (int64_t admitted_at : completion.admit_ns) {
-      request_ns_.Record(flushed_ns - admitted_at);
-    }
-    auto it = conns_.find(completion.conn_id);
-    if (it == conns_.end()) continue;
-    ServeConn* conn = it->second.get();
-    conn->inflight_lines = 0;
-    conn->write_buf.append(completion.response_bytes);
-    SubmitBatchIfReady(conn);
-    FlushWrites(conn);
-    if (!completion.traces.empty()) {
-      int64_t flush_done_ns = NowNs();
-      for (const TraceRecord& trace : completion.traces) {
-        EmitTrace(completion.conn_id, trace, flush_done_ns);
-      }
-    }
-    if (conns_.find(completion.conn_id) == conns_.end()) continue;
-    SyncConnGauges(conn);
-    if ((conn->peer_eof || conn->close_after_flush || draining_) &&
-        conn->idle()) {
-      CloseConn(completion.conn_id);
-      continue;
-    }
-    UpdateEpollInterest(conn);
-  }
-}
-
-void ServeServer::FlushWrites(ServeConn* conn) {
-  while (conn->unsent_bytes() > 0) {
-    ssize_t n = ::send(conn->fd.get(), conn->write_buf.data() + conn->write_pos,
-                       conn->unsent_bytes(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       CloseConn(conn->id);
       return;
     }
-    conn->write_pos += static_cast<size_t>(n);
+    if (n == 0) {
+      conn->peer_eof = true;
+      break;
+    }
+    if (!conn->splitter.Ingest(std::string_view(chunk, n), &lines_)) {
+      framing_lost = true;
+      break;
+    }
+    // A short read drained the socket; skip the recv that would say
+    // EAGAIN. Bytes arriving meanwhile re-arm the level-triggered poll.
+    if (static_cast<size_t>(n) < sizeof(chunk)) break;
   }
-  conn->CompactWriteBuffer();
-  // A client that stopped reading its responses does not get to pin
-  // arbitrary memory: past the cap the connection is dropped.
-  if (conn->unsent_bytes() > options_.max_write_buffer_bytes) {
-    CloseConn(conn->id);
+
+  // The first `cap` lines execute; the rest of this read is shed. Both
+  // are answered now, in arrival order.
+  size_t received = lines_.size();
+  size_t admitted = std::min(received, cap);
+  size_t shed = received - admitted;
+  if (shed > 0 && s.options_.close_on_overload) {
+    shed = 1;  // one explanation, then the connection closes
+    conn->close_after_flush = true;
   }
-}
+  s.lines_received_.Increment(received);
+  s.lines_admitted_.Increment(admitted);
+  std::vector<TraceRecord> traces;
+  if (admitted > 0) {
+    Answer(conn, std::span<const std::string>(lines_.data(), admitted),
+           &traces);
+  }
+  for (size_t i = 0; i < shed; ++i) {
+    conn->QueueResponse(EncodeErrorLine(ServeErrorCode::kOverload,
+                                        "connection request queue full"));
+  }
+  s.overload_responses_.Increment(shed);
+  s.responses_sent_.Increment(shed);
+  if (framing_lost) {
+    conn->QueueResponse(EncodeErrorLine(
+        ServeErrorCode::kParse,
+        "request line exceeds " + std::to_string(s.options_.max_line_bytes) +
+            " bytes"));
+    conn->close_after_flush = true;
+    s.parse_errors_.Increment();
+    s.responses_sent_.Increment();
+  }
 
-void ServeServer::UpdateEpollInterest(ServeConn* conn) {
-  uint32_t interest = 0;
-  bool reading = !draining_ && !conn->close_after_flush && !conn->peer_eof &&
-                 !conn->splitter.overflowed();
-  if (reading) interest |= EPOLLIN;
-  if (conn->unsent_bytes() > 0) interest |= EPOLLOUT;
-  epoll_event event{};
-  event.events = interest;
-  event.data.u64 = conn->id;
-  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn->fd.get(), &event);
-}
-
-void ServeServer::CloseConn(uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  // Pending (never-submitted) lines release their admission slots here;
-  // in-flight lines release theirs when the orphaned completion lands.
-  global_pending_ -= it->second->pending.size();
-  admission_queue_depth_.Set(static_cast<int64_t>(global_pending_));
-  // Back out this connection's contribution to the aggregate buffer
-  // gauges (whatever was last folded in).
-  read_buffer_bytes_.Add(-static_cast<int64_t>(it->second->obs_read_bytes));
-  write_buffer_bytes_.Add(-static_cast<int64_t>(it->second->obs_write_bytes));
-  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, it->second->fd.get(), nullptr);
-  conns_.erase(it);
-  connections_closed_.Increment();
-  connections_.Set(static_cast<int64_t>(conns_.size()));
-}
-
-void ServeServer::ReapIdleConns(int64_t now_ms) {
-  if (options_.idle_timeout_ms <= 0) return;
-  std::vector<uint64_t> expired;
-  for (const auto& [id, conn] : conns_) {
-    // "Idle" = nothing admitted and nothing executing. A half-sent
-    // request line (slow loris) is exactly this state, so the cap on
-    // silent connections is also the slow-loris bound. Stalled readers
-    // (unsent responses piling up) age out the same way.
-    if (conn->inflight_lines == 0 && conn->pending.empty() &&
-        now_ms - conn->last_activity_ms > options_.idle_timeout_ms) {
-      expired.push_back(id);
+  uint64_t id = conn->id;
+  Settle(conn);
+  if (!traces.empty()) {
+    int64_t flush_done_ns = NowNs();
+    for (const TraceRecord& trace : traces) {
+      EmitTrace(id, trace, flush_done_ns);
     }
   }
-  if (expired.empty()) return;
-  for (uint64_t id : expired) CloseConn(id);
-  idle_reaped_.Increment(expired.size());
 }
 
-void ServeServer::BeginDrain() {
-  draining_ = true;
-  drain_deadline_ms_ = NowMs() + std::max(options_.drain_timeout_ms, 0);
-  // Stop accepting: deregister and close the listen socket so new
-  // connections are refused by the kernel, not queued behind a drain.
-  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listen_fd_.get(), nullptr);
-  listen_fd_.Reset();
-  // Stop reading; every already-admitted line still executes and every
-  // response still flushes. Idle connections close immediately.
-  std::vector<uint64_t> idle;
-  for (const auto& [id, conn] : conns_) {
-    if (conn->idle()) {
-      idle.push_back(id);
-    } else {
-      UpdateEpollInterest(conn.get());
-    }
-  }
-  for (uint64_t id : idle) CloseConn(id);
-}
-
-bool ServeServer::DrainComplete() const { return conns_.empty(); }
-
-// ---------------------------------------------------------------------------
-// Worker threads
-// ---------------------------------------------------------------------------
-
-void ServeServer::WorkerLoop() {
-  while (true) {
-    WorkItem work;
-    {
-      MutexLock lock(work_mu_);
-      while (!workers_stop_ && work_queue_.empty()) work_ready_.Wait(work_mu_);
-      if (work_queue_.empty()) return;  // stop requested and queue drained
-      work = std::move(work_queue_.front());
-      work_queue_.pop_front();
-      work_queue_depth_.Set(static_cast<int64_t>(work_queue_.size()));
-    }
-    work.dequeue_ns = NowNs();
-    Completion completion = ExecuteWork(std::move(work));
-    {
-      MutexLock lock(completion_mu_);
-      completions_.push_back(std::move(completion));
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(wake_fd_.get(), &one, sizeof(one));
-  }
-}
-
-ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
-  Completion completion;
-  completion.conn_id = work.conn_id;
-  completion.num_lines = work.lines.size();
-  completion.admit_ns.reserve(work.lines.size());
-  for (const PendingLine& pending : work.lines) {
-    completion.admit_ns.push_back(pending.admit_ns);
-  }
+void ServeServer::Shard::Answer(ServeConn* conn,
+                                std::span<const std::string> lines,
+                                std::vector<TraceRecord>* traces) {
+  ServeServer& s = *server_;
+  const Schema& schema = s.schema_;
+  std::string& out = conn->write_buf;
+  const size_t n = lines.size();
+  const int64_t admit_ns = NowNs();
+  const uint64_t first_id =
+      s.next_request_id_.fetch_add(n, std::memory_order_relaxed);
+  const uint64_t sample = s.options_.trace_sample;
+  s.admission_queue_depth_.Add(static_cast<int64_t>(n));
 
   // Parse every line; hello assertions, the `stats` admin verb, and
   // parse failures are answered inline, everything else joins one
   // engine batch.
-  std::vector<std::string> immediate(work.lines.size());
-  std::vector<int> slot(work.lines.size(), -1);
-  std::vector<int64_t> parse_ns(work.lines.size(), 0);
+  std::vector<std::string> immediate(n);
+  std::vector<int> slot(n, -1);
   std::vector<QueryRequest> requests;
   size_t parse_errors = 0;
-  bool any_traced = false;
-  for (size_t i = 0; i < work.lines.size(); ++i) {
-    const std::string& line = work.lines[i].line;
-    any_traced |= work.lines[i].traced;
-    int64_t parse_start = work.lines[i].traced ? NowNs() : 0;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& line = lines[i];
+    bool traced = sample > 0 && (first_id + i + 1) % sample == 0;
+    int64_t parse_start = traced ? NowNs() : 0;
     if (line == kStatsVerb) {
       // Rendered by the server, not the engine: one consistent
       // snapshot of every registered family as a single `ok` line.
-      immediate[i] = "ok " + registry_->RenderJson();
+      immediate[i] = "ok " + s.registry_->RenderJson();
     } else if (IsHelloLine(line)) {
       Result<ProtocolVersion> version = ParseHelloLine(line);
       immediate[i] = version.ok()
@@ -628,7 +505,7 @@ ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
                          : EncodeErrorLine(ServeErrorCode::kValidation,
                                            version.status().message());
     } else {
-      Result<QueryRequest> request = ParseQueryRequest(line, schema_);
+      Result<QueryRequest> request = ParseQueryRequest(line, schema);
       if (!request.ok()) {
         immediate[i] = EncodeErrorLine(ServeErrorCode::kParse,
                                        request.status().message());
@@ -638,7 +515,14 @@ ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
         requests.push_back(std::move(*request));
       }
     }
-    if (work.lines[i].traced) parse_ns[i] = NowNs() - parse_start;
+    if (traced) {
+      TraceRecord trace;
+      trace.request_id = first_id + i;
+      trace.admit_ns = admit_ns;
+      trace.parse_start_ns = parse_start;
+      trace.parse_ns = NowNs() - parse_start;
+      traces->push_back(trace);
+    }
   }
 
   std::vector<QueryResponse> responses;
@@ -646,38 +530,189 @@ ServeServer::Completion ServeServer::ExecuteWork(WorkItem work) {
   if (!requests.empty()) {
     // One pinned snapshot per batch: a concurrent Publish never mixes
     // epochs inside it (QueryEngine semantics).
-    int64_t execute_start = any_traced ? NowNs() : 0;
-    responses = engine_->ExecuteBatch(requests);
-    if (any_traced) execute_ns = NowNs() - execute_start;
+    int64_t execute_start = traces->empty() ? 0 : NowNs();
+    responses = s.engine_->ExecuteBatch(requests);
+    if (!traces->empty()) execute_ns = NowNs() - execute_start;
   }
 
-  for (size_t i = 0; i < work.lines.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (slot[i] >= 0) {
-      completion.response_bytes += EncodeResponseLine(
-          requests[slot[i]], responses[slot[i]], schema_);
+      out += EncodeResponseLine(requests[slot[i]], responses[slot[i]], schema);
     } else {
-      completion.response_bytes += immediate[i];
+      out += immediate[i];
     }
-    completion.response_bytes += '\n';
+    out += '\n';
   }
-  if (any_traced) {
-    int64_t done_ns = NowNs();
-    for (size_t i = 0; i < work.lines.size(); ++i) {
-      if (!work.lines[i].traced) continue;
-      TraceRecord trace;
-      trace.request_id = work.lines[i].request_id;
-      trace.admit_ns = work.lines[i].admit_ns;
-      trace.parse_ns = parse_ns[i];
-      trace.queue_ns = work.dequeue_ns - work.lines[i].admit_ns;
-      // Batch-shared: the engine executes the whole batch at once, so
-      // a sampled line is attributed the batch's execute wall time.
-      trace.execute_ns = slot[i] >= 0 ? execute_ns : 0;
-      trace.done_ns = done_ns;
-      completion.traces.push_back(trace);
+
+  // Admission -> queued latency, recorded BEFORE the response bytes can
+  // reach the client: a lockstep client therefore always observes its
+  // own request already counted, which is what makes `stats` output
+  // reproducible across identical request sequences.
+  int64_t done_ns = NowNs();
+  s.request_ns_.RecordN(done_ns - admit_ns, n);
+  for (TraceRecord& trace : *traces) {
+    // Batch-shared: the engine executes the whole batch at once, so a
+    // sampled line is attributed the batch's execute wall time.
+    bool executed = slot[trace.request_id - first_id] >= 0;
+    trace.execute_ns = executed ? execute_ns : 0;
+    trace.done_ns = done_ns;
+  }
+  s.parse_errors_.Increment(parse_errors);
+  s.batches_executed_.Increment();
+  s.responses_sent_.Increment(n);
+  s.admission_queue_depth_.Add(-static_cast<int64_t>(n));
+}
+
+void ServeServer::Shard::EmitTrace(uint64_t conn_id, const TraceRecord& trace,
+                                   int64_t flush_done_ns) {
+  std::string line;
+  line.reserve(192);
+  line += "{\"type\":\"trace\",\"request_id\":";
+  line += std::to_string(trace.request_id);
+  line += ",\"conn\":";
+  line += std::to_string(conn_id);
+  line += ",\"parse_ns\":";
+  line += std::to_string(trace.parse_ns);
+  line += ",\"queue_ns\":";
+  line += std::to_string(trace.parse_start_ns - trace.admit_ns);
+  line += ",\"execute_ns\":";
+  line += std::to_string(trace.execute_ns);
+  line += ",\"flush_ns\":";
+  line += std::to_string(flush_done_ns - trace.done_ns);
+  line += ",\"total_ns\":";
+  line += std::to_string(flush_done_ns - trace.admit_ns);
+  line += '}';
+  server_->traces_emitted_.Increment();
+  if (server_->options_.trace_sink) {
+    server_->options_.trace_sink(line);
+  } else {
+    WriteRawLine(line);
+  }
+}
+
+void ServeServer::Shard::Settle(ServeConn* conn) {
+  if (!FlushWrites(conn)) return;
+  SyncConnGauges(conn);
+  if ((conn->peer_eof || conn->close_after_flush || draining_) &&
+      conn->idle()) {
+    CloseConn(conn->id);
+    return;
+  }
+  UpdateEpollInterest(conn);
+}
+
+bool ServeServer::Shard::FlushWrites(ServeConn* conn) {
+  while (conn->unsent_bytes() > 0) {
+    ssize_t n = ::send(conn->fd.get(), conn->write_buf.data() + conn->write_pos,
+                       conn->unsent_bytes(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      CloseConn(conn->id);
+      return false;
     }
+    conn->write_pos += static_cast<size_t>(n);
   }
-  parse_errors_.Increment(parse_errors);
-  return completion;
+  conn->CompactWriteBuffer();
+  // A client that stopped reading its responses does not get to pin
+  // arbitrary memory: past the cap the connection is dropped.
+  if (conn->unsent_bytes() > server_->options_.max_write_buffer_bytes) {
+    CloseConn(conn->id);
+    return false;
+  }
+  return true;
+}
+
+void ServeServer::Shard::UpdateEpollInterest(ServeConn* conn) {
+  uint32_t interest = 0;
+  if (Reading(*conn)) interest |= EPOLLIN;
+  if (conn->unsent_bytes() > 0) interest |= EPOLLOUT;
+  if (interest == conn->epoll_interest) return;
+  conn->epoll_interest = interest;
+  epoll_event event{};
+  event.events = interest;
+  event.data.u64 = conn->id;
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn->fd.get(), &event);
+}
+
+void ServeServer::Shard::SyncConnGauges(ServeConn* conn) {
+  size_t read_bytes = conn->splitter.buffered_bytes();
+  size_t write_bytes = conn->unsent_bytes();
+  server_->read_buffer_bytes_.Add(static_cast<int64_t>(read_bytes) -
+                                  static_cast<int64_t>(conn->obs_read_bytes));
+  server_->write_buffer_bytes_.Add(
+      static_cast<int64_t>(write_bytes) -
+      static_cast<int64_t>(conn->obs_write_bytes));
+  conn->obs_read_bytes = read_bytes;
+  conn->obs_write_bytes = write_bytes;
+}
+
+void ServeServer::Shard::CloseConn(uint64_t conn_id) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  // Back out this connection's contribution to the aggregate buffer
+  // gauges (whatever was last folded in).
+  ServeConn& conn = *it->second;
+  server_->read_buffer_bytes_.Add(-static_cast<int64_t>(conn.obs_read_bytes));
+  server_->write_buffer_bytes_.Add(
+      -static_cast<int64_t>(conn.obs_write_bytes));
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, conn.fd.get(), nullptr);
+  conns_.erase(it);
+  open_conns_.fetch_sub(1, std::memory_order_relaxed);
+  server_->connections_closed_.Increment();
+  server_->connections_.Add(-1);
+}
+
+void ServeServer::Shard::CloseAll() {
+  // Collect ids first — CloseConn mutates the map.
+  std::vector<uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) ids.push_back(id);
+  for (uint64_t id : ids) CloseConn(id);
+}
+
+void ServeServer::Shard::ReapIdleConns(int64_t now_ms) {
+  int timeout_ms = server_->options_.idle_timeout_ms;
+  if (timeout_ms <= 0) return;
+  // No inbound bytes for the timeout: a half-sent request line (slow
+  // loris) is exactly this state, so the cap on silent connections is
+  // also the slow-loris bound. Stalled readers age out the same way.
+  std::vector<uint64_t> expired;
+  for (const auto& [id, conn] : conns_) {
+    if (now_ms - conn->last_activity_ms > timeout_ms) expired.push_back(id);
+  }
+  if (expired.empty()) return;
+  for (uint64_t id : expired) CloseConn(id);
+  server_->idle_reaped_.Increment(expired.size());
+}
+
+void ServeServer::Shard::BeginDrain(int64_t now_ms) {
+  draining_ = true;
+  drain_deadline_ms_ = now_ms + std::max(server_->options_.drain_timeout_ms, 0);
+  if (acceptor_) {
+    // Stop accepting: deregister and close the listen socket so new
+    // connections are refused by the kernel, not queued behind a drain,
+    // then let the other shards see that their inboxes are final.
+    ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, server_->listen_fd_.get(),
+                nullptr);
+    server_->listen_fd_.Reset();
+    server_->accepting_.store(false, std::memory_order_release);
+    for (const auto& shard : server_->shards_) shard->Wake();
+  }
+  // Stop reading; every response already queued still flushes. Idle
+  // connections close now.
+  std::vector<ServeConn*> open;
+  open.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) open.push_back(conn.get());
+  for (ServeConn* conn : open) Settle(conn);
+}
+
+bool ServeServer::Shard::Drained() {
+  if (!conns_.empty() || server_->accepting_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  MutexLock lock(inbox_mu_);
+  return inbox_.empty();
 }
 
 }  // namespace qikey

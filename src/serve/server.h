@@ -3,28 +3,22 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "data/schema.h"
 #include "obs/metrics.h"
-#include "serve/conn.h"
-#include "serve/protocol.h"
 #include "serve/query_engine.h"
-#include "util/mutex.h"
 #include "util/net.h"
 #include "util/status.h"
 
 namespace qikey {
 
-/// Tuning knobs for `ServeServer`. The defaults keep every buffer and
-/// queue bounded; a flooded or stalled client costs O(caps) memory,
-/// never O(traffic).
+/// Tuning knobs for `ServeServer`. The defaults keep every buffer
+/// bounded; a flooded or stalled client costs O(caps) memory, never
+/// O(traffic).
 struct ServerOptions {
   /// Listen address; port 0 binds an ephemeral port (see `port()`).
   HostPort listen{"127.0.0.1", 0};
@@ -37,37 +31,28 @@ struct ServerOptions {
   /// is lost past this point).
   size_t max_line_bytes = 4096;
 
-  /// Admission control: request lines queued or executing per
-  /// connection, and across all connections. A line arriving past
-  /// either cap is answered `err overload ...` instead of queued —
-  /// bounded memory, never unbounded buffering.
+  /// Admission control: most request lines of one connection executed
+  /// per read. A shard stops reading a connection once this many lines
+  /// are framed; the lines past the cap that arrived in the same read
+  /// are answered `err overload ...` instead of executed, and the rest
+  /// wait in the kernel's socket buffer (TCP backpressure).
   size_t max_pending_per_conn = 256;
-  size_t max_pending_global = 8192;
   /// When true, a connection that trips the per-connection cap is also
   /// closed after the overload response flushes (flood containment);
   /// default keeps it open so well-behaved bursts just shed load.
   bool close_on_overload = false;
 
   /// Unsent response bytes a stalled client may accumulate before the
-  /// connection is closed (the reactor never buffers beyond this).
+  /// connection is closed (a shard never buffers beyond this).
   size_t max_write_buffer_bytes = 1 << 20;
 
-  /// A connection with no inbound bytes and no queued work for this
-  /// long is closed — this is also what defeats slow-loris partial
-  /// lines. <= 0 disables reaping.
+  /// A connection with no inbound bytes for this long is closed — this
+  /// is also what defeats slow-loris partial lines. <= 0 disables
+  /// reaping.
   int idle_timeout_ms = 60 * 1000;
-  /// On drain: how long to wait for in-flight batches to finish and
-  /// write buffers to flush before force-closing.
+  /// On drain: how long to wait for write buffers to flush before
+  /// force-closing.
   int drain_timeout_ms = 5000;
-
-  /// Executor threads pulling request batches off the admission queue
-  /// and calling `QueryEngine::ExecuteBatch`. Distinct from (and
-  /// layered on top of) the engine's own ThreadPool: these threads
-  /// decouple connection handling from query execution, the engine's
-  /// pool parallelizes within one batch.
-  size_t worker_threads = 1;
-  /// Most lines handed to one `ExecuteBatch` call.
-  size_t max_batch = 512;
 
   /// Registry the server (and its engine) register their metrics with
   /// at `Start()` — this is what the `stats` wire verb renders. Null
@@ -76,12 +61,14 @@ struct ServerOptions {
   /// paths (periodic dumps, SIGUSR1). Must outlive the server.
   MetricsRegistry* metrics = nullptr;
 
-  /// Trace every Nth admitted request line with per-stage timings
-  /// (parse / queue-wait / execute / flush); 0 disables tracing. Each
-  /// sampled request produces one JSON line through `trace_sink`.
+  /// Trace every Nth admitted request line (server-wide) with
+  /// per-stage timings (queue / parse / execute / flush); 0 disables
+  /// tracing. Each sampled request produces one JSON line through
+  /// `trace_sink`.
   uint64_t trace_sample = 0;
-  /// Destination for trace lines (called on the reactor thread, line
-  /// has no trailing newline). Null means stderr via `WriteRawLine`.
+  /// Destination for trace lines (line has no trailing newline). Called
+  /// on the shard thread that answered the request, so concurrently
+  /// from different shards. Null means stderr via `WriteRawLine`.
   std::function<void(const std::string&)> trace_sink;
 };
 
@@ -100,40 +87,33 @@ struct ServerStats {
   uint64_t batches_executed = 0;
 };
 
-/// \brief The `qikey serve` front end: a non-blocking epoll
-/// acceptor/reactor speaking the newline-delimited `QIKEY/1` protocol
-/// (see `serve/protocol.h`) on one thread, with request execution
-/// decoupled onto worker threads driving a shared `QueryEngine`.
+/// \brief The `qikey serve` front end: non-blocking epoll shard loops
+/// speaking the newline-delimited `QIKEY/1` protocol (see
+/// `serve/protocol.h`) over one shared `QueryEngine`.
 ///
 /// ## Threading model
 ///
-///   reactor thread:  accept / read / frame lines / admission control /
-///                    write buffered responses / timeouts / drain
-///   worker threads:  parse + `QueryEngine::ExecuteBatch` + encode
-///   engine pool:     intra-batch parallelism (inside the engine)
-///
-/// Connections are owned exclusively by the reactor; workers receive
-/// only copies of request lines tagged with the connection's id, and
-/// completions for connections that died in the meantime are dropped
-/// by id lookup (ids are never reused). At most one batch per
-/// connection is in flight, which keeps responses in request order
-/// with no sequencing metadata.
+/// One shard per CPU in the process's affinity mask, each a thread with
+/// its own epoll set that owns its connections end to end and runs every
+/// step of a request inline: `recv` → frame lines → admit or shed →
+/// parse → `QueryEngine::ExecuteBatch` → encode → `send`. Shard 0 also
+/// owns the one listening socket and hands each accepted connection to
+/// the shard with the fewest open connections (ties to the lowest
+/// index) through that shard's inbox. That hand-off is the only thing
+/// that crosses threads; no request does.
 ///
 /// ## Backpressure
 ///
-/// Every queue is bounded (`ServerOptions`): lines past the per-
-/// connection or global admission caps are answered `err overload`
-/// immediately instead of queued, and a client that stops reading its
-/// responses is closed once `max_write_buffer_bytes` of replies pile
-/// up. Memory per connection is O(caps) regardless of how fast the
-/// client floods.
+/// Every buffer is bounded (`ServerOptions`): lines past the
+/// per-connection admission cap are answered `err overload` instead of
+/// executed, and a client that stops reading its responses is closed
+/// once `max_write_buffer_bytes` of replies pile up. Memory per
+/// connection is O(caps) regardless of how fast the client floods.
 ///
-/// Every request line still gets exactly one response line, and
-/// responses to ADMITTED requests arrive in request order; an
-/// `err overload` shed is answered immediately, so it may arrive ahead
-/// of responses to earlier, still-executing requests. (Order-preserving
-/// shedding would require queuing the shed — the unbounded buffering
-/// this layer exists to rule out.)
+/// Every request line gets exactly one response line, and responses
+/// arrive in request order — `err overload` sheds included. A read's
+/// lines are answered in the order they arrived before the connection
+/// is read again, so no response can overtake another.
 ///
 /// ## Snapshots
 ///
@@ -147,13 +127,13 @@ struct ServerStats {
 /// ## Lifecycle
 ///
 ///   ServeServer server(&engine, schema, options);
-///   server.Start();              // binds; reactor + workers running
+///   server.Start();              // binds; shard loops running
 ///   ... server.port() ...
 ///   server.Shutdown();           // begin graceful drain (thread-safe)
 ///   server.Join();               // wait until drained and stopped
 ///
-/// Graceful drain: stop accepting, stop reading, finish every admitted
-/// line, flush write buffers (up to `drain_timeout_ms`), close. The
+/// Graceful drain: stop accepting, stop reading, flush the responses
+/// to every line already read (up to `drain_timeout_ms`), close. The
 /// CLI translates SIGTERM into exactly this sequence.
 class ServeServer {
  public:
@@ -166,8 +146,8 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Binds and starts the reactor and worker threads. InvalidArgument /
-  /// IOError on a bad address or bind failure (nothing started).
+  /// Binds and starts the shard loops. InvalidArgument / IOError on a
+  /// bad address or bind failure (nothing started).
   Status Start();
 
   /// The bound port (after `Start`); resolves `listen.port == 0`.
@@ -177,12 +157,14 @@ class ServeServer {
   /// non-blocking — pair with `Join()` to wait for completion.
   void Shutdown();
 
-  /// Waits for the reactor and workers to stop (after `Shutdown`, or
-  /// returns immediately if never started).
+  /// Waits for every shard to stop (after `Shutdown`, or returns
+  /// immediately if never started).
   void Join();
 
   /// True from `Start` until the drain completes.
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const {
+    return live_shards_.load(std::memory_order_acquire) > 0;
+  }
 
   ServerStats stats() const;
 
@@ -191,104 +173,33 @@ class ServeServer {
   const MetricsRegistry* metrics() const { return registry_; }
 
  private:
-  struct WorkItem {
-    uint64_t conn_id = 0;
-    std::vector<PendingLine> lines;
-    int64_t dequeue_ns = 0;  ///< stamped by the worker (queue wait)
-  };
-  /// Per-stage timings of one trace-sampled request (steady ns).
-  struct TraceRecord {
-    uint64_t request_id = 0;
-    int64_t admit_ns = 0;    ///< admission timestamp
-    int64_t parse_ns = 0;    ///< time parsing this line
-    int64_t queue_ns = 0;    ///< admission -> worker dequeue
-    int64_t execute_ns = 0;  ///< engine batch execution (shared by batch)
-    int64_t done_ns = 0;     ///< timestamp when the worker finished encoding
-  };
-  struct Completion {
-    uint64_t conn_id = 0;
-    size_t num_lines = 0;       ///< admission-queue slots to release
-    std::string response_bytes; ///< newline-terminated response lines
-    /// Admission timestamps of the batch's lines (request latency).
-    std::vector<int64_t> admit_ns;
-    /// Trace records for the batch's sampled lines (usually empty).
-    std::vector<TraceRecord> traces;
-  };
-
-  void ReactorLoop();
-  void WorkerLoop();
+  /// One event loop and the connections it owns (server.cc).
+  class Shard;
 
   /// Registers the server's own metric families (`server.*`) with
   /// `registry_` and attaches the engine's. Called once from `Start()`
   /// before any thread exists.
   void RegisterMetrics();
 
-  /// Folds this connection's read/write buffer sizes into the
-  /// aggregate buffer gauges (delta vs what was last folded in).
-  /// Reactor thread only.
-  void SyncConnGauges(ServeConn* conn);
-
-  /// Emits one trace line (reactor thread) for a sampled request whose
-  /// response was just queued for flushing.
-  void EmitTrace(uint64_t conn_id, const TraceRecord& trace,
-                 int64_t flush_done_ns);
-
-  /// Executes one batch: parse each line (hello/parse errors answered
-  /// inline), one `ExecuteBatch` for the valid requests, encode in
-  /// original line order. Runs on worker threads; touches only the
-  /// engine and the schema (both immutable here).
-  Completion ExecuteWork(WorkItem work);
-
-  // Reactor-thread helpers (all connection state is reactor-owned).
-  void AcceptNewConnections();
-  void HandleReadable(ServeConn* conn);
-  void HandleWritable(ServeConn* conn);
-  void SubmitBatchIfReady(ServeConn* conn);
-  void ProcessCompletions();
-  void FlushWrites(ServeConn* conn);
-  void UpdateEpollInterest(ServeConn* conn);
-  void CloseConn(uint64_t conn_id);
-  void ReapIdleConns(int64_t now_ms);
-  void BeginDrain();
-  bool DrainComplete() const;
-
   const QueryEngine* engine_;
   const Schema schema_;
   ServerOptions options_;
 
+  /// Touched by shard 0's thread only once the shards run.
   OwnedFd listen_fd_;
-  OwnedFd epoll_fd_;
-  OwnedFd wake_fd_;  ///< eventfd: completions ready / shutdown requested
   uint16_t port_ = 0;
+  uint64_t next_conn_id_ = 0;  ///< shard 0's thread only
 
-  std::thread reactor_;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<bool> started_{false};
-  std::atomic<bool> running_{false};
   std::atomic<bool> shutdown_requested_{false};
-
-  // Reactor-owned (no locking: reactor thread only).
-  std::unordered_map<uint64_t, std::unique_ptr<ServeConn>> conns_;
-  uint64_t next_conn_id_ = 0;
-  size_t global_pending_ = 0;  ///< admitted lines not yet completed
-  uint64_t next_request_id_ = 0;
-  uint64_t trace_seq_ = 0;  ///< admitted-line counter for sampling
-  bool draining_ = false;
-  int64_t drain_deadline_ms_ = 0;
-
-  // Work-queue capability: the reactor-to-worker handoff. Guards the
-  // batch queue and the stop flag the reactor raises at drain end.
-  Mutex work_mu_;
-  CondVar work_ready_;
-  std::deque<WorkItem> work_queue_ GUARDED_BY(work_mu_);
-  bool workers_stop_ GUARDED_BY(work_mu_) = false;
-
-  // Completion-queue capability: the worker-to-reactor handoff (the
-  // reactor drains it after a wake_fd_ tick). Never held together with
-  // work_mu_, so the two handoff locks cannot deadlock.
-  Mutex completion_mu_;
-  std::vector<Completion> completions_ GUARDED_BY(completion_mu_);
+  /// Cleared by shard 0 once the listener is closed: after that no
+  /// connection is handed to any shard's inbox.
+  std::atomic<bool> accepting_{false};
+  std::atomic<size_t> live_shards_{0};
+  /// Admitted lines so far: server-wide request ids and trace sampling.
+  std::atomic<uint64_t> next_request_id_{0};
 
   // Observability. Counters/gauges are internally thread-safe; the
   // registry is set up in Start() before any server thread runs.
@@ -305,11 +216,10 @@ class ServeServer {
   Counter batches_executed_;
   Counter traces_emitted_;
   Gauge connections_;            ///< currently open connections
-  Gauge admission_queue_depth_;  ///< == global_pending_
-  Gauge work_queue_depth_;       ///< batches awaiting a worker
+  Gauge admission_queue_depth_;  ///< admitted lines being answered
   Gauge read_buffer_bytes_;      ///< partial request bytes, all conns
   Gauge write_buffer_bytes_;     ///< unsent response bytes, all conns
-  LatencyHistogram request_ns_;  ///< admission -> response flushed
+  LatencyHistogram request_ns_;  ///< admission -> response queued
 };
 
 }  // namespace qikey

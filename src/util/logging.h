@@ -19,7 +19,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 
 ///
 /// The full line (prefix + message + newline) is buffered and emitted
 /// with a single `write(2)` to stderr, so concurrent log lines from
-/// the reactor, workers, and pool tasks never interleave mid-line.
+/// the serve shards and pool tasks never interleave mid-line.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);

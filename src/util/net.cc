@@ -110,6 +110,16 @@ Result<OwnedFd> OpenListenSocket(const HostPort& addr,
   return fd;
 }
 
+OwnedFd AcceptConnection(int listen_fd) {
+  OwnedFd fd(::accept4(listen_fd, nullptr, nullptr,
+                       SOCK_NONBLOCK | SOCK_CLOEXEC));
+  if (fd.valid()) {
+    int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
+}
+
 Result<OwnedFd> OpenClientSocket(const HostPort& addr,
                                  int recv_timeout_ms) {
   Result<sockaddr_in> sa = MakeSockaddr(addr);

@@ -66,6 +66,14 @@ Status SetNonBlocking(int fd);
 /// actual port — meaningful when `addr.port` was 0.
 Result<OwnedFd> OpenListenSocket(const HostPort& addr, uint16_t* bound_port);
 
+/// Accepts one pending connection on non-blocking listen socket
+/// `listen_fd` as a non-blocking, close-on-exec socket with TCP_NODELAY
+/// set, so a response goes out when it is written instead of waiting
+/// behind Nagle for the client's (possibly delayed) ACK. An invalid fd
+/// means nothing was accepted and `errno` says why (EAGAIN: none
+/// pending).
+OwnedFd AcceptConnection(int listen_fd);
+
 /// Connects a BLOCKING TCP socket to `addr` (client side: tests,
 /// benches, ops tooling — the server itself is non-blocking).
 /// `recv_timeout_ms` > 0 sets SO_RCVTIMEO so a silent server cannot

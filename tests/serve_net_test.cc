@@ -1,13 +1,17 @@
 // Loopback integration tests for the qikey serve network layer: the
-// QIKEY/1 wire protocol, the epoll reactor, admission control, idle
+// QIKEY/1 wire protocol, the epoll shard loops, admission control, idle
 // reaping, snapshot hot-swap, and graceful drain — all over real
 // sockets against a real QueryEngine, with server responses required
 // to be BIT-IDENTICAL to the shared encoder run directly.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -122,6 +126,27 @@ TEST(LineSplitterTest, OverflowIsPermanent) {
   EXPECT_TRUE(lines.empty());
   // Even a well-framed follow-up is refused: framing is lost for good.
   EXPECT_FALSE(splitter.Ingest("ok\n", &lines));
+}
+
+// --------------------------------------------------------------------
+// Accept path
+// --------------------------------------------------------------------
+
+TEST(NetTest, AcceptedSocketHasNoDelay) {
+  uint16_t port = 0;
+  auto listener = OpenListenSocket({"127.0.0.1", 0}, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = OpenClientSocket({"127.0.0.1", port}, 5000);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // connect() returned, so the connection waits in the backlog.
+  OwnedFd accepted = AcceptConnection(listener->get());
+  ASSERT_TRUE(accepted.valid()) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  int rc = ::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                        &len);
+  ASSERT_EQ(rc, 0) << std::strerror(errno);
+  EXPECT_NE(nodelay, 0);
 }
 
 // --------------------------------------------------------------------
@@ -319,13 +344,13 @@ TEST(ServeNetTest, PipelinedClientGetsBitIdenticalResponses) {
   }
 }
 
-TEST(ServeNetTest, ConcurrentClientsEachBitIdentical) {
-  ServerOptions options;
-  options.worker_threads = 2;
-  TestServer ts(options);
+TEST(ServeNetTest, MoreClientsThanShardsEachBitIdentical) {
+  TestServer ts;
   const Schema& schema = ts.data->schema();
 
-  constexpr size_t kClients = 4;
+  // More connections than any CI runner has CPUs, so every shard owns
+  // several and the least-loaded hand-off wraps around.
+  constexpr size_t kClients = 9;
   constexpr size_t kLines = 40;
   std::vector<std::vector<std::string>> all_lines, all_expected;
   for (size_t c = 0; c < kClients; ++c) {
@@ -341,7 +366,7 @@ TEST(ServeNetTest, ConcurrentClientsEachBitIdentical) {
       BlockingLineClient client = ts.Connect();
       for (size_t i = 0; i < kLines; ++i) {
         // Request/response lockstep: interleaves batches across
-        // clients as hard as a 1-core box allows.
+        // clients and shards as hard as the box allows.
         if (!client.SendLine(all_lines[c][i]).ok()) {
           failures[c] = "send failed at line " + std::to_string(i);
           return;
@@ -360,6 +385,15 @@ TEST(ServeNetTest, ConcurrentClientsEachBitIdentical) {
   for (size_t c = 0; c < kClients; ++c) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
   }
+
+  // Every line sent on any shard is counted, `stats` itself included.
+  BlockingLineClient client = ts.Connect();
+  ASSERT_TRUE(client.SendLine("stats").ok());
+  auto got = client.RecvLine();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::string total = std::to_string(kClients * kLines + 1);
+  std::string want = "\"server.lines_received\":" + total + ",";
+  EXPECT_NE(got->find(want), std::string::npos) << *got;
 }
 
 // --------------------------------------------------------------------
@@ -422,35 +456,38 @@ TEST(ServeNetTest, NoSnapshotAnswersErrUnavailable) {
 // Backpressure
 // --------------------------------------------------------------------
 
-TEST(ServeNetTest, FloodIsShedWithErrOverloadNeverUnbounded) {
+TEST(ServeNetTest, FloodIsShedInOrderWithErrOverloadNeverUnbounded) {
   ServerOptions options;
   options.max_pending_per_conn = 2;
-  options.max_batch = 1;
   TestServer ts(options);
-  BlockingLineClient client = ts.Connect();
+  const Schema& schema = ts.data->schema();
 
+  // Distinct requests, so an answer in the wrong slot cannot pass.
   constexpr size_t kFlood = 64;
+  std::vector<std::string> lines = MakeWireWorkload(schema, kFlood, 77);
+  std::vector<std::string> expected =
+      ExpectedResponses(*ts.engine, schema, lines);
+  BlockingLineClient client = ts.Connect();
   std::string blob;
-  for (size_t i = 0; i < kFlood; ++i) blob += "min-key\n";
+  for (const std::string& line : lines) blob += line + "\n";
   ASSERT_TRUE(client.SendAll(blob).ok());
 
-  // Exactly one response per request line — admitted lines answer
-  // `ok`, shed lines answer `err overload` immediately (possibly ahead
-  // of earlier in-flight responses; see server.h).
+  // Exactly one response per request line, in request order: admitted
+  // lines answer exactly as the engine does, shed lines answer
+  // `err overload` in their own slot (see server.h).
   size_t ok = 0, overload = 0;
   for (size_t i = 0; i < kFlood; ++i) {
     auto got = client.RecvLine();
     ASSERT_TRUE(got.ok()) << "response " << i << ": "
                           << got.status().ToString();
-    if (got->rfind("ok ", 0) == 0) {
-      ++ok;
-    } else {
-      EXPECT_EQ(got->rfind("err overload ", 0), 0u) << *got;
+    if (got->rfind("err overload ", 0) == 0) {
       ++overload;
+    } else {
+      EXPECT_EQ(*got, expected[i]) << "line " << i << ": " << lines[i];
+      ++ok;
     }
   }
-  EXPECT_EQ(ok + overload, kFlood);
-  EXPECT_GE(ok, 1u);        // the queue made progress
+  EXPECT_GE(ok, 1u);        // the connection made progress
   EXPECT_GE(overload, 1u);  // and the flood was shed, not buffered
   EXPECT_GE(ts.server->stats().overload_responses, overload);
 }
@@ -582,7 +619,7 @@ TEST(ServeNetTest, SlowLorisIsReapedByIdleTimeout) {
   ASSERT_TRUE(client.SendAll("is-key c1,c").ok());
   // The server must close us, not wait forever.
   EXPECT_FALSE(client.RecvLine().ok());
-  // The fd closes a moment before the reactor bumps the counter — poll.
+  // The fd closes a moment before the shard bumps the counter — poll.
   for (int i = 0; i < 500 && ts.server->stats().idle_reaped == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -782,12 +819,15 @@ TEST(ServeNetTest, TraceSampleEmitsPerStageTimings) {
     traces.push_back(line);
   };
   TestServer ts(options);
-  BlockingLineClient client = ts.Connect();
+  // One connection per request: they land on different shards, whose
+  // request ids must still be unique server-wide.
+  std::vector<BlockingLineClient> clients;
   for (const char* line : {"min-key", "is-key c1,c2", "separation c1"}) {
-    ASSERT_TRUE(client.SendLine(line).ok());
-    ASSERT_TRUE(client.RecvLine().ok());
+    clients.push_back(ts.Connect());
+    ASSERT_TRUE(clients.back().SendLine(line).ok());
+    ASSERT_TRUE(clients.back().RecvLine().ok());
   }
-  // Traces are emitted by the reactor after the response flush; the
+  // Traces are emitted by the shard after the response flush; the
   // last one may land a beat after our read returns.
   for (int i = 0; i < 500; ++i) {
     {
@@ -808,9 +848,14 @@ TEST(ServeNetTest, TraceSampleEmitsPerStageTimings) {
     }
     EXPECT_EQ(trace.find('\n'), std::string::npos);
   }
-  // Distinct, monotonically increasing request ids.
-  EXPECT_NE(traces[0].find("\"request_id\":0"), std::string::npos);
-  EXPECT_NE(traces[2].find("\"request_id\":2"), std::string::npos);
+  // Request ids 0, 1, 2 — one each, whichever shard traced them.
+  std::vector<std::string> ids;
+  for (const std::string& trace : traces) {
+    size_t at = trace.find("\"request_id\":") + 13;
+    ids.push_back(trace.substr(at, trace.find(',', at) - at));
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::string>{"0", "1", "2"}));
   EXPECT_GE(ts.server->stats().lines_received, 3u);
 }
 

@@ -186,6 +186,50 @@ TEST(QueryEngineTest, DeterministicAcrossThreadsAndCache) {
   }
 }
 
+TEST(QueryEngineTest, DedupeOfRepeatedSetsMatchesPerRequestExecute) {
+  Dataset data = MakeKeyedData(1000, 23);
+  SnapshotStore store;
+  PublishPipeline(data, FilterBackend::kBitset, 0.01, 5, &store);
+  size_t m = data.num_attributes();
+
+  // 2000 is-key requests drawn from 7 distinct sets: the miss dedupe
+  // collapses every batch to 7 filter slots.
+  std::vector<AttributeSet> distinct;
+  for (uint32_t mask : {0x01u, 0x06u, 0x0au, 0x30u, 0x2du, 0x1fu, 0x3fu}) {
+    AttributeSet set(m);
+    for (AttributeIndex a = 0; a < m; ++a) {
+      if (mask & (1u << a)) set.Add(a);
+    }
+    distinct.push_back(std::move(set));
+  }
+  Rng rng(41);
+  std::vector<QueryRequest> workload(2000);
+  for (QueryRequest& request : workload) {
+    request.kind = QueryKind::kIsKey;
+    request.attrs = distinct[rng.Uniform(7)];
+  }
+
+  QueryEngineOptions oracle_options;
+  oracle_options.cache_capacity = 0;
+  QueryEngine oracle(&store, oracle_options);
+  std::vector<QueryResponse> expected;
+  for (const QueryRequest& request : workload) {
+    expected.push_back(oracle.Execute(request));
+  }
+
+  for (size_t threads : {1u, 4u, 8u}) {
+    for (size_t cache : {0u, 4096u}) {
+      QueryEngineOptions options;
+      options.num_threads = threads;
+      options.cache_capacity = cache;
+      QueryEngine engine(&store, options);
+      ExpectSameAnswers(expected, engine.ExecuteBatch(workload));
+      EXPECT_EQ(engine.cache_size(), cache == 0 ? 0u : distinct.size())
+          << threads << " threads";
+    }
+  }
+}
+
 TEST(QueryEngineTest, CacheHitsSecondRoundAndNeverChangesAnswers) {
   Dataset data = MakeKeyedData(800, 9);
   SnapshotStore store;

@@ -146,6 +146,19 @@ uint64_t ReadU64(const std::string& image, size_t at) {
   return value;
 }
 
+// ------------------------------------------------------------ byte codec
+
+TEST(ByteReaderTest, ZeroLengthReadIntoNullDestination) {
+  // Empty vectors hand the reader a null destination; a zero-length
+  // read must not reach memcpy (UB), from a non-empty or empty payload.
+  ByteReader reader("ab");
+  EXPECT_TRUE(reader.Raw(nullptr, 0));
+  EXPECT_EQ(reader.pos(), 0u);
+  ByteReader empty{std::string_view()};
+  EXPECT_TRUE(empty.Raw(nullptr, 0));
+  EXPECT_TRUE(empty.AtEnd());
+}
+
 // ---------------------------------------------------------- round trip
 
 TEST(SnapfileTest, RoundTripBitIdenticalAcrossBackendsSeedsThreads) {

@@ -679,13 +679,9 @@ int RunServeNet(const Args& args) {
   options.listen = *listen;
   options.max_connections = args.max_conns;
   options.max_pending_per_conn = args.queue_depth;
-  // The global cap shields the engine from many simultaneously full
-  // connections; scale it with the per-connection depth but keep it
-  // bounded regardless of --max-conns.
-  options.max_pending_global = args.queue_depth * 32;
   options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
   // One registry for the whole process: the server registers its own
-  // reactor/worker metrics into it and chains the engine's (cache,
+  // shard-loop metrics into it and chains the engine's (cache,
   // snapshot, pass timings), so the `stats` verb, the periodic dump,
   // and SIGUSR1 all render the same families.
   MetricsRegistry registry;

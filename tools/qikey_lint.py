@@ -69,8 +69,8 @@ UNORDERED_DECL_RE = re.compile(
     re.S,
 )
 # Serialization markers: a function containing one of these feeds the
-# wire format or rendered JSON. Deliberately narrow — reactor functions
-# iterate conns_ for bookkeeping and must not trip the rule.
+# wire format or rendered JSON. Deliberately narrow — serve shard
+# functions iterate conns_ for bookkeeping and must not trip the rule.
 OUTPUT_MARKERS = ("ByteWriter", "AppendJson", "RenderJson", "JsonWriter",
                   "Serialize(")
 
