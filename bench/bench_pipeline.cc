@@ -165,8 +165,6 @@ int main(int argc, char** argv) {
   std::printf("  %-22s %8s %12s\n", "backend", "threads", "total (ms)");
   qikey::BenchPipeline(d, qikey::FilterBackend::kTupleSample, "tuple-sample",
                        max_threads, &json);
-  qikey::BenchPipeline(d, qikey::FilterBackend::kMxPair, "mx-pair",
-                       max_threads, &json);
   qikey::BenchPipeline(d, qikey::FilterBackend::kBitset, "bitset",
                        max_threads, &json);
 

@@ -7,10 +7,12 @@
 #include <string_view>
 
 #include "core/attribute_set.h"
+#include "data/wire_codec.h"
 #include "engine/pipeline.h"
 #include "fuzz_target.h"
 #include "serve/snapshot.h"
 #include "snapfile/snapfile.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -42,16 +44,15 @@ std::vector<std::string> FuzzSeedInputs() {
   using namespace qikey;
   std::vector<std::string> seeds;
   // One tiny but fully populated snapshot per filter backend, so the
-  // mutation schedule explores every section kind (pair codes, packed
-  // evidence, nested sample blob) from a valid starting point.
+  // mutation schedule explores every section kind (packed evidence,
+  // nested sample blob) from a valid starting point.
   std::vector<Column> columns;
   columns.emplace_back(std::vector<ValueCode>{0, 1, 2, 3, 4, 5, 6, 7});
   columns.emplace_back(std::vector<ValueCode>{0, 1, 0, 1, 0, 1, 0, 1});
   columns.emplace_back(std::vector<ValueCode>{0, 0, 1, 1, 2, 2, 0, 1});
   Dataset data(Schema({"id", "par", "grp"}), std::move(columns));
-  for (FilterBackend backend : {FilterBackend::kTupleSample,
-                                FilterBackend::kMxPair,
-                                FilterBackend::kBitset}) {
+  for (FilterBackend backend :
+       {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
     PipelineOptions options;
     options.eps = 0.01;
     options.backend = backend;
@@ -63,6 +64,13 @@ std::vector<std::string> FuzzSeedInputs() {
     auto image = snapfile::SerializeSnapshot(*snapshot);
     if (image.ok()) seeds.push_back(std::move(*image));
   }
+  // No writer emits the legacy mx-pair layout (backend byte 1, raw
+  // pair-code section) any more; the committed golden image keeps its
+  // reader path fuzzed.
+  Result<std::string> legacy =
+      ReadFileBytes(std::string(QIKEY_GOLDEN_DIR) + "/people_mx.qsnp");
+  QIKEY_CHECK(legacy.ok());
+  seeds.push_back(std::move(*legacy));
   seeds.push_back("QSNP1");  // truncated magic
   seeds.push_back("");
   return seeds;

@@ -20,30 +20,34 @@ struct BitsetFilterOptions {
   uint64_t sample_size = 0;
 };
 
-/// \brief The MX pair filter answered from bit-packed disagree-set
-/// evidence instead of per-pair value comparisons.
+/// \brief The Motwani–Xu pair filter — `Θ(m/ε)` uniform pairs of
+/// tuples; reject `A` iff some retained pair is unseparated — answered
+/// from bit-packed disagree-set evidence.
 ///
-/// Build draws the SAME `Θ(m/ε)` uniform pairs as `MxPairFilter`
-/// (identical RNG consumption, so a fixed seed yields the same sampled
-/// pairs and therefore bit-identical verdicts), then encodes each
-/// pair's disagree set — the attributes on which its two tuples differ
-/// — as an `m`-bit mask packed into cache-line-aligned 64-pair blocks.
-/// A query is word-wise AND over the blocks with an early exit on the
-/// first unseparated pair, and `QueryBatch` walks the blocks
-/// block-major so each resident block serves the whole candidate
-/// batch. The masks ARE the sketch: `s·m` bits plus one representative
-/// row pair per distinct mask for witness reporting — the original
-/// relation is not referenced after Build.
+/// Build draws `s` uniform pairs, then encodes each pair's disagree set
+/// — the attributes on which its two tuples differ — as an `m`-bit mask
+/// packed into cache-line-aligned 64-pair blocks. A query is word-wise
+/// AND over the blocks with an early exit on the first unseparated
+/// pair, and `QueryBatch` walks the blocks block-major so each resident
+/// block serves the whole candidate batch. The masks ARE the sketch:
+/// `s·m` bits plus one representative row pair per distinct mask for
+/// witness reporting — the original relation is not referenced after
+/// Build.
+///
+/// `MxPairFilter` is the value-comparing reference implementation: it
+/// consumes the RNG identically (a fixed seed yields the same pairs and
+/// bit-identical verdicts and witnesses), supplies the shard-merge slot
+/// algebra, and serves as the differential tests' oracle.
 class BitsetSeparationFilter : public SeparationFilter {
  public:
   static Result<BitsetSeparationFilter> Build(
       const Dataset& dataset, const BitsetFilterOptions& options, Rng* rng);
 
-  /// Builds from an already-materialized pair table (the shard path):
+  /// Builds from an already-materialized pair table (the shard path,
+  /// and legacy QSNP1 images that stored the raw pair table):
   /// rows `2i` and `2i+1` of `pair_table` form sampled pair `i`. The
   /// table is retained (it is what `MergeDisjoint` re-encodes), and
-  /// witness indices address its rows, exactly as for a materialized
-  /// `MxPairFilter`.
+  /// witness indices address its rows.
   static Result<BitsetSeparationFilter> FromMaterializedPairs(
       Dataset pair_table);
 
@@ -80,7 +84,7 @@ class BitsetSeparationFilter : public SeparationFilter {
       std::span<const AttributeSet> attrs,
       ThreadPool* pool = nullptr) const override;
 
-  /// Sampled pair slots (pre-dedup), matching `MxPairFilter`.
+  /// Sampled pair slots (pre-dedup).
   uint64_t sample_size() const override { return declared_pairs_; }
   uint64_t MemoryBytes() const override;
 

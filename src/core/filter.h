@@ -24,21 +24,11 @@ enum class FilterVerdict {
 /// discovery pipeline's query/verify stages, the incremental monitor).
 enum class FilterBackend {
   kTupleSample,  ///< this paper's `Θ(m/√ε)` tuple sample (Algorithm 1)
-  kMxPair,       ///< the Motwani–Xu `Θ(m/ε)` pair baseline
-  /// The MX pair sample answered from bit-packed disagree-set evidence
-  /// (`BitsetSeparationFilter`): same sampled pairs and verdicts as
-  /// `kMxPair` for a fixed seed, word-wise AND query kernel.
+  /// The Motwani–Xu `Θ(m/ε)` pair sample, drawn independently of the
+  /// greedy tuple sample and answered from bit-packed disagree-set
+  /// evidence (`BitsetSeparationFilter`, word-wise AND query kernel).
   kBitset,
 };
-
-/// True for the backends whose evidence is sampled PAIRS of the
-/// relation — drawn independently of the pipeline's greedy tuple
-/// sample — i.e. the MX baseline and its bit-packed variant. They share
-/// construction, sharding, and merge machinery.
-constexpr bool IsPairSampledBackend(FilterBackend backend) {
-  return backend == FilterBackend::kMxPair ||
-         backend == FilterBackend::kBitset;
-}
 
 /// \brief Interface of the ε-separation key filter (the decision problem
 /// of Theorem 1).

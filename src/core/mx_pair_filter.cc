@@ -66,16 +66,6 @@ Result<MxPairFilter> MxPairFilter::FromMaterializedPairs(Dataset pair_table) {
   return filter;
 }
 
-Dataset MxPairFilter::MaterializePairTable() const {
-  std::vector<RowIndex> rows;
-  rows.reserve(2 * pairs_.size());
-  for (auto [a, b] : pairs_) {
-    rows.push_back(a);
-    rows.push_back(b);
-  }
-  return dataset_->SelectRows(rows);
-}
-
 Result<MxPairFilter> MxPairFilter::MergeDisjoint(const MxPairFilter& a,
                                                  uint64_t seen_a,
                                                  const MxPairFilter& b,

@@ -30,7 +30,11 @@ struct MxPairFilterOptions {
 /// \brief The Motwani–Xu (2008) baseline filter: `Θ(m/ε)` uniform
 /// *pairs* of tuples; reject `A` iff some retained pair is unseparated.
 ///
-/// Query time `O(s · |A|)` with `s` the pair count.
+/// Query time `O(s · |A|)` with `s` the pair count. No component serves
+/// queries from it: `BitsetSeparationFilter` answers the same pairs
+/// bit-identically. It remains the pair-sampling and `MergeDisjoint`
+/// layer under the bitset filter, the Table-1 paper baseline in the
+/// benches, and the oracle of the differential tests.
 class MxPairFilter : public SeparationFilter {
  public:
   /// Samples pairs from `dataset`. The data set must outlive the filter
@@ -62,14 +66,6 @@ class MxPairFilter : public SeparationFilter {
 
   /// The private pair table when materialized (null otherwise).
   const Dataset* materialized() const { return materialized_.get(); }
-
-  /// \brief Copies the sampled pairs' values into a standalone pair
-  /// table (rows `2i`/`2i+1` = pair `i`), regardless of whether this
-  /// filter is materialized — the snapshot writer's source, since a
-  /// non-materialized filter's verdicts depend on a data set that will
-  /// not exist at load time. `FromMaterializedPairs` over the result
-  /// answers identically.
-  Dataset MaterializePairTable() const;
 
   FilterVerdict Query(const AttributeSet& attrs) const override;
   std::optional<std::pair<RowIndex, RowIndex>> QueryWitness(

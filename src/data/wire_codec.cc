@@ -1,8 +1,13 @@
 #include "data/wire_codec.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 namespace qikey {
 
@@ -86,11 +91,48 @@ Result<std::string> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+namespace {
+
+Status WriteAndSync(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::IOError(std::strerror(errno));
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  if (::fsync(fd) != 0) return Status::IOError(std::strerror(errno));
+  return Status::OK();
+}
+
+}  // namespace
+
 Status WriteFileBytes(std::string_view bytes, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) return Status::IOError("write failed: " + path);
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0666);
+  if (fd < 0) return Status::IOError("cannot open for write: " + tmp);
+  Status written = WriteAndSync(fd, bytes);
+  if (::close(fd) != 0 && written.ok()) {
+    written = Status::IOError(std::strerror(errno));
+  }
+  if (written.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::IOError(std::strerror(errno));
+  }
+  if (!written.ok()) {
+    ::unlink(tmp.c_str());
+    return Status::IOError("write failed: " + path + ": " +
+                           written.message());
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return Status::IOError("cannot open directory: " + dir);
+  const bool synced = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  if (!synced) return Status::IOError("directory fsync failed: " + dir);
   return Status::OK();
 }
 

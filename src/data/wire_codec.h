@@ -75,7 +75,11 @@ uint64_t Fnv1a64(const void* data, size_t n,
 /// read.
 Result<std::string> ReadFileBytes(const std::string& path);
 
-/// Writes `bytes` to `path`, truncating any existing file.
+/// Atomically replaces `path` with `bytes`: writes `path.tmp.<pid>`,
+/// fsyncs it, `rename(2)`s it over `path`, then fsyncs the directory.
+/// A reader that has the old file open or mapped keeps the old inode
+/// intact, and a crash mid-write leaves the previous file in place. The
+/// temp file is removed on error.
 Status WriteFileBytes(std::string_view bytes, const std::string& path);
 
 }  // namespace qikey

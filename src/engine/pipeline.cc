@@ -85,10 +85,10 @@ Result<PipelineResult> DiscoveryPipeline::RunOnReservoir(
     return Status::InvalidArgument(
         "provenance must be empty or match the sample row count");
   }
-  if (IsPairSampledBackend(options_.backend)) {
+  if (options_.backend == FilterBackend::kBitset) {
     return Status::InvalidArgument(
         "the reservoir entry point supports only the tuple-sample backend "
-        "(pair backends need pair sampling the reservoir cannot provide)");
+        "(the bitset backend samples pairs the reservoir cannot provide)");
   }
   QIKEY_RETURN_NOT_OK(ValidateOptions(options_));
   Result<PipelineResult> result = RunStages(
@@ -150,9 +150,6 @@ MergedInputs TakeMergedInputs(MergedFilter merged) {
     inputs.filter = std::make_unique<BitsetSeparationFilter>(
         BitsetSeparationFilter::FromPairs(*merged.mx_filter->materialized(),
                                           merged.mx_filter->pairs()));
-  } else if (merged.backend == FilterBackend::kMxPair) {
-    inputs.filter =
-        std::make_unique<MxPairFilter>(std::move(*merged.mx_filter));
   } else {
     inputs.filter =
         std::make_unique<TupleSampleFilter>(std::move(*merged.tuple_filter));
@@ -319,8 +316,8 @@ Result<PipelineResult> DiscoveryPipeline::RunStages(
     const Dataset* full, std::shared_ptr<Dataset> sample,
     std::vector<RowIndex> provenance, Rng* rng) const {
   // Stage: filter. The tuple backend reuses the greedy sample (the
-  // filter IS its sample); the MX baseline draws an independent pair
-  // sample from the full table, making the verify stage a genuine
+  // filter IS its sample); the bitset backend draws an independent
+  // pair sample from the full table, making the verify stage a genuine
   // cross-check.
   Timer timer;
   std::unique_ptr<SeparationFilter> filter;
@@ -344,19 +341,6 @@ Result<PipelineResult> DiscoveryPipeline::RunStages(
       if (!built.ok()) return built.status();
       filter = std::make_unique<BitsetSeparationFilter>(
           std::move(built).ValueOrDie());
-      break;
-    }
-    case FilterBackend::kMxPair: {
-      if (full == nullptr) {
-        return Status::InvalidArgument(
-            "MX backend needs the full data set to sample pairs");
-      }
-      MxPairFilterOptions mx;
-      mx.eps = options_.eps;
-      mx.sample_size = options_.pair_sample_size;
-      Result<MxPairFilter> built = MxPairFilter::Build(*full, mx, rng);
-      if (!built.ok()) return built.status();
-      filter = std::make_unique<MxPairFilter>(std::move(built).ValueOrDie());
       break;
     }
   }
@@ -424,10 +408,10 @@ Result<PipelineResult> DiscoveryPipeline::FinishStages(
       ++out.pruned_attributes;
       key_changed = true;
     }
-    // A pair backend's sample is independent of the greedy tuple
+    // The bitset pair sample is independent of the greedy tuple
     // sample, so a drop it accepts may uncover a sample pair; keep
     // `covered_sample` honest by re-checking against the sample.
-    if (IsPairSampledBackend(options_.backend) && key_changed &&
+    if (options_.backend == FilterBackend::kBitset && key_changed &&
         out.covered_sample) {
       out.covered_sample = KeySeparatesSample(*sample, out.key);
     }

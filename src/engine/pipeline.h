@@ -10,7 +10,6 @@
 
 #include "core/attribute_set.h"
 #include "core/filter.h"
-#include "core/mx_pair_filter.h"
 #include "core/refine_engine.h"
 #include "core/tuple_sample_filter.h"
 #include "data/dataset.h"
@@ -32,7 +31,7 @@ struct PipelineOptions {
   DuplicateDetection detection = DuplicateDetection::kSort;
   /// Tuples retained for the greedy sample; 0 = `TupleSampleSizePaper`.
   uint64_t sample_size = 0;
-  /// Pairs retained by the MX backend; 0 = `MxPairSampleSizePaper`.
+  /// Pairs retained by the bitset backend; 0 = `MxPairSampleSizePaper`.
   uint64_t pair_sample_size = 0;
   /// Worker threads; 1 = serial, 0 = one per hardware thread.
   size_t num_threads = 1;
@@ -131,8 +130,8 @@ class DiscoveryPipeline {
   /// stream (e.g. `StreamingTupleFilterBuilder`'s sample), skipping the
   /// sample stage. `provenance[i]`, when non-empty, is the original
   /// stream position of sample row `i` (used for witness reporting).
-  /// Only the tuple-sample backend is available — the MX baseline needs
-  /// pair sampling the reservoir cannot provide.
+  /// Only the tuple-sample backend is available — the bitset backend
+  /// needs pair sampling the reservoir cannot provide.
   Result<PipelineResult> RunOnReservoir(
       const Dataset& sample, std::vector<RowIndex> provenance) const;
 

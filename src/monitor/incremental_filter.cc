@@ -20,7 +20,6 @@ IncrementalFilter::IncrementalFilter(Schema schema,
                     ? options_.sample_size
                     : TupleSampleSizePaper(m, options_.eps);
       break;
-    case FilterBackend::kMxPair:
     case FilterBackend::kBitset:
       target_ = options_.pair_sample_size > 0
                     ? options_.pair_sample_size
@@ -185,7 +184,7 @@ Result<FilterUpdateDelta> IncrementalFilter::Insert(
     return Status::InvalidArgument("row arity does not match the schema");
   }
   uint32_t slot = AddSlot(row);
-  return UsesTupleSample() ? InsertTuple(slot) : InsertMx(slot);
+  return UsesTupleSample() ? InsertTuple(slot) : InsertPair(slot);
 }
 
 Result<FilterUpdateDelta> IncrementalFilter::Erase(
@@ -199,7 +198,7 @@ Result<FilterUpdateDelta> IncrementalFilter::Erase(
   }
   std::vector<ValueCode> payload = slots_[slot];
   return UsesTupleSample() ? EraseTuple(slot, std::move(payload))
-                           : EraseMx(slot, std::move(payload));
+                           : ErasePair(slot, std::move(payload));
 }
 
 Result<FilterUpdateDelta> IncrementalFilter::InsertTuple(uint32_t slot) {
@@ -258,7 +257,7 @@ std::pair<uint32_t, uint32_t> IncrementalFilter::DrawUniformPair() {
   return {live_slots_[i], live_slots_[j]};
 }
 
-Result<FilterUpdateDelta> IncrementalFilter::InsertMx(uint32_t slot) {
+Result<FilterUpdateDelta> IncrementalFilter::InsertPair(uint32_t slot) {
   FilterUpdateDelta delta;
   const uint64_t n = live_slots_.size();
   if (n < 2) return delta;
@@ -290,7 +289,7 @@ Result<FilterUpdateDelta> IncrementalFilter::InsertMx(uint32_t slot) {
   return delta;
 }
 
-Result<FilterUpdateDelta> IncrementalFilter::EraseMx(
+Result<FilterUpdateDelta> IncrementalFilter::ErasePair(
     uint32_t slot, std::vector<ValueCode> row) {
   FilterUpdateDelta delta;
   RemoveSlot(slot);
@@ -326,7 +325,6 @@ Result<FilterUpdateDelta> IncrementalFilter::EraseMx(
 }
 
 void IncrementalFilter::RebuildEvidence() {
-  if (options_.backend != FilterBackend::kBitset) return;
   std::vector<std::pair<const ValueCode*, const ValueCode*>> rows;
   rows.reserve(pair_slots_.size());
   for (const auto& [a, b] : pair_slots_) {
@@ -340,7 +338,6 @@ void IncrementalFilter::RebuildEvidence() {
 }
 
 void IncrementalFilter::PatchEvidencePair(size_t index) {
-  if (options_.backend != FilterBackend::kBitset) return;
   const auto [a, b] = pair_slots_[index];
   evidence_.PatchPair(static_cast<uint32_t>(index), slots_[a].data(),
                       slots_[b].data(), {a, b});
@@ -375,7 +372,7 @@ std::vector<FilterVerdict> IncrementalFilter::QueryBatch(
     std::span<const AttributeSet> attrs, ThreadPool* pool) const {
   const size_t count = attrs.size();
   std::vector<FilterVerdict> verdicts(count, FilterVerdict::kAccept);
-  if (options_.backend == FilterBackend::kBitset) {
+  if (!UsesTupleSample()) {
     if (count == 0 || evidence_.num_pairs() == 0) return verdicts;
     // Same block-major staging as BitsetSeparationFilter::QueryBatch:
     // each resident evidence block serves the whole candidate batch.
@@ -403,32 +400,17 @@ std::vector<FilterVerdict> IncrementalFilter::QueryBatch(
 
 std::optional<std::pair<RowIndex, RowIndex>> IncrementalFilter::QueryWitness(
     const AttributeSet& attrs) const {
-  if (options_.backend == FilterBackend::kBitset) {
+  if (!UsesTupleSample()) {
     // Word-wise kernel over the packed pair slots; representatives are
-    // window slot ids, matching the scalar MX path's reporting.
+    // window slot ids.
     std::optional<uint32_t> hit = evidence_.FindUnseparated(attrs.words());
     if (!hit.has_value()) return std::nullopt;
     auto [a, b] = evidence_.representative(*hit);
     return std::make_pair(static_cast<RowIndex>(a),
                           static_cast<RowIndex>(b));
   }
-  std::vector<AttributeIndex> idx = attrs.ToIndices();
-  if (options_.backend == FilterBackend::kMxPair) {
-    for (const auto& [a, b] : pair_slots_) {
-      const std::vector<ValueCode>& ra = slots_[a];
-      const std::vector<ValueCode>& rb = slots_[b];
-      bool agree = true;
-      for (AttributeIndex j : idx) {
-        if (ra[j] != rb[j]) {
-          agree = false;
-          break;
-        }
-      }
-      if (agree) return std::make_pair(a, b);
-    }
-    return std::nullopt;
-  }
   // Tuple backend: hash the retained projections; verify on hash hits.
+  std::vector<AttributeIndex> idx = attrs.ToIndices();
   std::unordered_multimap<uint64_t, uint32_t> seen;
   seen.reserve(sample_slots_.size() * 2);
   for (uint32_t slot : sample_slots_) {

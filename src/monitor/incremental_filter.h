@@ -24,7 +24,7 @@ struct IncrementalFilterOptions {
   /// at least as large as the window keeps the whole window retained,
   /// so the filter answers exactly.
   uint64_t sample_size = 0;
-  /// MX pair-slot count; 0 = `MxPairSampleSizePaper(m, eps)`.
+  /// Bitset pair-slot count; 0 = `MxPairSampleSizePaper(m, eps)`.
   uint64_t pair_sample_size = 0;
 };
 
@@ -62,14 +62,11 @@ struct FilterUpdateDelta {
 ///     uniform replacement from the rest of the window. Expected work
 ///     is O(1) sample edits per update, so maintenance cost tracks
 ///     sample churn (`~r/n` of inserts), not the stream rate.
-///   - MX pair backend: `s = Θ(m/ε)` pair slots, each an independent
-///     size-2 reservoir over the window; erases redraw the pairs that
-///     referenced the dropped tuple.
-///   - bitset backend: the SAME pair slots as the MX backend (identical
-///     sampling decisions and RNG consumption, so deltas and verdicts
-///     match bit-for-bit), but queries run against `PackedEvidence`
-///     re-packed whenever the retained slots change — the common
-///     untouched updates pay nothing.
+///   - bitset backend: `s = Θ(m/ε)` pair slots (the Motwani–Xu
+///     sample), each an independent size-2 reservoir over the window;
+///     erases redraw the pairs that referenced the dropped tuple.
+///     Queries run against `PackedEvidence` patched whenever a retained
+///     slot changes — the common untouched updates pay nothing.
 ///
 /// Queries implement `SeparationFilter` against the current sample, so
 /// all batched machinery (`QueryBatch`, `EnumerateMinimalAcceptedSets`)
@@ -94,7 +91,7 @@ class IncrementalFilter : public SeparationFilter {
   Result<FilterUpdateDelta> Erase(const std::vector<ValueCode>& row);
 
   /// Redraws the whole sample from the current window (tuple backend:
-  /// a fresh uniform `r`-subset; MX backend: fresh uniform pairs).
+  /// a fresh uniform `r`-subset; bitset backend: fresh uniform pairs).
   /// Consumers must rebuild verdict-derived state from scratch.
   void Resample();
 
@@ -111,7 +108,7 @@ class IncrementalFilter : public SeparationFilter {
   size_t num_attributes() const { return schema_.num_attributes(); }
   const Schema& schema() const { return schema_; }
   uint64_t window_size() const { return live_slots_.size(); }
-  /// Tuple target `r` (tuple backend) or pair-slot count (MX backend).
+  /// Tuple target `r` (tuple backend) or pair-slot count (bitset backend).
   uint64_t sample_target() const { return target_; }
 
   /// Materializes the current window as an immutable data set (rows in
@@ -125,12 +122,12 @@ class IncrementalFilter : public SeparationFilter {
     return options_.backend == FilterBackend::kTupleSample;
   }
   /// Bitset backend: re-packs all evidence lanes from the current pair
-  /// slots (no-op otherwise). Only for wholesale slot changes — the
+  /// slots. Only for wholesale slot changes — the
   /// empty→full transitions and `Resample` — single slot redraws go
   /// through `PatchEvidencePair`.
   void RebuildEvidence();
   /// Bitset backend: recomputes pair slot `index`'s evidence lane in
-  /// place, `O(m)` (no-op otherwise).
+  /// place, `O(m)`.
   void PatchEvidencePair(size_t index);
 
   uint32_t AddSlot(const std::vector<ValueCode>& row);
@@ -154,8 +151,8 @@ class IncrementalFilter : public SeparationFilter {
   Result<FilterUpdateDelta> InsertTuple(uint32_t slot);
   Result<FilterUpdateDelta> EraseTuple(uint32_t slot,
                                        std::vector<ValueCode> row);
-  Result<FilterUpdateDelta> InsertMx(uint32_t slot);
-  Result<FilterUpdateDelta> EraseMx(uint32_t slot,
+  Result<FilterUpdateDelta> InsertPair(uint32_t slot);
+  Result<FilterUpdateDelta> ErasePair(uint32_t slot,
                                     std::vector<ValueCode> row);
   AttributeSet PairAgreeSet(uint32_t a, uint32_t b) const;
   std::pair<uint32_t, uint32_t> DrawUniformPair();
@@ -180,7 +177,7 @@ class IncrementalFilter : public SeparationFilter {
   std::vector<uint32_t> sample_slots_;
   std::vector<uint32_t> sample_pos_;
 
-  // MX backend: pair slots over window slot ids.
+  // Bitset backend: pair slots over window slot ids.
   std::vector<std::pair<uint32_t, uint32_t>> pair_slots_;
 
   // Bitset backend: packed disagree masks of the pair slots,

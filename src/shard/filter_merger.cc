@@ -11,9 +11,9 @@ Status FilterMerger::Add(ShardFilterArtifact artifact) {
   if (artifact.rows_seen < 2) {
     return Status::InvalidArgument("shard artifacts need >= 2 rows");
   }
-  if (IsPairSampledBackend(options_.backend) &&
+  if (options_.backend == FilterBackend::kBitset &&
       artifact.pair_table.num_rows() == 0) {
-    return Status::InvalidArgument("MX artifact is missing its pair table");
+    return Status::InvalidArgument("pair artifact is missing its pair table");
   }
   uint64_t need = std::min<uint64_t>(options_.tuple_sample_size,
                                      artifact.rows_seen);
@@ -51,7 +51,7 @@ Status FilterMerger::Fold(ShardFilterArtifact artifact) {
     if (!merged.ok()) return merged.status();
     tuple_ = std::move(merged).ValueOrDie();
   }
-  if (IsPairSampledBackend(options_.backend)) {
+  if (options_.backend == FilterBackend::kBitset) {
     Result<MxPairFilter> incoming_mx =
         MxPairFilter::FromMaterializedPairs(std::move(artifact.pair_table));
     if (!incoming_mx.ok()) return incoming_mx.status();

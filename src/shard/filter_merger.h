@@ -20,7 +20,8 @@ struct MergedFilter {
   /// Merged uniform tuple sample (both backends: the pipeline's greedy
   /// stage runs on it; under the tuple backend it IS the filter).
   std::optional<TupleSampleFilter> tuple_filter;
-  /// MX backend: the merged pair filter (the verify/minimize oracle).
+  /// Bitset backend: the merged pair slots, held in the MX merge layer;
+  /// the pipeline packs them into its verify/minimize filter.
   std::optional<MxPairFilter> mx_filter;
   uint64_t total_rows = 0;
   uint32_t num_shards = 0;

@@ -12,20 +12,10 @@ namespace {
 constexpr char kMagic[4] = {'Q', 'I', 'K', 'S'};
 // Version 2 added the bitset backend (byte value 2). The layout is
 // unchanged, so v1 payloads — which can only carry backends 0 and 1 —
-// still deserialize.
+// still deserialize. Byte 1 is the retired mx-pair backend: its pair
+// table is exactly what the bitset backend merges, so it reads as
+// bitset.
 constexpr uint32_t kVersion = 2;
-
-uint8_t EncodeBackend(FilterBackend backend) {
-  switch (backend) {
-    case FilterBackend::kTupleSample:
-      return 0;
-    case FilterBackend::kMxPair:
-      return 1;
-    case FilterBackend::kBitset:
-      return 2;
-  }
-  return 0;
-}
 
 }  // namespace
 
@@ -46,7 +36,7 @@ std::string SerializeShardArtifact(const ShardFilterArtifact& artifact) {
   w.U32(artifact.shard_index);
   w.U64(artifact.first_row);
   w.U64(artifact.rows_seen);
-  w.U8(EncodeBackend(artifact.backend));
+  w.U8(artifact.backend == FilterBackend::kBitset ? 2 : 0);
   w.U64(artifact.provenance.size());
   w.Raw(artifact.provenance.data(),
         artifact.provenance.size() * sizeof(RowIndex));
@@ -80,9 +70,8 @@ Result<ShardFilterArtifact> DeserializeShardArtifact(std::string_view bytes) {
   if (backend > (version >= 2 ? 2 : 1)) {
     return Status::InvalidArgument("unknown shard artifact backend");
   }
-  artifact.backend = backend == 0   ? FilterBackend::kTupleSample
-                     : backend == 1 ? FilterBackend::kMxPair
-                                    : FilterBackend::kBitset;
+  artifact.backend =
+      backend == 0 ? FilterBackend::kTupleSample : FilterBackend::kBitset;
   if (prov > r.remaining() / sizeof(RowIndex)) {
     return Status::InvalidArgument("truncated shard provenance");
   }

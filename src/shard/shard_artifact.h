@@ -14,8 +14,8 @@ namespace qikey {
 
 /// \brief Everything one shard contributes to a merged filter: the
 /// shard's uniform tuple sample (always — the merged pipeline runs
-/// greedy refinement on the merged tuple sample even under the MX
-/// backend), its materialized pair slots (MX backend only), and the
+/// greedy refinement on the merged tuple sample even under the bitset
+/// backend), its materialized pair slots (bitset backend only), and the
 /// bookkeeping the merge needs (row range and how many rows the samples
 /// were drawn from).
 ///
@@ -38,7 +38,7 @@ struct ShardFilterArtifact {
   /// Global original-row index of each sample row.
   std::vector<RowIndex> provenance;
 
-  /// MX backend: materialized pair table (rows `2i`, `2i+1` = slot `i`).
+  /// Bitset backend: materialized pair table (rows `2i`, `2i+1` = slot `i`).
   Dataset pair_table;
 
   /// Bytes retained by the samples (budget accounting).

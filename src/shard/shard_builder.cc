@@ -72,7 +72,7 @@ struct ShardArtifactBuilder::Impl {
   // The row being offered, encoded in place; the reservoirs copy it only
   // when they keep it.
   std::pair<std::vector<ValueCode>, uint64_t> offered;
-  // MX side: per-slot pair reservoirs over positions + retained payloads.
+  // Pair side: per-slot pair reservoirs over positions + retained payloads.
   std::unique_ptr<PairReservoir> pairs;
   std::unordered_map<uint64_t, std::vector<ValueCode>> payloads;
   uint64_t next_gc = 1024;
@@ -91,7 +91,7 @@ struct ShardArtifactBuilder::Impl {
     for (size_t j = 0; j < names.size(); ++j) {
       dicts.push_back(std::make_shared<Dictionary>());
     }
-    if (IsPairSampledBackend(backend)) {
+    if (backend == FilterBackend::kBitset) {
       pairs = std::make_unique<PairReservoir>(
           static_cast<size_t>(pair_slots), &rng);
     }
@@ -249,7 +249,7 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
       }
       artifact.tuple_sample = dataset.SelectRows(rows);
       artifact.provenance = std::move(rows);
-      if (IsPairSampledBackend(options.backend)) {
+      if (options.backend == FilterBackend::kBitset) {
         std::vector<RowIndex> pair_rows;
         pair_rows.reserve(2 * static_cast<size_t>(s));
         for (uint64_t p = 0; p < s; ++p) {
@@ -293,7 +293,7 @@ Result<ShardFilterArtifact> BuildArtifactFromChunk(
     artifact.provenance.push_back(static_cast<RowIndex>(first_row + row));
   }
 
-  if (IsPairSampledBackend(backend)) {
+  if (backend == FilterBackend::kBitset) {
     if (pair_slots == 0) {
       return Status::InvalidArgument("pair slot count must be positive");
     }

@@ -25,7 +25,8 @@ struct ShardedBuildOptions {
   /// Every shard samples at the full target rate so the merged sample
   /// is a uniform target-size draw from the whole relation.
   uint64_t tuple_sample_size = 0;
-  /// MX pair slots per shard; 0 = `MxPairSampleSizePaper(m, eps)`.
+  /// Pair slots per shard (bitset backend); 0 =
+  /// `MxPairSampleSizePaper(m, eps)`.
   uint64_t pair_slots = 0;
   /// Shard count; 0 = one per worker thread.
   size_t num_shards = 0;
@@ -39,7 +40,7 @@ struct ShardedBuildOptions {
 };
 
 /// \brief Streaming construction of ONE shard's artifact: rows are
-/// offered once, the tuple reservoir and (for the MX backend) the
+/// offered once, the tuple reservoir and (for the bitset backend) the
 /// per-slot pair reservoirs retain `O(sample)` state, and `Finish`
 /// materializes the artifact. The raw shard is never held.
 ///

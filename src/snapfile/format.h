@@ -31,7 +31,8 @@ namespace snapfile {
 ///   off 24  u64      source rows
 ///   off 32  u64      declared filter sample size (pairs or tuples)
 ///   off 40  u64      total file bytes
-///   off 48  u8       backend (0 tuple, 1 mx-pair, 2 bitset)
+///   off 48  u8       backend (0 tuple; 1 legacy mx-pair, read as
+///                    bitset; 2 bitset)
 ///   off 49  u8       duplicate detection (0 sort, 1 hash)
 ///   off 50  u16      flags
 ///   off 52  u32      store epoch at save time (0 = unrecorded; files
@@ -74,7 +75,8 @@ enum class SectionId : uint32_t {
   /// `PackedEvidence` representative endpoints, `2 x pairs` u32
   /// (bitset backend; mapped in place).
   kEvidenceReps = 5,
-  /// MX pair-table codes, column-major as `kSampleCodes` (mx backend).
+  /// Pair-table codes, column-major as `kSampleCodes` (legacy mx-pair
+  /// images; no longer written, loaded as a bitset filter).
   kPairCodes = 6,
   /// QIKD dataset blob: the tuple filter's own sample when it does not
   /// share the snapshot sample (tuple backend without bit 0 of flags).

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/bitset_filter.h"
-#include "core/mx_pair_filter.h"
 #include "core/sample_bounds.h"
 #include "core/tuple_sample_filter.h"
 #include "data/serialize.h"
@@ -307,11 +306,13 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
           BorrowCodesDataset(Schema(names), pair_metas, data, *pair_sec,
                              pair_rows, "pair table");
       if (!pair_ds.ok()) return pair_ds.status();
-      Result<MxPairFilter> mx =
-          MxPairFilter::FromMaterializedPairs(std::move(*pair_ds));
-      if (!mx.ok()) return mx.status();
+      // Legacy mx-pair image: the raw pair table packs into the same
+      // evidence (and answers) a bitset save of those pairs would hold.
+      Result<BitsetSeparationFilter> bitset =
+          BitsetSeparationFilter::FromMaterializedPairs(std::move(*pair_ds));
+      if (!bitset.ok()) return bitset.status();
       filter = std::shared_ptr<const SeparationFilter>(
-          new MxPairFilter(std::move(*mx)),
+          new BitsetSeparationFilter(std::move(*bitset)),
           [owner](const SeparationFilter* p) { delete p; });
       break;
     }

@@ -29,16 +29,18 @@ namespace snapfile {
 /// is recorded in the header (u32; 0 when it never was published), and
 /// a loaded snapshot carries it back so `SnapshotStore::Publish`
 /// resumes the epoch sequence instead of restarting at 1.
-/// Unimplemented when the snapshot's filter is not one of the three
-/// library backends.
+/// Unimplemented when the snapshot's filter is not one of the two
+/// library backends (tuple sample, bitset).
 Result<std::string> SerializeSnapshot(const ServeSnapshot& snapshot);
 
-/// Serializes `snapshot` and writes it to `path` (truncating).
+/// Serializes `snapshot` and atomically replaces `path` with it (see
+/// `WriteFileBytes`): a server still mapping the old file keeps serving
+/// it until it re-reads the path.
 Status WriteSnapshotFile(const ServeSnapshot& snapshot,
                          const std::string& path);
 
 /// \brief Reconstructs a servable snapshot from a snapshot image,
-/// borrowing storage from it: sample (and pair-table) codes and the
+/// borrowing storage from it: sample (and legacy pair-table) codes and the
 /// packed-evidence words/representatives are views into `data`, kept
 /// alive by storing `owner` in every component's deleter.
 ///

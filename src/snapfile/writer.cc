@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/bitset_filter.h"
-#include "core/mx_pair_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/serialize.h"
 #include "data/wire_codec.h"
@@ -79,10 +78,9 @@ Result<std::string> SerializeSnapshot(const ServeSnapshot& snapshot) {
 
   const auto* tuple =
       dynamic_cast<const TupleSampleFilter*>(snapshot.filter.get());
-  const auto* mx = dynamic_cast<const MxPairFilter*>(snapshot.filter.get());
   const auto* bitset =
       dynamic_cast<const BitsetSeparationFilter*>(snapshot.filter.get());
-  if (tuple == nullptr && mx == nullptr && bitset == nullptr) {
+  if (tuple == nullptr && bitset == nullptr) {
     return Status::Unimplemented(
         "snapshot filter backend cannot be serialized");
   }
@@ -124,21 +122,6 @@ Result<std::string> SerializeSnapshot(const ServeSnapshot& snapshot) {
     }
   } else {
     meta.U32(0);
-  }
-  if (mx != nullptr) {
-    header.backend = 1;
-    Dataset pair_table = mx->MaterializePairTable();
-    if (pair_table.num_attributes() != m) {
-      return Status::InvalidArgument(
-          "pair filter arity does not match the snapshot sample");
-    }
-    meta.U64(pair_table.num_rows());
-    for (size_t j = 0; j < m; ++j) {
-      AppendColumnMeta(pair_table.column(static_cast<AttributeIndex>(j)),
-                       &meta);
-    }
-    sections.emplace_back(SectionId::kPairCodes,
-                          PackCodesColumnMajor(pair_table));
   }
   if (bitset != nullptr) {
     header.backend = 2;

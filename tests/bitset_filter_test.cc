@@ -1,10 +1,12 @@
 // Differential property tests for the bit-packed separation backend:
 // for randomized datasets x seeds x thread counts, the bitset filter
-// must produce bit-identical Query/QueryBatch answers to the scalar MX
-// pair filter over the same sampled pairs, and identical minimal-key
-// results through DiscoveryPipeline, RunSharded, and KeyMonitor
-// insert/erase streams — including agreement with the tuple-sample
-// backend wherever every backend is exact.
+// must produce bit-identical Query/QueryBatch answers and witnesses to
+// the value-comparing `MxPairFilter` oracle over the same sampled
+// pairs. Through DiscoveryPipeline, RunSharded, and KeyMonitor
+// insert/erase streams, it must reproduce the keys, verdicts,
+// witnesses and sample sizes recorded from the retired mx-pair
+// discovery backend for the same seeds — and agree with the
+// tuple-sample backend wherever both are exact.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -382,9 +385,10 @@ void ExpectFiltersAgree(const Dataset& d, uint64_t seed, uint64_t pair_count,
   EXPECT_EQ(bs->QueryBatch(queries, &pool), mx_batch);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(bs->Query(queries[i]), mx->Query(queries[i])) << i;
-    // A bitset witness is some unseparated sampled pair of original
-    // rows; when present it must be a genuine counterexample.
+    // The bitset witness is the first unseparated sampled pair of
+    // original rows — the oracle's — and a genuine counterexample.
     auto witness = bs->QueryWitness(queries[i]);
+    EXPECT_EQ(witness, mx->QueryWitness(queries[i])) << i;
     ASSERT_EQ(witness.has_value(), mx_batch[i] == FilterVerdict::kReject);
     if (witness.has_value()) {
       std::vector<AttributeIndex> idx = queries[i].ToIndices();
@@ -481,30 +485,101 @@ PipelineOptions BackendOptions(FilterBackend backend, size_t threads) {
   return options;
 }
 
-TEST(BitsetDifferentialTest, PipelineMatchesMxBackendBitForBit) {
-  // Same seed -> same greedy sample and the same sampled pairs, so the
-  // pair-backend runs must agree on every stage output.
-  for (uint64_t seed : {3u, 17u, 29u}) {
+/// "{0,2,5}": the compact form the recorded expectations use.
+std::string Indices(const AttributeSet& set) {
+  std::string out = "{";
+  for (AttributeIndex a : set.ToIndices()) {
+    if (out.size() > 1) out += ',';
+    out += std::to_string(a);
+  }
+  return out + "}";
+}
+
+/// One line per run: key, verdict, witness, covered flag, pruned count,
+/// filter sample size and greedy trace.
+std::string Fingerprint(const PipelineResult& r) {
+  std::string out = "key=" + Indices(r.key);
+  out += r.verdict == FilterVerdict::kAccept ? " ACCEPT" : " REJECT";
+  out += " witness=";
+  out += r.witness.has_value() ? std::to_string(r.witness->first) + ":" +
+                                     std::to_string(r.witness->second)
+                               : "-";
+  out += " covered=" + std::to_string(r.covered_sample ? 1 : 0);
+  out += " pruned=" + std::to_string(r.pruned_attributes);
+  out += " samples=" + std::to_string(r.filter_sample_size);
+  out += " steps=";
+  for (const RefineEngine::Step& step : r.steps) {
+    out += std::to_string(step.chosen) + "+" + std::to_string(step.gain) + ";";
+  }
+  return out;
+}
+
+// The expected fingerprints in the tests below were recorded from the
+// value-comparing mx-pair discovery backend before it was retired. The
+// bitset backend draws the same pairs with the same RNG calls, so it
+// must reproduce them exactly.
+
+TEST(BitsetDifferentialTest, PipelineMatchesRecordedMxRun) {
+  const std::pair<uint64_t, const char*> kRecorded[] = {
+      {3, "key={2} ACCEPT witness=- covered=0 pruned=1 samples=1400 "
+          "steps=2+9729;0+1;"},
+      {17, "key={2} ACCEPT witness=- covered=0 pruned=1 samples=1400 "
+           "steps=2+9728;0+2;"},
+      {29, "key={2} ACCEPT witness=- covered=0 pruned=1 samples=1400 "
+           "steps=2+9729;0+1;"},
+  };
+  for (const auto& [seed, want] : kRecorded) {
     Dataset d = AdultishTable(900, seed + 1000);
     for (size_t threads : {1u, 4u}) {
-      Rng mx_rng(seed), bs_rng(seed);
-      auto mx =
-          DiscoveryPipeline(BackendOptions(FilterBackend::kMxPair, threads))
-              .Run(d, &mx_rng);
+      Rng rng(seed);
       auto bs =
           DiscoveryPipeline(BackendOptions(FilterBackend::kBitset, threads))
-              .Run(d, &bs_rng);
-      ASSERT_TRUE(mx.ok());
+              .Run(d, &rng);
       ASSERT_TRUE(bs.ok());
-      ExpectSameResult(*mx, *bs);
-      EXPECT_EQ(mx->filter_sample_size, bs->filter_sample_size);
+      EXPECT_EQ(Fingerprint(*bs), want) << seed << " threads=" << threads;
     }
+  }
+}
+
+TEST(BitsetDifferentialTest, WitnessesMatchRecordedMxRun) {
+  // 50 duplicated rows: the saturated pair sample catches some, so the
+  // verify stage rejects and reports the first caught pair (original
+  // row ids for Run, merged pair-table rows for RunSharded).
+  const std::tuple<uint64_t, const char*, const char*> kRecorded[] = {
+      {5,
+       "key={2} REJECT witness=108:336 covered=0 pruned=0 samples=20000 "
+       "steps=2+9722;",
+       "key={2} REJECT witness=1386:1387 covered=0 pruned=0 samples=20000 "
+       "steps=2+9726;"},
+      {23,
+       "key={2} REJECT witness=30:310 covered=0 pruned=0 samples=20000 "
+       "steps=2+9719;",
+       "key={2} REJECT witness=4792:4793 covered=0 pruned=0 samples=20000 "
+       "steps=2+9728;"},
+  };
+  for (const auto& [seed, want_run, want_sharded] : kRecorded) {
+    Dataset base = AdultishTable(300, seed + 3000);
+    std::vector<RowIndex> rows;
+    for (RowIndex i = 0; i < 300; ++i) rows.push_back(i);
+    for (RowIndex i = 0; i < 50; ++i) rows.push_back(i * 3);
+    Dataset d = base.SelectRows(rows);
+    PipelineOptions options = BackendOptions(FilterBackend::kBitset, 2);
+    options.pair_sample_size = 20000;
+    Rng rng(seed);
+    auto run = DiscoveryPipeline(options).Run(d, &rng);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(Fingerprint(*run), want_run) << seed;
+    ShardedRunOptions sharded;
+    sharded.num_shards = 3;
+    auto merged = DiscoveryPipeline(options).RunSharded(d, sharded, seed);
+    ASSERT_TRUE(merged.ok());
+    EXPECT_EQ(Fingerprint(*merged), want_sharded) << seed;
   }
 }
 
 TEST(BitsetDifferentialTest, PipelineMatchesTupleWhenAllBackendsAreExact) {
   // Full tuple sample and a saturated pair sample (~64x the pair count
-  // of a 48-row table) make all three backends exact filters of the
+  // of a 48-row table) make both backends exact filters of the
   // same relation, so the emitted keys must coincide.
   for (uint64_t seed : {2u, 11u}) {
     Dataset d = AdultishTable(48, seed + 2000);
@@ -512,17 +587,13 @@ TEST(BitsetDifferentialTest, PipelineMatchesTupleWhenAllBackendsAreExact) {
     base.sample_size = d.num_rows();
     base.pair_sample_size = 72000;
 
-    PipelineOptions mx = base;
-    mx.backend = FilterBackend::kMxPair;
     PipelineOptions bs = base;
     bs.backend = FilterBackend::kBitset;
 
-    Rng r1(seed), r2(seed), r3(seed);
+    Rng r1(seed), r2(seed);
     auto ts_res = DiscoveryPipeline(base).Run(d, &r1);
-    auto mx_res = DiscoveryPipeline(mx).Run(d, &r2);
-    auto bs_res = DiscoveryPipeline(bs).Run(d, &r3);
-    ASSERT_TRUE(ts_res.ok() && mx_res.ok() && bs_res.ok());
-    ExpectSameResult(*mx_res, *bs_res);
+    auto bs_res = DiscoveryPipeline(bs).Run(d, &r2);
+    ASSERT_TRUE(ts_res.ok() && bs_res.ok());
     EXPECT_EQ(bs_res->key, ts_res->key);
     EXPECT_EQ(bs_res->verdict, ts_res->verdict);
   }
@@ -530,19 +601,21 @@ TEST(BitsetDifferentialTest, PipelineMatchesTupleWhenAllBackendsAreExact) {
 
 // ----------------------------------------------- sharded differential
 
-TEST(BitsetDifferentialTest, RunShardedMatchesMxBackend) {
+TEST(BitsetDifferentialTest, RunShardedMatchesRecordedMxRun) {
   Dataset d = AdultishTable(1200, 31);
   for (size_t shards : {1u, 3u, 5u}) {
     ShardedRunOptions sharded;
     sharded.num_shards = shards;
-    auto mx = DiscoveryPipeline(BackendOptions(FilterBackend::kMxPair, 2))
-                  .RunSharded(d, sharded, 71);
     auto bs = DiscoveryPipeline(BackendOptions(FilterBackend::kBitset, 2))
                   .RunSharded(d, sharded, 71);
-    ASSERT_TRUE(mx.ok());
     ASSERT_TRUE(bs.ok());
     EXPECT_EQ(bs->num_shards, shards);
-    ExpectSameResult(*mx, *bs);
+    // Recorded from the mx-pair backend: identical for all three
+    // shard counts.
+    EXPECT_EQ(Fingerprint(*bs),
+              "key={2} ACCEPT witness=- covered=1 pruned=0 samples=1400 "
+              "steps=2+9730;")
+        << shards;
   }
 }
 
@@ -556,16 +629,12 @@ TEST(BitsetDifferentialTest, RunShardedAllBackendsAgreeWhenExact) {
   PipelineOptions base = BackendOptions(FilterBackend::kTupleSample, 2);
   base.sample_size = d.num_rows();
   base.pair_sample_size = 60000;
-  PipelineOptions mx = base;
-  mx.backend = FilterBackend::kMxPair;
   PipelineOptions bs = base;
   bs.backend = FilterBackend::kBitset;
 
   auto ts_res = DiscoveryPipeline(base).RunSharded(d, sharded, 5);
-  auto mx_res = DiscoveryPipeline(mx).RunSharded(d, sharded, 5);
   auto bs_res = DiscoveryPipeline(bs).RunSharded(d, sharded, 5);
-  ASSERT_TRUE(ts_res.ok() && mx_res.ok() && bs_res.ok());
-  ExpectSameResult(*mx_res, *bs_res);
+  ASSERT_TRUE(ts_res.ok() && bs_res.ok());
   EXPECT_EQ(bs_res->key, ts_res->key);
   EXPECT_EQ(bs_res->verdict, ts_res->verdict);
 }
@@ -645,8 +714,7 @@ void ExpectMonitorsTrackEachOther(const MonitorOptions& a_opts,
       ASSERT_EQ(sa->minimal_keys(), sb->minimal_keys()) << "step " << step;
       // Sample sizes are comparable only within one sampling scheme
       // (pair slots vs tuples).
-      if (IsPairSampledBackend(a_opts.backend) ==
-          IsPairSampledBackend(b_opts.backend)) {
+      if (a_opts.backend == b_opts.backend) {
         EXPECT_EQ(sa->filter_sample_size, sb->filter_sample_size);
       }
     }
@@ -659,18 +727,68 @@ void ExpectMonitorsTrackEachOther(const MonitorOptions& a_opts,
   }
 }
 
-TEST(BitsetDifferentialTest, MonitorMatchesMxBackendSampledMode) {
-  // Genuinely sampled pair slots; bit-identical slot churn -> the two
-  // monitors must agree at EVERY epoch.
-  for (uint64_t seed : {4u, 13u, 27u}) {
-    MonitorOptions mx;
-    mx.eps = 0.01;
-    mx.backend = FilterBackend::kMxPair;
-    mx.pair_sample_size = 64;
-    mx.max_key_size = 6;
-    MonitorOptions bitset = mx;
-    bitset.backend = FilterBackend::kBitset;
-    ExpectMonitorsTrackEachOther(mx, bitset, seed, true);
+TEST(BitsetDifferentialTest, MonitorMatchesRecordedMxRun) {
+  // Genuinely sampled pair slots over the interleaved insert/erase
+  // stream of ExpectMonitorsTrackEachOther. `digest` folds every
+  // epoch's filter sample size and minimal-key frontier; it, the event
+  // count and the final frontier were recorded from the mx-pair
+  // monitor for the same seeds.
+  struct Recorded {
+    uint64_t seed;
+    uint64_t digest;
+    size_t events;
+    const char* frontier;
+  };
+  const Recorded kRecorded[] = {
+      {4, 0x32981ed829d1b04bULL, 132,
+       "{0,1,3}{0,1,4}{0,2,3,4}{0,2,3,5}{0,3,4,5}"},
+      {13, 0x0735e86e8a84a5c4ULL, 299, "{0,1,2}{1,2,4,5}"},
+      {27, 0xfd2c8e976de60b15ULL, 322,
+       "{0,1,2,3}{0,1,2,4}{0,1,2,5}{0,2,3,4}{0,2,4,5}"},
+  };
+  auto mix = [](uint64_t h, uint64_t v) {
+    return (h ^ v) * 1099511628211ULL;
+  };
+  for (const Recorded& want : kRecorded) {
+    MonitorOptions options;
+    options.eps = 0.01;
+    options.backend = FilterBackend::kBitset;
+    options.pair_sample_size = 64;
+    options.max_key_size = 6;
+    const size_t m = 6;
+    auto monitor = KeyMonitor::Make(Schema::Anonymous(m), options, want.seed);
+    ASSERT_TRUE(monitor.ok());
+    Rng stream_rng(want.seed * 31 + 7);
+    std::vector<Row> live;
+    uint64_t digest = 1469598103934665603ULL;
+    for (int step = 0; step < 160; ++step) {
+      if (live.size() > 10 && stream_rng.Uniform(3) == 0) {
+        size_t victim = stream_rng.Uniform(live.size());
+        ASSERT_TRUE((*monitor)->Erase(live[victim]).ok());
+        live.erase(live.begin() + victim);
+      } else {
+        Row row(m);
+        for (size_t j = 0; j < m; ++j) {
+          row[j] = static_cast<ValueCode>(stream_rng.Uniform(3));
+        }
+        ASSERT_TRUE((*monitor)->Insert(row).ok());
+        live.push_back(std::move(row));
+      }
+      auto snapshot = (*monitor)->Snapshot();
+      digest = mix(digest, snapshot->filter_sample_size);
+      digest = mix(digest, snapshot->minimal_keys().size());
+      for (const AttributeSet& key : snapshot->minimal_keys()) {
+        for (AttributeIndex a : key.ToIndices()) digest = mix(digest, a + 1);
+        digest = mix(digest, 0);
+      }
+    }
+    std::string frontier;
+    for (const AttributeSet& key : (*monitor)->Snapshot()->minimal_keys()) {
+      frontier += Indices(key);
+    }
+    EXPECT_EQ(digest, want.digest) << want.seed;
+    EXPECT_EQ((*monitor)->events().size(), want.events) << want.seed;
+    EXPECT_EQ(frontier, want.frontier) << want.seed;
   }
 }
 

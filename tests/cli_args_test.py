@@ -84,6 +84,11 @@ def main():
         (qikey, ["afd", people], 2, "--rhs"),
         (qikey, ["discover", people, "--backend", "bogus"], 2,
          "unknown backend"),
+        # the retired mx-pair backend is an unknown name like any other
+        (qikey, ["discover", people, "--backend", "mx"], 2,
+         "want tuple|bitset"),
+        (qikey, ["snapshot", "save", people, "--backend", "mx", "--out",
+                 os.path.join(tmp, "mx.qsnp")], 2, "unknown backend"),
         # --- exit 2: strict numeric parsing, flag by flag ---
         # --eps must be a number in (0, 1)
         (qikey, ["discover", people, "--eps", "0"], 2, "must be"),

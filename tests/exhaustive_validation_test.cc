@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "qikey.h"
+#include "snapfile/snapfile.h"
 
 namespace qikey {
 namespace {
@@ -66,6 +72,169 @@ TEST_P(ForAllGuaranteeTest, WholeUniverseCorrectWithHighProbability) {
   // At r = m/sqrt(eps) with these margins the whole-universe failure
   // probability is far below 1/20; allow a single flake.
   EXPECT_LE(universe_failures, 1) << "seed " << GetParam();
+}
+
+// The pair paths — the bitset filter, and is-key answers served from a
+// mapped QSNP1 file — are checked on a table that HAS keys, so both
+// halves of the guarantee bite: a unique id column next to five
+// uniform [6]-valued columns. Every set holding the id is a key (32 of
+// the 64); sets of at most two grid columns leave a fraction u > eps
+// of pairs unseparated (u ~ 6^-|A|, and 6^-2 ~ 0.028) and are bad (16);
+// the rest are gray zone.
+
+/// 3000 rows: id plus five uniform grid columns.
+Dataset KeyedGridSample(Rng* rng) {
+  Dataset grid = MakeUniformGridSample(5, 6, 3000, rng);
+  std::vector<Column> columns;
+  std::vector<ValueCode> id(grid.num_rows());
+  std::iota(id.begin(), id.end(), ValueCode{0});
+  columns.emplace_back(std::move(id));
+  for (AttributeIndex j = 0; j < 5; ++j) columns.push_back(grid.column(j));
+  return Dataset(Schema::Anonymous(6), std::move(columns));
+}
+
+AttributeSet SubsetOf(uint32_t m, uint32_t mask) {
+  AttributeSet a(m);
+  for (uint32_t j = 0; j < m; ++j) {
+    if (mask & (1u << j)) a.Add(j);
+  }
+  return a;
+}
+
+/// Exact class of every subset, plus the union bound on one trial's
+/// whole-universe failure for a pair filter of `s` uniform pairs: a bad
+/// set slips through only if none of its unseparated pairs is sampled,
+/// with probability (1-u)^s.
+struct PairUniverse {
+  std::vector<SeparationClass> truth;
+  double trial_failure_bound = 0.0;
+  int keys = 0;
+  int bad = 0;
+};
+
+PairUniverse ClassifyUniverse(const Dataset& d, double eps, uint64_t s) {
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  PairUniverse out;
+  out.truth.resize(size_t{1} << m);
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    AttributeSet a = SubsetOf(m, mask);
+    out.truth[mask] = Classify(d, a, eps);
+    if (out.truth[mask] == SeparationClass::kKey) ++out.keys;
+    if (out.truth[mask] == SeparationClass::kBad) {
+      ++out.bad;
+      double u = static_cast<double>(ExactUnseparatedPairs(d, a)) /
+                 static_cast<double>(d.num_pairs());
+      out.trial_failure_bound += std::pow(1.0 - u, static_cast<double>(s));
+    }
+  }
+  return out;
+}
+
+/// Runs `trials` independent draws of a pair path and checks every
+/// key/bad subset at once per draw. `verdicts(t)` answers all 2^m
+/// subsets (index = mask) for draw `t`. A key must be accepted in EVERY
+/// draw (deterministic); a draw with a missed bad set counts as one
+/// whole-universe failure, of which at most two are tolerated.
+void ExpectPairPathGuarantee(
+    const PairUniverse& universe, int trials,
+    const std::function<std::vector<FilterVerdict>(int)>& verdicts) {
+  // A correct filter fails this check only with >= 3 failed draws:
+  // probability <= C(trials, 3) * bound^3. The per-draw bound is
+  // ~2.1e-3 on these tables (the ten bad two-grid-column sets, each
+  // missed w.p. ~(1 - 1/36)^300), so with 20 draws the check fails
+  // spuriously w.p. ~1e-5.
+  ASSERT_GE(universe.keys, 32);
+  ASSERT_GE(universe.bad, 16);
+  const double p = universe.trial_failure_bound;
+  const double false_failure =
+      trials * (trials - 1) * (trials - 2) / 6.0 * p * p * p;
+  ASSERT_LT(false_failure, 1e-4) << "per-draw bound " << p;
+  int universe_failures = 0;
+  for (int t = 0; t < trials; ++t) {
+    std::vector<FilterVerdict> got = verdicts(t);
+    ASSERT_EQ(got.size(), universe.truth.size());
+    bool all_bad_rejected = true;
+    for (size_t mask = 0; mask < got.size(); ++mask) {
+      if (universe.truth[mask] == SeparationClass::kKey) {
+        EXPECT_EQ(got[mask], FilterVerdict::kAccept)
+            << "key rejected: mask " << mask << " draw " << t;
+      }
+      if (universe.truth[mask] == SeparationClass::kBad &&
+          got[mask] != FilterVerdict::kReject) {
+        all_bad_rejected = false;
+      }
+    }
+    universe_failures += all_bad_rejected ? 0 : 1;
+  }
+  EXPECT_LE(universe_failures, 2);
+}
+
+TEST_P(ForAllGuaranteeTest, BitsetFilterWholeUniverseCorrect) {
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  const double eps = 0.02;
+  Dataset d = KeyedGridSample(&rng);
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  // s = m/eps = 300 pairs.
+  PairUniverse universe =
+      ClassifyUniverse(d, eps, MxPairSampleSizePaper(m, eps));
+  std::vector<AttributeSet> subsets;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    subsets.push_back(SubsetOf(m, mask));
+  }
+  ExpectPairPathGuarantee(universe, 20, [&](int) {
+    BitsetFilterOptions opts;
+    opts.eps = eps;
+    auto f = BitsetSeparationFilter::Build(d, opts, &rng);
+    EXPECT_TRUE(f.ok());
+    return f->QueryBatch(subsets);
+  });
+}
+
+TEST_P(ForAllGuaranteeTest, ServedIsKeyFromReloadedSnapshotFileCorrect) {
+  // Every draw runs bitset discovery, saves the snapshot over the SAME
+  // file the previous draw's published snapshot still maps, re-maps it
+  // and publishes it (the `serve --snapshot-file` SIGHUP reload), then
+  // answers all 64 is-key requests through the cached QueryEngine.
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  const double eps = 0.02;
+  Dataset d = KeyedGridSample(&rng);
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  PairUniverse universe =
+      ClassifyUniverse(d, eps, MxPairSampleSizePaper(m, eps));
+  std::vector<QueryRequest> requests;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    QueryRequest request;
+    request.kind = QueryKind::kIsKey;
+    request.attrs = SubsetOf(m, mask);
+    requests.push_back(std::move(request));
+  }
+  const std::string path = "/tmp/qikey_forall_" +
+                           std::to_string(GetParam()) + "_" +
+                           std::to_string(::getpid()) + ".qsnp";
+  SnapshotStore store;
+  QueryEngine engine(&store, QueryEngineOptions{});
+  ExpectPairPathGuarantee(universe, 20, [&](int t) {
+    PipelineOptions options;
+    options.eps = eps;
+    options.backend = FilterBackend::kBitset;
+    auto run = DiscoveryPipeline(options).Run(d, &rng);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    auto built = SnapshotFromPipelineResult(*run, eps);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_TRUE(snapfile::WriteSnapshotFile(*built, path).ok());
+    auto mapped = snapfile::ReadSnapshotFile(path);
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    auto epoch = store.Publish(std::move(*mapped));
+    EXPECT_TRUE(epoch.ok());
+    EXPECT_EQ(*epoch, static_cast<uint64_t>(t) + 1);
+    std::vector<FilterVerdict> verdicts;
+    for (const QueryResponse& response : engine.ExecuteBatch(requests)) {
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      verdicts.push_back(response.verdict);
+    }
+    return verdicts;
+  });
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForAllGuaranteeTest,

@@ -9,7 +9,6 @@ the emitted minimal key and the verify verdict from the report, and
 diffs them against the committed expectation:
 
     tuple: {first, last} ACCEPT
-    mx: {first, last} ACCEPT
     bitset: {first, last} ACCEPT
 
 Any drift in the discovered frontier — from filter, greedy, minimize, or
@@ -21,7 +20,7 @@ import re
 import subprocess
 import sys
 
-BACKENDS = ["tuple", "mx", "bitset"]
+BACKENDS = ["tuple", "bitset"]
 SEED = "1"
 EPS = "0.01"
 

@@ -325,11 +325,11 @@ TEST(MonitorTest, SampledTupleModeSelfConsistent) {
   EXPECT_EQ((*monitor)->Snapshot()->minimal_keys(), *expected);
 }
 
-TEST(MonitorTest, MxBackendSelfConsistent) {
+TEST(MonitorTest, BitsetBackendSelfConsistent) {
   constexpr size_t kAttributes = 5;
   MonitorOptions options;
   options.eps = 0.05;
-  options.backend = FilterBackend::kMxPair;
+  options.backend = FilterBackend::kBitset;
   options.pair_sample_size = 60;
   options.max_key_size = 4;
   auto monitor =
@@ -529,9 +529,9 @@ TEST(IncrementalFilterTest, ResampleRedrawsFromWindow) {
   EXPECT_GT(filter->MemoryBytes(), 0u);
 }
 
-TEST(IncrementalFilterTest, MxPairsStayWithinLiveWindow) {
+TEST(IncrementalFilterTest, BitsetPairsStayWithinLiveWindow) {
   IncrementalFilterOptions options;
-  options.backend = FilterBackend::kMxPair;
+  options.backend = FilterBackend::kBitset;
   options.pair_sample_size = 30;
   auto filter = IncrementalFilter::Make(Schema::Anonymous(2), options, 6);
   ASSERT_TRUE(filter.ok());

@@ -147,11 +147,11 @@ TEST(PipelineTest, FindsAcceptedKeyTupleBackend) {
   EXPECT_FALSE(result->Report(&d.schema()).empty());
 }
 
-TEST(PipelineTest, MxBackendVerifiesAgainstIndependentPairs) {
+TEST(PipelineTest, BitsetBackendVerifiesAgainstIndependentPairs) {
   Dataset d = AdultishTable(5000, 4);
   PipelineOptions options;
   options.eps = 0.01;
-  options.backend = FilterBackend::kMxPair;
+  options.backend = FilterBackend::kBitset;
   DiscoveryPipeline pipeline(options);
   Rng rng(8);
   auto result = pipeline.Run(d, &rng);
@@ -195,7 +195,7 @@ TEST(PipelineTest, EmittedKeyIsLocallyMinimal) {
 TEST(PipelineTest, DeterministicAcrossThreadCounts) {
   Dataset d = AdultishTable(4000, 6);
   for (FilterBackend backend :
-       {FilterBackend::kTupleSample, FilterBackend::kMxPair}) {
+       {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
     PipelineOptions serial_opts;
     serial_opts.eps = 0.01;
     serial_opts.backend = backend;
@@ -247,10 +247,10 @@ TEST(PipelineTest, ReservoirEntryMatchesInMemorySample) {
   EXPECT_EQ(full->verdict, streamed->verdict);
 }
 
-TEST(PipelineTest, ReservoirRejectsMxBackend) {
+TEST(PipelineTest, ReservoirRejectsBitsetBackend) {
   Dataset d = AdultishTable(200, 11);
   PipelineOptions options;
-  options.backend = FilterBackend::kMxPair;
+  options.backend = FilterBackend::kBitset;
   DiscoveryPipeline pipeline(options);
   EXPECT_FALSE(pipeline.RunOnReservoir(d, {}).ok());
 }

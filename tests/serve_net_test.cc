@@ -8,10 +8,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,9 +30,11 @@
 #include "serve/query_engine.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "data/wire_codec.h"
 #include "snapfile/snapfile.h"
 #include "util/net.h"
 #include "util/rng.h"
+#include "util/shutdown.h"
 
 namespace qikey {
 namespace {
@@ -561,6 +565,114 @@ TEST(ServeNetTest, HotSwapFromSnapshotFileMidConnection) {
   EXPECT_NE(*after, *before);
   EXPECT_EQ(after->rfind("ok ", 0), 0u);
   EXPECT_EQ(after->substr(after->size() - 2), " 2") << *after;
+  std::remove(path.c_str());
+}
+
+/// Bitset discovery over `data`, frozen into a serving snapshot.
+ServeSnapshot BitsetSnapshot(const Dataset& data, uint64_t sample_rows) {
+  PipelineOptions popts;
+  popts.eps = 0.01;
+  popts.backend = FilterBackend::kBitset;
+  popts.sample_size = sample_rows;
+  Rng rng(11);
+  auto result = DiscoveryPipeline(popts).Run(data, &rng);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  auto snapshot = SnapshotFromPipelineResult(*result, popts.eps);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  return std::move(*snapshot);
+}
+
+/// Lockstep round trips; the answers in order.
+std::vector<std::string> Roundtrips(BlockingLineClient* client,
+                                    const std::vector<std::string>& lines) {
+  std::vector<std::string> answers;
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(client->SendLine(line).ok());
+    auto got = client->RecvLine();
+    if (!got.ok()) {
+      ADD_FAILURE() << line << ": " << got.status().ToString();
+      break;
+    }
+    answers.push_back(std::move(*got));
+  }
+  return answers;
+}
+
+TEST(ServeNetTest, SnapshotFileReplacedUnderLiveMappingKeepsServing) {
+  // Reproducer: `qikey snapshot save` over the file a live `serve
+  // --snapshot-file` has mapped. Rewriting it in place (truncate, then
+  // write a smaller image) pulls the mapped pages out from under the
+  // server, and the next uncached query that touches them dies with
+  // SIGBUS. An atomic replacement leaves the mapped inode intact: the
+  // server keeps answering from it until SIGHUP re-reads the path.
+  TestServer ts(ServerOptions{}, /*publish=*/false);
+  const Schema& schema = ts.data->schema();
+  // A ~0.5 MB image whose evidence sits behind a 20000-row sample, and
+  // a few-KB replacement over the same schema.
+  Dataset big_data = MakeKeyedData(20000, 23);
+  ServeSnapshot big = BitsetSnapshot(big_data, 20000);
+  ServeSnapshot small = BitsetSnapshot(*ts.data, 0);
+
+  std::vector<std::string> lines = MakeWireWorkload(schema, 200, 29);
+  auto expected_from = [&](ServeSnapshot snapshot) {
+    SnapshotStore store;
+    EXPECT_TRUE(store.Publish(std::move(snapshot)).ok());
+    QueryEngineOptions eopts;
+    eopts.num_threads = 1;
+    eopts.cache_capacity = 0;
+    QueryEngine engine(&store, eopts);
+    return ExpectedResponses(engine, schema, lines);
+  };
+  const std::vector<std::string> want_big = expected_from(big);
+  const std::vector<std::string> want_small = expected_from(small);
+  ASSERT_NE(want_big, want_small);
+
+  const std::string path = "/tmp/qikey_serve_net_replace_" +
+                           std::to_string(::getpid()) + ".qsnp";
+  ASSERT_TRUE(snapfile::WriteSnapshotFile(big, path).ok());
+  auto mapped = snapfile::ReadSnapshotFile(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto first = ts.store.Publish(std::move(*mapped));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 1u);
+
+  BlockingLineClient client = ts.Connect();
+  ASSERT_TRUE(client.SendLine("min-key").ok());
+  auto before = client.RecvLine();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // Overwrite the live file the way `qikey snapshot save` does.
+  auto big_image = snapfile::SerializeSnapshot(big);
+  auto small_image = snapfile::SerializeSnapshot(small);
+  ASSERT_TRUE(big_image.ok() && small_image.ok());
+  ASSERT_GT(big_image->size(), 20 * small_image->size());
+  ASSERT_TRUE(WriteFileBytes(*small_image, path).ok());
+
+  // Not-yet-cached queries still answer from the mapped image.
+  EXPECT_EQ(Roundtrips(&client, lines), want_big);
+
+  // SIGHUP: the reload flag `qikey serve` polls, then its reload step
+  // (re-map the path, publish).
+  shutdown_flags::InstallSignalFlags();
+  ASSERT_EQ(std::raise(SIGHUP), 0);
+  ASSERT_TRUE(shutdown_flags::ReloadRequested());
+  shutdown_flags::ClearReload();
+  auto reloaded = snapfile::ReadSnapshotFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto second = ts.store.Publish(std::move(*reloaded));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, 2u);
+
+  // Same connection: the new epoch answers.
+  EXPECT_EQ(Roundtrips(&client, lines), want_small);
+  ASSERT_TRUE(client.SendLine("stats").ok());
+  auto stats = client.RecvLine();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("\"snapshot.epoch\":2"), std::string::npos)
+      << *stats;
+  for (int sig : {SIGTERM, SIGINT, SIGHUP, SIGUSR1}) {
+    std::signal(sig, SIG_DFL);
+  }
   std::remove(path.c_str());
 }
 

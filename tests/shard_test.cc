@@ -151,13 +151,13 @@ TEST(FilterMergeTest, MxMergeSlotDistributionIsUniform) {
   std::map<std::pair<std::string, std::string>, int> freq;
   for (int t = 0; t < trials; ++t) {
     ShardedBuildOptions options = TupleBuild(n, 2, 2000 + t);
-    options.backend = FilterBackend::kMxPair;
+    options.backend = FilterBackend::kBitset;
     options.pair_slots = 1;
     auto artifacts = BuildShardArtifacts(d, options);
     ASSERT_TRUE(artifacts.ok());
     ASSERT_EQ(artifacts->size(), 2u);
     FilterMerger::Options merge_options;
-    merge_options.backend = FilterBackend::kMxPair;
+    merge_options.backend = FilterBackend::kBitset;
     merge_options.tuple_sample_size = n;
     merge_options.seed = 9000 + t;
     FilterMerger merger(merge_options);
@@ -256,12 +256,12 @@ TEST(RunShardedTest, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(a->num_shards, b->num_shards);
 }
 
-TEST(RunShardedTest, MxBackendAcceptsTrueKeyAndIsDeterministic) {
+TEST(RunShardedTest, BitsetBackendAcceptsTrueKeyAndIsDeterministic) {
   Rng data_rng(11);
   Dataset d = MakeUniformGridSample(5, 4, 200, &data_rng);
   PipelineOptions options;
   options.eps = 0.01;
-  options.backend = FilterBackend::kMxPair;
+  options.backend = FilterBackend::kBitset;
   options.sample_size = d.num_rows();
   ShardedRunOptions sharded;
   sharded.num_shards = 3;
@@ -270,7 +270,8 @@ TEST(RunShardedTest, MxBackendAcceptsTrueKeyAndIsDeterministic) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->key, b->key);
-  // The exact-regime greedy key is a true key; MX never rejects one.
+  // The exact-regime greedy key is a true key; a pair filter never
+  // rejects one.
   EXPECT_EQ(a->verdict, FilterVerdict::kAccept);
 }
 
@@ -469,6 +470,64 @@ TEST(ShardArtifactTest, RoundTripsThroughFilesAndMergesIdentically) {
   }
 }
 
+TEST(ShardArtifactTest, LegacyMxBackendByteReadsAsBitset) {
+  // Artifacts written while the mx-pair backend existed carry backend
+  // byte 1, under a v1 or v2 header; their pair tables are exactly what
+  // the bitset backend merges. Patch freshly built bitset artifacts
+  // into that form: they must load as bitset and merge — with each
+  // other and with byte-2 artifacts — exactly like the originals.
+  Rng rng(43);
+  TabularSpec spec = AdultLikeSpec();
+  spec.num_rows = 600;
+  Dataset d = MakeTabular(spec, &rng);
+  ShardedBuildOptions build = TupleBuild(48, 3, 17);
+  build.backend = FilterBackend::kBitset;
+  build.pair_slots = 300;
+  auto artifacts = BuildShardArtifacts(d, build);
+  ASSERT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+  ASSERT_EQ(artifacts->size(), 3u);
+
+  constexpr size_t kVersionAt = 4;   // after the magic
+  constexpr size_t kBackendAt = 28;  // after shard index, first_row,
+                                     // rows_seen
+  std::vector<ShardFilterArtifact> legacy;
+  for (const ShardFilterArtifact& artifact : *artifacts) {
+    std::string bytes = SerializeShardArtifact(artifact);
+    ASSERT_EQ(bytes[kVersionAt], 2);
+    ASSERT_EQ(bytes[kBackendAt], 2);
+    // Shard 0: v1 header, byte 1. Shard 1: v2 header, byte 1. Shard 2
+    // stays a current byte-2 artifact.
+    if (artifact.shard_index == 0) bytes[kVersionAt] = 1;
+    if (artifact.shard_index < 2) bytes[kBackendAt] = 1;
+    auto back = DeserializeShardArtifact(bytes);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->backend, FilterBackend::kBitset);
+    EXPECT_EQ(back->pair_table.num_rows(), 600u);
+    legacy.push_back(std::move(back).ValueOrDie());
+  }
+  // A v1 header could never carry the bitset byte.
+  std::string v1_bitset = SerializeShardArtifact((*artifacts)[0]);
+  v1_bitset[kVersionAt] = 1;
+  EXPECT_FALSE(DeserializeShardArtifact(v1_bitset).ok());
+
+  PipelineOptions options;
+  options.eps = 0.01;
+  options.backend = FilterBackend::kBitset;
+  options.sample_size = 48;
+  options.pair_sample_size = 300;
+  auto want = DiscoveryPipeline(options).RunOnShardArtifacts(
+      std::move(artifacts).ValueOrDie(), 13);
+  auto got =
+      DiscoveryPipeline(options).RunOnShardArtifacts(std::move(legacy), 13);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->key, want->key);
+  EXPECT_EQ(got->verdict, want->verdict);
+  EXPECT_EQ(got->witness, want->witness);
+  EXPECT_EQ(got->filter_sample_size, want->filter_sample_size);
+  EXPECT_EQ(got->filter_sample_size, 300u);
+}
+
 TEST(ShardArtifactTest, RejectsCorruptBytes) {
   Rng rng(37);
   Dataset d = MakeUniformGridSample(3, 3, 30, &rng);
@@ -518,7 +577,7 @@ TEST(FilterMergerTest, RejectsDuplicatesGapsAndMismatches) {
   {
     FilterMerger merger(merge_options);
     ShardFilterArtifact wrong = (*artifacts)[0];
-    wrong.backend = FilterBackend::kMxPair;
+    wrong.backend = FilterBackend::kBitset;
     EXPECT_FALSE(merger.Add(std::move(wrong)).ok());
   }
   {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bitset_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
 #include "data/wire_codec.h"
@@ -162,9 +163,8 @@ TEST(ByteReaderTest, ZeroLengthReadIntoNullDestination) {
 // ---------------------------------------------------------- round trip
 
 TEST(SnapfileTest, RoundTripBitIdenticalAcrossBackendsSeedsThreads) {
-  for (FilterBackend backend : {FilterBackend::kTupleSample,
-                                FilterBackend::kMxPair,
-                                FilterBackend::kBitset}) {
+  for (FilterBackend backend :
+       {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
     for (uint64_t seed : {3u, 17u}) {
       Dataset data = MakeKeyedData(120, seed);
       ServeSnapshot built =
@@ -349,6 +349,67 @@ TEST(SnapfileTest, InspectRendersSortedKeyJson) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------- legacy mx images
+
+/// A QSNP1 image saved by `qikey snapshot save tests/golden/people.csv
+/// --backend mx --seed 1 --eps 0.01` while the mx-pair backend existed:
+/// header backend byte 1 and a raw pair-code section.
+std::string LegacyMxImagePath() {
+  return std::string(QIKEY_GOLDEN_DIR) + "/people_mx.qsnp";
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  auto text = ReadFileBytes(path);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  std::vector<std::string> lines;
+  size_t at = 0;
+  while (text.ok() && at < text->size()) {
+    size_t end = text->find('\n', at);
+    if (end == std::string::npos) end = text->size();
+    lines.push_back(text->substr(at, end - at));
+    at = end + 1;
+  }
+  return lines;
+}
+
+TEST(SnapfileLegacyTest, MxPairImageServesTheRecordedWireAnswers) {
+  // The answers were recorded (`qikey query --wire --backend mx`, same
+  // CSV, seed and eps) while the mx-pair backend still served them.
+  // The image now loads as a bitset filter over its stored pair table
+  // and must answer byte-identically at any engine thread count — as
+  // must the bitset image it re-saves as.
+  const std::string dir = QIKEY_GOLDEN_DIR;
+  const std::vector<std::string> want =
+      ReadLines(dir + "/people_mx_answers.txt");
+  auto legacy = snapfile::ReadSnapshotFile(LegacyMxImagePath());
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_NE(dynamic_cast<const BitsetSeparationFilter*>(legacy->filter.get()),
+            nullptr);
+  EXPECT_EQ(legacy->filter->sample_size(), 400u);
+  auto requests = LoadQueryRequestFile(dir + "/people_mx_requests.txt",
+                                       legacy->schema());
+  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+  auto resaved_image = snapfile::SerializeSnapshot(*legacy);
+  ASSERT_TRUE(resaved_image.ok()) << resaved_image.status().ToString();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EXPECT_EQ(WireAnswers(*legacy, *requests, threads), want) << threads;
+    auto resaved = snapfile::SnapshotFromOwnedBytes(*resaved_image);
+    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+    EXPECT_EQ(WireAnswers(std::move(*resaved), *requests, threads), want)
+        << threads;
+  }
+}
+
+TEST(SnapfileLegacyTest, InspectStillReportsTheMxHeaderByte) {
+  auto info = snapfile::InspectSnapshotFile(LegacyMxImagePath());
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->header.backend, 1);
+  std::string json = snapfile::RenderSnapshotInfoJson(*info);
+  EXPECT_EQ(json.rfind("{\"backend\":\"mx\"", 0), 0u) << json;
+  EXPECT_NE(json.find("\"name\":\"pair_codes\""), std::string::npos)
+      << json;
+}
+
 // --------------------------------------------------------- corruption
 
 /// The base image every corruption case below mutates.
@@ -503,10 +564,11 @@ TEST(SnapfileTest, RejectsDuplicateDictionaryEntry) {
 }
 
 TEST(SnapfileTest, SurvivesRandomByteFlipsOnEveryBackend) {
-  for (FilterBackend backend : {FilterBackend::kTupleSample,
-                                FilterBackend::kMxPair,
-                                FilterBackend::kBitset}) {
-    std::string image = ValidImage(backend);
+  auto legacy = ReadFileBytes(LegacyMxImagePath());
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  for (const std::string& image :
+       {ValidImage(FilterBackend::kTupleSample),
+        ValidImage(FilterBackend::kBitset), *legacy}) {
     Rng rng(31);
     for (int t = 0; t < 300; ++t) {
       std::string mutated = image;

@@ -12,7 +12,7 @@
 //   qikey query <csv> --attrs a,b,c [--eps E]
 //       eps-separation key filter verdict + exact ground truth.
 //   qikey query <csv> --requests file.txt [--threads N] [--cache C]
-//                [--eps E] [--backend tuple|mx|bitset] [--wire]
+//                [--eps E] [--backend tuple|bitset] [--wire]
 //                [--stats]
 //       Batch serve executor: run discovery once, publish the result as
 //       an immutable snapshot, and answer every request in the file
@@ -57,7 +57,9 @@
 //       serves zero-copy (see docs/architecture.md).
 //   qikey snapshot inspect <file>
 //       Validate FILE's header, section table, and checksums, and print
-//       them as one sorted-key JSON object. Exit 2 if malformed.
+//       them as one sorted-key JSON object. Exit 2 if malformed. Images
+//       saved with the retired mx-pair backend report backend "mx" and
+//       load (and serve) as bitset.
 //   qikey mask <csv> [--eps E]
 //       Attributes to suppress so no quasi-identifier remains.
 //   qikey afd <csv> --rhs col [--error E] [--max-size K]
@@ -65,7 +67,7 @@
 //   qikey anonymize <csv> --attrs a,b [--k K] [--suppress F]
 //       Minimal generalization making the table k-anonymous w.r.t. the
 //       given quasi-identifier (interval hierarchies, branching 4).
-//   qikey discover <csv> [--eps E] [--backend tuple|mx|bitset]
+//   qikey discover <csv> [--eps E] [--backend tuple|bitset]
 //                  [--threads T]
 //                  [--shards N] [--memory-budget MB] [--shard-rows R]
 //       End-to-end discovery pipeline: sample, filter, parallel greedy,
@@ -75,7 +77,7 @@
 //       --memory-budget, the file is single-passed in bounded chunks
 //       and never loaded whole (out-of-core mode).
 //   qikey monitor <csv> [--eps E] [--max-size K] [--window W]
-//                 [--backend tuple|mx|bitset] [--threads T]
+//                 [--backend tuple|bitset] [--threads T]
 //       Replay the CSV as a live insert stream through the incremental
 //       key monitor (optionally as a sliding window of W rows), report
 //       every key-churn event and the final snapshot.
@@ -162,7 +164,7 @@ void Usage() {
                "             <csv> [--eps E] [--max-size K] [--attrs a,b,c] "
                "[--rhs col]\n"
                "             [--error E] [--seed S] [--backend "
-               "tuple|mx|bitset] [--threads T]\n"
+               "tuple|bitset] [--threads T]\n"
                "             [--window W] [--shards N] [--memory-budget MB] "
                "[--shard-rows R]\n"
                "             [--requests FILE] [--cache N] [--wire]\n"
@@ -362,15 +364,11 @@ bool ParseBackend(const std::string& name, FilterBackend* backend) {
     *backend = FilterBackend::kTupleSample;
     return true;
   }
-  if (name == "mx") {
-    *backend = FilterBackend::kMxPair;
-    return true;
-  }
   if (name == "bitset") {
     *backend = FilterBackend::kBitset;
     return true;
   }
-  std::fprintf(stderr, "unknown backend: %s (want tuple|mx|bitset)\n",
+  std::fprintf(stderr, "unknown backend: %s (want tuple|bitset)\n",
                name.c_str());
   return false;
 }
