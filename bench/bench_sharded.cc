@@ -17,8 +17,15 @@
 // Part 3 — self-check: in the exact regime the sharded pipeline must
 // emit the same key as the single-process pipeline.
 //
+// Part 4 — whole-table ingest: `LoadCsvDataset` on a 300k x 55
+// covtype-like CSV, serial (one chunk) and chunk-parallel (one chunk
+// per usable CPU, its default), median of three loads each (`csv_load`
+// rows).
+// Both loads must produce the same dataset.
+//
 //   ./bench_sharded [--rows N] [--json PATH]
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +36,7 @@
 
 #include "bench_json.h"
 #include "data/csv_loader.h"
+#include "data/csv_loader_internal.h"
 #include "data/generators/tabular.h"
 #include "engine/pipeline.h"
 #include "shard/filter_merger.h"
@@ -36,6 +44,7 @@
 #include "util/flag_parse.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace qikey {
@@ -234,6 +243,50 @@ int main(int argc, char** argv) {
     std::printf("\nself-check: 8-shard exact-regime key == single-process "
                 "key (%zu attributes)\n",
                 single->key.size());
+  }
+
+  // Part 4: whole-table load, one chunk vs one chunk per usable CPU.
+  {
+    TabularSpec load_spec = CovtypeLikeSpec();
+    load_spec.num_rows = 300000;
+    Rng load_rng(1);
+    std::string load_path =
+        WriteCsvFile(MakeTabular(load_spec, &load_rng), "load");
+    std::string text;
+    QIKEY_CHECK_OK(ReadWholeFile(load_path, &text));
+    std::printf("\nwhole-table CSV load (%zu rows x %zu attributes, %.1f "
+                "MiB)\n  %8s %12s %10s\n",
+                load_spec.num_rows, load_spec.attributes.size(),
+                text.size() / 1048576.0, "chunks", "load (ms)", "speedup");
+    std::vector<size_t> chunk_counts = {1};
+    if (UsableCpuCount() > 1) chunk_counts.push_back(UsableCpuCount());
+    double serial_load_ms = 0.0;
+    Dataset first;
+    for (size_t chunks : chunk_counts) {
+      std::vector<double> ms;
+      for (int rep = 0; rep < 3; ++rep) {
+        Timer timer;
+        Result<Dataset> loaded =
+            internal::LoadCsvDatasetInChunks(text, CsvOptions{}, chunks);
+        ms.push_back(timer.ElapsedMillis());
+        QIKEY_CHECK(loaded.ok()) << loaded.status().ToString();
+        if (chunks == 1 && rep == 0) first = std::move(*loaded);
+        for (AttributeIndex j = 0; chunks > 1 && j < first.num_attributes();
+             ++j) {
+          const Column& a = first.column(j);
+          const Column& b = loaded->column(j);
+          QIKEY_CHECK(std::ranges::equal(a.codes(), b.codes()) &&
+                      a.dictionary()->size() == b.dictionary()->size())
+              << "chunked load differs from the serial load in column " << j;
+        }
+      }
+      std::sort(ms.begin(), ms.end());
+      if (chunks == 1) serial_load_ms = ms[1];
+      std::printf("  %8zu %12.1f %9.2fx\n", chunks, ms[1],
+                  serial_load_ms / ms[1]);
+      json.Add("csv_load", {{"chunks", std::to_string(chunks)}}, ms[1] * 1e6,
+               1e3 / ms[1]);
+    }
   }
 
   std::printf("\nReading: build time should fall near-linearly with shard "

@@ -1,13 +1,15 @@
 // Fuzz target: the quote-aware CSV machinery — `CsvRecordScanner` byte
-// feeding, full `ParseCsv`, and the streaming dataset loader — must
-// never crash on arbitrary bytes, and `LoadCsvDatasetFromString` must
-// agree with the reference materialize-then-encode ingest
-// (tests/csv_oracle.h): the same dataset fingerprint or the same error.
+// feeding, full `ParseCsv`, and the chunked dataset loader — must never
+// crash on arbitrary bytes, and `LoadCsvDatasetFromString` must agree
+// with the reference materialize-then-encode ingest (tests/csv_oracle.h)
+// at its own chunk count and at forced ones: the same dataset
+// fingerprint or the same error.
 
 #include <string_view>
 
 #include "csv_oracle.h"
 #include "data/csv_loader.h"
+#include "data/csv_loader_internal.h"
 #include "fuzz_target.h"
 #include "util/csv.h"
 #include "util/logging.h"
@@ -16,13 +18,21 @@ namespace {
 
 void CheckLoaderMatchesOracle(std::string_view text,
                               const qikey::CsvOptions& options) {
-  std::string actual = qikey::csv_oracle::Describe(
-      qikey::LoadCsvDatasetFromString(text, options));
   std::string expected =
       qikey::csv_oracle::Describe(qikey::csv_oracle::Load(text, options));
+  std::string actual = qikey::csv_oracle::Describe(
+      qikey::LoadCsvDatasetFromString(text, options));
   QIKEY_CHECK(actual == expected)
-      << "streaming CSV ingest disagrees with the oracle\nloader: " << actual
+      << "CSV ingest disagrees with the oracle\nloader: " << actual
       << "\noracle: " << expected;
+  for (size_t chunks : {size_t{2}, size_t{5}}) {
+    actual = qikey::csv_oracle::Describe(
+        qikey::internal::LoadCsvDatasetInChunks(text, options, chunks));
+    QIKEY_CHECK(actual == expected)
+        << "CSV ingest in " << chunks
+        << " chunks disagrees with the oracle\nloader: " << actual
+        << "\noracle: " << expected;
+  }
 }
 
 }  // namespace

@@ -1,56 +1,225 @@
 #include "data/csv_loader.h"
 
+#include <algorithm>
 #include <fstream>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <utility>
+#include <vector>
 
-#include "data/dataset_builder.h"
+#include "data/csv_loader_internal.h"
+#include "util/thread_pool.h"
 
 namespace qikey {
 
 namespace {
 
-/// Encodes rows straight from the scanner's field views: the header (or
-/// the first record's width) names the columns, every data row goes to
-/// the builder as it is read, and no intermediate table exists.
-class DatasetSink {
- public:
-  CsvRowVisitor Visitor() {
-    return [this](std::span<const std::string_view> fields, bool is_header) {
-      if (!builder_.has_value()) {
-        builder_.emplace(is_header
-                             ? std::vector<std::string>(fields.begin(),
-                                                        fields.end())
-                             : Schema::Anonymous(fields.size()).names());
-        if (is_header) return Status::OK();
-      }
-      return builder_->AddRow(fields);
-    };
-  }
+/// Fewest data records worth a chunk (and a thread) of their own: tens
+/// of milliseconds of encoding on a wide table, far above the cost of a
+/// thread and of merging one more set of dictionaries.
+constexpr size_t kMinChunkRecords = 8192;
 
-  Dataset Finish() && {
-    if (!builder_.has_value()) builder_.emplace(std::vector<std::string>{});
-    return std::move(*builder_).Finish();
-  }
-
- private:
-  std::optional<DatasetBuilder> builder_;
+/// The text after one serial pass: the attribute names (the header, or
+/// anonymous names as many as the first record's fields) and the
+/// non-blank data records in file order.
+struct LocatedRecords {
+  std::vector<std::string> names;
+  std::vector<std::string_view> rows;
 };
+
+LocatedRecords LocateRecords(std::string_view text,
+                             const CsvOptions& options) {
+  LocatedRecords located;
+  bool first = true;
+  CsvRecord record;
+  while (size_t used = NextCsvRecord(text, /*at_end=*/true, options, &record)) {
+    text.remove_prefix(used);
+    if (record.blank) continue;
+    if (first) {
+      first = false;
+      CsvFieldSplitter splitter(options);
+      std::span<const std::string_view> fields = splitter.Split(record.text);
+      if (options.has_header) {
+        located.names.assign(fields.begin(), fields.end());
+        continue;
+      }
+      located.names = Schema::Anonymous(fields.size()).names();
+    }
+    located.rows.push_back(record.text);
+  }
+  return located;
+}
+
+/// The 1-based number of the record that starts at `target`, counting
+/// blank records and the header, as error messages do.
+size_t RecordNumber(std::string_view text, const char* target,
+                    const CsvOptions& options) {
+  size_t record_no = 0;
+  CsvRecord record;
+  while (size_t used = NextCsvRecord(text, /*at_end=*/true, options, &record)) {
+    text.remove_prefix(used);
+    ++record_no;
+    if (record.text.data() == target) break;
+  }
+  return record_no;
+}
+
+/// One chunk's encoding state: a dictionary per column whose codes
+/// follow first appearance within the chunk, and the chunk's first
+/// record of the wrong width, if any.
+struct ChunkCodes {
+  std::vector<Dictionary> dictionaries;
+  std::optional<size_t> bad_row;  // index into the data records
+  size_t bad_row_fields = 0;
+};
+
+/// Splits a quote-free record and encodes its first `m` fields into row
+/// `row` of `columns` in one byte loop. Returns the record's field
+/// count, which the caller checks against `m`.
+size_t EncodePlainRecord(std::string_view record, const CsvOptions& options,
+                         size_t row, ValueCode* const* columns,
+                         Dictionary* dictionaries, size_t m) {
+  size_t j = 0;
+  const char* begin = record.data();
+  const char* end = begin + record.size();
+  for (const char* p = begin;; ++p) {
+    if (p == end || *p == options.delimiter) {
+      if (j < m) {
+        std::string_view field(begin, static_cast<size_t>(p - begin));
+        columns[j][row] = dictionaries[j].GetOrAdd(
+            options.trim_whitespace ? TrimCsvField(field) : field);
+      }
+      ++j;
+      if (p == end) return j;
+      begin = p + 1;
+    }
+  }
+}
+
+/// Encodes data records `[begin, end)` into their rows of `columns`
+/// through the chunk's own dictionaries, stopping at the first record
+/// whose width is not `m`.
+void EncodeChunk(std::span<const std::string_view> rows, size_t begin,
+                 size_t end, const CsvOptions& options,
+                 ValueCode* const* columns, size_t m, ChunkCodes* chunk) {
+  chunk->dictionaries.resize(m);
+  Dictionary* dictionaries = chunk->dictionaries.data();
+  CsvFieldSplitter splitter(options);
+  for (size_t r = begin; r < end; ++r) {
+    std::string_view record = rows[r];
+    size_t fields = 0;
+    if (record.find(options.quote) == std::string_view::npos) {
+      fields = EncodePlainRecord(record, options, r, columns, dictionaries, m);
+    } else {
+      std::span<const std::string_view> split = splitter.Split(record);
+      fields = split.size();
+      for (size_t j = 0; fields == m && j < m; ++j) {
+        columns[j][r] = dictionaries[j].GetOrAdd(split[j]);
+      }
+    }
+    if (fields != m) {
+      chunk->bad_row = r;
+      chunk->bad_row_fields = fields;
+      return;
+    }
+  }
+}
+
+/// Folds column `j`'s chunk dictionaries into chunk 0's in chunk order
+/// and rewrites each later chunk's codes to the merged ones. Adding a
+/// chunk's values in its local code order adds the values new to the
+/// merged dictionary in order of first appearance, so the result is the
+/// dictionary a serial pass would have built.
+Column MergeColumn(size_t j, std::span<ChunkCodes> chunks,
+                   std::vector<ValueCode> codes) {
+  const size_t k = chunks.size();
+  const size_t n = codes.size();
+  Dictionary merged = std::move(chunks[0].dictionaries[j]);
+  std::vector<ValueCode> remap;
+  for (size_t c = 1; c < k; ++c) {
+    Dictionary local = std::move(chunks[c].dictionaries[j]);
+    remap.resize(local.size());
+    bool identity = true;
+    for (ValueCode code = 0; code < local.size(); ++code) {
+      remap[code] = merged.GetOrAdd(local.Value(code));
+      identity = identity && remap[code] == code;
+    }
+    if (identity) continue;
+    for (size_t r = c * n / k; r < (c + 1) * n / k; ++r) {
+      codes[r] = remap[codes[r]];
+    }
+  }
+  uint32_t cardinality = static_cast<uint32_t>(merged.size());
+  return Column(std::move(codes), std::max(cardinality, 1u),
+                std::make_shared<Dictionary>(std::move(merged)));
+}
 
 }  // namespace
 
+namespace internal {
+
+Result<Dataset> LoadCsvDatasetInChunks(std::string_view text,
+                                       const CsvOptions& options,
+                                       size_t num_chunks) {
+  LocatedRecords located = LocateRecords(text, options);
+  const size_t m = located.names.size();
+  const size_t n = located.rows.size();
+  // The work sets the thread count; a forced chunk count only changes
+  // how the records are cut, so tiny inputs never start threads.
+  const size_t threads =
+      std::clamp(n / kMinChunkRecords, size_t{1}, UsableCpuCount());
+  const size_t k = num_chunks > 0 ? num_chunks : threads;
+  std::unique_ptr<ThreadPool> pool;
+  if (std::min(k, threads) > 1) {
+    pool = std::make_unique<ThreadPool>(std::min(k, threads));
+  }
+
+  std::vector<std::vector<ValueCode>> codes(m);
+  ThreadPool::ParallelFor(pool.get(), m, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) codes[j].resize(n);
+  });
+  std::vector<ValueCode*> columns(m);
+  for (size_t j = 0; j < m; ++j) columns[j] = codes[j].data();
+  std::vector<ChunkCodes> chunks(k);
+  ThreadPool::ParallelFor(pool.get(), k, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      EncodeChunk(located.rows, c * n / k, (c + 1) * n / k, options,
+                  columns.data(), m, &chunks[c]);
+    }
+  });
+  // Chunks run in file order, so the first chunk that stopped early
+  // holds the first malformed record.
+  for (const ChunkCodes& chunk : chunks) {
+    if (!chunk.bad_row.has_value()) continue;
+    std::ostringstream msg;
+    msg << "CSV record "
+        << RecordNumber(text, located.rows[*chunk.bad_row].data(), options)
+        << " has " << chunk.bad_row_fields << " fields, expected " << m;
+    return Status::InvalidArgument(msg.str());
+  }
+
+  std::vector<Column> merged(m);
+  ThreadPool::ParallelFor(pool.get(), m, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      merged[j] = MergeColumn(j, chunks, std::move(codes[j]));
+    }
+  });
+  return Dataset(Schema(std::move(located.names)), std::move(merged));
+}
+
+}  // namespace internal
+
 Result<Dataset> LoadCsvDataset(const std::string& path,
                                const CsvOptions& options) {
-  DatasetSink sink;
-  QIKEY_RETURN_NOT_OK(ScanCsvFile(path, options, sink.Visitor()));
-  return std::move(sink).Finish();
+  std::string text;
+  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
+  return internal::LoadCsvDatasetInChunks(text, options, /*num_chunks=*/0);
 }
 
 Result<Dataset> LoadCsvDatasetFromString(std::string_view text,
                                          const CsvOptions& options) {
-  DatasetSink sink;
-  QIKEY_RETURN_NOT_OK(ScanCsv(text, options, sink.Visitor()));
-  return std::move(sink).Finish();
+  return internal::LoadCsvDatasetInChunks(text, options, /*num_chunks=*/0);
 }
 
 std::string DatasetToCsv(const Dataset& dataset, const CsvOptions& options) {

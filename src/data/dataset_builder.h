@@ -15,7 +15,8 @@ namespace qikey {
 /// \brief Row-at-a-time builder for `Dataset` with per-column
 /// dictionary encoding.
 ///
-/// Used by the CSV loader and by tests that write small literal tables:
+/// Used by the sharded loader and by tests that write small literal
+/// tables:
 ///
 ///     DatasetBuilder b({"city", "zip"});
 ///     b.AddRow({"SF", "94103"});

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -20,6 +19,7 @@
 #include "serve/protocol.h"
 #include "util/logging.h"
 #include "util/mutex.h"
+#include "util/thread_pool.h"
 
 namespace qikey {
 
@@ -44,14 +44,6 @@ int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// One shard per CPU the process may run on (at least one).
-size_t ShardCount() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return static_cast<size_t>(std::max(CPU_COUNT(&set), 1));
 }
 
 /// The server's reply to a client's `QIKEY/<n>` version assertion.
@@ -195,7 +187,8 @@ Status ServeServer::Start() {
   if (!listen_fd.ok()) return listen_fd.status();
   listen_fd_ = std::move(*listen_fd);
 
-  size_t count = ShardCount();
+  // One shard per CPU the process may run on.
+  size_t count = UsableCpuCount();
   for (size_t i = 0; i < count; ++i) {
     shards_.push_back(std::make_unique<Shard>(this, /*acceptor=*/i == 0));
     QIKEY_RETURN_NOT_OK(shards_.back()->Init());

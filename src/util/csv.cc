@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -7,14 +8,6 @@
 namespace qikey {
 
 namespace {
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\r')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\r')) --e;
-  return s.substr(b, e - b);
-}
 
 /// `CsvRecordScanner::record_blank` for a quote-free record: only spaces,
 /// tabs and carriage returns, none of them the delimiter.
@@ -39,40 +32,6 @@ bool NeedsQuoting(std::string_view field, const CsvOptions& options) {
     return true;
   }
   return false;
-}
-
-/// Reads a whole file with one allocation (streams it when the size is
-/// unknown, e.g. a pipe).
-Status ReadWholeFile(const std::string& path, std::string* text) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open file: " + path);
-  in.seekg(0, std::ios::end);
-  std::streamoff size = in.tellg();
-  if (size < 0) {
-    in.clear();
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    *text = std::move(buffer).str();
-    return Status::OK();
-  }
-  in.seekg(0, std::ios::beg);
-  text->resize(static_cast<size_t>(size));
-  if (size > 0 && !in.read(text->data(), size)) {
-    return Status::IOError("read failed: " + path);
-  }
-  return Status::OK();
-}
-
-CsvRowVisitor AppendTo(CsvTable* table) {
-  return [table](std::span<const std::string_view> fields, bool is_header) {
-    std::vector<std::string> row(fields.begin(), fields.end());
-    if (is_header) {
-      table->header = std::move(row);
-    } else {
-      table->rows.push_back(std::move(row));
-    }
-    return Status::OK();
-  };
 }
 
 }  // namespace
@@ -137,7 +96,7 @@ std::span<const std::string_view> CsvFieldSplitter::Split(
   for (const char* p = begin;; ++p) {
     if (p == end || *p == options_.delimiter) {
       std::string_view field(begin, static_cast<size_t>(p - begin));
-      fields_.push_back(options_.trim_whitespace ? Trim(field) : field);
+      fields_.push_back(options_.trim_whitespace ? TrimCsvField(field) : field);
       if (p == end) break;
       begin = p + 1;
     }
@@ -156,8 +115,8 @@ void CsvFieldSplitter::DecodeQuoted(std::string_view record) {
   bool was_quoted = false;
   auto flush = [&]() {
     std::string_view field(out + field_begin, n - field_begin);
-    fields_.push_back(options_.trim_whitespace && !was_quoted ? Trim(field)
-                                                              : field);
+    fields_.push_back(
+        options_.trim_whitespace && !was_quoted ? TrimCsvField(field) : field);
     field_begin = n;
     was_quoted = false;
   };
@@ -228,8 +187,33 @@ size_t NextCsvRecord(std::string_view text, bool at_end,
   return used;
 }
 
-Status ScanCsv(std::string_view text, const CsvOptions& options,
-               const CsvRowVisitor& visit) {
+Status ReadWholeFile(const std::string& path, std::string* text) {
+  // A directory opens as a stream on Linux and reports a nonsense size.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    return Status::IOError("is a directory: " + path);
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open file: " + path);
+  in.seekg(0, std::ios::end);
+  std::streamoff size = in.tellg();
+  if (size < 0) {
+    in.clear();
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    *text = std::move(buffer).str();
+    return Status::OK();
+  }
+  in.seekg(0, std::ios::beg);
+  text->resize(static_cast<size_t>(size));
+  if (size > 0 && !in.read(text->data(), size)) {
+    return Status::IOError("read failed: " + path);
+  }
+  return Status::OK();
+}
+
+Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
+  CsvTable table;
   CsvFieldSplitter splitter(options);
   bool header_pending = options.has_header;
   size_t expected_fields = 0;  // fixed by the header or first data row
@@ -248,30 +232,22 @@ Status ScanCsv(std::string_view text, const CsvOptions& options,
           << " fields, expected " << expected_fields;
       return Status::InvalidArgument(msg.str());
     }
-    QIKEY_RETURN_NOT_OK(visit(fields, header_pending));
-    header_pending = false;
+    std::vector<std::string> row(fields.begin(), fields.end());
+    if (header_pending) {
+      table.header = std::move(row);
+      header_pending = false;
+    } else {
+      table.rows.push_back(std::move(row));
+    }
   }
-  return Status::OK();
-}
-
-Status ScanCsvFile(const std::string& path, const CsvOptions& options,
-                   const CsvRowVisitor& visit) {
-  std::string text;
-  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
-  return ScanCsv(text, options, visit);
-}
-
-Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
-  CsvTable table;
-  QIKEY_RETURN_NOT_OK(ScanCsv(text, options, AppendTo(&table)));
   return table;
 }
 
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvOptions& options) {
-  CsvTable table;
-  QIKEY_RETURN_NOT_OK(ScanCsvFile(path, options, AppendTo(&table)));
-  return table;
+  std::string text;
+  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
+  return ParseCsv(text, options);
 }
 
 std::string WriteCsv(const CsvTable& table, const CsvOptions& options) {

@@ -1,7 +1,6 @@
 #ifndef QIKEY_UTIL_CSV_H_
 #define QIKEY_UTIL_CSV_H_
 
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -109,21 +108,21 @@ struct CsvRecord {
 size_t NextCsvRecord(std::string_view text, bool at_end,
                      const CsvOptions& options, CsvRecord* record);
 
-/// Receives each non-blank record's fields; `is_header` marks the
-/// header record. A non-OK status stops the scan and is returned.
-using CsvRowVisitor = std::function<Status(
-    std::span<const std::string_view> fields, bool is_header)>;
+/// \brief Reads a whole file into `text` with one allocation (streams
+/// it when the size is unknown, e.g. a pipe or FIFO). A directory is an
+/// IOError, not a read.
+Status ReadWholeFile(const std::string& path, std::string* text);
 
-/// \brief Streams the records of in-memory CSV text to `visit` as field
-/// views, without materializing a table. Rows whose field count differs
-/// from the header (or the first data row) stop the scan with an
-/// InvalidArgument error naming the record (blank records counted).
-Status ScanCsv(std::string_view text, const CsvOptions& options,
-               const CsvRowVisitor& visit);
-
-/// `ScanCsv` over the contents of a file, read into memory once.
-Status ScanCsvFile(const std::string& path, const CsvOptions& options,
-                   const CsvRowVisitor& visit);
+/// The field with the spaces, tabs and carriage returns that
+/// `trim_whitespace` strips from unquoted fields removed at both ends.
+inline std::string_view TrimCsvField(std::string_view field) {
+  size_t b = 0;
+  size_t e = field.size();
+  auto space = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  while (b < e && space(field[b])) ++b;
+  while (e > b && space(field[e - 1])) --e;
+  return field.substr(b, e - b);
+}
 
 /// Parsed CSV content: optional header plus rows of string fields.
 struct CsvTable {
@@ -131,9 +130,10 @@ struct CsvTable {
   std::vector<std::vector<std::string>> rows;
 };
 
-/// \brief Parses CSV text into an owning table (`ScanCsv` with copies).
-/// Rows with a field count differing from the first data row produce an
-/// InvalidArgument error.
+/// \brief Parses CSV text into an owning table. Blank records are
+/// skipped; a row whose field count differs from the header (or the
+/// first data row) produces an InvalidArgument error naming the record
+/// (blank records counted).
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options = {});
 
 /// \brief Reads and parses a CSV file from disk.

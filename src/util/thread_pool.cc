@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -228,6 +230,13 @@ void ThreadPool::ParallelFor(ThreadPool* pool, size_t n,
     first = state->first;
   }
   if (first) std::rethrow_exception(first);
+}
+
+size_t UsableCpuCount() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(std::max(CPU_COUNT(&set), 1));
 }
 
 }  // namespace qikey

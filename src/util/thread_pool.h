@@ -119,6 +119,11 @@ class ThreadPool {
   std::exception_ptr first_exception_ GUARDED_BY(mu_);
 };
 
+/// CPUs in this process's affinity mask, at least 1: how many threads
+/// can run at once. `std::thread::hardware_concurrency` counts every
+/// online CPU, even under `taskset` or a container's CPU set.
+size_t UsableCpuCount();
+
 }  // namespace qikey
 
 #endif  // QIKEY_UTIL_THREAD_POOL_H_

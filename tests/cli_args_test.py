@@ -68,6 +68,10 @@ def main():
         # --- exit 1: load/runtime errors ---
         (qikey, ["discover", os.path.join(tmp, "missing.csv")], 1,
          "cannot load"),
+        # a directory is a load error, not an abort
+        (qikey, ["discover", tmp], 1, "is a directory"),
+        (qikey, ["query", tmp, "--requests", good_requests], 1,
+         "is a directory"),
         (qikey, ["query", people, "--requests",
                  os.path.join(tmp, "missing_requests.txt")], 1,
          "cannot load"),
@@ -178,6 +182,8 @@ def main():
                  "banana"], 2, "must be"),
         (qikey, ["snapshot", "save", os.path.join(tmp, "missing.csv"),
                  "--out", snap_file + ".tmp"], 1, "cannot build snapshot"),
+        (qikey, ["snapshot", "save", tmp, "--out", snap_file + ".tmp"], 1,
+         "is a directory"),
         # malformed / missing artifacts: exit 2 with a diagnosis
         (qikey, ["snapshot", "inspect", not_snap], 2, None),
         (qikey, ["snapshot", "inspect", missing_snap], 2, None),

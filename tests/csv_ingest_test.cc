@@ -1,19 +1,26 @@
-// Differential tests of the streaming CSV ingest against the reference
-// materialize-then-encode path in csv_oracle.h: every loader must yield
-// a bit-identical dataset (names, codes, cardinalities, dictionary
-// order) or the identical error.
+// Differential tests of the CSV ingest against the reference
+// materialize-then-encode path in csv_oracle.h: every loader, at every
+// chunk count of the chunked loader, must yield a bit-identical dataset
+// (names, codes, cardinalities, dictionary order) or the identical
+// error.
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/key_enumeration.h"
 #include "csv_oracle.h"
 #include "data/csv_loader.h"
+#include "data/csv_loader_internal.h"
+#include "data/generators/tabular.h"
 #include "engine/pipeline.h"
 #include "shard/sharded_loader.h"
 #include "util/csv.h"
@@ -41,6 +48,24 @@ std::string DescribeTable(const Result<CsvTable>& table) {
   return out.str();
 }
 
+/// Chunk counts forced on the chunked loader: one chunk, a few, a
+/// count that leaves uneven chunks, and more chunks than most inputs
+/// have records.
+constexpr size_t kChunkCounts[] = {1, 2, 3, 4, 7, 64};
+
+/// The chunked loader at every forced chunk count describes `text` as
+/// `expected`.
+void ExpectEveryChunkCountGives(const std::string& text,
+                                const CsvOptions& options,
+                                const std::string& expected) {
+  for (size_t chunks : kChunkCounts) {
+    EXPECT_EQ(csv_oracle::Describe(
+                  internal::LoadCsvDatasetInChunks(text, options, chunks)),
+              expected)
+        << chunks << " chunks";
+  }
+}
+
 /// Every in-memory and file load path agrees with the oracle on `text`.
 void ExpectMatchesOracle(const std::string& text,
                          const CsvOptions& options = {}) {
@@ -50,6 +75,7 @@ void ExpectMatchesOracle(const std::string& text,
   std::string expected = csv_oracle::Describe(csv_oracle::Load(text, options));
   EXPECT_EQ(csv_oracle::Describe(LoadCsvDatasetFromString(text, options)),
             expected);
+  ExpectEveryChunkCountGives(text, options, expected);
   EXPECT_EQ(csv_oracle::Describe(LoadCsvDataset(WriteTemp("case.csv", text),
                                                 options)),
             expected);
@@ -189,11 +215,174 @@ TEST(CsvIngestTest, RandomInputsMatchOracle) {
     }
     for (const CsvOptions& options :
          {CsvOptions{}, semicolon, space, untrimmed}) {
+      std::string expected =
+          csv_oracle::Describe(csv_oracle::Load(text, options));
       ASSERT_EQ(csv_oracle::Describe(LoadCsvDatasetFromString(text, options)),
-                csv_oracle::Describe(csv_oracle::Load(text, options)))
+                expected)
           << "input: [" << text << "]";
+      for (size_t chunks : kChunkCounts) {
+        ASSERT_EQ(csv_oracle::Describe(internal::LoadCsvDatasetInChunks(
+                      text, options, chunks)),
+                  expected)
+            << "input: [" << text << "] " << chunks << " chunks";
+      }
     }
   }
+}
+
+// --------------------------------------------------------- chunk edges
+//
+// ExpectMatchesOracle runs every case at every chunk count. These inputs
+// make every data record special, so each chunk edge lands next to one
+// whatever the chunk count.
+
+TEST(CsvIngestTest, QuotedNewlinesAndCrlfAtEveryChunkEdge) {
+  std::ostringstream text;
+  text << "id,note,code\r\n";
+  for (int i = 0; i < 24; ++i) {
+    text << i << ",";
+    if (i % 2 == 0) {
+      text << "\"line\r\n" << i % 5 << "\"";
+    } else {
+      text << "plain" << i % 3;
+    }
+    text << "," << i % 4 << "\r\n";
+  }
+  ExpectMatchesOracle(text.str());
+}
+
+TEST(CsvIngestTest, BlankRecordsAtEveryChunkEdge) {
+  std::ostringstream text;
+  text << "a,b\n";
+  for (int i = 0; i < 20; ++i) {
+    text << "\n  \n\t\r\n" << i % 3 << "," << i << "\n";
+  }
+  text << "\n \n";
+  ExpectMatchesOracle(text.str());
+  CsvOptions headerless;
+  headerless.has_header = false;
+  ExpectMatchesOracle(text.str(), headerless);
+}
+
+TEST(CsvIngestTest, ValueFirstSeenInTheLastChunk) {
+  // Column `w` meets its values in the opposite order after the first
+  // half, so later chunks need a real remap; `v` meets "late" only in
+  // the final record.
+  std::ostringstream text;
+  text << "v,w\n";
+  for (int i = 0; i < 30; ++i) {
+    bool flip = i >= 15;
+    text << (i % 2 == 0 ? "x" : "y") << ","
+         << ((i % 2 == 0) != flip ? "p" : "q") << "\n";
+  }
+  text << "late,q\n";
+  ExpectMatchesOracle(text.str());
+  for (size_t chunks : kChunkCounts) {
+    Result<Dataset> loaded =
+        internal::LoadCsvDatasetInChunks(text.str(), CsvOptions{}, chunks);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const Column& v = loaded->column(0);
+    ASSERT_EQ(v.dictionary()->size(), 3u);
+    EXPECT_EQ(v.dictionary()->Value(2), "late");
+    EXPECT_EQ(v.code(30), 2u) << chunks << " chunks";
+  }
+}
+
+TEST(CsvIngestTest, ArityErrorIsTheFirstInFileOrderAtEveryChunkCount) {
+  std::ostringstream rows;
+  for (int i = 0; i < 20; ++i) rows << i << "," << i % 7 << "\n";
+  // In the last chunk, after blank records: header + 20 rows + 2 blanks.
+  const std::string last = "h1,h2\n" + rows.str() + "\n \n1,2,3\n";
+  ExpectMatchesOracle(last);
+  // Two bad records in different chunks: the earlier one is named.
+  const std::string two =
+      "h1,h2\n" + rows.str() + "\nonly\n" + rows.str() + "1,2,3\n";
+  ExpectMatchesOracle(two);
+  for (size_t chunks : kChunkCounts) {
+    Result<Dataset> loaded =
+        internal::LoadCsvDatasetInChunks(last, CsvOptions{}, chunks);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().message(),
+              "CSV record 24 has 3 fields, expected 2")
+        << chunks << " chunks";
+    loaded = internal::LoadCsvDatasetInChunks(two, CsvOptions{}, chunks);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().message(),
+              "CSV record 23 has 1 fields, expected 2")
+        << chunks << " chunks";
+  }
+}
+
+TEST(CsvIngestTest, LargeTableLoadsAndDiscoversAlikeAtEveryChunkCount) {
+  // Big enough that the default chunk count uses several threads.
+  TabularSpec spec = AdultLikeSpec();
+  spec.num_rows = 100000;
+  Rng rng(5);
+  std::string path = ::testing::TempDir() + "qikey_csv_ingest_large.csv";
+  ASSERT_TRUE(SaveCsvDataset(MakeTabular(spec, &rng), path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  Result<Dataset> serial =
+      internal::LoadCsvDatasetInChunks(text.str(), CsvOptions{}, 1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->num_rows(), 100000u);
+  const std::string expected = csv_oracle::Fingerprint(*serial);
+  PipelineOptions options;
+  options.eps = 0.001;
+  DiscoveryPipeline pipeline(options);
+  for (const Result<Dataset>& loaded :
+       {LoadCsvDataset(path),
+        internal::LoadCsvDatasetInChunks(text.str(), CsvOptions{}, 4)}) {
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(csv_oracle::Fingerprint(*loaded), expected);
+    for (uint64_t seed : {1, 2, 3}) {
+      Rng serial_rng(seed);
+      Rng loaded_rng(seed);
+      Result<PipelineResult> want = pipeline.Run(*serial, &serial_rng);
+      Result<PipelineResult> got = pipeline.Run(*loaded, &loaded_rng);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_EQ(got->key, want->key) << "seed " << seed;
+      EXPECT_EQ(got->verdict, want->verdict) << "seed " << seed;
+      EXPECT_EQ(got->witness, want->witness) << "seed " << seed;
+      ASSERT_EQ(got->steps.size(), want->steps.size()) << "seed " << seed;
+      for (size_t i = 0; i < want->steps.size(); ++i) {
+        EXPECT_EQ(got->steps[i].chosen, want->steps[i].chosen);
+        EXPECT_EQ(got->steps[i].gain, want->steps[i].gain);
+        EXPECT_EQ(got->steps[i].blocks_after, want->steps[i].blocks_after);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- file kinds
+
+TEST(CsvIngestTest, LoadingADirectoryIsAnIoError) {
+  std::string dir = ::testing::TempDir() + "qikey_csv_ingest_dir";
+  std::filesystem::create_directories(dir);
+  Result<Dataset> loaded = LoadCsvDataset(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  Result<CsvTable> parsed = ReadCsvFile(dir);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+}
+
+TEST(CsvIngestTest, FifoInputIsStreamed) {
+  // A FIFO has no size; the reader must fall back to streaming it.
+  std::string path = ::testing::TempDir() + "qikey_csv_ingest_fifo";
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const std::string text = "a,b\n1,2\n3,4\n";
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  });
+  Result<Dataset> loaded = LoadCsvDataset(path);
+  writer.join();
+  std::filesystem::remove(path);
+  EXPECT_EQ(csv_oracle::Describe(loaded),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
 }
 
 // ---------------------------------------------- records past the buffer
@@ -309,6 +498,8 @@ TEST(CsvIngestTest, GoldenCsvsMatchOracle) {
         csv_oracle::Describe(csv_oracle::Load(text.str(), CsvOptions{}));
     EXPECT_EQ(csv_oracle::Describe(LoadCsvDataset(path)), expected) << name;
     EXPECT_EQ(expected.rfind("error", 0), std::string::npos) << name;
+    SCOPED_TRACE(name);
+    ExpectEveryChunkCountGives(text.str(), CsvOptions{}, expected);
   }
 }
 
