@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "core/bitset_filter.h"
 #include "core/sample_bounds.h"
@@ -35,12 +34,6 @@ bool KeySeparatesSample(const Dataset& sample, const AttributeSet& key) {
     }
   }
   return true;
-}
-
-size_t ResolveThreads(size_t num_threads) {
-  if (num_threads > 0) return num_threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 }  // namespace

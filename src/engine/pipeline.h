@@ -33,7 +33,7 @@ struct PipelineOptions {
   uint64_t sample_size = 0;
   /// Pairs retained by the bitset backend; 0 = `MxPairSampleSizePaper`.
   uint64_t pair_sample_size = 0;
-  /// Worker threads; 1 = serial, 0 = one per hardware thread.
+  /// Worker threads; 1 = serial, 0 = one per usable CPU.
   size_t num_threads = 1;
   /// Stop greedy after this many attributes.
   size_t max_attributes = ~size_t{0};

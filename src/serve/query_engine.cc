@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -13,12 +12,6 @@
 namespace qikey {
 
 namespace {
-
-size_t ResolveThreads(size_t num_threads) {
-  if (num_threads > 0) return num_threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

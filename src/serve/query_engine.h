@@ -17,7 +17,7 @@ namespace qikey {
 /// Options for `QueryEngine`.
 struct QueryEngineOptions {
   /// Worker threads for request batches; 1 = serial, 0 = one per
-  /// hardware thread. Responses are identical at any thread count.
+  /// usable CPU. Responses are identical at any thread count.
   size_t num_threads = 1;
   /// Verdict-cache capacity; 0 disables caching. The cache is
   /// answer-transparent: it can only change latency.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -38,10 +38,15 @@ Dataset RowsToDataset(const std::vector<std::string>& names,
   return Dataset(Schema(names), std::move(columns));
 }
 
-size_t ResolveThreads(size_t num_threads) {
-  if (num_threads > 0) return num_threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+/// Fields in `record`. A quote-free record is not split: it has one
+/// field more than it has delimiters.
+size_t CountCsvFields(std::string_view record, const CsvOptions& options,
+                      CsvFieldSplitter* splitter) {
+  if (record.find(options.quote) != std::string_view::npos) {
+    return splitter->Split(record).size();
+  }
+  return 1 + static_cast<size_t>(
+                 std::count(record.begin(), record.end(), options.delimiter));
 }
 
 }  // namespace
@@ -62,6 +67,8 @@ void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,
 struct ShardArtifactBuilder::Impl {
   std::vector<std::string> names;
   std::vector<std::shared_ptr<Dictionary>> dicts;
+  CsvOptions csv;
+  CsvFieldSplitter splitter;
   FilterBackend backend;
   uint32_t shard_index;
   uint64_t first_row;
@@ -76,12 +83,14 @@ struct ShardArtifactBuilder::Impl {
   std::unique_ptr<PairReservoir> pairs;
   std::unordered_map<uint64_t, std::vector<ValueCode>> payloads;
   uint64_t next_gc = 1024;
-  uint64_t dict_bytes = 0;
 
-  Impl(std::vector<std::string> names_in, FilterBackend backend_in,
-       uint64_t tuple_sample_size, uint64_t pair_slots,
-       uint32_t shard_index_in, uint64_t first_row_in, uint64_t seed)
+  Impl(std::vector<std::string> names_in, const CsvOptions& csv_in,
+       FilterBackend backend_in, uint64_t tuple_sample_size,
+       uint64_t pair_slots, uint32_t shard_index_in, uint64_t first_row_in,
+       uint64_t seed)
       : names(std::move(names_in)),
+        csv(csv_in),
+        splitter(csv_in),
         backend(backend_in),
         shard_index(shard_index_in),
         first_row(first_row_in),
@@ -111,10 +120,10 @@ struct ShardArtifactBuilder::Impl {
 };
 
 ShardArtifactBuilder::ShardArtifactBuilder(
-    std::vector<std::string> attribute_names, FilterBackend backend,
-    uint64_t tuple_sample_size, uint64_t pair_slots, uint32_t shard_index,
-    uint64_t first_row, uint64_t seed)
-    : impl_(std::make_unique<Impl>(std::move(attribute_names), backend,
+    std::vector<std::string> attribute_names, const CsvOptions& csv,
+    FilterBackend backend, uint64_t tuple_sample_size, uint64_t pair_slots,
+    uint32_t shard_index, uint64_t first_row, uint64_t seed)
+    : impl_(std::make_unique<Impl>(std::move(attribute_names), csv, backend,
                                    tuple_sample_size, pair_slots, shard_index,
                                    first_row, seed)) {}
 
@@ -122,24 +131,34 @@ ShardArtifactBuilder::~ShardArtifactBuilder() = default;
 ShardArtifactBuilder::ShardArtifactBuilder(ShardArtifactBuilder&&) noexcept =
     default;
 
-Status ShardArtifactBuilder::OfferFields(
-    std::span<const std::string_view> fields) {
+Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   Impl& im = *impl_;
+  const uint64_t pos = im.tuples.seen();  // local position of this row
+  // The pair side draws before the tuple side reads its planned skip,
+  // the order the two sides have always drawn in; neither draw depends
+  // on the record, so encoding only kept records samples the same rows.
+  const bool pair_keeps = im.pairs != nullptr && im.pairs->Offer();
+  const bool tuple_keeps = im.tuples.NextIsKept();
+  if (!pair_keeps && !tuple_keeps) {
+    // Neither side keeps it: check its width, never split or encode it.
+    if (CountCsvFields(record, im.csv, &im.splitter) != im.names.size()) {
+      return Status::InvalidArgument("row arity mismatch in shard");
+    }
+    im.tuples.SkipNext();
+    return Status::OK();
+  }
+  std::span<const std::string_view> fields = im.splitter.Split(record);
   if (fields.size() != im.names.size()) {
     return Status::InvalidArgument("row arity mismatch in shard");
   }
-  auto& [row, pos] = im.offered;
+  auto& [row, row_pos] = im.offered;
   row.clear();
   for (size_t j = 0; j < fields.size(); ++j) {
-    size_t before = im.dicts[j]->size();
     row.push_back(im.dicts[j]->GetOrAdd(fields[j]));
-    if (im.dicts[j]->size() != before) {
-      im.dict_bytes += fields[j].size() + 2 * sizeof(void*);
-    }
   }
-  pos = im.tuples.seen();  // local position of this row
-  if (im.pairs != nullptr) {
-    if (im.pairs->Offer()) im.payloads[pos] = row;
+  row_pos = pos;
+  if (pair_keeps) {
+    im.payloads[pos] = row;
     if (im.payloads.size() >= im.next_gc) {
       im.CollectGarbage();
       im.next_gc =
@@ -147,20 +166,16 @@ Status ShardArtifactBuilder::OfferFields(
           im.payloads.size();
     }
   }
-  im.tuples.Offer(im.offered);
+  if (tuple_keeps) {
+    im.tuples.Offer(im.offered);
+  } else {
+    im.tuples.SkipNext();
+  }
   return Status::OK();
 }
 
 uint64_t ShardArtifactBuilder::rows_seen() const {
   return impl_->tuples.seen();
-}
-
-uint64_t ShardArtifactBuilder::TrackedBytes() const {
-  const Impl& im = *impl_;
-  const uint64_t row_bytes = im.names.size() * sizeof(ValueCode);
-  uint64_t bytes = im.dict_bytes + im.tuples.items().size() * row_bytes;
-  bytes += im.payloads.size() * (row_bytes + 4 * sizeof(uint64_t));
-  return bytes;
 }
 
 Result<ShardFilterArtifact> ShardArtifactBuilder::Finish() && {
@@ -337,13 +352,13 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
   ThreadPool::ParallelFor(pool.get(), actual, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const ShardRange& range = plan->ranges[i];
-      ShardArtifactBuilder builder(plan->attribute_names, options.backend, r,
-                                   s, static_cast<uint32_t>(i),
-                                   range.first_row, seeds[i]);
+      ShardArtifactBuilder builder(plan->attribute_names, options.csv,
+                                   options.backend, r, s,
+                                   static_cast<uint32_t>(i), range.first_row,
+                                   seeds[i]);
       Status st = ForEachCsvRecordInRange(
-          path, range, options.csv,
-          [&](std::span<const std::string_view> fields) {
-            return builder.OfferFields(fields);
+          path, range, options.csv, [&](std::string_view record) {
+            return builder.OfferRecord(record);
           });
       if (st.ok()) {
         Result<ShardFilterArtifact> built = std::move(builder).Finish();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,7 +29,8 @@ struct ShardedBuildOptions {
   uint64_t pair_slots = 0;
   /// Shard count; 0 = one per worker thread.
   size_t num_shards = 0;
-  /// Workers for the parallel builders; 1 = serial, 0 = hardware.
+  /// Workers for the parallel builders; 1 = serial, 0 = one per usable
+  /// CPU (`UsableCpuCount`).
   size_t num_threads = 1;
   uint64_t seed = 1;
   CsvOptions csv;
@@ -39,33 +39,40 @@ struct ShardedBuildOptions {
   uint64_t memory_budget_bytes = 0;
 };
 
-/// \brief Streaming construction of ONE shard's artifact: rows are
-/// offered once, the tuple reservoir and (for the bitset backend) the
-/// per-slot pair reservoirs retain `O(sample)` state, and `Finish`
-/// materializes the artifact. The raw shard is never held.
+/// \brief Streaming construction of ONE shard's artifact from its CSV
+/// records: records are offered once, the tuple reservoir and (for the
+/// bitset backend) the per-slot pair reservoirs retain `O(sample)`
+/// state, and `Finish` materializes the artifact. The raw shard is never
+/// held.
 ///
-/// Each builder owns private dictionaries, so builders can run in
-/// different threads — or different processes — with zero coordination;
-/// the merge re-encodes.
+/// Only the records a reservoir keeps are split and dictionary-encoded.
+/// Both reservoirs plan their next acceptance from the RNG alone, never
+/// from the records, so every other record is only width-checked — and
+/// the sampled rows are the ones a build that encoded every record
+/// would pick.
+///
+/// Each builder owns private dictionaries (holding the values of the
+/// encoded records only), so builders can run in different threads — or
+/// different processes — with zero coordination; the merge re-encodes.
 class ShardArtifactBuilder {
  public:
   ShardArtifactBuilder(std::vector<std::string> attribute_names,
-                       FilterBackend backend, uint64_t tuple_sample_size,
-                       uint64_t pair_slots, uint32_t shard_index,
-                       uint64_t first_row, uint64_t seed);
+                       const CsvOptions& csv, FilterBackend backend,
+                       uint64_t tuple_sample_size, uint64_t pair_slots,
+                       uint32_t shard_index, uint64_t first_row,
+                       uint64_t seed);
   ~ShardArtifactBuilder();
 
   ShardArtifactBuilder(ShardArtifactBuilder&&) noexcept;
   ShardArtifactBuilder& operator=(ShardArtifactBuilder&&) noexcept = delete;
 
-  /// Offers the next row of the shard (field views, CSV path). The views
-  /// need only live for the call.
-  Status OfferFields(std::span<const std::string_view> fields);
+  /// Offers the shard's next data record (its text, as
+  /// `ForEachCsvRecordInRange` yields it; it need only live for the
+  /// call). A record whose field count differs from the attribute count
+  /// is InvalidArgument, whether or not it is sampled.
+  Status OfferRecord(std::string_view record);
 
   uint64_t rows_seen() const;
-
-  /// Live bytes retained (reservoirs, pair payloads, dictionaries).
-  uint64_t TrackedBytes() const;
 
   Result<ShardFilterArtifact> Finish() &&;
 
@@ -82,10 +89,10 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
     const Dataset& dataset, const ShardedBuildOptions& options);
 
 /// \brief Scale-out CSV construction: plans record-aligned byte ranges
-/// (`PlanCsvShards`), then parses, encodes, and samples every range on
-/// its own worker with private dictionaries. This parallelizes the
-/// dominant ingest cost (parse + encode); per-worker memory is
-/// `O(sample + dictionary)`, not `O(rows)`.
+/// (`PlanCsvShards`), then samples every range on its own worker through
+/// a `ShardArtifactBuilder`, which splits and encodes only the records
+/// its reservoirs keep. Per-worker memory is `O(sample + dictionary of
+/// the sampled values)`, not `O(rows)`.
 Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
     const std::string& path, const ShardedBuildOptions& options);
 

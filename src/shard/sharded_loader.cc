@@ -4,6 +4,7 @@
 #include <array>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "data/dataset_builder.h"
@@ -183,20 +184,19 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
 Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,
-    const std::function<Status(std::span<const std::string_view>)>& fn) {
+    const std::function<Status(std::string_view record)>& fn) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open: " + path);
   in.seekg(static_cast<std::streamoff>(range.byte_begin));
   if (!in) return Status::IOError("cannot seek: " + path);
   uint64_t remaining = range.num_rows;
-  CsvFieldSplitter splitter(options);
   Status inner = Status::OK();
   Status walk = WalkCsvRecords(
       in, range.byte_begin, options,
       [&](uint64_t offset, uint64_t, const CsvRecord& record) {
         if (remaining == 0 || offset >= range.byte_end) return false;
         if (record.blank) return true;
-        inner = fn(splitter.Split(record.text));
+        inner = fn(record.text);
         if (!inner.ok()) return false;
         --remaining;
         return remaining > 0;

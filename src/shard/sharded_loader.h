@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,15 +54,16 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
     const std::string& path, const CsvOptions& options = {});
 
 /// \brief Streams the data records of `range` (in file order), invoking
-/// `fn` with the field views of each (valid for the call; nothing is
-/// copied unless a record is quoted or straddles a buffer refill).
-/// Blank records are skipped; reads stop at `range.byte_end` /
-/// `range.num_rows`. Each call opens its own stream, so ranges can be
-/// consumed from concurrent workers.
+/// `fn` with each record's text: a view into the read buffer, valid for
+/// the call, with its terminator removed (see `CsvRecord::text`). The
+/// walker locates records but never splits them; callers split (with a
+/// `CsvFieldSplitter`) only what they need. Blank records are skipped;
+/// reads stop at `range.byte_end` / `range.num_rows`. Each call opens its
+/// own stream, so ranges can be consumed from concurrent workers.
 Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,
-    const std::function<Status(std::span<const std::string_view>)>& fn);
+    const std::function<Status(std::string_view record)>& fn);
 
 /// Options for `ShardedLoader`.
 struct ShardedLoaderOptions {

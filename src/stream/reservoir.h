@@ -45,6 +45,21 @@ class ReservoirSampler {
     PlanSkip();
   }
 
+  /// True iff `Offer` would keep the next item: the reservoir is still
+  /// filling, or the planned skip has run out. Draws nothing — the skip
+  /// lengths never depend on the items, so a caller can learn this
+  /// before it builds the item.
+  bool NextIsKept() const { return items_.size() < capacity_ || skip_ == 0; }
+
+  /// Counts the next item as seen and dropped, without the item. Only
+  /// valid when `!NextIsKept()`; it leaves the sampler (and its RNG)
+  /// exactly as `Offer` would have.
+  void SkipNext() {
+    QIKEY_DCHECK(!NextIsKept()) << "SkipNext on an item Offer would keep";
+    ++seen_;
+    --skip_;
+  }
+
   /// \brief Merges `other` into this sampler. Both must have the same
   /// capacity and have sampled DISJOINT streams; afterwards the retained
   /// items are distributed exactly as one reservoir fed the

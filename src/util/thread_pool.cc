@@ -239,4 +239,8 @@ size_t UsableCpuCount() {
   return static_cast<size_t>(std::max(CPU_COUNT(&set), 1));
 }
 
+size_t ResolveThreads(size_t num_threads) {
+  return num_threads > 0 ? num_threads : UsableCpuCount();
+}
+
 }  // namespace qikey

@@ -124,6 +124,10 @@ class ThreadPool {
 /// online CPU, even under `taskset` or a container's CPU set.
 size_t UsableCpuCount();
 
+/// A worker-count option resolved: `num_threads` itself, or
+/// `UsableCpuCount()` when it is 0 ("one per CPU").
+size_t ResolveThreads(size_t num_threads);
+
 }  // namespace qikey
 
 #endif  // QIKEY_UTIL_THREAD_POOL_H_

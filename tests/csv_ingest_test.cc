@@ -18,6 +18,7 @@
 
 #include "core/key_enumeration.h"
 #include "csv_oracle.h"
+#include "csv_test_inputs.h"
 #include "data/csv_loader.h"
 #include "data/csv_loader_internal.h"
 #include "data/generators/tabular.h"
@@ -92,9 +93,11 @@ std::vector<std::vector<std::string>> RangeRows(const std::string& path,
   Result<CsvShardPlan> plan = PlanCsvShards(path, shards, options);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return rows;
+  CsvFieldSplitter splitter(options);
   for (const ShardRange& range : plan->ranges) {
     Status st = ForEachCsvRecordInRange(
-        path, range, options, [&](std::span<const std::string_view> fields) {
+        path, range, options, [&](std::string_view record) {
+          std::span<const std::string_view> fields = splitter.Split(record);
           rows.emplace_back(fields.begin(), fields.end());
           return Status::OK();
         });
@@ -409,30 +412,6 @@ TEST(CsvIngestTest, RecordsLongerThanTheReadBuffer) {
 }
 
 // -------------------------------------------------- sharded byte ranges
-
-std::string ShardedCsvText() {
-  // Quoted commas and newlines, doubled quotes, mixed CRLF/LF and blank
-  // records, with a two-attribute key.
-  std::ostringstream text;
-  text << "id,city,notes,code\r\n";
-  for (int i = 0; i < 2400; ++i) {
-    if (i % 97 == 0) text << "\n";
-    text << "r" << i % 41 << ",";
-    if (i % 3 == 0) {
-      text << "\"city, " << i % 7 << "\"";
-    } else {
-      text << "town" << i % 11;
-    }
-    text << ",";
-    if (i % 5 == 0) {
-      text << "\"line\n" << i % 4 << " \"\"q\"\"\"";
-    } else {
-      text << i % 9;
-    }
-    text << "," << i * 7919 % 61 << (i % 2 == 0 ? "\r\n" : "\n");
-  }
-  return text.str();
-}
 
 TEST(CsvIngestTest, RangeFieldsEqualSplitCsvLineFields) {
   const std::string text = ShardedCsvText();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "core/key_enumeration.h"
+#include "csv_test_inputs.h"
 #include "core/mx_pair_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
@@ -21,8 +25,11 @@
 #include "shard/shard_artifact.h"
 #include "shard/shard_builder.h"
 #include "shard/sharded_loader.h"
+#include "stream/pair_reservoir.h"
+#include "stream/reservoir.h"
 #include "util/csv.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace qikey {
 namespace {
@@ -308,9 +315,10 @@ TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
       EXPECT_EQ(range.first_row, covered);
       EXPECT_GE(range.num_rows, 2u);
       covered += range.num_rows;
+      CsvFieldSplitter splitter(CsvOptions{});
       Status st = ForEachCsvRecordInRange(
-          path, range, CsvOptions{},
-          [&](std::span<const std::string_view> fields) {
+          path, range, CsvOptions{}, [&](std::string_view record) {
+            std::span<const std::string_view> fields = splitter.Split(record);
             collected.emplace_back(fields.begin(), fields.end());
             return Status::OK();
           });
@@ -584,6 +592,239 @@ TEST(FilterMergerTest, RejectsDuplicatesGapsAndMismatches) {
     auto empty = FilterMerger(merge_options);
     EXPECT_FALSE(std::move(empty).Finish().ok());
   }
+}
+
+// ------------------------------------------------- skip-aware CSV build
+
+/// What one shard sampled, as decoded text: comparable across builders
+/// whose dictionaries number values differently.
+struct ShardSample {
+  uint64_t rows_seen = 0;
+  std::vector<RowIndex> provenance;
+  std::vector<std::string> tuple_rows;
+  std::vector<std::string> pair_rows;
+
+  bool operator==(const ShardSample&) const = default;
+};
+
+std::vector<std::string> FormatRows(const Dataset& d) {
+  std::vector<std::string> rows;
+  for (RowIndex i = 0; i < d.num_rows(); ++i) rows.push_back(d.FormatRow(i));
+  return rows;
+}
+
+ShardSample SampleOf(const ShardFilterArtifact& artifact) {
+  return {artifact.rows_seen, artifact.provenance,
+          FormatRows(artifact.tuple_sample), FormatRows(artifact.pair_table)};
+}
+
+/// Reference shard build: the one that splits every record and offers
+/// every row to both reservoirs (pair side first, then tuple side), as
+/// the builder did before it learned to skip. Rows are kept as their
+/// `Dataset::FormatRow` text.
+Result<std::vector<ShardSample>> BuildEveryRecord(
+    const std::string& path, const ShardedBuildOptions& options) {
+  Result<CsvShardPlan> plan =
+      PlanCsvShards(path, options.num_shards, options.csv);
+  if (!plan.ok()) return plan.status();
+  const size_t m = plan->attribute_names.size();
+  uint64_t r = 0, s = 0;
+  ResolveShardSampleSizes(options, static_cast<uint32_t>(m), &r, &s);
+  Rng seeder(options.seed);
+  std::vector<ShardSample> samples;
+  for (const ShardRange& range : plan->ranges) {
+    Rng rng(seeder.Next());
+    ReservoirSampler<std::pair<std::string, uint64_t>> tuples(r, &rng);
+    std::optional<PairReservoir> pairs;
+    if (options.backend == FilterBackend::kBitset) pairs.emplace(s, &rng);
+    std::map<uint64_t, std::string> payloads;
+    CsvFieldSplitter splitter(options.csv);
+    Status st = ForEachCsvRecordInRange(
+        path, range, options.csv, [&](std::string_view record) {
+          std::span<const std::string_view> fields = splitter.Split(record);
+          if (fields.size() != m) {
+            return Status::InvalidArgument("row arity mismatch in shard");
+          }
+          std::string row;
+          for (size_t j = 0; j < m; ++j) {
+            if (j > 0) row += '|';
+            row += fields[j];
+          }
+          const uint64_t pos = tuples.seen();
+          if (pairs.has_value() && pairs->Offer()) payloads[pos] = row;
+          tuples.Offer({std::move(row), pos});
+          return Status::OK();
+        });
+    if (!st.ok()) return st;
+    ShardSample sample;
+    sample.rows_seen = tuples.seen();
+    for (const auto& [row, pos] : tuples.items()) {
+      sample.tuple_rows.push_back(row);
+      sample.provenance.push_back(
+          static_cast<RowIndex>(range.first_row + pos));
+    }
+    if (pairs.has_value()) {
+      for (const auto& [a, b] : pairs->pairs()) {
+        sample.pair_rows.push_back(payloads.at(a));
+        sample.pair_rows.push_back(payloads.at(b));
+      }
+    }
+    samples.push_back(std::move(sample));
+  }
+  return samples;
+}
+
+ShardedBuildOptions SkipBuild(FilterBackend backend, size_t shards,
+                              uint64_t tuple_sample_size, uint64_t pair_slots,
+                              uint64_t seed) {
+  ShardedBuildOptions options;
+  options.backend = backend;
+  options.eps = 0.01;
+  options.tuple_sample_size = tuple_sample_size;
+  options.pair_slots = pair_slots;
+  options.num_shards = shards;
+  options.num_threads = 2;
+  options.seed = seed;
+  return options;
+}
+
+// Encoding only the records a reservoir keeps must sample exactly the
+// rows the encode-everything build samples.
+TEST(SkipAwareBuildTest, MatchesBuildThatEncodesEveryRecord) {
+  std::vector<std::string> paths = {
+      WriteTempFile("skip_sharded.csv", ShardedCsvText())};
+  for (const char* name :
+       {"people", "orders", "dupes", "quoted", "wide", "binary"}) {
+    paths.push_back(std::string(QIKEY_GOLDEN_DIR) + "/" + name + ".csv");
+  }
+  struct Sizes {
+    uint64_t tuples, pair_slots;  // 0 = the paper's sizes at eps 0.01
+  };
+  for (const std::string& path : paths) {
+    for (FilterBackend backend :
+         {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
+      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+        for (Sizes sizes : {Sizes{0, 0}, Sizes{3, 2}}) {
+          for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << path << " backend "
+                         << static_cast<int>(backend) << " shards " << shards
+                         << " sizes " << sizes.tuples << " seed " << seed);
+            ShardedBuildOptions options = SkipBuild(
+                backend, shards, sizes.tuples, sizes.pair_slots, seed);
+            auto expected = BuildEveryRecord(path, options);
+            ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+            auto built = BuildShardArtifactsFromCsv(path, options);
+            ASSERT_TRUE(built.ok()) << built.status().ToString();
+            ASSERT_EQ(built->size(), expected->size());
+            for (size_t i = 0; i < built->size(); ++i) {
+              EXPECT_EQ(SampleOf((*built)[i]), (*expected)[i]) << "shard " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// 3000 rows of three attributes ("a<i>,b<i>,c<i>") and then `last`.
+std::string RowsThenRecord(const std::string& last) {
+  std::string text = "x,y,z\n";
+  for (int i = 0; i < 3000; ++i) {
+    std::string n = std::to_string(i);
+    text += "a" + n + ",b" + n + ",c" + n + "\n";
+  }
+  return text + last + "\n";
+}
+
+/// True iff `value` was dictionary-encoded into any column of any shard.
+bool AnyShardEncoded(const std::vector<ShardFilterArtifact>& artifacts,
+                     std::string_view value) {
+  for (const ShardFilterArtifact& artifact : artifacts) {
+    const Dataset& d = artifact.tuple_sample;
+    for (AttributeIndex j = 0; j < d.num_attributes(); ++j) {
+      if (d.column(j).dictionary()->Find(value) != Dictionary::kNotFound) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// The last record sits where a 2-tuple / 1-pair reservoir almost surely
+// skips it (and the builds below confirm it did): a skipped record is
+// never encoded, but a wrong width still fails the build.
+TEST(SkipAwareBuildTest, SkippedRecordIsWidthCheckedButNeverEncoded) {
+  for (FilterBackend backend :
+       {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    ShardedBuildOptions options = SkipBuild(backend, 1, 2, 1, 5);
+
+    // A quoted delimiter keeps the width at three.
+    std::string quoted =
+        WriteTempFile("skip_quoted.csv", RowsThenRecord("u,\"v,w\",last"));
+    auto built = BuildShardArtifactsFromCsv(quoted, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_EQ(built->size(), 1u);
+    EXPECT_EQ((*built)[0].rows_seen, 3001u);
+    EXPECT_FALSE(AnyShardEncoded(*built, "last"))
+        << "the last record was sampled; pick another seed";
+    EXPECT_FALSE(AnyShardEncoded(*built, "v,w"));
+
+    // The same position with a wrong width, plain or quoted.
+    for (const char* bad : {"u,v", "u,v,w,last", "u,\"v,w\"",
+                            "u,\"v\",w,\"x\""}) {
+      SCOPED_TRACE(bad);
+      std::string path =
+          WriteTempFile("skip_bad.csv", RowsThenRecord(bad));
+      auto failed = BuildShardArtifactsFromCsv(path, options);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+/// Pins the calling thread to one CPU of its mask; restores the mask
+/// when destroyed.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&saved_);
+    ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    if (!ok_) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    ok_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (ok_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+// `num_threads = 0` means one worker per CPU this process may run on,
+// not per CPU the machine has.
+TEST(ShardBuildTest, ZeroThreadsFollowsTheAffinityMask) {
+  std::string path = WriteTempFile("affinity.csv", RowsThenRecord("u,v,w"));
+  ShardedBuildOptions options = SkipBuild(FilterBackend::kTupleSample, 0, 8,
+                                          0, 3);
+  options.num_threads = 0;
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  ASSERT_EQ(UsableCpuCount(), 1u);
+  auto built = BuildShardArtifactsFromCsv(path, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built->size(), 1u);
 }
 
 }  // namespace

@@ -174,6 +174,111 @@ TEST(ReservoirMergeTest, DeterministicForFixedSeed) {
   EXPECT_EQ(run(), run());
 }
 
+// ----------------------------------------------------------- skipping
+
+/// What a reservoir run leaves behind: its items, its count, and the
+/// next draw of the RNG it shared.
+struct ReservoirEnd {
+  std::vector<uint64_t> items;
+  uint64_t seen = 0;
+  uint64_t next_draw = 0;
+  uint64_t skipped = 0;
+};
+
+/// Feeds positions [lo, hi) to `res`: all through `Offer`, or, when
+/// `skip_aware`, through `SkipNext` wherever `NextIsKept()` is false.
+uint64_t Feed(ReservoirSampler<uint64_t>* res, uint64_t lo, uint64_t hi,
+              bool skip_aware) {
+  uint64_t skipped = 0;
+  for (uint64_t i = lo; i < hi; ++i) {
+    if (skip_aware && !res->NextIsKept()) {
+      res->SkipNext();
+      ++skipped;
+    } else {
+      res->Offer(i);
+    }
+  }
+  return skipped;
+}
+
+/// One stream of `n` positions, optionally split in thirds: the first
+/// two fed to separate reservoirs that are then merged, the last fed to
+/// the merged one (which plans its skips with `PlanSkipExact`).
+ReservoirEnd RunReservoir(size_t capacity, uint64_t n, bool merge,
+                          bool skip_aware, uint64_t seed) {
+  Rng rng(seed);
+  ReservoirSampler<uint64_t> res(capacity, &rng);
+  ReservoirEnd end;
+  if (merge) {
+    ReservoirSampler<uint64_t> other(capacity, &rng);
+    end.skipped += Feed(&res, 0, n / 3, skip_aware);
+    end.skipped += Feed(&other, n / 3, 2 * n / 3, skip_aware);
+    res.Merge(std::move(other));
+    end.skipped += Feed(&res, 2 * n / 3, n, skip_aware);
+  } else {
+    end.skipped = Feed(&res, 0, n, skip_aware);
+  }
+  end.items = res.items();
+  end.seen = res.seen();
+  end.next_draw = rng.Next();
+  return end;
+}
+
+// Skipping the items the reservoir would drop must leave it — and its
+// RNG — exactly where offering every item does.
+TEST(ReservoirSkipTest, SkipNextEqualsOfferingEveryItem) {
+  for (bool merge : {false, true}) {
+    for (size_t capacity : {size_t{1}, size_t{2}, size_t{8}, size_t{1740}}) {
+      for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{5}, uint64_t{100},
+                         uint64_t{2000}, uint64_t{100000}}) {
+        for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "capacity " << capacity << " n " << n << " merge "
+                       << merge << " seed " << seed);
+          ReservoirEnd offered = RunReservoir(capacity, n, merge, false, seed);
+          ReservoirEnd skipped = RunReservoir(capacity, n, merge, true, seed);
+          EXPECT_EQ(skipped.items, offered.items);
+          EXPECT_EQ(skipped.seen, offered.seen);
+          EXPECT_EQ(skipped.seen, n);
+          EXPECT_EQ(skipped.next_draw, offered.next_draw);
+          // Long past the fill, most items are skipped.
+          if (n >= 20 * capacity) {
+            EXPECT_GT(skipped.skipped, n / 2);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReservoirSkipTest, NextIsKeptWhileFillingAndDrawsNothing) {
+  Rng rng(9);
+  Rng twin(9);
+  ReservoirSampler<int> res(3, &rng);
+  ReservoirSampler<int> plain(3, &twin);
+  for (int i = 0; i < 50; ++i) {
+    if (i < 3) {
+      EXPECT_TRUE(res.NextIsKept()) << i;
+    }
+    for (int probe = 0; probe < 4; ++probe) res.NextIsKept();
+    res.Offer(i);
+    plain.Offer(i);
+  }
+  EXPECT_EQ(res.items(), plain.items());
+  EXPECT_EQ(rng.Next(), twin.Next());
+}
+
+TEST(ReservoirSkipDeathTest, SkipNextOnAKeptItemDies) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "QIKEY_DCHECK is compiled out in release builds";
+#else
+  Rng rng(4);
+  ReservoirSampler<int> res(2, &rng);
+  ASSERT_TRUE(res.NextIsKept());
+  EXPECT_DEATH(res.SkipNext(), "SkipNext on an item Offer would keep");
+#endif
+}
+
 // ----------------------------------------------------------- pair reservoir
 
 TEST(PairReservoirTest, SlotsHoldDistinctPositions) {

@@ -15,6 +15,12 @@
 namespace qikey {
 namespace {
 
+TEST(ThreadPoolTest, ResolveThreadsMapsZeroToUsableCpus) {
+  EXPECT_EQ(ResolveThreads(3), 3u);
+  EXPECT_EQ(ResolveThreads(0), UsableCpuCount());
+  EXPECT_GE(UsableCpuCount(), 1u);
+}
+
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
