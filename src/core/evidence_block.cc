@@ -4,10 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 /// Vector tiers need the gcc/clang vector extensions plus per-function
 /// target attributes and `__builtin_cpu_supports`; both compilers
@@ -88,20 +89,58 @@ void PackedEvidence::SetOwnedReps(std::vector<uint32_t> flat) {
   num_pairs_ = reps_storage_.size() / 2;
 }
 
-/// Shared dedup state of the two builders: pair-major masks plus a
-/// hash index over them (collisions verified word-for-word, so the
-/// dedup is exact and verdicts cannot drift).
-struct PackedEvidence::MaskAccumulator {
-  size_t wpp;
-  std::vector<uint64_t> masks;  // pair-major, wpp words each
+namespace {
+
+/// Pairs one mask-stage worker must have before a second one starts.
+/// Below it thread start-up costs more than the overlapped column
+/// misses save, so ε = 0.01-sized samples (a few thousand pairs)
+/// build on the calling thread.
+constexpr size_t kMinPairsPerWorker = 8192;
+
+/// First-occurrence dedupe of pair-major masks through a flat
+/// open-addressing table (linear probing, power-of-two capacity of at
+/// least twice the offered masks, so probe chains stay short). A slot
+/// holds the upper 32 hash bits and `1 + id` of a kept mask, 0 when
+/// empty; a tag match is confirmed word for word, so the dedupe is
+/// exact and verdicts cannot drift.
+class MaskAccumulator {
+ public:
+  MaskAccumulator(size_t words_per_pair, size_t max_masks)
+      : wpp_(words_per_pair),
+        slots_(std::bit_ceil(std::max<size_t>(2 * max_masks, 2)), 0),
+        slot_mask_(slots_.size() - 1) {
+    masks.reserve(max_masks * wpp_);
+    reps.reserve(2 * max_masks);
+  }
+
+  /// Keeps `mask` with representative (`rep_a`, `rep_b`) unless an
+  /// identical mask was offered before.
+  void Offer(const uint64_t* mask, uint32_t rep_a, uint32_t rep_b) {
+    const uint64_t h = Hash(mask);
+    const uint64_t tag = h & ~uint64_t{0xFFFFFFFF};
+    for (size_t i = h & slot_mask_;; i = (i + 1) & slot_mask_) {
+      const uint64_t slot = slots_[i];
+      if (slot == 0) {
+        const uint32_t id = static_cast<uint32_t>(reps.size() / 2);
+        slots_[i] = tag | (uint64_t{id} + 1);
+        masks.insert(masks.end(), mask, mask + wpp_);
+        reps.push_back(rep_a);
+        reps.push_back(rep_b);
+        return;
+      }
+      if ((slot & ~uint64_t{0xFFFFFFFF}) != tag) continue;
+      const uint64_t* seen = masks.data() + ((slot & 0xFFFFFFFF) - 1) * wpp_;
+      if (std::equal(seen, seen + wpp_, mask)) return;
+    }
+  }
+
+  std::vector<uint64_t> masks;  // pair-major, wpp words per kept mask
   std::vector<uint32_t> reps;   // flat endpoints, 2 per kept mask
-  std::unordered_multimap<uint64_t, uint32_t> index;
 
-  explicit MaskAccumulator(size_t words_per_pair) : wpp(words_per_pair) {}
-
-  static uint64_t Hash(const uint64_t* mask, size_t wpp) {
+ private:
+  uint64_t Hash(const uint64_t* mask) const {
     uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (size_t w = 0; w < wpp; ++w) {
+    for (size_t w = 0; w < wpp_; ++w) {
       h ^= mask[w];
       h *= 0xBF58476D1CE4E5B9ULL;
       h ^= h >> 29;
@@ -109,21 +148,12 @@ struct PackedEvidence::MaskAccumulator {
     return h;
   }
 
-  /// Adds `mask` unless an identical mask is already present.
-  void Offer(const uint64_t* mask, uint32_t rep_a, uint32_t rep_b) {
-    uint64_t h = Hash(mask, wpp);
-    auto range = index.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      const uint64_t* seen = masks.data() + size_t{it->second} * wpp;
-      if (std::equal(seen, seen + wpp, mask)) return;
-    }
-    uint32_t id = static_cast<uint32_t>(reps.size() / 2);
-    index.emplace(h, id);
-    masks.insert(masks.end(), mask, mask + wpp);
-    reps.push_back(rep_a);
-    reps.push_back(rep_b);
-  }
+  size_t wpp_;
+  std::vector<uint64_t> slots_;
+  size_t slot_mask_;
 };
+
+}  // namespace
 
 void PackedEvidence::Pack(const std::vector<uint64_t>& masks) {
   const size_t wpp = words_per_pair_;
@@ -155,27 +185,44 @@ PackedEvidence PackedEvidence::FromDatasetPairs(
   PackedEvidence out;
   const size_t m = table.num_attributes();
   const size_t wpp = (m + 63) / 64;
+  const size_t s = pairs.size();
   out.num_attributes_ = m;
   out.words_per_pair_ = wpp;
-  out.source_pairs_ = pairs.size();
-  if (pairs.empty() || m == 0) return out;
+  out.source_pairs_ = s;
+  if (s == 0 || m == 0) return out;
 
-  // Column-major mask construction: one column's codes stay resident
-  // while every pair probes it, instead of each pair striding across
-  // all m columns of a large table.
-  std::vector<uint64_t> masks(pairs.size() * wpp, 0);
-  for (size_t j = 0; j < m; ++j) {
-    const Column& col = table.column(static_cast<AttributeIndex>(j));
-    const size_t word = j / 64;
-    const uint64_t bit = uint64_t{1} << (j % 64);
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      if (col.code(pairs[p].first) != col.code(pairs[p].second)) {
-        masks[p * wpp + word] |= bit;
-      }
-    }
-  }
-  MaskAccumulator acc(wpp);
-  for (size_t p = 0; p < pairs.size(); ++p) {
+  // Mask stage: each worker owns one contiguous range of pairs, so no
+  // two write the same mask word, and the masks do not depend on how
+  // the pairs were cut. Inside a range the loop is column-major (one
+  // column's codes stay resident while the range probes it) and
+  // branch-free; the stage is bound by random code reads, which the
+  // workers' misses overlap. The work sets the worker count.
+  const size_t threads =
+      std::clamp(s / kMinPairsPerWorker, size_t{1}, UsableCpuCount());
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  std::vector<uint64_t> masks(s * wpp, 0);
+  ThreadPool::ParallelFor(
+      pool.get(), s,
+      [&](size_t begin, size_t end) {
+        for (size_t j = 0; j < m; ++j) {
+          const ValueCode* codes =
+              table.column(static_cast<AttributeIndex>(j)).codes().data();
+          uint64_t* word = masks.data() + j / 64;
+          const size_t shift = j % 64;
+          for (size_t p = begin; p < end; ++p) {
+            word[p * wpp] |=
+                uint64_t{codes[pairs[p].first] != codes[pairs[p].second]}
+                << shift;
+          }
+        }
+      },
+      /*min_grain=*/(s + threads - 1) / threads);
+
+  // Dedupe in pair order: each mask's representative is its first
+  // occurrence, whatever the worker count.
+  MaskAccumulator acc(wpp, s);
+  for (size_t p = 0; p < s; ++p) {
     acc.Offer(masks.data() + p * wpp, pairs[p].first, pairs[p].second);
   }
   out.SetOwnedReps(std::move(acc.reps));
@@ -186,7 +233,7 @@ PackedEvidence PackedEvidence::FromDatasetPairs(
 PackedEvidence PackedEvidence::FromRowMajorPairs(
     size_t num_attributes,
     std::span<const std::pair<const ValueCode*, const ValueCode*>> rows,
-    std::span<const std::pair<uint32_t, uint32_t>> ids, bool dedupe) {
+    std::span<const std::pair<uint32_t, uint32_t>> ids) {
   QIKEY_CHECK(rows.size() == ids.size());
   PackedEvidence out;
   const size_t m = num_attributes;
@@ -196,21 +243,6 @@ PackedEvidence PackedEvidence::FromRowMajorPairs(
   out.source_pairs_ = rows.size();
   if (rows.empty() || m == 0) return out;
 
-  std::vector<uint64_t> mask(wpp);
-  if (dedupe) {
-    MaskAccumulator acc(wpp);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const auto [ra, rb] = rows[i];
-      std::fill(mask.begin(), mask.end(), 0);
-      for (size_t j = 0; j < m; ++j) {
-        mask[j / 64] |= uint64_t{ra[j] != rb[j]} << (j % 64);
-      }
-      acc.Offer(mask.data(), ids[i].first, ids[i].second);
-    }
-    out.SetOwnedReps(std::move(acc.reps));
-    out.Pack(acc.masks);
-    return out;
-  }
   std::vector<uint64_t> masks(rows.size() * wpp, 0);
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto [ra, rb] = rows[i];

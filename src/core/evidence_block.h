@@ -166,9 +166,12 @@ class PackedEvidence {
   }
 
   /// Packs the disagree sets of the given row pairs of `table`
-  /// (deduplicated). Representative indices are `table` row indices.
+  /// (deduplicated; each mask's representative is the first pair that
+  /// produced it). Representative indices are `table` row indices.
   /// `O(s · m)` build; the price is paid once and every query
-  /// afterwards is word-wise.
+  /// afterwards is word-wise. Large samples spread the mask stage over
+  /// a pool local to the call, sized by the work and the affinity mask;
+  /// the output is bit-identical for any worker count.
   static PackedEvidence FromDatasetPairs(
       const Dataset& table,
       std::span<const std::pair<RowIndex, RowIndex>> pairs);
@@ -176,14 +179,13 @@ class PackedEvidence {
   /// As `FromDatasetPairs` for row-major storage: `rows[i]` points at
   /// the two tuples (of `num_attributes` codes each) of pair `i`, and
   /// `ids[i]` is the representative pair reported for it (the
-  /// incremental filter's window slot ids). With `dedupe` false the
+  /// incremental filter's window slot ids). No deduplication: the
   /// packing is LANE-STABLE — evidence pair `i` is input pair `i` —
   /// which `PatchPair` requires.
   static PackedEvidence FromRowMajorPairs(
       size_t num_attributes,
       std::span<const std::pair<const ValueCode*, const ValueCode*>> rows,
-      std::span<const std::pair<uint32_t, uint32_t>> ids,
-      bool dedupe = true);
+      std::span<const std::pair<uint32_t, uint32_t>> ids);
 
   /// \brief Zero-copy reconstruction from storage laid out by
   /// `raw_words()`/`raw_reps()` (the snapshot reader): `words` must
@@ -269,8 +271,6 @@ class PackedEvidence {
   uint64_t BorrowedBytes() const;
 
  private:
-  struct MaskAccumulator;
-
   void CopyFrom(const PackedEvidence& other);
   void MoveFrom(PackedEvidence&& other) noexcept;
   /// Takes ownership of flat representative endpoints (2 per pair).

@@ -333,8 +333,7 @@ void IncrementalFilter::RebuildEvidence() {
   // Lane-stable (no dedup): evidence pair i IS pair slot i, so single
   // slot redraws patch one lane instead of re-packing all s slots.
   evidence_ = PackedEvidence::FromRowMajorPairs(schema_.num_attributes(),
-                                                rows, pair_slots_,
-                                                /*dedupe=*/false);
+                                                rows, pair_slots_);
 }
 
 void IncrementalFilter::PatchEvidencePair(size_t index) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -29,6 +30,7 @@
 #include "data/generators/uniform_grid.h"
 #include "engine/pipeline.h"
 #include "monitor/key_monitor.h"
+#include "pin_to_one_cpu.h"
 #include "shard/shard_artifact.h"
 #include "shard/shard_builder.h"
 #include "util/rng.h"
@@ -144,6 +146,144 @@ TEST(PackedEvidenceTest, BlockMajorBatchMatchesPerMaskScan) {
   }
 }
 
+// ------------------------------------------ build bit-identity (oracle)
+
+/// What `FromDatasetPairs` must produce, built the plain way: a
+/// branchy column-major mask stage, `std::map` first-occurrence
+/// dedupe, then the attribute-major block transpose.
+struct ReferenceEvidence {
+  std::vector<uint64_t> words;
+  std::vector<uint32_t> reps;
+  size_t num_pairs = 0;
+};
+
+ReferenceEvidence BuildReferenceEvidence(const Dataset& table,
+                                         const std::vector<RowPair>& pairs) {
+  const size_t m = table.num_attributes();
+  const size_t wpp = (m + 63) / 64;
+  std::vector<uint64_t> masks(pairs.size() * wpp, 0);
+  for (size_t j = 0; j < m; ++j) {
+    const Column& col = table.column(static_cast<AttributeIndex>(j));
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      if (col.code(pairs[p].first) != col.code(pairs[p].second)) {
+        masks[p * wpp + j / 64] |= uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  std::map<std::vector<uint64_t>, size_t> first;
+  std::vector<size_t> kept;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    std::vector<uint64_t> mask(masks.begin() + p * wpp,
+                               masks.begin() + (p + 1) * wpp);
+    if (first.emplace(std::move(mask), p).second) kept.push_back(p);
+  }
+  ReferenceEvidence ref;
+  ref.num_pairs = kept.size();
+  const size_t blocks = (kept.size() + 63) / 64;
+  ref.words.assign(blocks * m, 0);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    const size_t p = kept[i];
+    for (size_t j = 0; j < m; ++j) {
+      if ((masks[p * wpp + j / 64] >> (j % 64)) & 1) {
+        ref.words[(i / 64) * m + j] |= uint64_t{1} << (i % 64);
+      }
+    }
+    ref.reps.push_back(pairs[p].first);
+    ref.reps.push_back(pairs[p].second);
+  }
+  return ref;
+}
+
+/// `rows` x `m` table of codes below `cardinality`. With `prototypes`
+/// > 0 every row copies one of that many random rows, so the sampled
+/// pairs repeat a handful of disagree masks (long dedupe probe chains,
+/// first-occurrence representatives); with 0 rows are independent and
+/// wide masks are all distinct.
+Dataset RandomCodeTable(size_t rows, size_t m, uint64_t cardinality,
+                        size_t prototypes, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Row> pool(prototypes > 0 ? prototypes : rows, Row(m));
+  for (Row& row : pool) {
+    for (ValueCode& code : row) {
+      code = static_cast<ValueCode>(rng.Uniform(cardinality));
+    }
+  }
+  std::vector<Row> table(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    table[r] = prototypes > 0 ? pool[rng.Uniform(prototypes)] : pool[r];
+  }
+  return RowsToDataset(m, table);
+}
+
+std::vector<RowPair> RandomPairs(size_t rows, size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RowPair> pairs;
+  pairs.reserve(count);
+  for (size_t p = 0; p < count; ++p) {
+    auto [a, b] = rng.SamplePair(rows);
+    pairs.emplace_back(static_cast<RowIndex>(a), static_cast<RowIndex>(b));
+  }
+  return pairs;
+}
+
+void ExpectMatchesReference(const Dataset& table,
+                            const std::vector<RowPair>& pairs) {
+  const ReferenceEvidence ref = BuildReferenceEvidence(table, pairs);
+  const PackedEvidence ev = PackedEvidence::FromDatasetPairs(table, pairs);
+  EXPECT_EQ(ev.source_pairs(), pairs.size());
+  ASSERT_EQ(ev.num_pairs(), ref.num_pairs);
+  const std::span<const uint64_t> words = ev.raw_words();
+  const std::span<const uint32_t> reps = ev.raw_reps();
+  EXPECT_TRUE(std::equal(words.begin(), words.end(), ref.words.begin(),
+                         ref.words.end()));
+  EXPECT_TRUE(
+      std::equal(reps.begin(), reps.end(), ref.reps.begin(), ref.reps.end()));
+}
+
+// Pair counts straddle the one-block and one-worker (8192 pairs)
+// edges and reach several workers; m covers one-, two- and three-word
+// masks.
+TEST(PackedEvidenceTest, BuildMatchesReferenceAcrossShapesAndWorkers) {
+  const size_t kRows = 3000;
+  for (size_t m : {1u, 55u, 64u, 65u, 130u}) {
+    const Dataset distinct = RandomCodeTable(kRows, m, 3, 0, m);
+    const Dataset dupes = RandomCodeTable(kRows, m, 2, 12, m + 1);
+    for (size_t count : {0u, 1u, 63u, 64u, 65u, 8191u, 8192u, 3u * 8192 + 1,
+                         55000u}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   " pairs=" + std::to_string(count));
+      const std::vector<RowPair> pairs = RandomPairs(kRows, count, count + m);
+      {
+        SCOPED_TRACE("distinct");
+        ExpectMatchesReference(distinct, pairs);
+      }
+      {
+        SCOPED_TRACE("duplicates");
+        ExpectMatchesReference(dupes, pairs);
+      }
+    }
+  }
+}
+
+// One CPU in the affinity mask means one mask-stage worker; the bytes
+// must not change.
+TEST(PackedEvidenceTest, BuildMatchesReferencePinnedToOneCpu) {
+  const Dataset dupes = RandomCodeTable(3000, 65, 2, 12, 7);
+  const Dataset distinct = RandomCodeTable(3000, 65, 3, 0, 8);
+  const std::vector<RowPair> pairs = RandomPairs(3000, 55000, 9);
+  const PackedEvidence unpinned =
+      PackedEvidence::FromDatasetPairs(distinct, pairs);
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  ASSERT_EQ(UsableCpuCount(), 1u);
+  ExpectMatchesReference(dupes, pairs);
+  ExpectMatchesReference(distinct, pairs);
+  const PackedEvidence pinned =
+      PackedEvidence::FromDatasetPairs(distinct, pairs);
+  EXPECT_TRUE(std::ranges::equal(pinned.raw_words(), unpinned.raw_words()));
+  EXPECT_TRUE(std::ranges::equal(pinned.raw_reps(), unpinned.raw_reps()));
+}
+
 // ------------------------------------------------ kernel tiers (SIMD)
 
 /// Restores automatic kernel dispatch when a test scope ends, so a
@@ -185,7 +325,7 @@ PackedEvidence MakeRandomEvidence(size_t m, size_t pairs, uint64_t seed,
   for (size_t p = 0; p < pairs; ++p) {
     rows.emplace_back((*store)[2 * p].data(), (*store)[2 * p + 1].data());
   }
-  return PackedEvidence::FromRowMajorPairs(m, rows, ids, /*dedupe=*/false);
+  return PackedEvidence::FromRowMajorPairs(m, rows, ids);
 }
 
 TEST(EvidenceKernelTest, DispatchNamesAndOverrides) {

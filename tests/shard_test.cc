@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sched.h>
-
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -14,6 +12,7 @@
 
 #include "core/key_enumeration.h"
 #include "csv_test_inputs.h"
+#include "pin_to_one_cpu.h"
 #include "core/mx_pair_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
@@ -783,34 +782,6 @@ TEST(SkipAwareBuildTest, SkippedRecordIsWidthCheckedButNeverEncoded) {
     }
   }
 }
-
-/// Pins the calling thread to one CPU of its mask; restores the mask
-/// when destroyed.
-class PinToOneCpu {
- public:
-  PinToOneCpu() {
-    CPU_ZERO(&saved_);
-    ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
-    if (!ok_) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &saved_)) {
-        CPU_SET(cpu, &one);
-        break;
-      }
-    }
-    ok_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
-  }
-  ~PinToOneCpu() {
-    if (ok_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
-  }
-  bool ok() const { return ok_; }
-
- private:
-  cpu_set_t saved_;
-  bool ok_ = false;
-};
 
 // `num_threads = 0` means one worker per CPU this process may run on,
 // not per CPU the machine has.
