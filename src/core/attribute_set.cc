@@ -70,6 +70,11 @@ void AttributeSet::Remove(AttributeIndex i) {
   words_[i / 64] &= ~(uint64_t{1} << (i % 64));
 }
 
+void AttributeSet::Reset(size_t num_attributes) {
+  num_attributes_ = num_attributes;
+  words_.assign((num_attributes + 63) / 64, 0);
+}
+
 AttributeSet AttributeSet::Union(const AttributeSet& other) const {
   QIKEY_CHECK(num_attributes_ == other.num_attributes_);
   AttributeSet out(num_attributes_);

@@ -40,6 +40,10 @@ class AttributeSet {
   bool Contains(AttributeIndex i) const;
   void Add(AttributeIndex i);
   void Remove(AttributeIndex i);
+  /// Empties the set over a universe of `num_attributes`, in place: the
+  /// word storage is reused, so a set recycled at the same universe
+  /// size never allocates.
+  void Reset(size_t num_attributes);
 
   AttributeSet Union(const AttributeSet& other) const;
   AttributeSet Intersection(const AttributeSet& other) const;

@@ -50,26 +50,8 @@ class Dictionary {
   /// Number of distinct values.
   size_t size() const { return values_.size(); }
 
- private:
-  // A slot packs the value's 32-bit hash (high half) with its code (low
-  // half), so probes and rehashing never touch the strings of other
-  // values. An empty slot is all ones (kNotFound is never a code).
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-
-  static uint32_t SlotHash(uint64_t slot) {
-    return static_cast<uint32_t>(slot >> 32);
-  }
-  static ValueCode SlotCode(uint64_t slot) {
-    return static_cast<ValueCode>(slot);
-  }
-
-  static uint64_t Mix(uint64_t h, uint64_t word) {
-    h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
-    return h ^ (h >> 32);
-  }
-
   /// Multiply-xorshift hash. Column values are mostly a few bytes, which
-  /// take a single round.
+  /// take a single round. `Schema` hashes attribute names with it too.
   static uint32_t HashValue(std::string_view value) {
     const char* p = value.data();
     size_t n = value.size();
@@ -92,6 +74,24 @@ class Dictionary {
              (uint64_t{static_cast<uint8_t>(p[n - 1])} << 16);
     }
     return static_cast<uint32_t>(Mix(h, tail));
+  }
+
+ private:
+  // A slot packs the value's 32-bit hash (high half) with its code (low
+  // half), so probes and rehashing never touch the strings of other
+  // values. An empty slot is all ones (kNotFound is never a code).
+  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
+
+  static uint32_t SlotHash(uint64_t slot) {
+    return static_cast<uint32_t>(slot >> 32);
+  }
+  static ValueCode SlotCode(uint64_t slot) {
+    return static_cast<ValueCode>(slot);
+  }
+
+  static uint64_t Mix(uint64_t h, uint64_t word) {
+    h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+    return h ^ (h >> 32);
   }
 
   /// `stored == value`. Column values are mostly a few bytes, for which

@@ -1,35 +1,38 @@
 #include "serve/conn.h"
 
+#include <cstring>
+
+#include "util/logging.h"
+
 namespace qikey {
 
-bool LineSplitter::Ingest(std::string_view bytes,
-                          std::vector<std::string>* out) {
+size_t LineSplitter::CopyCarry(char* dest) const {
+  if (!carry_.empty()) std::memcpy(dest, carry_.data(), carry_.size());
+  return carry_.size();
+}
+
+bool LineSplitter::Split(std::string_view bytes,
+                         std::vector<std::string_view>* out) {
   if (overflowed_) return false;
+  QIKEY_DCHECK(bytes.size() >= carry_.size());
   size_t pos = 0;
-  while (pos < bytes.size()) {
+  while (true) {
     size_t eol = bytes.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      partial_.append(bytes.substr(pos));
-      if (partial_.size() > max_line_bytes_) {
-        // Framing is lost: we cannot tell where this line would have
-        // ended, so no later bytes can be trusted either.
-        partial_.clear();
-        overflowed_ = true;
-        return false;
-      }
-      return true;
-    }
-    partial_.append(bytes.substr(pos, eol - pos));
-    pos = eol + 1;
-    if (partial_.size() > max_line_bytes_) {
-      partial_.clear();
+    size_t end = eol == std::string_view::npos ? bytes.size() : eol;
+    if (end - pos > max_line_bytes_) {
+      // Framing is lost: we cannot tell where this line would have
+      // ended, so no later bytes can be trusted either.
+      carry_.clear();
       overflowed_ = true;
       return false;
     }
-    if (!partial_.empty() && partial_.back() == '\r') partial_.pop_back();
-    out->push_back(std::move(partial_));
-    partial_.clear();
+    if (eol == std::string_view::npos) break;
+    std::string_view line = bytes.substr(pos, eol - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    out->push_back(line);
+    pos = eol + 1;
   }
+  carry_.assign(bytes.substr(pos));
   return true;
 }
 

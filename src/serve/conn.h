@@ -16,25 +16,40 @@ namespace qikey {
 /// Pure buffer logic (no sockets), so the framing rules — CRLF
 /// tolerance, the oversized-line trip wire, partial-line carry-over —
 /// are unit-testable without a connection.
+///
+/// Lines are views, not copies: the caller owns the read buffer. Each
+/// read goes into that buffer right after a copy of the carried
+/// unterminated line (`CopyCarry`), and `Split` frames the whole run.
+/// Only the carried partial line is ever copied, once per read.
 class LineSplitter {
  public:
   explicit LineSplitter(size_t max_line_bytes)
       : max_line_bytes_(max_line_bytes) {}
 
-  /// Appends raw bytes and moves every complete line (newline stripped,
-  /// trailing CR stripped) into `out`. Returns false — permanently —
-  /// once a line exceeds `max_line_bytes` before its newline arrives:
-  /// framing is lost and the connection must be closed after an
-  /// `err parse` response. Bounded: buffers at most `max_line_bytes`.
-  bool Ingest(std::string_view bytes, std::vector<std::string>* out);
+  /// Copies the carried unterminated line to `dest`, which must have
+  /// room for `buffered_bytes()`, and returns its length. The caller
+  /// receives new bytes directly after it and hands the whole run to
+  /// `Split`. The carry is kept until `Split` replaces it, so a read
+  /// that brings no bytes needs no `Split`.
+  size_t CopyCarry(char* dest) const;
+
+  /// Frames `bytes`: the carried line as placed by `CopyCarry`,
+  /// followed by newly received bytes. Appends every complete line
+  /// (newline stripped, trailing CR stripped) to `out` as a view into
+  /// `bytes`, and carries the unterminated tail. Returns false —
+  /// permanently — once a line exceeds `max_line_bytes` before its
+  /// newline arrives: framing is lost and the connection must be
+  /// closed after an `err parse` response (the lines completed before
+  /// it are still appended). Bounded: carries at most `max_line_bytes`.
+  bool Split(std::string_view bytes, std::vector<std::string_view>* out);
 
   /// Bytes of the current unterminated line.
-  size_t buffered_bytes() const { return partial_.size(); }
+  size_t buffered_bytes() const { return carry_.size(); }
   bool overflowed() const { return overflowed_; }
 
  private:
   size_t max_line_bytes_;
-  std::string partial_;
+  std::string carry_;
   bool overflowed_ = false;
 };
 

@@ -1,32 +1,74 @@
 #include "serve/protocol.h"
 
+#include <bit>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <span>
 
 namespace qikey {
 
 namespace {
 
-/// Splits on runs of spaces/tabs (the request grammar's separator).
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
+/// The leading tokens of a request line (runs of bytes other than
+/// space/tab, the grammar's separator) and how many tokens it has in
+/// all. No verb takes more than `kMax`, so a longer line is an arity
+/// error whatever its later tokens are.
+struct Tokens {
+  static constexpr size_t kMax = 4;
+  std::string_view at[kMax];
+  size_t count = 0;
+};
+
+bool IsSeparator(char c) { return c == ' ' || c == '\t'; }
+
+/// Position of the first space or tab at or after `i`, or `line.size()`.
+/// Tests eight bytes per step (a byte equals the separator iff it XORs
+/// to zero; the lowest flagged byte is always a true match), because an
+/// attribute list is most of a request line.
+size_t NextSeparator(std::string_view line, size_t i) {
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHighs = 0x8080808080808080ULL;
+  for (; i + 8 <= line.size(); i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, line.data() + i, 8);
+    uint64_t space = word ^ (kOnes * ' ');
+    uint64_t tab = word ^ (kOnes * '\t');
+    uint64_t zero =
+        ((space - kOnes) & ~space) | ((tab - kOnes) & ~tab);
+    if ((zero & kHighs) != 0) {
+      return i + static_cast<size_t>(std::countr_zero(zero & kHighs)) / 8;
+    }
+  }
+  while (i < line.size() && !IsSeparator(line[i])) ++i;
+  return i;
+}
+
+Tokens Tokenize(std::string_view line) {
+  Tokens tokens;
   size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    while (i < line.size() && IsSeparator(line[i])) ++i;
     size_t begin = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
+    i = NextSeparator(line, i);
+    if (i > begin) {
+      if (tokens.count < Tokens::kMax) {
+        tokens.at[tokens.count] = line.substr(begin, i - begin);
+      }
+      ++tokens.count;
+    }
   }
   return tokens;
 }
 
-/// Resolves "a,b,c" strictly: every name must be non-empty and in the
-/// schema (so `a,,b` and typos fail instead of shrinking the set).
-Result<AttributeSet> ResolveAttrList(std::string_view spec,
-                                     const Schema& schema) {
-  AttributeSet out(schema.num_attributes());
+/// Resolves "a,b,c" strictly into `*out` (reset in place): every name
+/// must be non-empty and in the schema (so `a,,b` and typos fail
+/// instead of shrinking the set).
+Status ResolveAttrList(std::string_view spec, const Schema& schema,
+                       AttributeSet* out) {
+  out->Reset(schema.num_attributes());
   size_t pos = 0;
   while (true) {
     size_t comma = spec.find(',', pos);
@@ -37,49 +79,60 @@ Result<AttributeSet> ResolveAttrList(std::string_view spec,
       return Status::InvalidArgument("empty attribute name in '" +
                                      std::string(spec) + "'");
     }
-    int idx = schema.Find(std::string(name));
+    int idx = schema.Find(name);
     if (idx < 0) {
       return Status::InvalidArgument("unknown attribute: " +
                                      std::string(name));
     }
-    out.Add(static_cast<AttributeIndex>(idx));
+    out->Add(static_cast<AttributeIndex>(idx));
     if (comma == std::string_view::npos) break;
     pos = comma + 1;
   }
-  return out;
+  return Status::OK();
 }
 
-/// Strict non-negative integer: the whole token must be digits.
+/// Strict non-negative integer: the whole token must be ASCII digits
+/// (no sign, no whitespace of any kind) and fit in 64 bits.
 bool ParseStrictUint(std::string_view token, uint64_t* out) {
   if (token.empty()) return false;
-  std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE ||
-      buf[0] == '-' || buf[0] == '+') {
-    return false;
+  uint64_t v = 0;
+  for (char c : token) {
+    if (c < '0' || c > '9') return false;
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
   }
-  *out = static_cast<uint64_t>(v);
+  *out = v;
   return true;
+}
+
+void AppendUint(uint64_t v, std::string* out) {
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, end);
 }
 
 /// Comma-joined attribute names ("zip,dob"), the wire form of a set
 /// (no braces or spaces — one token on the response line).
-std::string WireAttrList(const AttributeSet& attrs, const Schema& schema) {
-  std::string out;
-  for (AttributeIndex i : attrs.ToIndices()) {
-    if (!out.empty()) out += ',';
-    out += schema.name(i);
+void AppendWireAttrList(const AttributeSet& attrs, const Schema& schema,
+                        std::string* out) {
+  bool first = true;
+  std::span<const uint64_t> words = attrs.words();
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      if (!first) out->push_back(',');
+      first = false;
+      out->append(schema.name(static_cast<AttributeIndex>(
+          w * 64 + static_cast<size_t>(std::countr_zero(bits)))));
+    }
   }
-  return out;
 }
 
 /// Shortest round-trippable float rendering used by every v1 payload.
-std::string WireDouble(double v) {
+void AppendWireDouble(double v, std::string* out) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  int n = std::snprintf(buf, sizeof(buf), "%.9g", v);
+  out->append(buf, static_cast<size_t>(n));
 }
 
 }  // namespace
@@ -148,73 +201,75 @@ ServeErrorCode ServeErrorCodeFromStatus(const Status& status) {
   }
 }
 
-Result<QueryRequest> ParseQueryRequest(std::string_view line,
-                                       const Schema& schema) {
-  std::vector<std::string_view> tokens = SplitTokens(line);
-  if (tokens.empty()) {
+Status ParseQueryRequestInto(std::string_view line, const Schema& schema,
+                             QueryRequest* request) {
+  Tokens tokens = Tokenize(line);
+  if (tokens.count == 0) {
     return Status::InvalidArgument("empty request");
   }
-  std::string_view verb = tokens[0];
-  QueryRequest request;
+  std::string_view verb = tokens.at[0];
+  request->rhs = 0;
+  request->k = 2;
   if (verb == "min-key") {
-    if (tokens.size() != 1) {
+    if (tokens.count != 1) {
       return Status::InvalidArgument("min-key takes no arguments");
     }
-    request.kind = QueryKind::kMinKey;
-    request.attrs = AttributeSet(schema.num_attributes());
-    return request;
+    request->kind = QueryKind::kMinKey;
+    request->attrs.Reset(schema.num_attributes());
+    return Status::OK();
   }
   if (verb == "is-key" || verb == "separation") {
-    if (tokens.size() != 2) {
+    if (tokens.count != 2) {
       return Status::InvalidArgument(std::string(verb) +
                                      " wants exactly one attribute list");
     }
-    Result<AttributeSet> attrs = ResolveAttrList(tokens[1], schema);
-    if (!attrs.ok()) return attrs.status();
-    request.kind =
+    QIKEY_RETURN_NOT_OK(ResolveAttrList(tokens.at[1], schema, &request->attrs));
+    request->kind =
         verb == "is-key" ? QueryKind::kIsKey : QueryKind::kSeparation;
-    request.attrs = std::move(*attrs);
-    return request;
+    return Status::OK();
   }
   if (verb == "afd") {
-    if (tokens.size() != 4 || tokens[2] != "->") {
+    if (tokens.count != 4 || tokens.at[2] != "->") {
       return Status::InvalidArgument("afd wants: afd <lhs,...> -> <rhs>");
     }
-    Result<AttributeSet> lhs = ResolveAttrList(tokens[1], schema);
-    if (!lhs.ok()) return lhs.status();
-    int rhs = schema.Find(std::string(tokens[3]));
+    QIKEY_RETURN_NOT_OK(ResolveAttrList(tokens.at[1], schema, &request->attrs));
+    int rhs = schema.Find(tokens.at[3]);
     if (rhs < 0) {
       return Status::InvalidArgument("unknown attribute: " +
-                                     std::string(tokens[3]));
+                                     std::string(tokens.at[3]));
     }
-    request.kind = QueryKind::kAfd;
-    request.attrs = std::move(*lhs);
-    request.rhs = static_cast<AttributeIndex>(rhs);
-    return request;
+    request->kind = QueryKind::kAfd;
+    request->rhs = static_cast<AttributeIndex>(rhs);
+    return Status::OK();
   }
   if (verb == "anonymity") {
-    if (tokens.size() != 2 && tokens.size() != 3) {
+    if (tokens.count != 2 && tokens.count != 3) {
       return Status::InvalidArgument(
           "anonymity wants: anonymity <attrs,...> [k]");
     }
-    Result<AttributeSet> attrs = ResolveAttrList(tokens[1], schema);
-    if (!attrs.ok()) return attrs.status();
-    request.kind = QueryKind::kAnonymity;
-    request.attrs = std::move(*attrs);
-    if (tokens.size() == 3) {
+    QIKEY_RETURN_NOT_OK(ResolveAttrList(tokens.at[1], schema, &request->attrs));
+    request->kind = QueryKind::kAnonymity;
+    if (tokens.count == 3) {
       uint64_t k = 0;
-      if (!ParseStrictUint(tokens[2], &k) || k == 0) {
+      if (!ParseStrictUint(tokens.at[2], &k) || k == 0) {
         return Status::InvalidArgument("anonymity k must be a positive "
                                        "integer, got '" +
-                                       std::string(tokens[2]) + "'");
+                                       std::string(tokens.at[2]) + "'");
       }
-      request.k = k;
+      request->k = k;
     }
-    return request;
+    return Status::OK();
   }
   return Status::InvalidArgument(
       "unknown request verb '" + std::string(verb) +
       "' (want is-key|separation|min-key|afd|anonymity)");
+}
+
+Result<QueryRequest> ParseQueryRequest(std::string_view line,
+                                       const Schema& schema) {
+  QueryRequest request;
+  QIKEY_RETURN_NOT_OK(ParseQueryRequestInto(line, schema, &request));
+  return request;
 }
 
 Result<std::vector<QueryRequest>> ParseQueryRequests(std::string_view text,
@@ -282,66 +337,81 @@ Result<std::vector<QueryRequest>> LoadQueryRequestFile(
   return ParseQueryRequests(text, schema);
 }
 
-std::string EncodeResponseLine(const QueryRequest& request,
-                               const QueryResponse& response,
-                               const Schema& schema) {
+void AppendResponseLine(const QueryRequest& request,
+                        const QueryResponse& response, const Schema& schema,
+                        std::string* out) {
   if (!response.status.ok()) {
     ServeErrorCode code = response.error_code != ServeErrorCode::kNone
                               ? response.error_code
                               : ServeErrorCodeFromStatus(response.status);
-    return EncodeErrorLine(code, response.status.message());
+    AppendErrorLine(code, response.status.message(), out);
+    return;
   }
-  std::string out = "ok ";
+  out->append("ok ");
   switch (request.kind) {
     case QueryKind::kIsKey:
-      out += response.verdict == FilterVerdict::kAccept ? "accept" : "reject";
+      out->append(response.verdict == FilterVerdict::kAccept ? "accept"
+                                                             : "reject");
       break;
     case QueryKind::kSeparation: {
       const char* cls =
           response.separation_class == SeparationClass::kKey ? "key"
           : response.separation_class == SeparationClass::kBad ? "bad"
                                                                : "gray";
-      out += WireDouble(response.separation_ratio);
-      out += ' ';
-      out += cls;
+      AppendWireDouble(response.separation_ratio, out);
+      out->push_back(' ');
+      out->append(cls);
       break;
     }
     case QueryKind::kMinKey:
       if (response.has_key) {
-        out += WireAttrList(response.key, schema);
+        AppendWireAttrList(response.key, schema, out);
       } else {
-        out += "none";
+        out->append("none");
       }
-      out += ' ';
-      out += std::to_string(response.num_minimal_keys);
+      out->push_back(' ');
+      AppendUint(response.num_minimal_keys, out);
       break;
     case QueryKind::kAfd:
-      out += WireDouble(response.afd.g2);
-      out += ' ';
-      out += WireDouble(response.afd.conditional);
-      out += ' ';
-      out += std::to_string(response.afd.violating);
+      AppendWireDouble(response.afd.g2, out);
+      out->push_back(' ');
+      AppendWireDouble(response.afd.conditional, out);
+      out->push_back(' ');
+      AppendUint(response.afd.violating, out);
       break;
     case QueryKind::kAnonymity:
-      out += std::to_string(response.anonymity_level);
-      out += ' ';
-      out += WireDouble(response.below_k_fraction);
+      AppendUint(response.anonymity_level, out);
+      out->push_back(' ');
+      AppendWireDouble(response.below_k_fraction, out);
       break;
   }
+}
+
+std::string EncodeResponseLine(const QueryRequest& request,
+                               const QueryResponse& response,
+                               const Schema& schema) {
+  std::string out;
+  AppendResponseLine(request, response, schema, &out);
   return out;
 }
 
-std::string EncodeErrorLine(ServeErrorCode code, std::string_view message) {
-  std::string out = "err ";
-  out += ServeErrorCodeName(code == ServeErrorCode::kNone
-                                ? ServeErrorCode::kInternal
-                                : code);
+void AppendErrorLine(ServeErrorCode code, std::string_view message,
+                     std::string* out) {
+  out->append("err ");
+  out->append(ServeErrorCodeName(code == ServeErrorCode::kNone
+                                     ? ServeErrorCode::kInternal
+                                     : code));
   if (!message.empty()) {
-    out += ' ';
+    out->push_back(' ');
     for (char c : message) {
-      out += (c == '\n' || c == '\r') ? ' ' : c;
+      out->push_back((c == '\n' || c == '\r') ? ' ' : c);
     }
   }
+}
+
+std::string EncodeErrorLine(ServeErrorCode code, std::string_view message) {
+  std::string out;
+  AppendErrorLine(code, message, &out);
   return out;
 }
 

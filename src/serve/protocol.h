@@ -120,9 +120,20 @@ const char* ServeErrorCodeName(ServeErrorCode code);
 /// errors are tagged at their source, not inferred from a status.)
 ServeErrorCode ServeErrorCodeFromStatus(const Status& status);
 
-/// \brief Parses one request line. Strict — see the grammar above.
-/// The failed status's taxonomy bucket is `kParse` for grammar errors
-/// and unknown attributes alike (the line, not the snapshot, is wrong).
+/// \brief Parses one request line into `*request`. Strict — see the
+/// grammar above. The failed status's taxonomy bucket is `kParse` for
+/// grammar errors and unknown attributes alike (the line, not the
+/// snapshot, is wrong).
+///
+/// This is the one request parser. It builds no temporaries on the
+/// success path: tokens and attribute names are views into `line`, and
+/// `request->attrs` is reset in place, so a caller that recycles its
+/// `QueryRequest`s (the server's per-shard batch) parses without heap
+/// allocation. On failure `*request` holds no meaningful request.
+Status ParseQueryRequestInto(std::string_view line, const Schema& schema,
+                             QueryRequest* request);
+
+/// `ParseQueryRequestInto` into a fresh request.
 Result<QueryRequest> ParseQueryRequest(std::string_view line,
                                        const Schema& schema);
 
@@ -137,20 +148,30 @@ Result<std::vector<QueryRequest>> ParseQueryRequests(std::string_view text,
 Result<std::vector<QueryRequest>> LoadQueryRequestFile(
     const std::string& path, const Schema& schema);
 
-/// \brief Encodes one response as its v1 wire line (no trailing
-/// newline): `ok <payload>` on success, `err <code> <message>`
-/// otherwise. Deterministic: two equal responses encode to the same
-/// bytes, so server output can be diffed against the batch executor.
-/// `cache_hit` and `epoch` are latency/bookkeeping metadata and are
-/// deliberately NOT part of the wire payload.
+/// \brief Appends one response's v1 wire line (no trailing newline) to
+/// `*out`: `ok <payload>` on success, `err <code> <message>` otherwise.
+/// Deterministic: two equal responses encode to the same bytes, so
+/// server output can be diffed against the batch executor. `cache_hit`
+/// and `epoch` are latency/bookkeeping metadata and are deliberately
+/// NOT part of the wire payload. The server appends straight into a
+/// connection's write buffer.
+void AppendResponseLine(const QueryRequest& request,
+                        const QueryResponse& response, const Schema& schema,
+                        std::string* out);
+
+/// `AppendResponseLine` into a fresh string.
 std::string EncodeResponseLine(const QueryRequest& request,
                                const QueryResponse& response,
                                const Schema& schema);
 
-/// An `err <code> <message>` line (no trailing newline) for failures
-/// that never produced a response — admission-control sheds, oversized
-/// lines, unsupported versions. Newlines in `message` are flattened to
-/// spaces (the message must not break framing).
+/// Appends an `err <code> <message>` line (no trailing newline) for
+/// failures that never produced a response — admission-control sheds,
+/// oversized lines, unsupported versions. Newlines in `message` are
+/// flattened to spaces (the message must not break framing).
+void AppendErrorLine(ServeErrorCode code, std::string_view message,
+                     std::string* out);
+
+/// `AppendErrorLine` into a fresh string.
 std::string EncodeErrorLine(ServeErrorCode code, std::string_view message);
 
 }  // namespace qikey

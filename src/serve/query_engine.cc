@@ -1,8 +1,8 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "core/anonymity.h"
@@ -170,6 +170,7 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
               responses[i].verdict = cached;
               responses[i].cache_hit = true;
             } else {
+              if (local.empty()) local.reserve(end - i);
               local.push_back(static_cast<uint32_t>(i));
             }
           } else {
@@ -197,29 +198,32 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
 
   // Pass 2 (serial): dedupe the missed is-key sets in request order —
   // duplicates within the batch share one filter slot, numbered by
-  // first occurrence. Keyed by pointer into `requests`, so no set is
-  // copied until it earns a slot.
-  struct DerefHash {
-    size_t operator()(const AttributeSet* set) const {
-      return AttributeSetHasher{}(*set);
-    }
-  };
-  struct DerefEq {
-    bool operator()(const AttributeSet* a, const AttributeSet* b) const {
-      return *a == *b;
-    }
-  };
-  std::unordered_map<const AttributeSet*, uint32_t, DerefHash, DerefEq>
-      slot_of;
+  // first occurrence. A flat open-addressing table sized for this
+  // batch maps a set to its slot; a set is copied only when it earns
+  // one (the filter batch needs contiguous sets).
+  size_t num_misses = 0;
+  for (const MissChunk& chunk : miss_chunks) num_misses += chunk.misses.size();
   std::vector<std::pair<size_t, size_t>> filter_slots;  // (request, slot)
   std::vector<AttributeSet> filter_attrs;
-  for (const MissChunk& chunk : miss_chunks) {
-    for (uint32_t index : chunk.misses) {
-      const AttributeSet& attrs = requests[index].attrs;
-      auto [it, inserted] = slot_of.try_emplace(
-          &attrs, static_cast<uint32_t>(filter_attrs.size()));
-      if (inserted) filter_attrs.push_back(attrs);
-      filter_slots.emplace_back(index, it->second);
+  if (num_misses > 0) {
+    filter_slots.reserve(num_misses);
+    filter_attrs.reserve(num_misses);
+    constexpr uint32_t kEmpty = ~uint32_t{0};
+    std::vector<uint32_t> table(std::bit_ceil(2 * num_misses), kEmpty);
+    const size_t mask = table.size() - 1;
+    for (const MissChunk& chunk : miss_chunks) {
+      for (uint32_t index : chunk.misses) {
+        const AttributeSet& attrs = requests[index].attrs;
+        size_t i = attrs.Hash() & mask;
+        while (table[i] != kEmpty && filter_attrs[table[i]] != attrs) {
+          i = (i + 1) & mask;
+        }
+        if (table[i] == kEmpty) {
+          table[i] = static_cast<uint32_t>(filter_attrs.size());
+          filter_attrs.push_back(attrs);
+        }
+        filter_slots.emplace_back(index, table[i]);
+      }
     }
   }
   pass_end = NowNs();

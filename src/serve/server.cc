@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -33,6 +34,7 @@ constexpr uint64_t kFirstConnId = 2;
 
 constexpr int kEpollBatch = 64;
 constexpr int kEpollTickMs = 50;  ///< timeout/reap granularity
+constexpr size_t kReadChunk = 16384;  ///< most bytes one `recv` asks for
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -123,10 +125,13 @@ class ServeServer::Shard {
            !conn.splitter.overflowed();
   }
   void HandleReadable(ServeConn* conn);
+  /// Makes `read_buf_` hold at least `bytes`, re-pointing the line views
+  /// already framed into it.
+  void GrowReadBuffer(size_t bytes);
   /// Parses, executes and encodes `lines` into the connection's write
-  /// buffer, in order; appends a record per trace-sampled line.
-  void Answer(ServeConn* conn, std::span<const std::string> lines,
-              std::vector<TraceRecord>* traces);
+  /// buffer, in order; appends a record per trace-sampled line to
+  /// `traces_`.
+  void Answer(ServeConn* conn, std::span<const std::string_view> lines);
   void EmitTrace(uint64_t conn_id, const TraceRecord& trace,
                  int64_t flush_done_ns);
   /// After any I/O on `conn`: flush, then close it if it is done, or
@@ -152,7 +157,20 @@ class ServeServer::Shard {
 
   // Shard-thread only.
   std::unordered_map<uint64_t, std::unique_ptr<ServeConn>> conns_;
-  std::vector<std::string> lines_;  ///< scratch: lines of one read
+
+  // Request-path scratch, reused by every read and batch of every
+  // connection of this shard: once grown to the largest batch seen,
+  // the path recv -> frame -> parse -> encode allocates nothing.
+  /// One readable event's bytes: each read lands after a copy of the
+  /// connection's carried partial line, so every line is a view here.
+  std::vector<char> read_buf_;
+  std::vector<std::string_view> lines_;  ///< lines of one readable event
+  /// Parsed engine requests; recycled so each set's words are reused.
+  std::vector<QueryRequest> requests_;
+  std::vector<int> slot_;  ///< per line: index into requests_, or -1
+  /// Per line answered inline (hello, `stats`, parse error): its line.
+  std::vector<std::string> immediate_;
+  std::vector<TraceRecord> traces_;
   bool draining_ = false;
   int64_t drain_deadline_ms_ = 0;
 
@@ -397,11 +415,17 @@ void ServeServer::Shard::HandleReadable(ServeConn* conn) {
   }
   ServeServer& s = *server_;
   const size_t cap = s.options_.max_pending_per_conn;
-  char chunk[16384];
   lines_.clear();
+  size_t used = 0;
   bool framing_lost = false;
   while (lines_.size() < cap) {
-    ssize_t n = ::recv(conn->fd.get(), chunk, sizeof(chunk), 0);
+    size_t carried = conn->splitter.buffered_bytes();
+    if (read_buf_.size() < used + carried + kReadChunk) {
+      GrowReadBuffer(used + carried + kReadChunk);
+    }
+    char* start = read_buf_.data() + used;
+    conn->splitter.CopyCarry(start);
+    ssize_t n = ::recv(conn->fd.get(), start + carried, kReadChunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -412,13 +436,15 @@ void ServeServer::Shard::HandleReadable(ServeConn* conn) {
       conn->peer_eof = true;
       break;
     }
-    if (!conn->splitter.Ingest(std::string_view(chunk, n), &lines_)) {
+    size_t framed = carried + static_cast<size_t>(n);
+    if (!conn->splitter.Split(std::string_view(start, framed), &lines_)) {
       framing_lost = true;
       break;
     }
+    used += framed;
     // A short read drained the socket; skip the recv that would say
     // EAGAIN. Bytes arriving meanwhile re-arm the level-triggered poll.
-    if (static_cast<size_t>(n) < sizeof(chunk)) break;
+    if (static_cast<size_t>(n) < kReadChunk) break;
   }
 
   // The first `cap` lines execute; the rest of this read is shed. Both
@@ -432,14 +458,14 @@ void ServeServer::Shard::HandleReadable(ServeConn* conn) {
   }
   s.lines_received_.Increment(received);
   s.lines_admitted_.Increment(admitted);
-  std::vector<TraceRecord> traces;
+  traces_.clear();
   if (admitted > 0) {
-    Answer(conn, std::span<const std::string>(lines_.data(), admitted),
-           &traces);
+    Answer(conn, std::span<const std::string_view>(lines_.data(), admitted));
   }
   for (size_t i = 0; i < shed; ++i) {
-    conn->QueueResponse(EncodeErrorLine(ServeErrorCode::kOverload,
-                                        "connection request queue full"));
+    AppendErrorLine(ServeErrorCode::kOverload, "connection request queue full",
+                    &conn->write_buf);
+    conn->write_buf.push_back('\n');
   }
   s.overload_responses_.Increment(shed);
   s.responses_sent_.Increment(shed);
@@ -455,17 +481,26 @@ void ServeServer::Shard::HandleReadable(ServeConn* conn) {
 
   uint64_t id = conn->id;
   Settle(conn);
-  if (!traces.empty()) {
+  if (!traces_.empty()) {
     int64_t flush_done_ns = NowNs();
-    for (const TraceRecord& trace : traces) {
+    for (const TraceRecord& trace : traces_) {
       EmitTrace(id, trace, flush_done_ns);
     }
   }
 }
 
+void ServeServer::Shard::GrowReadBuffer(size_t bytes) {
+  std::vector<char> grown(std::max(bytes, 2 * read_buf_.size()));
+  std::copy(read_buf_.begin(), read_buf_.end(), grown.begin());
+  for (std::string_view& line : lines_) {
+    line = std::string_view(grown.data() + (line.data() - read_buf_.data()),
+                            line.size());
+  }
+  read_buf_.swap(grown);
+}
+
 void ServeServer::Shard::Answer(ServeConn* conn,
-                                std::span<const std::string> lines,
-                                std::vector<TraceRecord>* traces) {
+                                std::span<const std::string_view> lines) {
   ServeServer& s = *server_;
   const Schema& schema = s.schema_;
   std::string& out = conn->write_buf;
@@ -478,34 +513,37 @@ void ServeServer::Shard::Answer(ServeConn* conn,
 
   // Parse every line; hello assertions, the `stats` admin verb, and
   // parse failures are answered inline, everything else joins one
-  // engine batch.
-  std::vector<std::string> immediate(n);
-  std::vector<int> slot(n, -1);
-  std::vector<QueryRequest> requests;
+  // engine batch. A line's `immediate_` entry is written exactly when
+  // its `slot_` stays -1, so stale entries from earlier batches are
+  // never read.
+  slot_.assign(n, -1);
+  if (immediate_.size() < n) immediate_.resize(n);
+  size_t num_requests = 0;
   size_t parse_errors = 0;
   for (size_t i = 0; i < n; ++i) {
-    const std::string& line = lines[i];
+    std::string_view line = lines[i];
     bool traced = sample > 0 && (first_id + i + 1) % sample == 0;
     int64_t parse_start = traced ? NowNs() : 0;
     if (line == kStatsVerb) {
       // Rendered by the server, not the engine: one consistent
       // snapshot of every registered family as a single `ok` line.
-      immediate[i] = "ok " + s.registry_->RenderJson();
+      immediate_[i] = "ok " + s.registry_->RenderJson();
     } else if (IsHelloLine(line)) {
       Result<ProtocolVersion> version = ParseHelloLine(line);
-      immediate[i] = version.ok()
-                         ? HelloAck(*version)
-                         : EncodeErrorLine(ServeErrorCode::kValidation,
-                                           version.status().message());
+      immediate_[i] = version.ok()
+                          ? HelloAck(*version)
+                          : EncodeErrorLine(ServeErrorCode::kValidation,
+                                            version.status().message());
     } else {
-      Result<QueryRequest> request = ParseQueryRequest(line, schema);
-      if (!request.ok()) {
-        immediate[i] = EncodeErrorLine(ServeErrorCode::kParse,
-                                       request.status().message());
+      if (num_requests == requests_.size()) requests_.emplace_back();
+      Status parsed =
+          ParseQueryRequestInto(line, schema, &requests_[num_requests]);
+      if (!parsed.ok()) {
+        immediate_[i] =
+            EncodeErrorLine(ServeErrorCode::kParse, parsed.message());
         ++parse_errors;
       } else {
-        slot[i] = static_cast<int>(requests.size());
-        requests.push_back(std::move(*request));
+        slot_[i] = static_cast<int>(num_requests++);
       }
     }
     if (traced) {
@@ -514,25 +552,27 @@ void ServeServer::Shard::Answer(ServeConn* conn,
       trace.admit_ns = admit_ns;
       trace.parse_start_ns = parse_start;
       trace.parse_ns = NowNs() - parse_start;
-      traces->push_back(trace);
+      traces_.push_back(trace);
     }
   }
 
   std::vector<QueryResponse> responses;
   int64_t execute_ns = 0;
-  if (!requests.empty()) {
+  if (num_requests > 0) {
     // One pinned snapshot per batch: a concurrent Publish never mixes
     // epochs inside it (QueryEngine semantics).
-    int64_t execute_start = traces->empty() ? 0 : NowNs();
-    responses = s.engine_->ExecuteBatch(requests);
-    if (!traces->empty()) execute_ns = NowNs() - execute_start;
+    int64_t execute_start = traces_.empty() ? 0 : NowNs();
+    responses = s.engine_->ExecuteBatch(
+        std::span<const QueryRequest>(requests_.data(), num_requests));
+    if (!traces_.empty()) execute_ns = NowNs() - execute_start;
   }
 
   for (size_t i = 0; i < n; ++i) {
-    if (slot[i] >= 0) {
-      out += EncodeResponseLine(requests[slot[i]], responses[slot[i]], schema);
+    if (slot_[i] >= 0) {
+      AppendResponseLine(requests_[slot_[i]], responses[slot_[i]], schema,
+                         &out);
     } else {
-      out += immediate[i];
+      out += immediate_[i];
     }
     out += '\n';
   }
@@ -543,10 +583,10 @@ void ServeServer::Shard::Answer(ServeConn* conn,
   // reproducible across identical request sequences.
   int64_t done_ns = NowNs();
   s.request_ns_.RecordN(done_ns - admit_ns, n);
-  for (TraceRecord& trace : *traces) {
+  for (TraceRecord& trace : traces_) {
     // Batch-shared: the engine executes the whole batch at once, so a
     // sampled line is attributed the batch's execute wall time.
-    bool executed = slot[trace.request_id - first_id] >= 0;
+    bool executed = slot_[trace.request_id - first_id] >= 0;
     trace.execute_ns = executed ? execute_ns : 0;
     trace.done_ns = done_ns;
   }

@@ -1,6 +1,8 @@
 #include "serve/verdict_cache.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace qikey {
 
@@ -14,9 +16,8 @@ VerdictCache::VerdictCache(const VerdictCacheOptions& options) {
   }
 }
 
-VerdictCache::Shard& VerdictCache::ShardFor(uint64_t epoch,
-                                            const AttributeSet& attrs) {
-  return *shards_[KeyHash()(Key{epoch, attrs}) % shards_.size()];
+VerdictCache::Shard& VerdictCache::ShardFor(const KeyRef& key) {
+  return *shards_[KeyHash()(key) % shards_.size()];
 }
 
 bool VerdictCache::Lookup(uint64_t epoch, const AttributeSet& attrs,
@@ -25,15 +26,16 @@ bool VerdictCache::Lookup(uint64_t epoch, const AttributeSet& attrs,
     disabled_misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  Shard& shard = ShardFor(epoch, attrs);
+  const KeyRef key{epoch, &attrs};
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto it = shard.index.find(Key{epoch, attrs});
+  auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     ++shard.misses;
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  *verdict = it->second->second;
+  *verdict = it->second->verdict;
   ++shard.hits;
   return true;
 }
@@ -41,26 +43,34 @@ bool VerdictCache::Lookup(uint64_t epoch, const AttributeSet& attrs,
 void VerdictCache::Insert(uint64_t epoch, const AttributeSet& attrs,
                           FilterVerdict verdict) {
   if (!enabled()) return;
-  Shard& shard = ShardFor(epoch, attrs);
+  const KeyRef key{epoch, &attrs};
+  Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  Key key{epoch, attrs};
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = verdict;
+    it->second->verdict = verdict;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  EvictIfFullLocked(shard);
-  shard.lru.emplace_front(std::move(key), verdict);
-  shard.index.emplace(shard.lru.front().first, shard.lru.begin());
-}
-
-void VerdictCache::EvictIfFullLocked(Shard& shard) {
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  if (shard.lru.size() < per_shard_capacity_) {
+    shard.lru.push_front(Entry{epoch, attrs, verdict});
+    shard.index.emplace(KeyRef{epoch, &shard.lru.front().attrs},
+                        shard.lru.begin());
+    return;
   }
+  // Full: the least-recently-used entry becomes the new one. Its index
+  // node is unlinked while it still views the old key, then re-keyed
+  // and relinked; the list node moves to the front and takes the new
+  // key in place (an equal-universe set assignment reuses its words).
+  Entry& victim = shard.lru.back();
+  auto node = shard.index.extract(KeyRef{victim.epoch, &victim.attrs});
+  shard.lru.splice(shard.lru.begin(), shard.lru, std::prev(shard.lru.end()));
+  victim.epoch = epoch;
+  victim.attrs = attrs;
+  victim.verdict = verdict;
+  node.key() = KeyRef{epoch, &victim.attrs};
+  shard.index.insert(std::move(node));
+  ++shard.evictions;
 }
 
 uint64_t VerdictCache::hits() const {

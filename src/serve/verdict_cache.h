@@ -6,7 +6,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/attribute_set.h"
@@ -46,7 +45,9 @@ class VerdictCache {
 
   /// Records a verdict, evicting the shard's least-recently-used entry
   /// at capacity. Inserting an existing key refreshes its verdict and
-  /// recency.
+  /// recency. At capacity the evicted entry's list and index nodes are
+  /// recycled for the new key (its set assigned in place), so a full
+  /// cache inserts without heap allocation.
   void Insert(uint64_t epoch, const AttributeSet& attrs,
               FilterVerdict verdict);
 
@@ -61,17 +62,29 @@ class VerdictCache {
   size_t size() const;
 
  private:
-  struct Key {
+  /// One cached verdict. The list node owns the only copy of the key's
+  /// attribute set; the index refers to it.
+  struct Entry {
     uint64_t epoch;
     AttributeSet attrs;
-    bool operator==(const Key& other) const {
-      return epoch == other.epoch && attrs == other.attrs;
+    FilterVerdict verdict;
+  };
+  using Lru = std::list<Entry>;
+  /// Index key: a view of an (epoch, set) pair, hashed and compared by
+  /// the set's value. Stored keys view their own LRU entry's set (list
+  /// nodes never move), so a lookup keys on the caller's set as is and
+  /// copies nothing.
+  struct KeyRef {
+    uint64_t epoch;
+    const AttributeSet* attrs;
+    bool operator==(const KeyRef& other) const {
+      return epoch == other.epoch && *attrs == *other.attrs;
     }
   };
   struct KeyHash {
-    size_t operator()(const Key& key) const {
+    size_t operator()(const KeyRef& key) const {
       // splitmix-style spread of the epoch over the set hash.
-      uint64_t h = key.attrs.Hash() + key.epoch * 0x9e3779b97f4a7c15ull;
+      uint64_t h = key.attrs->Hash() + key.epoch * 0x9e3779b97f4a7c15ull;
       h ^= h >> 30;
       h *= 0xbf58476d1ce4e5b9ull;
       h ^= h >> 27;
@@ -84,21 +97,15 @@ class VerdictCache {
     /// whole point of sharding the lock.
     Mutex mu;
     /// Front = most recently used.
-    std::list<std::pair<Key, FilterVerdict>> lru GUARDED_BY(mu);
-    std::unordered_map<Key, std::list<std::pair<Key, FilterVerdict>>::iterator,
-                       KeyHash>
-        index GUARDED_BY(mu);
+    Lru lru GUARDED_BY(mu);
+    std::unordered_map<KeyRef, Lru::iterator, KeyHash> index GUARDED_BY(mu);
     /// Bumped while the shard lock is already held (no atomics needed).
     uint64_t hits GUARDED_BY(mu) = 0;
     uint64_t misses GUARDED_BY(mu) = 0;
     uint64_t evictions GUARDED_BY(mu) = 0;
   };
 
-  Shard& ShardFor(uint64_t epoch, const AttributeSet& attrs);
-
-  /// Evicts `shard`'s least-recently-used entry if it is at capacity.
-  /// Split out so the locking contract is explicit in the signature.
-  void EvictIfFullLocked(Shard& shard) REQUIRES(shard.mu);
+  Shard& ShardFor(const KeyRef& key);
 
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -132,6 +132,45 @@ TEST(SchemaTest, FindByName) {
   EXPECT_EQ(s.Find("nope"), -1);
 }
 
+TEST(SchemaTest, FindFirstDuplicateWins) {
+  Schema s({"x", "dup", "y", "dup", "x"});
+  EXPECT_EQ(s.Find("x"), 0);
+  EXPECT_EQ(s.Find("dup"), 1);
+  EXPECT_EQ(s.Find("y"), 2);
+}
+
+TEST(SchemaTest, FindAbsentAndEmptyNames) {
+  Schema s({"horiz_dist_hydrology", "a"});
+  EXPECT_EQ(s.Find(""), -1);
+  EXPECT_EQ(s.Find("horiz_dist_hydrolog"), -1);   // a prefix
+  EXPECT_EQ(s.Find("horiz_dist_hydrologyy"), -1);  // an extension
+  EXPECT_EQ(s.Find(std::string_view("a\0", 2)), -1);
+  EXPECT_EQ(s.Find("horiz_dist_hydrology"), 0);
+  // An empty name is a name like any other when the schema has one.
+  Schema with_empty({"a", ""});
+  EXPECT_EQ(with_empty.Find(""), 1);
+}
+
+TEST(SchemaTest, FindOnDefaultSchema) {
+  Schema s;
+  EXPECT_EQ(s.num_attributes(), 0u);
+  EXPECT_EQ(s.Find(""), -1);
+  EXPECT_EQ(s.Find("a0"), -1);
+}
+
+TEST(SchemaTest, FindThousandNamesAndCopies) {
+  Schema s = Schema::Anonymous(1000);
+  Schema copy = s;  // the lookup table travels with the names
+  for (AttributeIndex i = 0; i < 1000; ++i) {
+    ASSERT_EQ(s.Find(s.name(i)), static_cast<int>(i));
+    std::string name = "a";  // += dodges gcc 12's -Wrestrict (PR105651)
+    name += std::to_string(i);
+    ASSERT_EQ(copy.Find(name), static_cast<int>(i));
+  }
+  EXPECT_EQ(s.Find("a1000"), -1);
+  EXPECT_EQ(s.Find("b0"), -1);
+}
+
 // --------------------------------------------------------------- Dataset
 
 Dataset SmallDataset() {

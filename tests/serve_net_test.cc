@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "data/generators/tabular.h"
+#include "protocol_oracle.h"
 #include "engine/pipeline.h"
 #include "serve/conn.h"
 #include "serve/protocol.h"
@@ -80,6 +81,76 @@ TEST(ProtocolTest, UnversionedRequestFileStillParsesAsV1) {
   EXPECT_FALSE(ParseQueryRequests(std::string("QIKEY/2\n") + body, schema).ok());
 }
 
+TEST(ProtocolTest, AnonymityKMustBeDigitsOnly) {
+  Schema schema({"zip", "dob"});
+  // strtoull-style whitespace skipping must not leak into the grammar:
+  // every byte of k is a digit, on the wire and in request files.
+  for (const char* line : {"anonymity zip \v2", "anonymity zip \f2",
+                           "anonymity zip \r2", "anonymity zip \n2",
+                           "anonymity zip 2\v", "anonymity zip +2",
+                           "anonymity zip 18446744073709551616"}) {
+    auto request = ParseQueryRequest(line, schema);
+    EXPECT_FALSE(request.ok()) << "accepted: " << line;
+    EXPECT_FALSE(ParseQueryRequests(line, schema).ok()) << line;
+  }
+  auto largest = ParseQueryRequest("anonymity zip 18446744073709551615", schema);
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->k, 18446744073709551615ull);
+  auto padded = ParseQueryRequest("anonymity zip 007", schema);
+  ASSERT_TRUE(padded.ok()) << padded.status().ToString();
+  EXPECT_EQ(padded->k, 7u);
+}
+
+TEST(ProtocolTest, MatchesReferenceParserAtEverySeparatorPlacement) {
+  // The tokenizer scans eight bytes at a time: put separator runs at
+  // every offset of lines of every verb and compare with the reference.
+  Schema schema({"zip", "horiz_dist_hydrology", "a", "elevation_meters"});
+  const std::vector<std::string> lines = {
+      "is-key zip,horiz_dist_hydrology,a,elevation_meters",
+      "separation horiz_dist_hydrology",
+      "afd zip,a -> elevation_meters",
+      "anonymity elevation_meters,zip 12",
+      "min-key",
+  };
+  for (const std::string& base : lines) {
+    for (size_t pos = 0; pos <= base.size(); ++pos) {
+      for (const char* run : {" ", "\t", " \t  \t", "         "}) {
+        std::string line = base;
+        line.insert(pos, run);
+        auto got = ParseQueryRequest(line, schema);
+        auto want = protocol_oracle::ParseQueryRequest(line, schema);
+        ASSERT_EQ(got.ok(), want.ok()) << "'" << line << "'";
+        if (!got.ok()) {
+          EXPECT_EQ(got.status(), want.status()) << "'" << line << "'";
+          continue;
+        }
+        EXPECT_EQ(got->kind, want->kind) << "'" << line << "'";
+        EXPECT_EQ(got->attrs, want->attrs) << "'" << line << "'";
+        EXPECT_EQ(got->rhs, want->rhs) << "'" << line << "'";
+        EXPECT_EQ(got->k, want->k) << "'" << line << "'";
+      }
+    }
+  }
+}
+
+TEST(ProtocolTest, ParseIntoRecyclesTheRequest) {
+  Schema schema({"zip", "dob", "name"});
+  QueryRequest request;
+  ASSERT_TRUE(
+      ParseQueryRequestInto("afd zip,dob -> name", schema, &request).ok());
+  EXPECT_EQ(request.rhs, 2u);
+  ASSERT_TRUE(ParseQueryRequestInto("anonymity dob 9", schema, &request).ok());
+  EXPECT_EQ(request.k, 9u);
+  // Reused for an is-key line: the old set and fields are gone.
+  ASSERT_TRUE(ParseQueryRequestInto("is-key name", schema, &request).ok());
+  auto fresh = ParseQueryRequest("is-key name", schema);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(request.kind, fresh->kind);
+  EXPECT_EQ(request.attrs, fresh->attrs);
+  EXPECT_EQ(request.rhs, fresh->rhs);
+  EXPECT_EQ(request.k, fresh->k);
+}
+
 TEST(ProtocolTest, ErrorCodeNamesAndStatusMapping) {
   EXPECT_STREQ(ServeErrorCodeName(ServeErrorCode::kParse), "parse");
   EXPECT_STREQ(ServeErrorCodeName(ServeErrorCode::kValidation), "validation");
@@ -107,17 +178,36 @@ TEST(ProtocolTest, ErrorLineFlattensNewlines) {
 // LineSplitter (framing under the per-line cap)
 // --------------------------------------------------------------------
 
+/// Feeds `chunk` the way a server shard does: the carried partial line
+/// is copied to the front of a fresh read buffer, the new bytes follow
+/// it, and the whole run is split. Lines are copied out of the views
+/// before the buffer dies.
+bool Feed(LineSplitter* splitter, std::string_view chunk,
+          std::vector<std::string>* lines) {
+  std::string buf(splitter->buffered_bytes(), '\0');
+  EXPECT_EQ(splitter->CopyCarry(buf.data()), buf.size());
+  buf.append(chunk);
+  std::vector<std::string_view> views;
+  bool ok = splitter->Split(buf, &views);
+  for (std::string_view view : views) {
+    EXPECT_GE(view.data(), buf.data());  // a view into the read buffer
+    EXPECT_LE(view.data() + view.size(), buf.data() + buf.size());
+    lines->emplace_back(view);
+  }
+  return ok;
+}
+
 TEST(LineSplitterTest, SplitsAndCarriesPartials) {
   LineSplitter splitter(64);
   std::vector<std::string> lines;
-  EXPECT_TRUE(splitter.Ingest("ab", &lines));
+  EXPECT_TRUE(Feed(&splitter, "ab", &lines));
   EXPECT_TRUE(lines.empty());
   EXPECT_EQ(splitter.buffered_bytes(), 2u);
-  EXPECT_TRUE(splitter.Ingest("c\r\nsecond\nthi", &lines));
+  EXPECT_TRUE(Feed(&splitter, "c\r\nsecond\nthi", &lines));
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "abc");  // CR stripped, partial joined
   EXPECT_EQ(lines[1], "second");
-  EXPECT_TRUE(splitter.Ingest("rd\n", &lines));
+  EXPECT_TRUE(Feed(&splitter, "rd\n", &lines));
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[2], "third");
 }
@@ -125,11 +215,72 @@ TEST(LineSplitterTest, SplitsAndCarriesPartials) {
 TEST(LineSplitterTest, OverflowIsPermanent) {
   LineSplitter splitter(8);
   std::vector<std::string> lines;
-  EXPECT_FALSE(splitter.Ingest("waaaaay too long for the cap\n", &lines));
+  EXPECT_FALSE(Feed(&splitter, "waaaaay too long for the cap\n", &lines));
   EXPECT_TRUE(splitter.overflowed());
   EXPECT_TRUE(lines.empty());
   // Even a well-framed follow-up is refused: framing is lost for good.
-  EXPECT_FALSE(splitter.Ingest("ok\n", &lines));
+  EXPECT_FALSE(Feed(&splitter, "ok\n", &lines));
+}
+
+TEST(LineSplitterTest, EverySplitPointGivesTheSameLines) {
+  const std::string stream = "is-key a,b\r\n\nmin-key\r\r\n  x  \nlast\npart";
+  std::vector<std::string> want;
+  LineSplitter whole(64);
+  ASSERT_TRUE(Feed(&whole, stream, &want));
+  EXPECT_EQ(want, (std::vector<std::string>{"is-key a,b", "", "min-key\r",
+                                            "  x  ", "last"}));
+  EXPECT_EQ(whole.buffered_bytes(), 4u);  // "part"
+  for (size_t cut = 0; cut <= stream.size(); ++cut) {
+    LineSplitter splitter(64);
+    std::vector<std::string> got;
+    ASSERT_TRUE(Feed(&splitter, std::string_view(stream).substr(0, cut), &got));
+    ASSERT_TRUE(Feed(&splitter, std::string_view(stream).substr(cut), &got));
+    EXPECT_EQ(got, want) << "split at " << cut;
+    EXPECT_EQ(splitter.buffered_bytes(), 4u) << "split at " << cut;
+  }
+}
+
+TEST(LineSplitterTest, CrAndNewlineInSeparateReads) {
+  LineSplitter splitter(64);
+  std::vector<std::string> lines;
+  EXPECT_TRUE(Feed(&splitter, "stats\r", &lines));
+  EXPECT_TRUE(lines.empty());
+  EXPECT_EQ(splitter.buffered_bytes(), 6u);
+  EXPECT_TRUE(Feed(&splitter, "\nmin-key\r", &lines));
+  EXPECT_TRUE(Feed(&splitter, "\n", &lines));
+  EXPECT_EQ(lines, (std::vector<std::string>{"stats", "min-key"}));
+  EXPECT_EQ(splitter.buffered_bytes(), 0u);
+}
+
+TEST(LineSplitterTest, OverflowBoundaryIsExactlyTheCap) {
+  // A line of exactly max_line_bytes is fine, terminated or carried;
+  // the trailing CR counts toward the cap (it is stripped later).
+  for (bool split : {false, true}) {
+    LineSplitter splitter(8);
+    std::vector<std::string> lines;
+    EXPECT_TRUE(Feed(&splitter, "12345678", &lines));
+    EXPECT_EQ(splitter.buffered_bytes(), 8u);
+    if (split) {
+      EXPECT_TRUE(Feed(&splitter, "\n", &lines));
+    } else {
+      EXPECT_TRUE(Feed(&splitter, "\n1234567\r\n", &lines));
+    }
+    EXPECT_FALSE(splitter.overflowed());
+    EXPECT_EQ(lines.front(), "12345678");
+  }
+  // One byte more trips it, whether the newline came or not.
+  LineSplitter terminated(8);
+  std::vector<std::string> lines;
+  EXPECT_FALSE(Feed(&terminated, "ok\n123456789\n", &lines));
+  EXPECT_TRUE(terminated.overflowed());
+  EXPECT_EQ(lines, std::vector<std::string>{"ok"});  // framed before it
+  LineSplitter carried(8);
+  EXPECT_TRUE(Feed(&carried, "1234", &lines));
+  EXPECT_FALSE(Feed(&carried, "56789", &lines));
+  EXPECT_TRUE(carried.overflowed());
+  EXPECT_EQ(carried.buffered_bytes(), 0u);
+  LineSplitter with_cr(8);
+  EXPECT_FALSE(Feed(&with_cr, "12345678\r\n", &lines));
 }
 
 // --------------------------------------------------------------------

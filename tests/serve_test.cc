@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -556,6 +558,106 @@ TEST(VerdictCacheTest, LruEvictionAndEpochKeying) {
   EXPECT_FALSE(off.enabled());
   off.Insert(1, a, FilterVerdict::kAccept);
   EXPECT_FALSE(off.Lookup(1, a, &verdict));
+}
+
+/// The textbook LRU the cache must reproduce: one std::list per lock
+/// shard, searched linearly, erasing and re-inserting on every touch.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Lookup(uint64_t epoch, const AttributeSet& attrs,
+              FilterVerdict* verdict) {
+    auto it = Find(epoch, attrs);
+    if (it == entries_.end()) {
+      ++misses;
+      return false;
+    }
+    *verdict = it->verdict;
+    entries_.splice(entries_.begin(), entries_, it);
+    ++hits;
+    return true;
+  }
+
+  void Insert(uint64_t epoch, const AttributeSet& attrs,
+              FilterVerdict verdict) {
+    auto it = Find(epoch, attrs);
+    if (it != entries_.end()) {
+      entries_.erase(it);
+    } else if (entries_.size() == capacity_) {
+      entries_.pop_back();
+      ++evictions;
+    }
+    entries_.push_front(Entry{epoch, attrs, verdict});
+  }
+
+  size_t size() const { return entries_.size(); }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+
+ private:
+  struct Entry {
+    uint64_t epoch;
+    AttributeSet attrs;
+    FilterVerdict verdict;
+  };
+  std::list<Entry>::iterator Find(uint64_t epoch, const AttributeSet& attrs) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&](const Entry& e) {
+                          return e.epoch == epoch && e.attrs == attrs;
+                        });
+  }
+
+  size_t capacity_;
+  std::list<Entry> entries_;
+};
+
+TEST(VerdictCacheTest, RecycledNodesMatchReferenceLru) {
+  // One lock shard, so the whole cache is one LRU the model mirrors.
+  VerdictCacheOptions options;
+  options.capacity = 24;
+  options.shards = 1;
+  VerdictCache cache(options);
+  ReferenceLru model(options.capacity);
+  Rng rng(20);
+  // Sets over two universe sizes (words are reused only within one;
+  // the other forces a reallocation inside a recycled node), a small
+  // key space so hits, refreshes and evictions all happen often.
+  std::vector<AttributeSet> sets;
+  for (size_t m : {6u, 70u}) {
+    for (int i = 0; i < 20; ++i) {
+      sets.push_back(AttributeSet::Random(m, 0.4, &rng));
+    }
+  }
+  uint64_t epoch = 1;
+  for (int step = 0; step < 20000; ++step) {
+    const AttributeSet& attrs = sets[rng.Uniform(sets.size())];
+    uint64_t op = rng.Uniform(10);
+    if (op == 0) {
+      epoch = 1 + rng.Uniform(3);  // revisit old epochs too
+    } else if (op < 5) {
+      FilterVerdict got = FilterVerdict::kAccept;
+      FilterVerdict want = FilterVerdict::kAccept;
+      bool hit = cache.Lookup(epoch, attrs, &got);
+      ASSERT_EQ(hit, model.Lookup(epoch, attrs, &want)) << "step " << step;
+      if (hit) {
+        ASSERT_EQ(got, want) << "step " << step;
+      }
+    } else {
+      FilterVerdict verdict =
+          rng.Uniform(2) == 0 ? FilterVerdict::kAccept : FilterVerdict::kReject;
+      cache.Insert(epoch, attrs, verdict);
+      model.Insert(epoch, attrs, verdict);
+    }
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+  }
+  EXPECT_EQ(cache.hits(), model.hits);
+  EXPECT_EQ(cache.misses(), model.misses);
+  EXPECT_EQ(cache.evictions(), model.evictions);
+  EXPECT_GT(model.evictions, 1000u);
+  EXPECT_GT(model.hits, 1000u);
 }
 
 }  // namespace
