@@ -1,29 +1,33 @@
-// Serve-layer throughput: one discovery snapshot, many concurrent
-// requests.
+// Serve-layer throughput: one discovery snapshot, N caller threads
+// sharing one QueryEngine — the server's model, where every shard loop
+// calls the same engine. Each caller answers its contiguous share of
+// the 4096-request workload in fixed 64-request batches, so the kernel
+// work per request (the within-batch dedupe) is the same at every N.
 //
-//   cold: batched is-key over distinct attribute sets, verdict cache
-//         disabled — every query runs the filter kernel (bitset
-//         backend), fanned out by the engine's ThreadPool.
-//   hot:  the same engine with the sharded LRU verdict cache enabled
-//         and pre-warmed — batches resolve entirely in the parallel
-//         cache sweep.
+//   cold: is-key over 512 distinct attribute sets, verdict cache
+//         disabled — every batch runs the filter kernel (bitset
+//         backend) on the calling thread.
+//   hot:  the same workload with the sharded LRU verdict cache enabled
+//         and pre-warmed — batches resolve in the cache lookup pass.
 //
-// Reports queries/sec at 1..8 threads plus the hot-path hit rate, and
+// Reports queries/sec at 1..8 callers plus the hot-path hit rate, and
 // (on runners with >= 8 hardware threads) asserts the acceptance gate:
 // cache-off throughput must rise monotonically from 1 through 8
-// threads and reach >= 3x the single-thread figure at 8, and the
-// cached path must still scale >= 2x by 4 threads. The monotonic half
-// is the anti-scaling regression guard: the old per-chunk Submit path
-// got SLOWER as threads were added. Also self-checks that cold and hot
-// answers are identical — the cache must never change verdicts.
-// Emits a `serve_env` row recording the runner's hardware threads so
+// callers and reach >= 3x the single-caller figure at 8, and the
+// cached path must still scale >= 2x by 4 callers. The monotonic half
+// is the anti-scaling regression guard: adding callers must never make
+// serving slower. Also self-checks that cold and hot answers are
+// identical — the cache must never change verdicts. Emits a
+// `serve_env` row recording the runner's hardware threads so
 // ci/check_bench_regression.py can re-assert the anti-scaling gate
 // from the JSON alone.
 //
 //   ./bench_serve [--json PATH] [--rows N]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -92,16 +96,44 @@ std::vector<QueryRequest> MakeIsKeyBatch(size_t m, size_t batch,
   return requests;
 }
 
-/// Queries/sec of `rounds` ExecuteBatch passes (one warm pass first).
-double MeasureQps(const QueryEngine& engine,
-                  const std::vector<QueryRequest>& requests, size_t rounds) {
-  (void)engine.ExecuteBatch(requests);
+/// Requests per ExecuteBatch call, at every caller count.
+constexpr size_t kBatchRequests = 64;
+
+/// Queries/sec of `rounds` passes over `requests` by `callers` threads
+/// sharing `engine`, each answering its contiguous share in
+/// kBatchRequests-request batches. `answers`, if non-null, receives
+/// the responses in request order.
+double RunCallers(const QueryEngine& engine,
+                  std::span<const QueryRequest> requests, size_t callers,
+                  size_t rounds, std::vector<QueryResponse>* answers) {
+  std::vector<QueryResponse> out(requests.size());
+  auto caller = [&](size_t c) {
+    size_t lo = requests.size() * c / callers;
+    size_t hi = requests.size() * (c + 1) / callers;
+    for (size_t r = 0; r < rounds; ++r) {
+      for (size_t b = lo; b < hi; b += kBatchRequests) {
+        std::vector<QueryResponse> got = engine.ExecuteBatch(
+            requests.subspan(b, std::min(kBatchRequests, hi - b)));
+        std::move(got.begin(), got.end(), out.begin() + b);
+      }
+    }
+  };
   Timer timer;
-  for (size_t r = 0; r < rounds; ++r) {
-    (void)engine.ExecuteBatch(requests);
-  }
+  std::vector<std::thread> threads;
+  for (size_t c = 1; c < callers; ++c) threads.emplace_back(caller, c);
+  caller(0);
+  for (std::thread& thread : threads) thread.join();
   double millis = timer.ElapsedMillis();
+  if (answers != nullptr) *answers = std::move(out);
   return 1e3 * static_cast<double>(rounds * requests.size()) / millis;
+}
+
+/// Queries/sec after one untimed warm pass.
+double MeasureQps(const QueryEngine& engine,
+                  const std::vector<QueryRequest>& requests, size_t callers,
+                  size_t rounds) {
+  RunCallers(engine, requests, callers, 1, nullptr);
+  return RunCallers(engine, requests, callers, rounds, nullptr);
 }
 
 }  // namespace
@@ -138,10 +170,10 @@ int main(int argc, char** argv) {
   QIKEY_CHECK(store.Publish(std::move(*snapshot)).ok());
   std::printf("serving %s\n", store.Current()->Describe().c_str());
 
-  const size_t kBatch = 4096;
+  const size_t kRequests = 4096;
   const size_t kDistinct = 512;
   std::vector<QueryRequest> workload =
-      MakeIsKeyBatch(64, kBatch, kDistinct, 99);
+      MakeIsKeyBatch(64, kRequests, kDistinct, 99);
 
   BenchJsonWriter json;
   unsigned hardware = std::thread::hardware_concurrency();
@@ -154,33 +186,32 @@ int main(int argc, char** argv) {
   double hot_qps_1 = 0.0, hot_qps_4 = 0.0;
   double hit_rate = 0.0;
 
-  std::printf("\nbatched is-key, %zu requests over %zu distinct sets:\n",
-              kBatch, kDistinct);
+  std::printf("\nis-key, %zu requests over %zu distinct sets in "
+              "%zu-request batches:\n",
+              kRequests, kDistinct, kBatchRequests);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     QueryEngineOptions cold_options;
-    cold_options.num_threads = threads;
     cold_options.cache_capacity = 0;
     QueryEngine cold(&store, cold_options);
-    double cold_qps = MeasureQps(cold, workload, 4);
+    double cold_qps = MeasureQps(cold, workload, threads, 16);
 
     QueryEngineOptions hot_options;
-    hot_options.num_threads = threads;
     hot_options.cache_capacity = 16384;
-    hot_options.cache_shards = 64;
     QueryEngine hot(&store, hot_options);
-    double hot_qps = MeasureQps(hot, workload, 16);
+    double hot_qps = MeasureQps(hot, workload, threads, 256);
     double total = static_cast<double>(hot.cache_hits() + hot.cache_misses());
     hit_rate = total > 0 ? static_cast<double>(hot.cache_hits()) / total : 0;
 
     // The cache must be answer-transparent.
-    std::vector<QueryResponse> cold_answers = cold.ExecuteBatch(workload);
-    std::vector<QueryResponse> hot_answers = hot.ExecuteBatch(workload);
+    std::vector<QueryResponse> cold_answers, hot_answers;
+    RunCallers(cold, workload, threads, 1, &cold_answers);
+    RunCallers(hot, workload, threads, 1, &hot_answers);
     for (size_t i = 0; i < workload.size(); ++i) {
       QIKEY_CHECK(cold_answers[i].verdict == hot_answers[i].verdict)
           << "cache changed a verdict at request " << i;
     }
 
-    std::printf("  threads=%zu  cold %12.0f q/s   hot %12.0f q/s  "
+    std::printf("  callers=%zu  cold %12.0f q/s   hot %12.0f q/s  "
                 "(hit rate %.3f)\n",
                 threads, cold_qps, hot_qps, hit_rate);
     json.Add("serve_query_batch",
@@ -201,7 +232,7 @@ int main(int argc, char** argv) {
   double cold_qps_1 = cold_by_threads.front().second;
   double cold_scaling = cold_by_threads.back().second / cold_qps_1;
   double hot_scaling = hot_qps_4 / hot_qps_1;
-  std::printf("\n1 -> 8 thread cold scaling %.2fx, 1 -> 4 hot %.2fx "
+  std::printf("\n1 -> 8 caller cold scaling %.2fx, 1 -> 4 hot %.2fx "
               "(hardware threads: %u)\n",
               cold_scaling, hot_scaling, hardware);
 
@@ -210,10 +241,10 @@ int main(int argc, char** argv) {
   if (!json.WriteToFile(json_path)) return 1;
 
   if (hardware >= 8) {
-    // Anti-scaling guard: every added thread must help on the cold
-    // path. Before the batched-task ParallelFor this curve INVERTED
-    // (530 ns/op at 1 thread to 954 at 8); monotonicity is the
-    // property, the 3x floor is the magnitude.
+    // Anti-scaling guard: every added caller must help on the cold
+    // path. An engine-owned pool once INVERTED this curve (530 ns/op
+    // at 1 thread to 954 at 8); monotonicity is the property, the 3x
+    // floor is the magnitude.
     for (size_t i = 1; i < cold_by_threads.size(); ++i) {
       auto [prev_threads, prev_qps] = cold_by_threads[i - 1];
       auto [threads, qps] = cold_by_threads[i];

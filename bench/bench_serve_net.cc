@@ -214,9 +214,7 @@ int Run(int argc, char** argv) {
   }
   SnapshotStore store;
   if (!store.Publish(std::move(*snapshot)).ok()) return 1;
-  QueryEngineOptions eopts;
-  eopts.num_threads = 1;
-  QueryEngine engine(&store, eopts);
+  QueryEngine engine(&store, QueryEngineOptions{});
 
   // Per-connection workloads and the answers the server must produce.
   std::vector<std::vector<std::string>> workloads, expectations;

@@ -1,13 +1,11 @@
 #include "serve/query_engine.h"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <utility>
 
 #include "core/anonymity.h"
 #include "core/separation.h"
-#include "util/mutex.h"
 
 namespace qikey {
 
@@ -23,13 +21,7 @@ int64_t NowNs() {
 
 QueryEngine::QueryEngine(const SnapshotStore* store,
                          const QueryEngineOptions& options)
-    : store_(store),
-      options_(options),
-      cache_(VerdictCacheOptions{options.cache_capacity,
-                                 options.cache_shards}) {
-  size_t threads = ResolveThreads(options_.num_threads);
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
+    : store_(store), cache_(VerdictCacheOptions{options.cache_capacity}) {}
 
 Status QueryEngine::ValidateRequest(const ServeSnapshot& snapshot,
                                     const QueryRequest& request) {
@@ -114,11 +106,6 @@ void QueryEngine::RegisterMetrics(MetricsRegistry* registry) const {
     int64_t published = store->last_publish_steady_ns();
     return published == 0 ? int64_t{0} : NowNs() - published;
   });
-  if (pool_ != nullptr) {
-    pool_->AttachMetrics(&pool_queue_depth_, &pool_task_ns_);
-    registry->RegisterGauge("pool.queue_depth", &pool_queue_depth_);
-    registry->RegisterHistogram("pool.task_ns", &pool_task_ns_);
-  }
 }
 
 std::vector<QueryResponse> QueryEngine::ExecuteBatch(
@@ -136,94 +123,60 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
     return responses;
   }
 
-  // Pass 1 (parallel): validate, stamp the pinned epoch, answer the
-  // sample-evaluated kinds, and resolve is-key requests against the
-  // sharded cache — only cache MISSES survive to the filter pass, and
-  // an all-hits batch never leaves this sweep (which is why cached
-  // throughput scales with threads). Each chunk writes disjoint
-  // response slots and every answer is a pure function of
-  // (snapshot, request), so the split cannot change results.
+  // Pass 1: validate, stamp the pinned epoch, answer the sample-
+  // evaluated kinds, and resolve is-key requests against the cache —
+  // only cache MISSES, kept in request order, survive to the filter
+  // pass.
   int64_t pass_start = NowNs();
-  // A miss is an is-key request the cache could not answer. Chunks
-  // collect them in PER-WORKER scratch and merge once under a mutex —
-  // no per-request shared byte array for worker threads to false-share.
-  struct MissChunk {
-    size_t begin;
-    std::vector<uint32_t> misses;  ///< Request positions, ascending.
-  };
-  Mutex miss_mu;
-  std::vector<MissChunk> miss_chunks;
-  ThreadPool::ParallelFor(
-      pool_.get(), requests.size(),
-      [&](size_t begin, size_t end) {
-        std::vector<uint32_t> local;
-        for (size_t i = begin; i < end; ++i) {
-          responses[i].epoch = snapshot->epoch;
-          responses[i].status = ValidateRequest(*snapshot, requests[i]);
-          if (!responses[i].status.ok()) {
-            responses[i].error_code = ServeErrorCode::kValidation;
-            continue;
-          }
-          if (requests[i].kind == QueryKind::kIsKey) {
-            FilterVerdict cached;
-            if (cache_.Lookup(snapshot->epoch, requests[i].attrs, &cached)) {
-              responses[i].verdict = cached;
-              responses[i].cache_hit = true;
-            } else {
-              if (local.empty()) local.reserve(end - i);
-              local.push_back(static_cast<uint32_t>(i));
-            }
-          } else {
-            AnswerOnSample(*snapshot, requests[i], &responses[i]);
-          }
-        }
-        if (!local.empty()) {
-          MutexLock lock(miss_mu);
-          miss_chunks.emplace_back(begin, std::move(local));
-        }
-      },
-      options_.min_batch_grain);
-
-  // Chunks finish in arbitrary order; sorting by chunk origin restores
-  // request order, so everything downstream — slot assignment, cache
-  // insertion, the filter batch — is independent of the thread count.
-  std::sort(miss_chunks.begin(), miss_chunks.end(),
-            [](const MissChunk& a, const MissChunk& b) {
-              return a.begin < b.begin;
-            });
-
+  std::vector<uint32_t> misses;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    responses[i].epoch = snapshot->epoch;
+    responses[i].status = ValidateRequest(*snapshot, requests[i]);
+    if (!responses[i].status.ok()) {
+      responses[i].error_code = ServeErrorCode::kValidation;
+      continue;
+    }
+    if (requests[i].kind == QueryKind::kIsKey) {
+      FilterVerdict cached;
+      if (cache_.Lookup(snapshot->epoch, requests[i].attrs, &cached)) {
+        responses[i].verdict = cached;
+        responses[i].cache_hit = true;
+      } else {
+        if (misses.empty()) misses.reserve(requests.size() - i);
+        misses.push_back(static_cast<uint32_t>(i));
+      }
+    } else {
+      AnswerOnSample(*snapshot, requests[i], &responses[i]);
+    }
+  }
   int64_t pass_end = NowNs();
   validate_ns_.Record(pass_end - pass_start);
   pass_start = pass_end;
 
-  // Pass 2 (serial): dedupe the missed is-key sets in request order —
-  // duplicates within the batch share one filter slot, numbered by
-  // first occurrence. A flat open-addressing table sized for this
-  // batch maps a set to its slot; a set is copied only when it earns
-  // one (the filter batch needs contiguous sets).
-  size_t num_misses = 0;
-  for (const MissChunk& chunk : miss_chunks) num_misses += chunk.misses.size();
+  // Pass 2: dedupe the missed is-key sets in request order — duplicates
+  // within the batch share one filter slot, numbered by first
+  // occurrence. A flat open-addressing table sized for this batch maps
+  // a set to its slot; a set is copied only when it earns one (the
+  // filter batch needs contiguous sets).
   std::vector<std::pair<size_t, size_t>> filter_slots;  // (request, slot)
   std::vector<AttributeSet> filter_attrs;
-  if (num_misses > 0) {
-    filter_slots.reserve(num_misses);
-    filter_attrs.reserve(num_misses);
+  if (!misses.empty()) {
+    filter_slots.reserve(misses.size());
+    filter_attrs.reserve(misses.size());
     constexpr uint32_t kEmpty = ~uint32_t{0};
-    std::vector<uint32_t> table(std::bit_ceil(2 * num_misses), kEmpty);
+    std::vector<uint32_t> table(std::bit_ceil(2 * misses.size()), kEmpty);
     const size_t mask = table.size() - 1;
-    for (const MissChunk& chunk : miss_chunks) {
-      for (uint32_t index : chunk.misses) {
-        const AttributeSet& attrs = requests[index].attrs;
-        size_t i = attrs.Hash() & mask;
-        while (table[i] != kEmpty && filter_attrs[table[i]] != attrs) {
-          i = (i + 1) & mask;
-        }
-        if (table[i] == kEmpty) {
-          table[i] = static_cast<uint32_t>(filter_attrs.size());
-          filter_attrs.push_back(attrs);
-        }
-        filter_slots.emplace_back(index, table[i]);
+    for (uint32_t index : misses) {
+      const AttributeSet& attrs = requests[index].attrs;
+      size_t i = attrs.Hash() & mask;
+      while (table[i] != kEmpty && filter_attrs[table[i]] != attrs) {
+        i = (i + 1) & mask;
       }
+      if (table[i] == kEmpty) {
+        table[i] = static_cast<uint32_t>(filter_attrs.size());
+        filter_attrs.push_back(attrs);
+      }
+      filter_slots.emplace_back(index, table[i]);
     }
   }
   pass_end = NowNs();
@@ -235,7 +188,7 @@ std::vector<QueryResponse> QueryEngine::ExecuteBatch(
   // kernel), then populate the cache.
   if (!filter_attrs.empty()) {
     std::vector<FilterVerdict> verdicts =
-        snapshot->filter->QueryBatch(filter_attrs, pool_.get());
+        snapshot->filter->QueryBatch(filter_attrs);
     for (size_t j = 0; j < filter_attrs.size(); ++j) {
       cache_.Insert(snapshot->epoch, filter_attrs[j], verdicts[j]);
     }

@@ -2,7 +2,6 @@
 #define QIKEY_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -10,24 +9,14 @@
 #include "serve/request.h"
 #include "serve/snapshot.h"
 #include "serve/verdict_cache.h"
-#include "util/thread_pool.h"
 
 namespace qikey {
 
 /// Options for `QueryEngine`.
 struct QueryEngineOptions {
-  /// Worker threads for request batches; 1 = serial, 0 = one per
-  /// usable CPU. Responses are identical at any thread count.
-  size_t num_threads = 1;
   /// Verdict-cache capacity; 0 disables caching. The cache is
   /// answer-transparent: it can only change latency.
   size_t cache_capacity = 4096;
-  size_t cache_shards = 16;
-  /// Smallest number of requests worth handing to another thread in
-  /// the validate/cache sweep. Below this, fan-out overhead (chunk
-  /// claims, cold request cache lines on another core) outweighs the
-  /// work; batches of at most this size run inline on the caller.
-  size_t min_batch_grain = 64;
 };
 
 /// \brief Concurrent request executor over a `SnapshotStore`.
@@ -37,18 +26,18 @@ struct QueryEngineOptions {
 /// so a publish racing a batch never mixes epochs within it, and two
 /// responses with equal epochs are mutually consistent.
 ///
-/// Batches are executed the way the discovery pipeline queries its own
-/// filter: all uncached `is-key` requests of the batch go through one
-/// `SeparationFilter::QueryBatch` (fanning out over the engine's
-/// `ThreadPool`, hitting the bitset block kernel on that backend), and
-/// the sample-evaluated kinds are split over the same pool. Responses
-/// are positionally aligned with requests and bit-identical across
-/// thread counts and cache configurations.
+/// A batch runs entirely on the calling thread, the way the discovery
+/// pipeline queries its own filter: all uncached `is-key` requests of
+/// the batch go through one `SeparationFilter::QueryBatch` (the bitset
+/// backend's block kernel), and the sample-evaluated kinds are
+/// answered in place. Responses are positionally aligned with requests
+/// and bit-identical across caller counts and cache configurations.
 ///
 /// Thread safety: `Execute`/`ExecuteBatch` are safe to call
 /// concurrently from many threads, concurrently with `Publish` on the
-/// store. (A batch already parallelizes internally; concurrent callers
-/// additionally share the verdict cache.)
+/// store. The engine owns no threads: parallelism comes from callers
+/// (the server's shard loops, `qikey query --threads`), which share
+/// the verdict cache.
 class QueryEngine {
  public:
   QueryEngine(const SnapshotStore* store, const QueryEngineOptions& options);
@@ -67,16 +56,11 @@ class QueryEngine {
   uint64_t cache_misses() const { return cache_.misses(); }
   size_t cache_size() const { return cache_.size(); }
 
-  size_t num_threads() const {
-    return pool_ != nullptr ? pool_->num_threads() : 1;
-  }
-
   /// Registers the engine's metric families with `registry`:
   /// `engine.*` (request/batch counters, batch-size histogram,
   /// per-pass validate/dedupe/execute timings), `cache.*`
-  /// (hit/miss/evict/size), `snapshot.*` (epoch, publish count, age),
-  /// and — when the engine owns a pool — `pool.*` (queue depth, task
-  /// latency). The registry must not outlive the engine or its store.
+  /// (hit/miss/evict/size) and `snapshot.*` (epoch, publish count,
+  /// age). The registry must not outlive the engine or its store.
   /// Recording is always on; registration only exposes the instruments.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
@@ -91,8 +75,6 @@ class QueryEngine {
                              QueryResponse* response);
 
   const SnapshotStore* store_;
-  QueryEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   mutable VerdictCache cache_;
 
   // Observability (recorded by const ExecuteBatch, hence mutable; all
@@ -103,8 +85,6 @@ class QueryEngine {
   mutable LatencyHistogram validate_ns_;
   mutable LatencyHistogram dedupe_ns_;
   mutable LatencyHistogram execute_ns_;
-  mutable Gauge pool_queue_depth_;
-  mutable LatencyHistogram pool_task_ns_;
 };
 
 }  // namespace qikey

@@ -9,10 +9,11 @@ namespace qikey {
 VerdictCache::VerdictCache(const VerdictCacheOptions& options) {
   if (options.capacity == 0) return;
   size_t shards = std::clamp<size_t>(options.shards, 1, options.capacity);
-  per_shard_capacity_ = (options.capacity + shards - 1) / shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->capacity =
+        options.capacity / shards + (i < options.capacity % shards ? 1 : 0);
   }
 }
 
@@ -52,7 +53,7 @@ void VerdictCache::Insert(uint64_t epoch, const AttributeSet& attrs,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  if (shard.lru.size() < per_shard_capacity_) {
+  if (shard.lru.size() < shard.capacity) {
     shard.lru.push_front(Entry{epoch, attrs, verdict});
     shard.index.emplace(KeyRef{epoch, &shard.lru.front().attrs},
                         shard.lru.begin());

@@ -17,7 +17,10 @@ namespace qikey {
 /// Options for `VerdictCache`.
 struct VerdictCacheOptions {
   /// Total retained verdicts across all shards; 0 disables the cache
-  /// (`Lookup` always misses, `Insert` is a no-op).
+  /// (`Lookup` always misses, `Insert` is a no-op). Split over the
+  /// shards so that `size() <= capacity` always holds: each shard gets
+  /// `capacity / shards` slots and the first `capacity % shards` one
+  /// more.
   size_t capacity = 4096;
   /// Lock shards. Requests hash to a shard by (epoch, attrs), so
   /// concurrent lookups contend only 1/shards of the time. Clamped to
@@ -37,7 +40,7 @@ class VerdictCache {
  public:
   explicit VerdictCache(const VerdictCacheOptions& options);
 
-  bool enabled() const { return per_shard_capacity_ > 0; }
+  bool enabled() const { return !shards_.empty(); }
 
   /// True (and fills `*verdict`) on a hit; counts hit/miss either way.
   bool Lookup(uint64_t epoch, const AttributeSet& attrs,
@@ -92,6 +95,8 @@ class VerdictCache {
     }
   };
   struct Shard {
+    /// This shard's share of the total capacity; set at construction.
+    size_t capacity = 0;
     /// Shard capability: guards this shard's LRU list, its index, and
     /// its counters — and nothing of any sibling shard, which is the
     /// whole point of sharding the lock.
@@ -107,7 +112,6 @@ class VerdictCache {
 
   Shard& ShardFor(const KeyRef& key);
 
-  size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Misses recorded while the cache is disabled (no shard to charge).
   std::atomic<uint64_t> disabled_misses_{0};

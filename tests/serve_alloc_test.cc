@@ -152,7 +152,6 @@ TEST(ServeAllocTest, PipelinedIsKeyStaysUnderTwoAllocationsPerRequest) {
   ASSERT_TRUE(store.Publish(std::move(*snapshot)).ok());
 
   QueryEngineOptions eopts;
-  eopts.num_threads = 1;
   eopts.cache_capacity = 512;
   QueryEngine engine(&store, eopts);
   ServerOptions sopts;

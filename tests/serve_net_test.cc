@@ -344,9 +344,7 @@ struct TestServer {
       auto epoch = store.Publish(std::move(*snapshot));
       EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
     }
-    QueryEngineOptions eopts;
-    eopts.num_threads = 1;
-    engine = std::make_unique<QueryEngine>(&store, eopts);
+    engine = std::make_unique<QueryEngine>(&store, QueryEngineOptions{});
     options.listen = {"127.0.0.1", 0};
     server = std::make_unique<ServeServer>(engine.get(), data->schema(),
                                            options);
@@ -769,7 +767,6 @@ TEST(ServeNetTest, SnapshotFileReplacedUnderLiveMappingKeepsServing) {
     SnapshotStore store;
     EXPECT_TRUE(store.Publish(std::move(snapshot)).ok());
     QueryEngineOptions eopts;
-    eopts.num_threads = 1;
     eopts.cache_capacity = 0;
     QueryEngine engine(&store, eopts);
     return ExpectedResponses(engine, schema, lines);

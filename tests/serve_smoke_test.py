@@ -9,6 +9,7 @@ Drives the shipped binary the way an operator would:
      a malformed request,
   4. check the good responses are BIT-IDENTICAL to
      `qikey query --requests --wire` (the shared-codec guarantee),
+     whose bytes must not depend on its --threads caller count,
   5. SIGTERM the server and require a clean exit code 0 (graceful
      drain) — under ASan builds this also proves a leak-free shutdown.
 
@@ -58,11 +59,54 @@ def wire_expectations(binary, csv):
     return lines
 
 
+# Every verb, sets repeated across the chunks that --threads callers
+# answer, and one request the engine rejects (rhs inside the lhs).
+IDENTITY_REQUESTS = [
+    "is-key first,last",
+    "separation city",
+    "min-key",
+    "afd city,age -> last",
+    "anonymity city 2",
+    "afd city -> city",
+    "is-key city,age",
+    "anonymity city,age",
+    "is-key last",
+] * 6
+
+
+def check_threads_identity(binary, csv):
+    """`qikey query --wire` prints the same bytes at --threads 4 as at
+    --threads 1: callers split the file, never the answers."""
+    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as f:
+        f.write("\n".join(IDENTITY_REQUESTS) + "\n")
+        path = f.name
+    outputs = []
+    for threads in ("1", "4"):
+        out = subprocess.run(
+            [binary, "query", csv, "--requests", path, "--eps", "0.01",
+             "--wire", "--threads", threads],
+            capture_output=True, timeout=TIMEOUT_S)
+        if out.returncode != 0:
+            fail(f"qikey query --threads {threads} exited "
+                 f"{out.returncode}: {out.stderr}")
+        outputs.append(out.stdout)
+    if outputs[0] != outputs[1]:
+        fail(f"--wire bytes differ between --threads 1 and 4:\n"
+             f"{outputs[0]!r}\n{outputs[1]!r}")
+    lines = outputs[0].decode().splitlines()
+    if len(lines) != len(IDENTITY_REQUESTS):
+        fail(f"--wire printed {len(lines)} lines for "
+             f"{len(IDENTITY_REQUESTS)} requests")
+    if not any(line.startswith("err validation ") for line in lines):
+        fail(f"no validation error among the --wire lines: {lines}")
+
+
 def main():
     if len(sys.argv) != 3:
         fail(f"usage: {sys.argv[0]} <qikey-binary> <csv>")
     binary, csv = sys.argv[1], sys.argv[2]
 
+    check_threads_identity(binary, csv)
     expected = wire_expectations(binary, csv)
 
     server = subprocess.Popen(

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +121,39 @@ void ExpectSameAnswers(const std::vector<QueryResponse>& a,
   }
 }
 
+/// Answers `workload` with `callers` threads sharing `engine`: each
+/// thread runs one `ExecuteBatch` over its contiguous share, the way
+/// the server's shard loops and `qikey query --threads` call it.
+std::vector<QueryResponse> ExecuteWithCallers(
+    const QueryEngine& engine, std::span<const QueryRequest> workload,
+    size_t callers) {
+  std::vector<QueryResponse> responses(workload.size());
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      size_t lo = workload.size() * c / callers;
+      size_t hi = workload.size() * (c + 1) / callers;
+      std::vector<QueryResponse> share =
+          engine.ExecuteBatch(workload.subspan(lo, hi - lo));
+      std::move(share.begin(), share.end(), responses.begin() + lo);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return responses;
+}
+
+/// Distinct attribute sets among the is-key requests of `workload`.
+size_t DistinctIsKeySets(const std::vector<QueryRequest>& workload) {
+  std::vector<AttributeSet> seen;
+  for (const QueryRequest& request : workload) {
+    if (request.kind == QueryKind::kIsKey &&
+        std::find(seen.begin(), seen.end(), request.attrs) == seen.end()) {
+      seen.push_back(request.attrs);
+    }
+  }
+  return seen.size();
+}
+
 TEST(ServeSnapshotTest, FromPipelineResultCarriesRunState) {
   Dataset data = MakeKeyedData(500, 7);
   PipelineOptions options;
@@ -168,22 +202,27 @@ TEST(QueryEngineTest, DeterministicAcrossThreadsAndCache) {
   SnapshotStore store;
   PublishPipeline(data, FilterBackend::kTupleSample, 0.01, 5, &store);
   std::vector<QueryRequest> workload = MakeWorkload(data.schema(), 300, 11);
+  const size_t distinct = DistinctIsKeySets(workload);
+  ASSERT_GT(distinct, 10u);
 
   QueryEngineOptions serial;
-  serial.num_threads = 1;
   serial.cache_capacity = 0;
   QueryEngine baseline(&store, serial);
   std::vector<QueryResponse> expected = baseline.ExecuteBatch(workload);
 
-  for (size_t threads : {1u, 4u, 8u}) {
+  // Concurrent callers share one engine (and its cache).
+  for (size_t callers : {1u, 4u, 8u}) {
     for (size_t cache : {0u, 4096u}) {
       QueryEngineOptions options;
-      options.num_threads = threads;
       options.cache_capacity = cache;
       QueryEngine engine(&store, options);
       // Twice: the second round answers is-key from the cache when on.
-      ExpectSameAnswers(expected, engine.ExecuteBatch(workload));
-      ExpectSameAnswers(expected, engine.ExecuteBatch(workload));
+      ExpectSameAnswers(expected,
+                        ExecuteWithCallers(engine, workload, callers));
+      ExpectSameAnswers(expected,
+                        ExecuteWithCallers(engine, workload, callers));
+      EXPECT_EQ(engine.cache_size(), cache == 0 ? 0u : distinct)
+          << callers << " callers";
     }
   }
 }
@@ -219,15 +258,15 @@ TEST(QueryEngineTest, DedupeOfRepeatedSetsMatchesPerRequestExecute) {
     expected.push_back(oracle.Execute(request));
   }
 
-  for (size_t threads : {1u, 4u, 8u}) {
+  for (size_t callers : {1u, 4u, 8u}) {
     for (size_t cache : {0u, 4096u}) {
       QueryEngineOptions options;
-      options.num_threads = threads;
       options.cache_capacity = cache;
       QueryEngine engine(&store, options);
-      ExpectSameAnswers(expected, engine.ExecuteBatch(workload));
+      ExpectSameAnswers(expected,
+                        ExecuteWithCallers(engine, workload, callers));
       EXPECT_EQ(engine.cache_size(), cache == 0 ? 0u : distinct.size())
-          << threads << " threads";
+          << callers << " callers";
     }
   }
 }
@@ -246,9 +285,7 @@ TEST(QueryEngineTest, CacheHitsSecondRoundAndNeverChangesAnswers) {
     keys.push_back(std::move(request));
   }
 
-  QueryEngineOptions options;
-  options.num_threads = 4;
-  QueryEngine engine(&store, options);
+  QueryEngine engine(&store, QueryEngineOptions{});
   std::vector<QueryResponse> first = engine.ExecuteBatch(keys);
   EXPECT_EQ(engine.cache_hits(), 0u);
   std::vector<QueryResponse> second = engine.ExecuteBatch(keys);
@@ -315,7 +352,6 @@ TEST(QueryEngineTest, SnapshotSwapWhileQuerying) {
   PublishPipeline(data_a, FilterBackend::kTupleSample, 0.01, 5, &ref_a);
   PublishPipeline(data_b, FilterBackend::kTupleSample, 0.01, 5, &ref_b);
   QueryEngineOptions serial;
-  serial.num_threads = 1;
   serial.cache_capacity = 0;
   QueryEngine engine_a(&ref_a, serial);
   QueryEngine engine_b(&ref_b, serial);
@@ -330,9 +366,7 @@ TEST(QueryEngineTest, SnapshotSwapWhileQuerying) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> mismatches{0};
   auto reader = [&]() {
-    QueryEngineOptions options;
-    options.num_threads = 1;
-    QueryEngine engine(&store, options);
+    QueryEngine engine(&store, QueryEngineOptions{});
     // Keep reading past the writer's last publish so every reader is
     // guaranteed to overlap swaps (and to observe the final snapshot).
     for (int iteration = 0;
@@ -558,6 +592,34 @@ TEST(VerdictCacheTest, LruEvictionAndEpochKeying) {
   EXPECT_FALSE(off.enabled());
   off.Insert(1, a, FilterVerdict::kAccept);
   EXPECT_FALSE(off.Lookup(1, a, &verdict));
+}
+
+TEST(VerdictCacheTest, SizeNeverExceedsCapacity) {
+  // Capacity is split over the lock shards; no rounding may let the
+  // shards together hold more than the configured total.
+  for (size_t capacity : {1u, 17u, 100u, 4096u}) {
+    for (size_t shards : {1u, 16u, 64u}) {
+      VerdictCacheOptions options;
+      options.capacity = capacity;
+      options.shards = shards;
+      VerdictCache cache(options);
+      for (uint32_t i = 1; i <= 20000; ++i) {
+        AttributeSet attrs(16);
+        for (AttributeIndex a = 0; a < 16; ++a) {
+          if (i & (1u << a)) attrs.Add(a);
+        }
+        cache.Insert(1, attrs, FilterVerdict::kAccept);
+        if (i % 64 == 0) {
+          ASSERT_LE(cache.size(), capacity)
+              << capacity << "/" << shards << " after " << i;
+        }
+      }
+      // 20,000 distinct keys fill every shard to its share exactly.
+      EXPECT_EQ(cache.size(), capacity) << capacity << "/" << shards;
+      EXPECT_EQ(cache.evictions(), 20000u - capacity)
+          << capacity << "/" << shards;
+    }
+  }
 }
 
 /// The textbook LRU the cache must reproduce: one std::list per lock

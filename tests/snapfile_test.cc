@@ -1,8 +1,8 @@
 // QSNP1 snapshot artifacts (src/snapfile/): a serve snapshot frozen
 // into one mmap-able file must load back as a snapshot that answers
-// BIT-IDENTICALLY on the wire — across every filter backend, seed, and
-// engine thread count — and a corrupted file must come back as a
-// Status, never a crash or a wild read.
+// BIT-IDENTICALLY on the wire — across every filter backend and seed —
+// and a corrupted file must come back as a Status, never a crash or a
+// wild read.
 
 #include <gtest/gtest.h>
 
@@ -106,15 +106,13 @@ std::vector<QueryRequest> MakeWorkload(const Schema& schema, size_t count,
 /// Publishes `snapshot` into a fresh store and answers `requests`
 /// through a QueryEngine, encoding every response with the shared wire
 /// encoder. Fresh store => epoch 1 on both sides of a comparison.
-std::vector<std::string> WireAnswers(ServeSnapshot snapshot,
-                                     const std::vector<QueryRequest>& requests,
-                                     size_t threads) {
+std::vector<std::string> WireAnswers(
+    ServeSnapshot snapshot, const std::vector<QueryRequest>& requests) {
   const Schema schema = snapshot.schema();
   SnapshotStore store;
   auto epoch = store.Publish(std::move(snapshot));
   EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
   QueryEngineOptions options;
-  options.num_threads = threads;
   options.cache_capacity = 0;  // raw answers, no cache interference
   QueryEngine engine(&store, options);
   std::vector<QueryResponse> responses = engine.ExecuteBatch(requests);
@@ -162,7 +160,7 @@ TEST(ByteReaderTest, ZeroLengthReadIntoNullDestination) {
 
 // ---------------------------------------------------------- round trip
 
-TEST(SnapfileTest, RoundTripBitIdenticalAcrossBackendsSeedsThreads) {
+TEST(SnapfileTest, RoundTripBitIdenticalAcrossBackendsAndSeeds) {
   for (FilterBackend backend :
        {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
     for (uint64_t seed : {3u, 17u}) {
@@ -174,20 +172,16 @@ TEST(SnapfileTest, RoundTripBitIdenticalAcrossBackendsSeedsThreads) {
       std::vector<QueryRequest> workload =
           MakeWorkload(built.schema(), 60, seed + 100);
       std::vector<std::string> want =
-          WireAnswers(std::move(built), workload, 1);
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        auto loaded = snapfile::SnapshotFromOwnedBytes(*image);
-        ASSERT_TRUE(loaded.ok())
-            << static_cast<int>(backend) << ": "
-            << loaded.status().ToString();
-        std::vector<std::string> got =
-            WireAnswers(std::move(*loaded), workload, threads);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got[i], want[i])
-              << "backend " << static_cast<int>(backend) << " seed "
-              << seed << " threads " << threads << " line " << i;
-        }
+          WireAnswers(std::move(built), workload);
+      auto loaded = snapfile::SnapshotFromOwnedBytes(*image);
+      ASSERT_TRUE(loaded.ok())
+          << static_cast<int>(backend) << ": " << loaded.status().ToString();
+      std::vector<std::string> got = WireAnswers(std::move(*loaded), workload);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << "backend " << static_cast<int>(backend) << " seed " << seed
+            << " line " << i;
       }
     }
   }
@@ -203,10 +197,10 @@ TEST(SnapfileTest, FileRoundTripServesIdentically) {
         MakeWorkload(built.schema(), 40, 77);
     ASSERT_TRUE(snapfile::WriteSnapshotFile(built, path).ok());
     std::vector<std::string> want =
-        WireAnswers(std::move(built), workload, 2);
+        WireAnswers(std::move(built), workload);
     auto loaded = snapfile::ReadSnapshotFile(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(WireAnswers(std::move(*loaded), workload, 2), want);
+    EXPECT_EQ(WireAnswers(std::move(*loaded), workload), want);
   }
   std::remove(path.c_str());
 }
@@ -222,7 +216,7 @@ TEST(SnapfileTest, LoadedSnapshotOutlivesTheSourceBytes) {
   // The load copied into its own aligned buffer: clobbering (and
   // freeing) the input image must not change a single answer.
   std::vector<QueryRequest> workload = MakeWorkload(built.schema(), 30, 8);
-  std::vector<std::string> want = WireAnswers(*loaded, workload, 1);
+  std::vector<std::string> want = WireAnswers(*loaded, workload);
   std::fill(image->begin(), image->end(), '\xff');
   image->clear();
   image->shrink_to_fit();
@@ -230,7 +224,7 @@ TEST(SnapfileTest, LoadedSnapshotOutlivesTheSourceBytes) {
   // own; dropping the originals must not invalidate them.
   ServeSnapshot copy = *loaded;
   *loaded = ServeSnapshot{};
-  EXPECT_EQ(WireAnswers(std::move(copy), workload, 1), want);
+  EXPECT_EQ(WireAnswers(std::move(copy), workload), want);
 }
 
 // --------------------------------------------- tuple sample ownership
@@ -299,8 +293,8 @@ TEST(SnapfileTest, TupleFilterWithPrivateSampleRoundTrips) {
   auto loaded = snapfile::ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::vector<QueryRequest> workload = MakeWorkload(built.schema(), 30, 99);
-  EXPECT_EQ(WireAnswers(std::move(*loaded), workload, 1),
-            WireAnswers(std::move(built), workload, 1));
+  EXPECT_EQ(WireAnswers(std::move(*loaded), workload),
+            WireAnswers(std::move(built), workload));
   std::remove(path.c_str());
 }
 
@@ -376,8 +370,8 @@ TEST(SnapfileLegacyTest, MxPairImageServesTheRecordedWireAnswers) {
   // The answers were recorded (`qikey query --wire --backend mx`, same
   // CSV, seed and eps) while the mx-pair backend still served them.
   // The image now loads as a bitset filter over its stored pair table
-  // and must answer byte-identically at any engine thread count — as
-  // must the bitset image it re-saves as.
+  // and must answer byte-identically — as must the bitset image it
+  // re-saves as.
   const std::string dir = QIKEY_GOLDEN_DIR;
   const std::vector<std::string> want =
       ReadLines(dir + "/people_mx_answers.txt");
@@ -391,13 +385,10 @@ TEST(SnapfileLegacyTest, MxPairImageServesTheRecordedWireAnswers) {
   ASSERT_TRUE(requests.ok()) << requests.status().ToString();
   auto resaved_image = snapfile::SerializeSnapshot(*legacy);
   ASSERT_TRUE(resaved_image.ok()) << resaved_image.status().ToString();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    EXPECT_EQ(WireAnswers(*legacy, *requests, threads), want) << threads;
-    auto resaved = snapfile::SnapshotFromOwnedBytes(*resaved_image);
-    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
-    EXPECT_EQ(WireAnswers(std::move(*resaved), *requests, threads), want)
-        << threads;
-  }
+  EXPECT_EQ(WireAnswers(*legacy, *requests), want);
+  auto resaved = snapfile::SnapshotFromOwnedBytes(*resaved_image);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  EXPECT_EQ(WireAnswers(std::move(*resaved), *requests), want);
 }
 
 TEST(SnapfileLegacyTest, InspectStillReportsTheMxHeaderByte) {

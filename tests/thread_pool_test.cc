@@ -21,28 +21,6 @@ TEST(ThreadPoolTest, ResolveThreadsMapsZeroToUsableCpus) {
   EXPECT_GE(UsableCpuCount(), 1u);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 50 * (round + 1));
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(10000);
@@ -109,39 +87,6 @@ TEST(ThreadPoolTest, ParallelForEmptyRange) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ThrowingTaskSurfacesInWaitAndKeepsWorkersAlive) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter, i] {
-      if (i == 37) throw std::runtime_error("task 37 failed");
-      counter.fetch_add(1);
-    });
-  }
-  // Deterministic failure: the batch always throws, and every
-  // non-throwing task still ran (the worker survived the exception).
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(counter.load(), 99);
-
-  // The pool is reusable after a failed batch; the captured exception
-  // was consumed by the throwing Wait().
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 149);
-}
-
-TEST(ThreadPoolTest, OnlyFirstOfManyExceptionsIsRethrown) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // All later exceptions were discarded: the next Wait is clean.
-  pool.Wait();
-}
-
 TEST(ThreadPoolTest, ParallelForPropagatesCallbackException) {
   ThreadPool pool(4);
   EXPECT_THROW(ThreadPool::ParallelFor(
@@ -163,7 +108,7 @@ TEST(ThreadPoolTest, ConcurrentParallelForsDoNotStealExceptions) {
   // Two callers share one pool; only one of them throws. The failing
   // caller must see its exception every time, and the healthy caller
   // must never see it (exceptions are captured per ParallelFor call,
-  // not parked in pool state for whichever Wait() wakes first).
+  // never parked in pool state).
   ThreadPool pool(4);
   std::atomic<int> bad_caught{0};
   std::atomic<bool> healthy_threw{false};
@@ -193,7 +138,6 @@ TEST(ThreadPoolTest, ConcurrentParallelForsDoNotStealExceptions) {
   good.join();
   EXPECT_EQ(bad_caught.load(), 50);
   EXPECT_FALSE(healthy_threw.load());
-  pool.Wait();  // nothing left parked in the pool either
 }
 
 TEST(ThreadPoolTest, ThrowingQueryBatchCallbackDoesNotKillThePool) {

@@ -16,14 +16,19 @@
 //                [--stats]
 //       Batch serve executor: run discovery once, publish the result as
 //       an immutable snapshot, and answer every request in the file
-//       concurrently through the serve-layer QueryEngine (sharded LRU
-//       verdict cache of C entries; 0 disables). Request grammar (one
-//       per line; '#' comments): is-key a,b | separation a,b | min-key
-//       | afd a,b -> c | anonymity a,b [k]. With --wire, print exactly
-//       one QIKEY/1 wire line per request (the same encoder the network
-//       server uses) and nothing else — byte-diffable against a served
-//       session. With --stats, one final line with the engine metrics
-//       snapshot as JSON (same schema as the server's `stats` verb).
+//       through the serve-layer QueryEngine (sharded LRU verdict cache
+//       of C entries; 0 disables). --threads N splits the file into N
+//       contiguous chunks, answered as one batch each by N callers
+//       sharing the engine. Request grammar (one per line; '#'
+//       comments): is-key a,b | separation a,b | min-key | afd a,b -> c
+//       | anonymity a,b [k]. With --wire, print exactly one QIKEY/1 wire
+//       line per request (the same encoder the network server uses) and
+//       nothing else — byte-diffable against a served session, and the
+//       same bytes at any N. Without --wire, at N > 1 the "(cached)"
+//       marks and the hit/miss totals may vary from run to run (which
+//       chunk first answers a repeated set is a race). With --stats,
+//       one final line with the engine metrics snapshot as JSON (same
+//       schema as the server's `stats` verb).
 //   qikey serve <csv-or-artifacts> [--listen H:P]
 //               [--snapshot-from run|monitor|artifacts]
 //               [--snapshot-file FILE]
@@ -46,7 +51,9 @@
 //       --stats-interval-sec N, periodically) dumps one JSON stats
 //       line to stderr; --trace-sample N (also accepted as "1/N")
 //       emits a per-stage timing trace for every Nth request;
-//       --log-json switches log output to JSON lines.
+//       --log-json switches log output to JSON lines. --threads sizes
+//       only the discovery run that builds the snapshot; requests are
+//       answered on one shard thread per CPU.
 //   qikey snapshot save <csv-or-artifacts> --out FILE
 //                 [--snapshot-from run|monitor|artifacts] [--eps E]
 //                 [--backend B] [--threads T] [--seed S] [--max-size K]
@@ -89,10 +96,13 @@
 // 3 discover verification failure (the emitted key was rejected by the
 // filter), so scripts and CI can gate on it.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +129,7 @@
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/shutdown.h"
+#include "util/thread_pool.h"
 
 namespace qikey {
 namespace {
@@ -486,14 +497,31 @@ int RunServe(const Dataset& data, const Args& args, Rng* rng) {
   }
 
   QueryEngineOptions engine_options;
-  engine_options.num_threads = args.threads;
   engine_options.cache_capacity = args.cache;
   QueryEngine engine(&store, engine_options);
-  // Registered before the batch runs so every pass timing and cache
+  // Registered before the batches run so every pass timing and cache
   // touch lands in the snapshot printed at the end.
   MetricsRegistry registry;
   if (args.stats) engine.RegisterMetrics(&registry);
-  std::vector<QueryResponse> responses = engine.ExecuteBatch(*requests);
+  // --threads N callers share the engine (and its cache), each
+  // answering one contiguous chunk of the file as one batch. Answers
+  // are pure functions of (snapshot, request), so the wire bytes do
+  // not depend on N; which repeats hit the cache does.
+  const std::span<const QueryRequest> all(*requests);
+  const size_t callers = std::min(ResolveThreads(args.threads),
+                                  std::max<size_t>(all.size(), 1));
+  std::unique_ptr<ThreadPool> pool;
+  if (callers > 1) pool = std::make_unique<ThreadPool>(callers);
+  std::vector<QueryResponse> responses(all.size());
+  ThreadPool::ParallelFor(pool.get(), callers, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      size_t lo = all.size() * c / callers;
+      size_t hi = all.size() * (c + 1) / callers;
+      std::vector<QueryResponse> chunk =
+          engine.ExecuteBatch(all.subspan(lo, hi - lo));
+      std::move(chunk.begin(), chunk.end(), responses.begin() + lo);
+    }
+  });
 
   if (args.wire) {
     // Wire mode: exactly one QIKEY/1 line per request, nothing else —
@@ -518,7 +546,7 @@ int RunServe(const Dataset& data, const Args& args, Rng* rng) {
   }
   std::printf("served %zu request(s) on %zu thread(s); cache: %llu hit(s), "
               "%llu miss(es)\n",
-              responses.size(), engine.num_threads(),
+              responses.size(), callers,
               static_cast<unsigned long long>(engine.cache_hits()),
               static_cast<unsigned long long>(engine.cache_misses()));
   if (args.stats) std::printf("%s\n", registry.RenderJson().c_str());
@@ -663,7 +691,6 @@ int RunServeNet(const Args& args) {
   }
 
   QueryEngineOptions engine_options;
-  engine_options.num_threads = args.threads;
   engine_options.cache_capacity = args.cache;
   QueryEngine engine(&store, engine_options);
 
