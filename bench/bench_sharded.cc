@@ -103,7 +103,7 @@ double BuildMergedOnce(const std::string& path, size_t shards,
   double ms = timer.ElapsedMillis();
   QIKEY_CHECK(merged->tuple_filter->sample_size() ==
               merge_options.tuple_sample_size);
-  QIKEY_CHECK(merged->mx_filter.has_value() ==
+  QIKEY_CHECK((merged->pair_table.num_rows() > 0) ==
               (backend == FilterBackend::kBitset));
   return ms;
 }

@@ -53,9 +53,12 @@ int main() {
 
   TupleSampleFilter tuple_filter =
       std::move(tuple_builder).Finish().ValueOrDie();
-  MxPairFilter pair_filter = std::move(pair_builder).Finish().ValueOrDie();
+  // The pair slots pack into bitset evidence: one m-bit disagree mask
+  // per distinct sampled pair, not the pairs' values.
+  BitsetSeparationFilter pair_filter =
+      std::move(pair_builder).Finish().ValueOrDie();
   std::printf("  retained state: %" PRIu64 " B (tuples) / %" PRIu64
-              " B (pairs)\n",
+              " B (pair bitsets)\n",
               tuple_filter.MemoryBytes(), pair_filter.MemoryBytes());
 
   // Interrogate both filters about candidate identifier sets.

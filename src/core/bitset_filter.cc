@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/mx_pair_filter.h"
 #include "core/sample_bounds.h"
+#include "stream/pair_slots.h"
 #include "util/thread_pool.h"
 
 namespace qikey {
@@ -15,39 +15,29 @@ Result<BitsetSeparationFilter> BitsetSeparationFilter::Build(
     return Status::InvalidArgument("need at least two rows to sample pairs");
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
-  // Identical draw to MxPairFilter::Build: same sample-size law, same
-  // SamplePair loop, so a shared seed gives the same sampled pairs and
-  // bit-identical verdicts across the two backends.
   uint64_t s = options.sample_size > 0
                    ? options.sample_size
                    : MxPairSampleSizePaper(
                          static_cast<uint32_t>(dataset.num_attributes()),
                          options.eps);
-  std::vector<std::pair<RowIndex, RowIndex>> pairs;
-  pairs.reserve(s);
-  for (uint64_t i = 0; i < s; ++i) {
-    auto [a, b] = rng->SamplePair(dataset.num_rows());
-    pairs.emplace_back(static_cast<RowIndex>(a), static_cast<RowIndex>(b));
-  }
+  std::vector<std::pair<RowIndex, RowIndex>> pairs =
+      DrawPairSlots(dataset.num_rows(), s, rng);
   return FromPairs(dataset, pairs);
 }
 
 Result<BitsetSeparationFilter> BitsetSeparationFilter::FromMaterializedPairs(
-    Dataset pair_table) {
+    const Dataset& pair_table) {
   if (pair_table.num_rows() % 2 != 0) {
     return Status::InvalidArgument("pair table must have an even row count");
   }
-  auto table = std::make_shared<Dataset>(std::move(pair_table));
-  size_t s = table->num_rows() / 2;
+  size_t s = pair_table.num_rows() / 2;
   std::vector<std::pair<RowIndex, RowIndex>> pairs;
   pairs.reserve(s);
   for (size_t i = 0; i < s; ++i) {
     pairs.emplace_back(static_cast<RowIndex>(2 * i),
                        static_cast<RowIndex>(2 * i + 1));
   }
-  BitsetSeparationFilter filter = FromPairs(*table, pairs);
-  filter.materialized_ = std::move(table);
-  return filter;
+  return FromPairs(pair_table, pairs);
 }
 
 BitsetSeparationFilter BitsetSeparationFilter::FromPairs(
@@ -69,28 +59,6 @@ Result<BitsetSeparationFilter> BitsetSeparationFilter::FromPackedEvidence(
   filter.declared_pairs_ = declared_pairs;
   filter.evidence_ = std::move(evidence);
   return filter;
-}
-
-Result<BitsetSeparationFilter> BitsetSeparationFilter::MergeDisjoint(
-    const BitsetSeparationFilter& a, uint64_t seen_a,
-    const BitsetSeparationFilter& b, uint64_t seen_b, Rng* rng) {
-  if (a.materialized_ == nullptr || b.materialized_ == nullptr) {
-    return Status::InvalidArgument("merge requires materialized pair filters");
-  }
-  // Delegate the slot algebra (exact integer category probabilities,
-  // cross-pair endpoint draws, union-dictionary re-encoding) to the MX
-  // merge; only the packing differs. RNG consumption matches, so
-  // sharded discovery is pair-backend-independent for a fixed seed.
-  Result<MxPairFilter> ma =
-      MxPairFilter::FromMaterializedPairs(Dataset(*a.materialized_));
-  if (!ma.ok()) return ma.status();
-  Result<MxPairFilter> mb =
-      MxPairFilter::FromMaterializedPairs(Dataset(*b.materialized_));
-  if (!mb.ok()) return mb.status();
-  Result<MxPairFilter> merged =
-      MxPairFilter::MergeDisjoint(*ma, seen_a, *mb, seen_b, rng);
-  if (!merged.ok()) return merged.status();
-  return FromMaterializedPairs(Dataset(*merged->materialized()));
 }
 
 FilterVerdict BitsetSeparationFilter::Query(const AttributeSet& attrs) const {
@@ -139,12 +107,7 @@ BitsetSeparationFilter::QueryWitness(const AttributeSet& attrs) const {
 }
 
 uint64_t BitsetSeparationFilter::MemoryBytes() const {
-  uint64_t bytes = evidence_.MemoryBytes();
-  if (materialized_ != nullptr) {
-    bytes += materialized_->num_rows() * materialized_->num_attributes() *
-             sizeof(ValueCode);
-  }
-  return bytes;
+  return evidence_.MemoryBytes();
 }
 
 }  // namespace qikey

@@ -1,7 +1,6 @@
 #ifndef QIKEY_CORE_BITSET_FILTER_H_
 #define QIKEY_CORE_BITSET_FILTER_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -24,38 +23,32 @@ struct BitsetFilterOptions {
 /// tuples; reject `A` iff some retained pair is unseparated — answered
 /// from bit-packed disagree-set evidence.
 ///
-/// Build draws `s` uniform pairs, then encodes each pair's disagree set
-/// — the attributes on which its two tuples differ — as an `m`-bit mask
-/// packed into cache-line-aligned 64-pair blocks. A query is word-wise
-/// AND over the blocks with an early exit on the first unseparated
-/// pair, and `QueryBatch` walks the blocks block-major so each resident
-/// block serves the whole candidate batch. The masks ARE the sketch:
-/// `s·m` bits plus one representative row pair per distinct mask for
-/// witness reporting — the original relation is not referenced after
-/// Build.
+/// Build draws `s` uniform pairs (`DrawPairSlots`), then encodes each
+/// pair's disagree set — the attributes on which its two tuples differ
+/// — as an `m`-bit mask packed into cache-line-aligned 64-pair blocks.
+/// A query is word-wise AND over the blocks with an early exit on the
+/// first unseparated pair, and `QueryBatch` walks the blocks
+/// block-major so each resident block serves the whole candidate batch.
+/// The masks ARE the sketch: `s·m` bits plus one representative row
+/// pair per distinct mask for witness reporting — no table is
+/// referenced after construction.
 ///
-/// `MxPairFilter` is the value-comparing reference implementation: it
-/// consumes the RNG identically (a fixed seed yields the same pairs and
-/// bit-identical verdicts and witnesses), supplies the shard-merge slot
-/// algebra, and serves as the differential tests' oracle.
+/// Every other pair path hands it a pair-slot table to pack: the
+/// sharded merge (`MergePairSlots`), the stream builder and legacy
+/// QSNP1 images. The value-comparing `MxPairFilter` lives with the
+/// tests and benches as the oracle: it draws the same pairs for a fixed
+/// seed and returns bit-identical verdicts and witnesses.
 class BitsetSeparationFilter : public SeparationFilter {
  public:
   static Result<BitsetSeparationFilter> Build(
       const Dataset& dataset, const BitsetFilterOptions& options, Rng* rng);
 
-  /// Builds from an already-materialized pair table (the shard path,
-  /// and legacy QSNP1 images that stored the raw pair table):
-  /// rows `2i` and `2i+1` of `pair_table` form sampled pair `i`. The
-  /// table is retained (it is what `MergeDisjoint` re-encodes), and
-  /// witness indices address its rows.
+  /// Packs a pair-slot table (the shard merge, the stream builder, and
+  /// legacy QSNP1 images that stored the raw pair table): rows `2i` and
+  /// `2i+1` of `pair_table` form sampled pair `i`. Witness indices
+  /// address its rows.
   static Result<BitsetSeparationFilter> FromMaterializedPairs(
-      Dataset pair_table);
-
-  /// Packs the given row pairs of `table` without retaining the table;
-  /// witness indices are `table` row indices.
-  static BitsetSeparationFilter FromPairs(
-      const Dataset& table,
-      std::span<const std::pair<RowIndex, RowIndex>> pairs);
+      const Dataset& pair_table);
 
   /// Wraps already-packed evidence (the snapshot-file path — typically
   /// borrowed straight out of an mmap-ed section). `declared_pairs` is
@@ -63,15 +56,6 @@ class BitsetSeparationFilter : public SeparationFilter {
   /// at least the evidence's packed pair count.
   static Result<BitsetSeparationFilter> FromPackedEvidence(
       PackedEvidence evidence, uint64_t declared_pairs);
-
-  /// \brief Sharded-construction primitive, mirroring
-  /// `MxPairFilter::MergeDisjoint` (same preconditions: materialized
-  /// inputs, equal slot counts, disjoint populations of `seen_a` and
-  /// `seen_b` rows). Delegates the per-slot union algebra to the MX
-  /// merge — identical RNG consumption — and re-packs the evidence.
-  static Result<BitsetSeparationFilter> MergeDisjoint(
-      const BitsetSeparationFilter& a, uint64_t seen_a,
-      const BitsetSeparationFilter& b, uint64_t seen_b, Rng* rng);
 
   FilterVerdict Query(const AttributeSet& attrs) const override;
   std::optional<std::pair<RowIndex, RowIndex>> QueryWitness(
@@ -88,19 +72,20 @@ class BitsetSeparationFilter : public SeparationFilter {
   uint64_t sample_size() const override { return declared_pairs_; }
   uint64_t MemoryBytes() const override;
 
-  /// The retained pair table when built via `FromMaterializedPairs`
-  /// (null otherwise).
-  const Dataset* materialized() const { return materialized_.get(); }
-
   /// The packed evidence (block/dedup stats for benches and tests).
   const PackedEvidence& evidence() const { return evidence_; }
 
  private:
   BitsetSeparationFilter() = default;
 
+  /// Packs the given row pairs of `table`; witness indices are `table`
+  /// row indices.
+  static BitsetSeparationFilter FromPairs(
+      const Dataset& table,
+      std::span<const std::pair<RowIndex, RowIndex>> pairs);
+
   PackedEvidence evidence_;
   uint64_t declared_pairs_ = 0;
-  std::shared_ptr<Dataset> materialized_;
 };
 
 }  // namespace qikey

@@ -4,6 +4,7 @@
 
 #include "core/sample_bounds.h"
 #include "setcover/set_cover.h"
+#include "stream/pair_slots.h"
 #include "util/logging.h"
 
 namespace qikey {
@@ -60,15 +61,13 @@ Result<MinKeyResult> FindApproxMinimumEpsKeyMx(const Dataset& dataset,
                                            options.eps);
   // Ground set: the sampled pairs. Set j: pairs separated by attribute j.
   SetCoverInstance instance(s, m);
-  std::vector<std::pair<RowIndex, RowIndex>> pairs;
-  pairs.reserve(s);
+  std::vector<std::pair<RowIndex, RowIndex>> pairs =
+      DrawPairSlots(dataset.num_rows(), s, rng);
   for (uint64_t i = 0; i < s; ++i) {
-    auto [a, b] = rng->SamplePair(dataset.num_rows());
-    pairs.emplace_back(static_cast<RowIndex>(a), static_cast<RowIndex>(b));
     for (size_t j = 0; j < m; ++j) {
       AttributeIndex attr = static_cast<AttributeIndex>(j);
-      if (dataset.code(pairs.back().first, attr) !=
-          dataset.code(pairs.back().second, attr)) {
+      if (dataset.code(pairs[i].first, attr) !=
+          dataset.code(pairs[i].second, attr)) {
         instance.Add(j, i);
       }
     }

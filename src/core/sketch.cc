@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/sample_bounds.h"
+#include "stream/pair_slots.h"
 #include "util/logging.h"
 
 namespace qikey {
@@ -30,12 +31,12 @@ Result<NonSeparationSketch> NonSeparationSketch::Build(
   sketch.small_cutoff_ =
       SketchSmallCutoff(options.k, m, options.eps, options.big_k);
   sketch.codes_.resize(2 * s * m);
+  std::vector<std::pair<RowIndex, RowIndex>> pairs =
+      DrawPairSlots(dataset.num_rows(), s, rng);
   for (uint64_t i = 0; i < s; ++i) {
-    auto [a, b] = rng->SamplePair(dataset.num_rows());
     for (uint32_t j = 0; j < m; ++j) {
-      sketch.codes_[(2 * i) * m + j] = dataset.code(static_cast<RowIndex>(a), j);
-      sketch.codes_[(2 * i + 1) * m + j] =
-          dataset.code(static_cast<RowIndex>(b), j);
+      sketch.codes_[(2 * i) * m + j] = dataset.code(pairs[i].first, j);
+      sketch.codes_[(2 * i + 1) * m + j] = dataset.code(pairs[i].second, j);
     }
   }
   return sketch;

@@ -132,7 +132,7 @@ struct MergedInputs {
   uint32_t num_shards = 0;
 };
 
-MergedInputs TakeMergedInputs(MergedFilter merged) {
+Result<MergedInputs> TakeMergedInputs(MergedFilter merged) {
   MergedInputs inputs;
   inputs.sample = merged.tuple_filter->shared_sample();
   inputs.total_rows = merged.total_rows;
@@ -140,9 +140,11 @@ MergedInputs TakeMergedInputs(MergedFilter merged) {
   if (merged.backend == FilterBackend::kBitset) {
     // The merged pair slots become the packed evidence; the merged
     // tuple sample still feeds the greedy stage.
+    Result<BitsetSeparationFilter> packed =
+        BitsetSeparationFilter::FromMaterializedPairs(merged.pair_table);
+    if (!packed.ok()) return packed.status();
     inputs.filter = std::make_unique<BitsetSeparationFilter>(
-        BitsetSeparationFilter::FromPairs(*merged.mx_filter->materialized(),
-                                          merged.mx_filter->pairs()));
+        std::move(packed).ValueOrDie());
   } else {
     inputs.filter =
         std::make_unique<TupleSampleFilter>(std::move(*merged.tuple_filter));
@@ -255,12 +257,14 @@ Result<PipelineResult> DiscoveryPipeline::RunSharded(
   if (!merged.ok()) return merged.status();
   double ingest_millis = timer.ElapsedMillis();
 
-  MergedInputs inputs = TakeMergedInputs(std::move(merged).ValueOrDie());
+  Result<MergedInputs> inputs =
+      TakeMergedInputs(std::move(merged).ValueOrDie());
+  if (!inputs.ok()) return inputs.status();
   Result<PipelineResult> result = FinishStages(
-      std::move(inputs.sample), std::move(inputs.filter), 0.0);
+      std::move(inputs->sample), std::move(inputs->filter), 0.0);
   if (!result.ok()) return result;
-  result->rows = inputs.total_rows;
-  result->num_shards = inputs.num_shards;
+  result->rows = inputs->total_rows;
+  result->num_shards = inputs->num_shards;
   result->peak_tracked_bytes = stats->peak_tracked_bytes;
   result->stages.insert(result->stages.begin(),
                         PipelineStage{"ingest+merge", ingest_millis});
@@ -293,12 +297,14 @@ Result<PipelineResult> DiscoveryPipeline::RunOnShardArtifacts(
   if (!merged.ok()) return merged.status();
   double merge_millis = timer.ElapsedMillis();
 
-  MergedInputs inputs = TakeMergedInputs(std::move(merged).ValueOrDie());
+  Result<MergedInputs> inputs =
+      TakeMergedInputs(std::move(merged).ValueOrDie());
+  if (!inputs.ok()) return inputs.status();
   Result<PipelineResult> result = FinishStages(
-      std::move(inputs.sample), std::move(inputs.filter), 0.0);
+      std::move(inputs->sample), std::move(inputs->filter), 0.0);
   if (!result.ok()) return result;
-  result->rows = inputs.total_rows;
-  result->num_shards = inputs.num_shards;
+  result->rows = inputs->total_rows;
+  result->num_shards = inputs->num_shards;
   result->stages.insert(result->stages.begin(),
                         PipelineStage{"merge", merge_millis});
   result->total_millis += merge_millis;

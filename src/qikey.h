@@ -39,7 +39,6 @@
 #include "core/key_enumeration.h"
 #include "core/masking.h"
 #include "core/minkey.h"
-#include "core/mx_pair_filter.h"
 #include "core/refine_engine.h"
 #include "core/sample_bounds.h"
 #include "core/separation.h"
@@ -81,7 +80,7 @@
 #include "shard/shard_artifact.h"
 #include "shard/shard_builder.h"
 #include "shard/sharded_loader.h"
-#include "stream/pair_reservoir.h"
+#include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "stream/stream_builder.h"
 #include "util/csv.h"

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "stream/pair_slots.h"
+
 namespace qikey {
 
 Status FilterMerger::Add(ShardFilterArtifact artifact) {
@@ -15,6 +17,7 @@ Status FilterMerger::Add(ShardFilterArtifact artifact) {
       artifact.pair_table.num_rows() == 0) {
     return Status::InvalidArgument("pair artifact is missing its pair table");
   }
+  QIKEY_RETURN_NOT_OK(artifact.CheckPairTableSchema());
   uint64_t need = std::min<uint64_t>(options_.tuple_sample_size,
                                      artifact.rows_seen);
   if (artifact.tuple_sample.num_rows() < need) {
@@ -52,16 +55,14 @@ Status FilterMerger::Fold(ShardFilterArtifact artifact) {
     tuple_ = std::move(merged).ValueOrDie();
   }
   if (options_.backend == FilterBackend::kBitset) {
-    Result<MxPairFilter> incoming_mx =
-        MxPairFilter::FromMaterializedPairs(std::move(artifact.pair_table));
-    if (!incoming_mx.ok()) return incoming_mx.status();
-    if (!mx_.has_value()) {
-      mx_ = std::move(incoming_mx).ValueOrDie();
+    if (rows_folded_ == 0) {
+      pairs_ = std::move(artifact.pair_table);
     } else {
-      Result<MxPairFilter> merged = MxPairFilter::MergeDisjoint(
-          *mx_, rows_folded_, *incoming_mx, artifact.rows_seen, &rng_);
+      Result<Dataset> merged =
+          MergePairSlots(pairs_, rows_folded_, artifact.pair_table,
+                         artifact.rows_seen, &rng_);
       if (!merged.ok()) return merged.status();
-      mx_ = std::move(merged).ValueOrDie();
+      pairs_ = std::move(merged).ValueOrDie();
     }
   }
   rows_folded_ += artifact.rows_seen;
@@ -71,7 +72,7 @@ Status FilterMerger::Fold(ShardFilterArtifact artifact) {
 uint64_t FilterMerger::TrackedBytes() const {
   uint64_t bytes = 0;
   if (tuple_.has_value()) bytes += tuple_->MemoryBytes();
-  if (mx_.has_value()) bytes += mx_->MemoryBytes();
+  bytes += pairs_.num_rows() * pairs_.num_attributes() * sizeof(ValueCode);
   for (const auto& [index, artifact] : pending_) {
     bytes += artifact.MemoryBytes();
   }
@@ -92,7 +93,7 @@ Result<MergedFilter> FilterMerger::Finish() && {
   out.total_rows = rows_folded_;
   out.num_shards = next_index_;
   out.tuple_filter = std::move(tuple_);
-  out.mx_filter = std::move(mx_);
+  out.pair_table = std::move(pairs_);
   return out;
 }
 

@@ -5,8 +5,8 @@
 #include <map>
 #include <optional>
 
-#include "core/mx_pair_filter.h"
 #include "core/tuple_sample_filter.h"
+#include "data/dataset.h"
 #include "shard/shard_artifact.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -20,9 +20,10 @@ struct MergedFilter {
   /// Merged uniform tuple sample (both backends: the pipeline's greedy
   /// stage runs on it; under the tuple backend it IS the filter).
   std::optional<TupleSampleFilter> tuple_filter;
-  /// Bitset backend: the merged pair slots, held in the MX merge layer;
-  /// the pipeline packs them into its verify/minimize filter.
-  std::optional<MxPairFilter> mx_filter;
+  /// Bitset backend: the merged pair-slot table (rows `2i`, `2i+1` =
+  /// slot `i`); the pipeline packs it into its verify/minimize filter.
+  /// Empty under the tuple backend.
+  Dataset pair_table;
   uint64_t total_rows = 0;
   uint32_t num_shards = 0;
 };
@@ -35,8 +36,11 @@ struct MergedFilter {
 /// which keeps resident state at one merged filter plus any
 /// out-of-order stragglers. Distribution-equivalence to a single-pass
 /// build follows by induction from the two pairwise merges
-/// (`TupleSampleFilter::MergeDisjoint`, `MxPairFilter::MergeDisjoint`);
+/// (`TupleSampleFilter::MergeDisjoint`, `MergePairSlots`);
 /// `tests/shard_test.cc` checks it empirically.
+///
+/// An artifact's pair table must carry its tuple sample's schema: the
+/// merged filter answers queries over that schema's attributes.
 class FilterMerger {
  public:
   struct Options {
@@ -70,7 +74,7 @@ class FilterMerger {
   uint32_t next_index_ = 0;
   std::map<uint32_t, ShardFilterArtifact> pending_;
   std::optional<TupleSampleFilter> tuple_;
-  std::optional<MxPairFilter> mx_;
+  Dataset pairs_;
   uint64_t rows_folded_ = 0;
 };
 

@@ -29,6 +29,15 @@ uint64_t ShardFilterArtifact::MemoryBytes() const {
   return bytes;
 }
 
+Status ShardFilterArtifact::CheckPairTableSchema() const {
+  if (pair_table.num_attributes() > 0 &&
+      pair_table.schema().names() != tuple_sample.schema().names()) {
+    return Status::InvalidArgument(
+        "shard pair table schema differs from its tuple sample");
+  }
+  return Status::OK();
+}
+
 std::string SerializeShardArtifact(const ShardFilterArtifact& artifact) {
   ByteWriter w;
   w.Raw(kMagic, sizeof(kMagic));
@@ -113,6 +122,7 @@ Result<ShardFilterArtifact> DeserializeShardArtifact(std::string_view bytes) {
   if (artifact.rows_seen < artifact.tuple_sample.num_rows()) {
     return Status::InvalidArgument("shard claims fewer rows than it retains");
   }
+  QIKEY_RETURN_NOT_OK(artifact.CheckPairTableSchema());
   return artifact;
 }
 

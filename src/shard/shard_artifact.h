@@ -43,6 +43,11 @@ struct ShardFilterArtifact {
 
   /// Bytes retained by the samples (budget accounting).
   uint64_t MemoryBytes() const;
+
+  /// InvalidArgument unless the pair table is empty or carries the tuple
+  /// sample's schema names: the merged filter answers attribute sets of
+  /// that schema from the pair evidence.
+  Status CheckPairTableSchema() const;
 };
 
 /// Versioned byte serialization (dataset payloads reuse

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/sample_bounds.h"
 #include "data/dataset_builder.h"
 #include "data/schema.h"
-#include "stream/pair_reservoir.h"
+#include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -36,6 +34,19 @@ Dataset RowsToDataset(const std::vector<std::string>& names,
     columns.emplace_back(std::move(codes), cardinality, dicts[j]);
   }
   return Dataset(Schema(names), std::move(columns));
+}
+
+/// The pair-slot table of `s` slots drawn from rows `[lo, lo + n)` of
+/// `d`.
+Dataset DrawPairTable(const Dataset& d, uint64_t lo, uint64_t n, uint64_t s,
+                      Rng* rng) {
+  std::vector<RowIndex> rows;
+  rows.reserve(2 * static_cast<size_t>(s));
+  for (auto [a, b] : DrawPairSlots(n, s, rng)) {
+    rows.push_back(static_cast<RowIndex>(lo + a));
+    rows.push_back(static_cast<RowIndex>(lo + b));
+  }
+  return d.SelectRows(rows);
 }
 
 /// Fields in `record`. A quote-free record is not split: it has one
@@ -79,10 +90,8 @@ struct ShardArtifactBuilder::Impl {
   // The row being offered, encoded in place; the reservoirs copy it only
   // when they keep it.
   std::pair<std::vector<ValueCode>, uint64_t> offered;
-  // Pair side: per-slot pair reservoirs over positions + retained payloads.
+  // Pair side: per-slot pair reservoirs retaining the kept rows.
   std::unique_ptr<PairReservoir> pairs;
-  std::unordered_map<uint64_t, std::vector<ValueCode>> payloads;
-  uint64_t next_gc = 1024;
 
   Impl(std::vector<std::string> names_in, const CsvOptions& csv_in,
        FilterBackend backend_in, uint64_t tuple_sample_size,
@@ -103,18 +112,6 @@ struct ShardArtifactBuilder::Impl {
     if (backend == FilterBackend::kBitset) {
       pairs = std::make_unique<PairReservoir>(
           static_cast<size_t>(pair_slots), &rng);
-    }
-  }
-
-  void CollectGarbage() {
-    std::unordered_set<uint64_t> live;
-    live.reserve(2 * pairs->num_slots());
-    for (const auto& [a, b] : pairs->pairs()) {
-      live.insert(a);
-      live.insert(b);
-    }
-    for (auto it = payloads.begin(); it != payloads.end();) {
-      it = live.count(it->first) == 0 ? payloads.erase(it) : std::next(it);
     }
   }
 };
@@ -157,15 +154,7 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
     row.push_back(im.dicts[j]->GetOrAdd(fields[j]));
   }
   row_pos = pos;
-  if (pair_keeps) {
-    im.payloads[pos] = row;
-    if (im.payloads.size() >= im.next_gc) {
-      im.CollectGarbage();
-      im.next_gc =
-          std::max<uint64_t>(4 * im.pairs->num_slots(), 1024) +
-          im.payloads.size();
-    }
-  }
+  if (pair_keeps) im.pairs->Retain(row);
   if (tuple_keeps) {
     im.tuples.Offer(im.offered);
   } else {
@@ -204,18 +193,8 @@ Result<ShardFilterArtifact> ShardArtifactBuilder::Finish() && {
   artifact.tuple_sample = RowsToDataset(im.names, im.dicts, sample_rows);
 
   if (im.pairs != nullptr) {
-    im.CollectGarbage();
-    std::vector<std::vector<ValueCode>> pair_rows;
-    pair_rows.reserve(2 * im.pairs->num_slots());
-    for (const auto& [a, b] : im.pairs->pairs()) {
-      auto ia = im.payloads.find(a);
-      auto ib = im.payloads.find(b);
-      QIKEY_CHECK(ia != im.payloads.end() && ib != im.payloads.end())
-          << "payload lost for a sampled pair position";
-      pair_rows.push_back(ia->second);
-      pair_rows.push_back(ib->second);
-    }
-    artifact.pair_table = RowsToDataset(im.names, im.dicts, pair_rows);
+    artifact.pair_table =
+        RowsToDataset(im.names, im.dicts, std::move(*im.pairs).TakeRows());
   }
   return artifact;
 }
@@ -265,14 +244,7 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
       artifact.tuple_sample = dataset.SelectRows(rows);
       artifact.provenance = std::move(rows);
       if (options.backend == FilterBackend::kBitset) {
-        std::vector<RowIndex> pair_rows;
-        pair_rows.reserve(2 * static_cast<size_t>(s));
-        for (uint64_t p = 0; p < s; ++p) {
-          auto [a, b] = rng.SamplePair(range_n);
-          pair_rows.push_back(static_cast<RowIndex>(lo + a));
-          pair_rows.push_back(static_cast<RowIndex>(lo + b));
-        }
-        artifact.pair_table = dataset.SelectRows(pair_rows);
+        artifact.pair_table = DrawPairTable(dataset, lo, range_n, s, &rng);
       }
       artifacts[i] = std::move(artifact);
     }
@@ -312,14 +284,7 @@ Result<ShardFilterArtifact> BuildArtifactFromChunk(
     if (pair_slots == 0) {
       return Status::InvalidArgument("pair slot count must be positive");
     }
-    std::vector<RowIndex> pair_rows;
-    pair_rows.reserve(2 * static_cast<size_t>(pair_slots));
-    for (uint64_t i = 0; i < pair_slots; ++i) {
-      auto [a, b] = rng->SamplePair(n);
-      pair_rows.push_back(static_cast<RowIndex>(a));
-      pair_rows.push_back(static_cast<RowIndex>(b));
-    }
-    artifact.pair_table = chunk.SelectRows(pair_rows);
+    artifact.pair_table = DrawPairTable(chunk, 0, n, pair_slots, rng);
   }
   return artifact;
 }

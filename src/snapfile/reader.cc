@@ -309,7 +309,7 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
       // Legacy mx-pair image: the raw pair table packs into the same
       // evidence (and answers) a bitset save of those pairs would hold.
       Result<BitsetSeparationFilter> bitset =
-          BitsetSeparationFilter::FromMaterializedPairs(std::move(*pair_ds));
+          BitsetSeparationFilter::FromMaterializedPairs(*pair_ds);
       if (!bitset.ok()) return bitset.status();
       filter = std::shared_ptr<const SeparationFilter>(
           new BitsetSeparationFilter(std::move(*bitset)),

@@ -60,45 +60,6 @@ class ReservoirSampler {
     --skip_;
   }
 
-  /// \brief Merges `other` into this sampler. Both must have the same
-  /// capacity and have sampled DISJOINT streams; afterwards the retained
-  /// items are distributed exactly as one reservoir fed the
-  /// concatenation of both streams (`seen()` becomes the sum).
-  ///
-  /// The split is hypergeometric — k of the merged sample come from
-  /// this reservoir, where k is the number of population-1 items in a
-  /// uniform `capacity`-draw from `seen() + other.seen()` — and uniform
-  /// subsets of the two uniform samples fill the two sides. The sampler
-  /// remains usable: further `Offer`s stay exactly uniform (replacement
-  /// times are then drawn from the closed-form skip distribution rather
-  /// than Algorithm L's running-maximum state, which a merge
-  /// invalidates).
-  void Merge(ReservoirSampler&& other) {
-    QIKEY_CHECK(capacity_ == other.capacity_)
-        << "cannot merge reservoirs of differing capacity";
-    uint64_t n1 = seen_;
-    uint64_t n2 = other.seen_;
-    uint64_t target = std::min<uint64_t>(capacity_, n1 + n2);
-    uint64_t k = rng_->HypergeometricDraw(target, n1, n2);
-    QIKEY_CHECK(k <= items_.size() && target - k <= other.items_.size())
-        << "reservoir smaller than its hypergeometric share";
-    std::vector<T> merged;
-    merged.reserve(target);
-    for (uint64_t idx : rng_->SampleWithoutReplacement(items_.size(), k)) {
-      merged.push_back(std::move(items_[idx]));
-    }
-    for (uint64_t idx :
-         rng_->SampleWithoutReplacement(other.items_.size(), target - k)) {
-      merged.push_back(std::move(other.items_[idx]));
-    }
-    items_ = std::move(merged);
-    seen_ = n1 + n2;
-    other.items_.clear();
-    other.seen_ = 0;
-    exact_skip_ = true;
-    if (items_.size() == capacity_) PlanSkipExact();
-  }
-
   uint64_t seen() const { return seen_; }
   const std::vector<T>& items() const { return items_; }
   std::vector<T> TakeItems() && { return std::move(items_); }
@@ -107,32 +68,11 @@ class ReservoirSampler {
   // Algorithm L: w tracks the max of k uniforms; the number of items to
   // skip before the next replacement is geometric-like.
   void PlanSkip() {
-    if (exact_skip_) {
-      PlanSkipExact();
-      return;
-    }
     double u1 = std::max(rng_->UniformDouble(), 1e-300);
     w_ *= std::exp(std::log(u1) / static_cast<double>(capacity_));
     double u2 = std::max(rng_->UniformDouble(), 1e-300);
     skip_ = static_cast<uint64_t>(
         std::floor(std::log(u2) / std::log1p(-w_)));
-  }
-
-  // Exact skip for a reservoir that merged: with k = capacity and t
-  // items seen, P(skip >= j) = prod_{i=1..j} (1 - k/(t+i)). Inversion by
-  // sequential product — O(skip) work, i.e. O(1) per skipped item, and
-  // exactly the acceptance law of Algorithm R at any t.
-  void PlanSkipExact() {
-    double u = std::max(rng_->UniformDouble(), 1e-300);
-    double survival = 1.0;
-    uint64_t j = 0;
-    double k = static_cast<double>(capacity_);
-    while (true) {
-      survival *= 1.0 - k / static_cast<double>(seen_ + j + 1);
-      if (survival <= u) break;
-      ++j;
-    }
-    skip_ = j;
   }
 
   size_t capacity_;
@@ -141,7 +81,6 @@ class ReservoirSampler {
   uint64_t seen_ = 0;
   uint64_t skip_ = 0;
   double w_ = 1.0;
-  bool exact_skip_ = false;
 };
 
 }  // namespace qikey

@@ -1,7 +1,5 @@
 #include "stream/stream_builder.h"
 
-#include <unordered_set>
-
 #include "util/logging.h"
 
 namespace qikey {
@@ -39,51 +37,21 @@ Status StreamingSketchBuilder::Offer(const std::vector<ValueCode>& row) {
   if (row.size() != schema_.num_attributes()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  uint64_t pos = reservoir_.seen();
-  if (reservoir_.Offer()) {
-    payloads_[pos] = row;
-  }
-  if (payloads_.size() >= next_gc_) {
-    CollectGarbage();
-    next_gc_ = std::max<uint64_t>(4 * reservoir_.num_slots(), 1024);
-    next_gc_ += payloads_.size();
-  }
+  if (reservoir_.Offer()) reservoir_.Retain(row);
   return Status::OK();
 }
 
-void StreamingSketchBuilder::CollectGarbage() {
-  std::unordered_set<uint64_t> live;
-  live.reserve(2 * reservoir_.num_slots());
-  for (const auto& [a, b] : reservoir_.pairs()) {
-    live.insert(a);
-    live.insert(b);
-  }
-  for (auto it = payloads_.begin(); it != payloads_.end();) {
-    if (live.count(it->first) == 0) {
-      it = payloads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 Result<NonSeparationSketch> StreamingSketchBuilder::Finish() && {
-  if (reservoir_.seen() < 2) {
+  const uint64_t n = reservoir_.seen();
+  if (n < 2) {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
-  CollectGarbage();
   const uint32_t m = static_cast<uint32_t>(schema_.num_attributes());
   std::vector<ValueCode> codes;
   codes.reserve(2 * reservoir_.num_slots() * m);
-  for (const auto& [a, b] : reservoir_.pairs()) {
-    auto ia = payloads_.find(a);
-    auto ib = payloads_.find(b);
-    QIKEY_CHECK(ia != payloads_.end() && ib != payloads_.end())
-        << "payload lost for a sampled position";
-    codes.insert(codes.end(), ia->second.begin(), ia->second.end());
-    codes.insert(codes.end(), ib->second.begin(), ib->second.end());
+  for (const auto& row : std::move(reservoir_).TakeRows()) {
+    codes.insert(codes.end(), row.begin(), row.end());
   }
-  uint64_t n = reservoir_.seen();
   uint64_t total_pairs = (n % 2 == 0) ? (n / 2) * (n - 1) : n * ((n - 1) / 2);
   return NonSeparationSketch::FromMaterializedPairs(
       m, total_pairs, small_cutoff_, std::move(codes));
@@ -129,51 +97,22 @@ Status StreamingPairFilterBuilder::Offer(const std::vector<ValueCode>& row) {
   if (row.size() != schema_.num_attributes()) {
     return Status::InvalidArgument("row arity mismatch");
   }
-  uint64_t pos = reservoir_.seen();  // position this row will occupy
-  if (reservoir_.Offer()) {
-    payloads_[pos] = row;
-  }
-  if (payloads_.size() >= next_gc_) {
-    CollectGarbage();
-    next_gc_ = std::max<uint64_t>(2 * reservoir_.num_slots() * 2, 1024);
-    next_gc_ += payloads_.size();
-  }
+  if (reservoir_.Offer()) reservoir_.Retain(row);
   return Status::OK();
 }
 
-void StreamingPairFilterBuilder::CollectGarbage() {
-  std::unordered_set<uint64_t> live;
-  live.reserve(2 * reservoir_.num_slots());
-  for (const auto& [a, b] : reservoir_.pairs()) {
-    live.insert(a);
-    live.insert(b);
-  }
-  for (auto it = payloads_.begin(); it != payloads_.end();) {
-    if (live.count(it->first) == 0) {
-      it = payloads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-Result<MxPairFilter> StreamingPairFilterBuilder::Finish() && {
+Result<Dataset> StreamingPairFilterBuilder::FinishPairTable() && {
   if (reservoir_.seen() < 2) {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
-  CollectGarbage();
-  std::vector<std::vector<ValueCode>> rows;
-  rows.reserve(2 * reservoir_.num_slots());
-  for (const auto& [a, b] : reservoir_.pairs()) {
-    auto ia = payloads_.find(a);
-    auto ib = payloads_.find(b);
-    QIKEY_CHECK(ia != payloads_.end() && ib != payloads_.end())
-        << "payload lost for a sampled position";
-    rows.push_back(ia->second);
-    rows.push_back(ib->second);
-  }
-  Dataset pair_table = RowsToDataset(schema_, cardinalities_, rows);
-  return MxPairFilter::FromMaterializedPairs(std::move(pair_table));
+  return RowsToDataset(schema_, cardinalities_,
+                       std::move(reservoir_).TakeRows());
+}
+
+Result<BitsetSeparationFilter> StreamingPairFilterBuilder::Finish() && {
+  Result<Dataset> table = std::move(*this).FinishPairTable();
+  if (!table.ok()) return table.status();
+  return BitsetSeparationFilter::FromMaterializedPairs(*table);
 }
 
 }  // namespace qikey

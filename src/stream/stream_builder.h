@@ -2,14 +2,13 @@
 #define QIKEY_STREAM_STREAM_BUILDER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "core/mx_pair_filter.h"
+#include "core/bitset_filter.h"
 #include "core/sketch.h"
 #include "core/tuple_sample_filter.h"
 #include "data/dataset.h"
-#include "stream/pair_reservoir.h"
+#include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -34,14 +33,10 @@ class StreamingSketchBuilder {
   Result<NonSeparationSketch> Finish() &&;
 
  private:
-  void CollectGarbage();
-
   Schema schema_;
   std::vector<uint32_t> cardinalities_;
   PairReservoir reservoir_;
   uint64_t small_cutoff_;
-  std::unordered_map<uint64_t, std::vector<ValueCode>> payloads_;
-  uint64_t next_gc_ = 1024;
 };
 
 /// \brief One-pass builder for this paper's filter: reservoir-samples
@@ -72,10 +67,9 @@ class StreamingTupleFilterBuilder {
   ReservoirSampler<std::vector<ValueCode>> reservoir_;
 };
 
-/// \brief One-pass builder for the Motwani–Xu filter: `s` independent
-/// size-2 reservoirs over the stream, retaining payloads for referenced
-/// positions (with periodic garbage collection, so space stays
-/// `O(s·m)` codes).
+/// \brief One-pass builder for the Motwani–Xu filter: `s` pair slots
+/// kept by a `PairReservoir` over the stream (space `O(s·m)` codes),
+/// packed into a `BitsetSeparationFilter` at Finish().
 class StreamingPairFilterBuilder {
  public:
   StreamingPairFilterBuilder(Schema schema,
@@ -86,16 +80,16 @@ class StreamingPairFilterBuilder {
 
   uint64_t rows_seen() const { return reservoir_.seen(); }
 
-  Result<MxPairFilter> Finish() &&;
+  /// The sampled pair-slot table (rows `2i`, `2i+1` = slot `i`).
+  Result<Dataset> FinishPairTable() &&;
+
+  /// The filter packed from `FinishPairTable()`.
+  Result<BitsetSeparationFilter> Finish() &&;
 
  private:
-  void CollectGarbage();
-
   Schema schema_;
   std::vector<uint32_t> cardinalities_;
   PairReservoir reservoir_;
-  std::unordered_map<uint64_t, std::vector<ValueCode>> payloads_;
-  uint64_t next_gc_ = 1024;
 };
 
 }  // namespace qikey

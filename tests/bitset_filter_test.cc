@@ -564,45 +564,6 @@ TEST(BitsetDifferentialTest, WideSchemaUsesMultiWordMasks) {
   ExpectFiltersAgree(d, 6, 500, 4);
 }
 
-TEST(BitsetDifferentialTest, MergeDisjointMatchesMxMerge) {
-  Dataset d = AdultishTable(600, 99);
-  std::vector<RowIndex> left_rows, right_rows;
-  for (RowIndex i = 0; i < 300; ++i) left_rows.push_back(i);
-  for (RowIndex i = 300; i < 600; ++i) right_rows.push_back(i);
-  Dataset left = d.SelectRows(left_rows);
-  Dataset right = d.SelectRows(right_rows);
-
-  // Materialized MX filters on each half; the bitset twins pack the
-  // same pair tables.
-  MxPairFilterOptions mx_opts;
-  mx_opts.sample_size = 400;
-  mx_opts.materialize = true;
-  Rng build_rng(41);
-  auto mx_a = MxPairFilter::Build(left, mx_opts, &build_rng);
-  auto mx_b = MxPairFilter::Build(right, mx_opts, &build_rng);
-  ASSERT_TRUE(mx_a.ok() && mx_b.ok());
-  auto bs_a = BitsetSeparationFilter::FromMaterializedPairs(
-      Dataset(*mx_a->materialized()));
-  auto bs_b = BitsetSeparationFilter::FromMaterializedPairs(
-      Dataset(*mx_b->materialized()));
-  ASSERT_TRUE(bs_a.ok() && bs_b.ok());
-
-  Rng mx_merge_rng(55), bs_merge_rng(55);
-  auto mx_merged =
-      MxPairFilter::MergeDisjoint(*mx_a, 300, *mx_b, 300, &mx_merge_rng);
-  auto bs_merged = BitsetSeparationFilter::MergeDisjoint(*bs_a, 300, *bs_b,
-                                                         300, &bs_merge_rng);
-  ASSERT_TRUE(mx_merged.ok());
-  ASSERT_TRUE(bs_merged.ok());
-  ASSERT_EQ(mx_merged->sample_size(), bs_merged->sample_size());
-
-  Rng qrng(77);
-  for (int i = 0; i < 200; ++i) {
-    AttributeSet q = AttributeSet::Random(d.num_attributes(), 0.3, &qrng);
-    EXPECT_EQ(bs_merged->Query(q), mx_merged->Query(q)) << i;
-  }
-}
-
 // ---------------------------------------------- pipeline differential
 
 void ExpectSameResult(const PipelineResult& a, const PipelineResult& b) {

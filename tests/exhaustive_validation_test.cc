@@ -237,6 +237,76 @@ TEST_P(ForAllGuaranteeTest, ServedIsKeyFromReloadedSnapshotFileCorrect) {
   std::remove(path.c_str());
 }
 
+// The filter `RunSharded` answers with: shards built over disjoint row
+// ranges, folded by `FilterMerger`, and (bitset backend) the merged
+// pair slots packed into evidence. Each draw takes fresh build and
+// merge seeds from `rng`.
+std::unique_ptr<SeparationFilter> MergedShardFilter(const Dataset& d,
+                                                    FilterBackend backend,
+                                                    double eps, size_t shards,
+                                                    Rng* rng) {
+  ShardedBuildOptions build;
+  build.backend = backend;
+  build.eps = eps;
+  build.num_shards = shards;
+  build.seed = rng->Next();
+  auto artifacts = BuildShardArtifacts(d, build);
+  EXPECT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+  EXPECT_EQ(artifacts->size(), shards);
+  FilterMerger::Options merge_options;
+  merge_options.backend = backend;
+  merge_options.tuple_sample_size = TupleSampleSizePaper(
+      static_cast<uint32_t>(d.num_attributes()), eps);
+  merge_options.seed = rng->Next();
+  FilterMerger merger(merge_options);
+  for (auto& artifact : *artifacts) {
+    EXPECT_TRUE(merger.Add(std::move(artifact)).ok());
+  }
+  auto merged = std::move(merger).Finish();
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  if (backend == FilterBackend::kBitset) {
+    auto packed =
+        BitsetSeparationFilter::FromMaterializedPairs(merged->pair_table);
+    EXPECT_TRUE(packed.ok()) << packed.status().ToString();
+    return std::make_unique<BitsetSeparationFilter>(std::move(*packed));
+  }
+  return std::make_unique<TupleSampleFilter>(std::move(*merged->tuple_filter));
+}
+
+/// Checks the merged filter at 1, 2 and 8 shards. The bound the harness
+/// gates on is the pair filter's; it also covers the tuple backend
+/// here, whose r = 43 merged tuples always collide on a bad set of this
+/// table (at most 6^2 = 36 distinct projections).
+void ExpectShardedGuarantee(FilterBackend backend, uint64_t seed) {
+  Rng rng(seed);
+  const double eps = 0.02;
+  Dataset d = KeyedGridSample(&rng);
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  PairUniverse universe =
+      ClassifyUniverse(d, eps, MxPairSampleSizePaper(m, eps));
+  std::vector<AttributeSet> subsets;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    subsets.push_back(SubsetOf(m, mask));
+  }
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << "shards " << shards);
+    ExpectPairPathGuarantee(universe, 20, [&](int) {
+      return MergedShardFilter(d, backend, eps, shards, &rng)
+          ->QueryBatch(subsets);
+    });
+  }
+}
+
+TEST_P(ForAllGuaranteeTest, ShardedBitsetMergeWholeUniverseCorrect) {
+  ExpectShardedGuarantee(FilterBackend::kBitset,
+                         static_cast<uint64_t>(GetParam()));
+}
+
+TEST_P(ForAllGuaranteeTest, ShardedTupleMergeWholeUniverseCorrect) {
+  ExpectShardedGuarantee(FilterBackend::kTupleSample,
+                         static_cast<uint64_t>(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ForAllGuaranteeTest,
                          ::testing::Range(100, 106));
 

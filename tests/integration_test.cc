@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/mx_pair_filter.h"
 #include "qikey.h"
 
 namespace qikey {

@@ -13,7 +13,6 @@
 #include "core/key_enumeration.h"
 #include "csv_test_inputs.h"
 #include "pin_to_one_cpu.h"
-#include "core/mx_pair_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
 #include "data/dataset_builder.h"
@@ -24,7 +23,7 @@
 #include "shard/shard_artifact.h"
 #include "shard/shard_builder.h"
 #include "shard/sharded_loader.h"
-#include "stream/pair_reservoir.h"
+#include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -140,7 +139,7 @@ TEST(FilterMergeTest, TupleMergePreservesValues) {
                       "SF|94103", "SD|92115", "SF|94110", "LA|90001"}));
 }
 
-// ------------------------------------------------------------ MX merge
+// ------------------------------------------------------------ pair merge
 
 // With one slot, the merged pair must be uniform over all C(n,2)
 // unordered pairs of the union — the distribution a single-pass MX
@@ -170,10 +169,9 @@ TEST(FilterMergeTest, MxMergeSlotDistributionIsUniform) {
     for (auto& a : *artifacts) ASSERT_TRUE(merger.Add(std::move(a)).ok());
     auto merged = std::move(merger).Finish();
     ASSERT_TRUE(merged.ok());
-    const Dataset* table = merged->mx_filter->materialized();
-    ASSERT_NE(table, nullptr);
-    ASSERT_EQ(table->num_rows(), 2u);
-    std::string a = table->FormatRow(0), b2 = table->FormatRow(1);
+    const Dataset& table = merged->pair_table;
+    ASSERT_EQ(table.num_rows(), 2u);
+    std::string a = table.FormatRow(0), b2 = table.FormatRow(1);
     if (b2 < a) std::swap(a, b2);
     EXPECT_NE(a, b2) << "self-pair in merged slot";
     freq[{a, b2}]++;
@@ -593,6 +591,57 @@ TEST(FilterMergerTest, RejectsDuplicatesGapsAndMismatches) {
   }
 }
 
+/// A bitset shard artifact over a 5-attribute table whose pair table is
+/// swapped for one of `width` attributes.
+ShardFilterArtifact MismatchedPairArtifact(uint32_t width) {
+  Rng rng(47);
+  Dataset d = MakeUniformGridSample(5, 4, 60, &rng);
+  ShardedBuildOptions build = TupleBuild(8, 1, 3);
+  build.backend = FilterBackend::kBitset;
+  build.pair_slots = 10;
+  auto artifacts = BuildShardArtifacts(d, build);
+  EXPECT_TRUE(artifacts.ok());
+  ShardFilterArtifact artifact = std::move((*artifacts)[0]);
+  artifact.pair_table = MakeUniformGridSample(width, 2, 20, &rng);
+  return artifact;
+}
+
+// A pair table is queried with the tuple sample's attribute sets, so a
+// wider one reads past them and a narrower one answers for other
+// columns: both must be refused.
+TEST(ShardArtifactTest, RejectsPairTableOfAnotherSchema) {
+  for (uint32_t width : {130u, 2u}) {
+    auto back = DeserializeShardArtifact(
+        SerializeShardArtifact(MismatchedPairArtifact(width)));
+    ASSERT_FALSE(back.ok()) << "width " << width;
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FilterMergerTest, RejectsPairTableOfAnotherSchema) {
+  for (uint32_t width : {130u, 2u}) {
+    FilterMerger::Options merge_options;
+    merge_options.backend = FilterBackend::kBitset;
+    merge_options.tuple_sample_size = 8;
+    FilterMerger merger(merge_options);
+    Status added = merger.Add(MismatchedPairArtifact(width));
+    ASSERT_FALSE(added.ok()) << "width " << width;
+    EXPECT_EQ(added.code(), StatusCode::kInvalidArgument);
+
+    // The discovery entry that merges in-memory artifacts refuses it too.
+    PipelineOptions options;
+    options.backend = FilterBackend::kBitset;
+    options.eps = 0.01;
+    options.sample_size = 8;
+    std::vector<ShardFilterArtifact> artifacts;
+    artifacts.push_back(MismatchedPairArtifact(width));
+    auto run = DiscoveryPipeline(options).RunOnShardArtifacts(
+        std::move(artifacts), 1);
+    ASSERT_FALSE(run.ok()) << "width " << width;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ------------------------------------------------- skip-aware CSV build
 
 /// What one shard sampled, as decoded text: comparable across builders
@@ -796,6 +845,98 @@ TEST(ShardBuildTest, ZeroThreadsFollowsTheAffinityMask) {
   auto built = BuildShardArtifactsFromCsv(path, options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->size(), 1u);
+}
+
+// ------------------------------------------------------------ draw pins
+
+// The digests below are fixed constants, never re-derived by the test:
+// a change in what the shard builders or the pair merge draw from the
+// RNG, or in what they keep, changes them.
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+uint64_t Fnv1a(std::string_view bytes,
+               uint64_t hash = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+uint64_t ArtifactDigest(const std::vector<ShardFilterArtifact>& artifacts) {
+  uint64_t hash = Fnv1a("");
+  for (const ShardFilterArtifact& artifact : artifacts) {
+    hash = Fnv1a(SerializeShardArtifact(artifact), hash);
+  }
+  return hash;
+}
+
+/// The rows of `d` as text, one per line, in row order.
+uint64_t RowsDigest(const Dataset& d) {
+  uint64_t hash = Fnv1a("");
+  for (RowIndex i = 0; i < d.num_rows(); ++i) {
+    hash = Fnv1a(d.FormatRow(i) + "\n", hash);
+  }
+  return hash;
+}
+
+TEST(ShardDrawPinTest, CsvArtifactBytes) {
+  struct Pin {
+    std::string path;
+    size_t shards;
+    uint64_t digest;
+  };
+  const std::string people = std::string(QIKEY_GOLDEN_DIR) + "/people.csv";
+  const std::string sharded =
+      WriteTempFile("pin_sharded.csv", ShardedCsvText());
+  for (const Pin& pin : {Pin{people, 1, 0xb270f55baaa1bf05ull},
+                         Pin{people, 3, 0xe7c8d06316c9bdfcull},
+                         Pin{sharded, 1, 0xef201892bc991400ull},
+                         Pin{sharded, 3, 0xc2216f7308a5e3acull}}) {
+    SCOPED_TRACE(::testing::Message() << pin.path << " shards " << pin.shards);
+    ShardedBuildOptions options =
+        SkipBuild(FilterBackend::kBitset, pin.shards, 0, 0, 7);
+    auto built = BuildShardArtifactsFromCsv(pin.path, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_EQ(built->size(), pin.shards);
+    EXPECT_EQ(ArtifactDigest(*built), pin.digest);
+  }
+}
+
+/// Bitset shard artifacts over a 700-row adult-like table.
+Result<std::vector<ShardFilterArtifact>> PinnedInMemoryArtifacts(
+    size_t shards) {
+  Rng rng(61);
+  TabularSpec spec = AdultLikeSpec();
+  spec.num_rows = 700;
+  Dataset d = MakeTabular(spec, &rng);
+  ShardedBuildOptions build = TupleBuild(40, shards, 19);
+  build.backend = FilterBackend::kBitset;
+  build.pair_slots = 250;
+  return BuildShardArtifacts(d, build);
+}
+
+TEST(ShardDrawPinTest, InMemoryArtifactBytes) {
+  auto one = PinnedInMemoryArtifacts(1);
+  auto three = PinnedInMemoryArtifacts(3);
+  ASSERT_TRUE(one.ok() && three.ok());
+  EXPECT_EQ(ArtifactDigest(*one), 0xd5867a7c16f4816dull);
+  EXPECT_EQ(ArtifactDigest(*three), 0xcd388758c619028aull);
+}
+
+TEST(ShardDrawPinTest, MergedPairTableRows) {
+  auto artifacts = PinnedInMemoryArtifacts(3);
+  ASSERT_TRUE(artifacts.ok());
+  FilterMerger::Options merge_options;
+  merge_options.backend = FilterBackend::kBitset;
+  merge_options.tuple_sample_size = 40;
+  merge_options.seed = 5;
+  FilterMerger merger(merge_options);
+  for (auto& a : *artifacts) ASSERT_TRUE(merger.Add(std::move(a)).ok());
+  auto merged = std::move(merger).Finish();
+  ASSERT_TRUE(merged.ok());
+  ASSERT_EQ(merged->pair_table.num_rows(), 500u);
+  EXPECT_EQ(RowsDigest(merged->pair_table), 0x4e5ffc105cbb1f01ull);
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 #include <numeric>
 #include <set>
 
+#include "core/mx_pair_filter.h"
 #include "core/separation.h"
 #include "core/sketch.h"
+#include "data/dataset_builder.h"
 #include "engine/pipeline.h"
 #include "math/combinatorics.h"
 #include "data/generators/uniform_grid.h"
-#include "stream/pair_reservoir.h"
+#include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "stream/stream_builder.h"
 #include "util/rng.h"
@@ -100,80 +102,6 @@ TEST(ReservoirTest, InclusionProbabilityIsUniform) {
   }
 }
 
-// ----------------------------------------------------------- merge
-
-TEST(ReservoirMergeTest, KeepsUnionOfSmallStreams) {
-  Rng rng(5);
-  ReservoirSampler<int> a(10, &rng);
-  ReservoirSampler<int> b(10, &rng);
-  for (int i = 0; i < 4; ++i) a.Offer(i);
-  for (int i = 4; i < 7; ++i) b.Offer(i);
-  a.Merge(std::move(b));
-  EXPECT_EQ(a.seen(), 7u);
-  std::set<int> kept(a.items().begin(), a.items().end());
-  EXPECT_EQ(kept, (std::set<int>{0, 1, 2, 3, 4, 5, 6}));
-}
-
-// Merging two reservoirs over disjoint streams must leave every item
-// of the concatenated stream with the same inclusion probability a
-// single reservoir would give it.
-TEST(ReservoirMergeTest, InclusionProbabilityMatchesSinglePass) {
-  constexpr int kTrials = 20000;
-  constexpr int kA = 30, kB = 20, kCap = 10;
-  std::vector<int> counts(kA + kB, 0);
-  Rng rng(7);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler<int> a(kCap, &rng);
-    ReservoirSampler<int> b(kCap, &rng);
-    for (int i = 0; i < kA; ++i) a.Offer(i);
-    for (int i = kA; i < kA + kB; ++i) b.Offer(i);
-    a.Merge(std::move(b));
-    EXPECT_EQ(a.items().size(), static_cast<size_t>(kCap));
-    for (int kept : a.items()) ++counts[kept];
-  }
-  // p = 10/50 for every position, merged or not.
-  for (int i = 0; i < kA + kB; ++i) {
-    EXPECT_NEAR(counts[i], kTrials / 5, kTrials / 50) << "position " << i;
-  }
-}
-
-// A merged reservoir must stay a valid sampler: offering more items
-// afterwards keeps inclusion uniform over the whole stream.
-TEST(ReservoirMergeTest, OffersAfterMergeStayUniform) {
-  constexpr int kTrials = 20000;
-  constexpr int kA = 15, kB = 15, kTail = 20, kCap = 10;
-  const int total = kA + kB + kTail;
-  std::vector<int> counts(total, 0);
-  Rng rng(11);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler<int> a(kCap, &rng);
-    ReservoirSampler<int> b(kCap, &rng);
-    for (int i = 0; i < kA; ++i) a.Offer(i);
-    for (int i = kA; i < kA + kB; ++i) b.Offer(i);
-    a.Merge(std::move(b));
-    for (int i = kA + kB; i < total; ++i) a.Offer(i);
-    for (int kept : a.items()) ++counts[kept];
-  }
-  for (int i = 0; i < total; ++i) {
-    EXPECT_NEAR(counts[i], kTrials * kCap / total, kTrials / 50)
-        << "position " << i;
-  }
-}
-
-TEST(ReservoirMergeTest, DeterministicForFixedSeed) {
-  auto run = [] {
-    Rng rng(13);
-    ReservoirSampler<int> a(5, &rng);
-    ReservoirSampler<int> b(5, &rng);
-    for (int i = 0; i < 40; ++i) a.Offer(i);
-    for (int i = 40; i < 90; ++i) b.Offer(i);
-    a.Merge(std::move(b));
-    for (int i = 90; i < 120; ++i) a.Offer(i);
-    return a.items();
-  };
-  EXPECT_EQ(run(), run());
-}
-
 // ----------------------------------------------------------- skipping
 
 /// What a reservoir run leaves behind: its items, its count, and the
@@ -201,23 +129,13 @@ uint64_t Feed(ReservoirSampler<uint64_t>* res, uint64_t lo, uint64_t hi,
   return skipped;
 }
 
-/// One stream of `n` positions, optionally split in thirds: the first
-/// two fed to separate reservoirs that are then merged, the last fed to
-/// the merged one (which plans its skips with `PlanSkipExact`).
-ReservoirEnd RunReservoir(size_t capacity, uint64_t n, bool merge,
-                          bool skip_aware, uint64_t seed) {
+/// One stream of `n` positions fed to one reservoir.
+ReservoirEnd RunReservoir(size_t capacity, uint64_t n, bool skip_aware,
+                          uint64_t seed) {
   Rng rng(seed);
   ReservoirSampler<uint64_t> res(capacity, &rng);
   ReservoirEnd end;
-  if (merge) {
-    ReservoirSampler<uint64_t> other(capacity, &rng);
-    end.skipped += Feed(&res, 0, n / 3, skip_aware);
-    end.skipped += Feed(&other, n / 3, 2 * n / 3, skip_aware);
-    res.Merge(std::move(other));
-    end.skipped += Feed(&res, 2 * n / 3, n, skip_aware);
-  } else {
-    end.skipped = Feed(&res, 0, n, skip_aware);
-  }
+  end.skipped = Feed(&res, 0, n, skip_aware);
   end.items = res.items();
   end.seen = res.seen();
   end.next_draw = rng.Next();
@@ -227,24 +145,21 @@ ReservoirEnd RunReservoir(size_t capacity, uint64_t n, bool merge,
 // Skipping the items the reservoir would drop must leave it — and its
 // RNG — exactly where offering every item does.
 TEST(ReservoirSkipTest, SkipNextEqualsOfferingEveryItem) {
-  for (bool merge : {false, true}) {
-    for (size_t capacity : {size_t{1}, size_t{2}, size_t{8}, size_t{1740}}) {
-      for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{5}, uint64_t{100},
-                         uint64_t{2000}, uint64_t{100000}}) {
-        for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "capacity " << capacity << " n " << n << " merge "
-                       << merge << " seed " << seed);
-          ReservoirEnd offered = RunReservoir(capacity, n, merge, false, seed);
-          ReservoirEnd skipped = RunReservoir(capacity, n, merge, true, seed);
-          EXPECT_EQ(skipped.items, offered.items);
-          EXPECT_EQ(skipped.seen, offered.seen);
-          EXPECT_EQ(skipped.seen, n);
-          EXPECT_EQ(skipped.next_draw, offered.next_draw);
-          // Long past the fill, most items are skipped.
-          if (n >= 20 * capacity) {
-            EXPECT_GT(skipped.skipped, n / 2);
-          }
+  for (size_t capacity : {size_t{1}, size_t{2}, size_t{8}, size_t{1740}}) {
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{5}, uint64_t{100},
+                       uint64_t{2000}, uint64_t{100000}}) {
+      for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+        SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " n "
+                                          << n << " seed " << seed);
+        ReservoirEnd offered = RunReservoir(capacity, n, false, seed);
+        ReservoirEnd skipped = RunReservoir(capacity, n, true, seed);
+        EXPECT_EQ(skipped.items, offered.items);
+        EXPECT_EQ(skipped.seen, offered.seen);
+        EXPECT_EQ(skipped.seen, n);
+        EXPECT_EQ(skipped.next_draw, offered.next_draw);
+        // Long past the fill, most items are skipped.
+        if (n >= 20 * capacity) {
+          EXPECT_GT(skipped.skipped, n / 2);
         }
       }
     }
@@ -336,6 +251,93 @@ TEST(PairReservoirTest, PairDistributionIsUniform) {
   }
 }
 
+// Payloads no slot references are collected as the stream runs: after
+// 20000 rows, 50 slots hold at most 100 live payloads plus one
+// collection period's worth (max(4·50, 1024)) of stale ones.
+TEST(PairReservoirTest, RetainsOnlyLivePayloads) {
+  Rng rng(11);
+  constexpr size_t kSlots = 50;
+  PairReservoir res(kSlots, &rng);
+  size_t peak = 0;
+  for (ValueCode i = 0; i < 20000; ++i) {
+    if (res.Offer()) res.Retain({i, i + 1});
+    peak = std::max(peak, res.retained());
+  }
+  EXPECT_LE(peak, 2 * kSlots + 1024);
+  std::vector<std::pair<uint64_t, uint64_t>> pairs = res.pairs();
+  std::vector<std::vector<ValueCode>> rows = std::move(res).TakeRows();
+  ASSERT_EQ(rows.size(), 2 * kSlots);
+  for (size_t i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(rows[2 * i][0], pairs[i].first) << i;
+    EXPECT_EQ(rows[2 * i + 1][0], pairs[i].second) << i;
+  }
+}
+
+// ------------------------------------------------------------- pair slots
+
+/// A pair-slot table of `slots` slots over two string columns, with a
+/// dictionary of its own (so merging re-encodes through a union).
+Dataset RandomPairTable(size_t slots, const std::string& prefix, Rng* rng) {
+  DatasetBuilder builder({"x", "y"});
+  for (size_t i = 0; i < 2 * slots; ++i) {
+    std::string x = prefix + std::to_string(rng->Uniform(5));
+    std::string y = std::to_string(rng->Uniform(7));
+    EXPECT_TRUE(builder.AddRow({x, y}).ok());
+  }
+  return std::move(builder).Finish();
+}
+
+// `MergePairSlots` is `MxPairFilter::MergeDisjoint`'s algebra run on the
+// tables: the same merged rows, codes and dictionaries, and the same
+// RNG consumption.
+TEST(PairSlotsTest, MergeMatchesMxOracle) {
+  for (uint64_t seen_a : {uint64_t{2}, uint64_t{3}, uint64_t{1000}}) {
+    for (uint64_t seen_b : {uint64_t{2}, uint64_t{3}, uint64_t{1000}}) {
+      for (size_t slots : {size_t{1}, size_t{64}, size_t{300}}) {
+        SCOPED_TRACE(::testing::Message() << "seen " << seen_a << "+"
+                                          << seen_b << " slots " << slots);
+        Rng data_rng(seen_a * 7 + seen_b * 13 + slots);
+        Dataset a = RandomPairTable(slots, "a", &data_rng);
+        Dataset b = RandomPairTable(slots, "b", &data_rng);
+        auto mx_a = MxPairFilter::FromMaterializedPairs(Dataset(a));
+        auto mx_b = MxPairFilter::FromMaterializedPairs(Dataset(b));
+        ASSERT_TRUE(mx_a.ok() && mx_b.ok());
+
+        Rng mx_rng(slots + 5), rng(slots + 5);
+        auto want =
+            MxPairFilter::MergeDisjoint(*mx_a, seen_a, *mx_b, seen_b, &mx_rng);
+        auto got = MergePairSlots(a, seen_a, b, seen_b, &rng);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const Dataset& table = *want->materialized();
+        ASSERT_EQ(got->num_rows(), table.num_rows());
+        ASSERT_EQ(got->num_rows(), 2 * slots);
+        for (RowIndex i = 0; i < table.num_rows(); ++i) {
+          ASSERT_EQ(got->FormatRow(i), table.FormatRow(i)) << "row " << i;
+          for (AttributeIndex j = 0; j < 2; ++j) {
+            ASSERT_EQ(got->code(i, j), table.code(i, j)) << i << "," << j;
+          }
+        }
+        EXPECT_EQ(rng.Next(), mx_rng.Next());
+      }
+    }
+  }
+}
+
+TEST(PairSlotsTest, MergeRejectsMismatchedTables) {
+  Rng data_rng(3);
+  Dataset a = RandomPairTable(4, "a", &data_rng);
+  Dataset b = RandomPairTable(5, "b", &data_rng);
+  Rng rng(1);
+  EXPECT_FALSE(MergePairSlots(a, 10, b, 10, &rng).ok());  // slot counts
+  EXPECT_FALSE(MergePairSlots(a, 1, a, 10, &rng).ok());   // seen < 2
+  EXPECT_FALSE(MergePairSlots(a, 10, a, 10, nullptr).ok());
+  Dataset odd = a.SelectRows({0, 1, 2});
+  EXPECT_FALSE(MergePairSlots(odd, 10, odd, 10, &rng).ok());
+  Dataset other = MakeUniformGridSample(2, 3, 8, &data_rng);  // other names
+  EXPECT_FALSE(MergePairSlots(a, 10, other, 10, &rng).ok());
+}
+
 // ------------------------------------------------------------- builders
 
 std::vector<std::vector<ValueCode>> DatasetRows(const Dataset& d) {
@@ -418,12 +420,11 @@ TEST(StreamBuilderTest, PairFilterStoresOnlyLivePayloads) {
         static_cast<ValueCode>(data_rng.Uniform(4))};
     ASSERT_TRUE(builder.Offer(row).ok());
   }
-  auto filter = std::move(builder).Finish();
-  ASSERT_TRUE(filter.ok());
-  // Finish materializes exactly 2 rows per slot.
-  EXPECT_EQ(filter->MemoryBytes(),
-            2 * kSlots * 2 * sizeof(ValueCode) +
-                kSlots * sizeof(std::pair<RowIndex, RowIndex>));
+  auto table = std::move(builder).FinishPairTable();
+  ASSERT_TRUE(table.ok());
+  // Exactly 2 rows per slot survive the stream.
+  EXPECT_EQ(table->num_rows(), 2 * kSlots);
+  EXPECT_EQ(table->num_attributes(), 2u);
 }
 
 TEST(StreamBuilderTest, SketchBuilderTracksExactGamma) {
@@ -510,6 +511,30 @@ TEST(StreamBuilderTest, ReservoirPipelineDeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial->covered_sample, parallel->covered_sample);
     EXPECT_EQ(serial->verdict, parallel->verdict);
   }
+}
+
+// Pinned constants, never re-derived: the digest of the table's rows in
+// slot order, and the next draw of the RNG the builder consumed.
+TEST(StreamDrawPinTest, PairFilterBuilderTable) {
+  Rng data_rng(71);
+  Dataset d = MakeUniformGridSample(6, 5, 3000, &data_rng);
+  Rng rng(72);
+  StreamingPairFilterBuilder builder(d.schema(), Cardinalities(d), 200, &rng);
+  for (const auto& row : DatasetRows(d)) {
+    ASSERT_TRUE(builder.Offer(row).ok());
+  }
+  auto table = std::move(builder).FinishPairTable();
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->num_rows(), 400u);
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  for (RowIndex i = 0; i < table->num_rows(); ++i) {
+    for (unsigned char c : table->FormatRow(i) + "\n") {
+      hash ^= c;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(hash, 0x9c743c68beda5933ull);
+  EXPECT_EQ(rng.Next(), 0x1fbe6b238f3cb227ull);
 }
 
 TEST(StreamBuilderTest, RejectsEmptyStream) {

@@ -27,14 +27,19 @@ struct MxPairFilterOptions {
   bool exhaustive_compare = false;
 };
 
-/// \brief The Motwani–Xu (2008) baseline filter: `Θ(m/ε)` uniform
+/// \brief The Motwani–Xu (VLDB 2007) baseline filter: `Θ(m/ε)` uniform
 /// *pairs* of tuples; reject `A` iff some retained pair is unseparated.
 ///
-/// Query time `O(s · |A|)` with `s` the pair count. No component serves
-/// queries from it: `BitsetSeparationFilter` answers the same pairs
-/// bit-identically. It remains the pair-sampling and `MergeDisjoint`
-/// layer under the bitset filter, the Table-1 paper baseline in the
-/// benches, and the oracle of the differential tests.
+/// Test-and-bench support, not part of libqikey: the library's pair
+/// filter is `BitsetSeparationFilter`, whose pairs come from
+/// `stream/pair_slots.h`. This value-comparing form stays as
+///   - the differential tests' oracle: `Build` makes the same
+///     `Rng::SamplePair` calls as `DrawPairSlots`, so for a fixed seed
+///     it holds the same pairs and returns bit-identical verdicts and
+///     witnesses, and `MergeDisjoint` is the reference `MergePairSlots`
+///     must match row for row;
+///   - the Table-1 baseline of `bench_table1`, `bench_filter_query` and
+///     `bench_pipeline`: query time `O(s · |A|)` with `s` the pair count.
 class MxPairFilter : public SeparationFilter {
  public:
   /// Samples pairs from `dataset`. The data set must outlive the filter

@@ -36,7 +36,17 @@ compiler cannot check and reviewers keep re-litigating:
       interleave partial lines. Log through QIKEY_LOG / WriteRawLine,
       whose single write(2) keeps every line atomic.
 
-Scope: src/, tools/, bench/, examples/, fuzz/ (*.h, *.cc). Findings
+  QL006 pair-sample-home
+      Inside src/, `SamplePair(` may be called only from
+      src/stream/pair_slots.cc (the one pair-slot draw), src/util/rng.*
+      (which defines it) and src/monitor/incremental_filter.cc (whose
+      window slide draws its own pairs). Every other pair sample goes
+      through DrawPairSlots, PairReservoir or MergePairSlots, so a
+      sampling change is made and checked in one place. And
+      core/mx_pair_filter.h — the test-and-bench oracle, not part of
+      libqikey — may not be included from src/, tools/ or examples/.
+
+Scope: src/, tools/, bench/, examples/, fuzz/ (*.h, *.cc, *.cpp). Findings
 print as `path:line: QLxxx: message`; exit 1 if any.
 
 Fixtures/self-test: a file may carry `// LINT-PATH: virtual/path.cc`
@@ -53,7 +63,7 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCAN_DIRS = ("src", "tools", "bench", "examples", "fuzz")
-EXTENSIONS = (".h", ".cc")
+EXTENSIONS = (".h", ".cc", ".cpp")
 
 ATOI_RE = re.compile(r"\b(atoi|atol|atoll|atof)\s*\(")
 STRTO_RE = re.compile(r"\b(strtol|strtoll|strtoul|strtoull|strtof|strtod|strtold)\s*\(")
@@ -62,6 +72,13 @@ STDERR_RE = re.compile(
     r"fprintf\s*\(\s*stderr|\bfputs\s*\([^;]*\bstderr\b|std::cerr|\bperror\s*\("
 )
 NEW_RE = re.compile(r"\bnew\b")
+SAMPLE_PAIR_RE = re.compile(r"\bSamplePair\s*\(")
+SAMPLE_PAIR_HOMES = ("src/stream/pair_slots.cc", "src/util/rng.",
+                     "src/monitor/incremental_filter.cc")
+MX_INCLUDE_RE = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*[<"](?:[^<>"]*/)?core/mx_pair_filter\.h[>"]',
+    re.M)
+ORACLE_FREE_DIRS = ("src/", "tools/", "examples/")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set)\s*<[^;(){}]*?>\s*(?:&\s*)?([A-Za-z_]\w*)\s*"
@@ -228,7 +245,8 @@ class Findings:
         self.items.append((path, line, rule, message))
 
 
-def lint_text(stripped, virtual_path, findings, header_stripped=""):
+def lint_text(stripped, virtual_path, findings, header_stripped="",
+              original=""):
     under = lambda prefix: virtual_path.startswith(prefix)
     in_util = under("src/util/")
 
@@ -304,6 +322,24 @@ def lint_text(stripped, virtual_path, findings, header_stripped=""):
                          "use QIKEY_LOG / WriteRawLine (single write(2) "
                          "per line)")
 
+    # QL006 ---------------------------------------------------------
+    if under("src/") and not any(under(home) for home in SAMPLE_PAIR_HOMES):
+        for match in SAMPLE_PAIR_RE.finditer(stripped):
+            findings.add(virtual_path, line_of(stripped, match.start()),
+                         "QL006",
+                         "pair samples are drawn in stream/pair_slots.cc "
+                         "only; call DrawPairSlots, PairReservoir or "
+                         "MergePairSlots")
+    if any(under(prefix) for prefix in ORACLE_FREE_DIRS):
+        # Include paths are string literals, which `stripped` blanks;
+        # the pattern is anchored to a directive line of the original.
+        for match in MX_INCLUDE_RE.finditer(original):
+            findings.add(virtual_path, line_of(original, match.start()),
+                         "QL006",
+                         "core/mx_pair_filter.h is the test-and-bench "
+                         "oracle, not part of libqikey; use "
+                         "BitsetSeparationFilter")
+
 
 def lint_file(path, findings):
     with open(path, encoding="utf-8", errors="replace") as fp:
@@ -315,7 +351,7 @@ def lint_file(path, findings):
     rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
     stripped = strip_code(original)
     lint_text(stripped, virtual or rel, findings,
-              paired_header_text(path))
+              paired_header_text(path), original)
 
 
 def discover_files(root):
