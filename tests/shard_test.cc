@@ -12,6 +12,7 @@
 
 #include "core/key_enumeration.h"
 #include "csv_test_inputs.h"
+#include "fnv1a_digest.h"
 #include "pin_to_one_cpu.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
@@ -853,29 +854,10 @@ TEST(ShardBuildTest, ZeroThreadsFollowsTheAffinityMask) {
 // a change in what the shard builders or the pair merge draw from the
 // RNG, or in what they keep, changes them.
 
-/// FNV-1a over `bytes`, continuing from `hash`.
-uint64_t Fnv1a(std::string_view bytes,
-               uint64_t hash = 0xcbf29ce484222325ull) {
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 uint64_t ArtifactDigest(const std::vector<ShardFilterArtifact>& artifacts) {
-  uint64_t hash = Fnv1a("");
+  uint64_t hash = kFnv1aOffset;
   for (const ShardFilterArtifact& artifact : artifacts) {
     hash = Fnv1a(SerializeShardArtifact(artifact), hash);
-  }
-  return hash;
-}
-
-/// The rows of `d` as text, one per line, in row order.
-uint64_t RowsDigest(const Dataset& d) {
-  uint64_t hash = Fnv1a("");
-  for (RowIndex i = 0; i < d.num_rows(); ++i) {
-    hash = Fnv1a(d.FormatRow(i) + "\n", hash);
   }
   return hash;
 }
@@ -937,6 +919,64 @@ TEST(ShardDrawPinTest, MergedPairTableRows) {
   ASSERT_TRUE(merged.ok());
   ASSERT_EQ(merged->pair_table.num_rows(), 500u);
   EXPECT_EQ(RowsDigest(merged->pair_table), 0x4e5ffc105cbb1f01ull);
+}
+
+TEST(ShardDrawPinTest, TupleCsvArtifactBytes) {
+  struct Pin {
+    std::string path;
+    size_t shards;
+    uint64_t digest;
+  };
+  const std::string people = std::string(QIKEY_GOLDEN_DIR) + "/people.csv";
+  const std::string sharded =
+      WriteTempFile("pin_tuple_sharded.csv", ShardedCsvText());
+  for (const Pin& pin : {Pin{people, 1, 0xd20d2cc80ad74211ull},
+                         Pin{people, 3, 0x73d40b640f880a7bull},
+                         Pin{sharded, 1, 0xbad0349f106bfaeeull},
+                         Pin{sharded, 3, 0xd953d9f508bd76e9ull}}) {
+    SCOPED_TRACE(::testing::Message() << pin.path << " shards " << pin.shards);
+    ShardedBuildOptions options =
+        SkipBuild(FilterBackend::kTupleSample, pin.shards, 0, 0, 7);
+    auto built = BuildShardArtifactsFromCsv(pin.path, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_EQ(built->size(), pin.shards);
+    EXPECT_EQ(ArtifactDigest(*built), pin.digest);
+  }
+}
+
+/// Tuple shard artifacts over the same 700-row table.
+Result<std::vector<ShardFilterArtifact>> PinnedTupleArtifacts(size_t shards) {
+  Rng rng(61);
+  TabularSpec spec = AdultLikeSpec();
+  spec.num_rows = 700;
+  Dataset d = MakeTabular(spec, &rng);
+  return BuildShardArtifacts(d, TupleBuild(40, shards, 23));
+}
+
+TEST(ShardDrawPinTest, TupleInMemoryArtifactBytes) {
+  auto one = PinnedTupleArtifacts(1);
+  auto three = PinnedTupleArtifacts(3);
+  ASSERT_TRUE(one.ok() && three.ok());
+  EXPECT_EQ(ArtifactDigest(*one), 0xe9a49f1bf42a860eull);
+  EXPECT_EQ(ArtifactDigest(*three), 0x652dafede9808b3full);
+}
+
+TEST(ShardDrawPinTest, MergedTupleSampleRows) {
+  auto artifacts = PinnedTupleArtifacts(3);
+  ASSERT_TRUE(artifacts.ok());
+  FilterMerger::Options merge_options;
+  merge_options.backend = FilterBackend::kTupleSample;
+  merge_options.tuple_sample_size = 40;
+  merge_options.seed = 5;
+  FilterMerger merger(merge_options);
+  for (auto& a : *artifacts) ASSERT_TRUE(merger.Add(std::move(a)).ok());
+  auto merged = std::move(merger).Finish();
+  ASSERT_TRUE(merged.ok());
+  const TupleSampleFilter& filter = *merged->tuple_filter;
+  ASSERT_EQ(filter.sample_size(), 40u);
+  ASSERT_EQ(filter.provenance().size(), 40u);
+  EXPECT_EQ(RowsDigest(filter.sample()), 0xaac15dcae0d5be79ull);
+  EXPECT_EQ(IndexDigest(filter.provenance()), 0xd1763afc9a3ed2c5ull);
 }
 
 }  // namespace

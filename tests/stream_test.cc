@@ -9,6 +9,7 @@
 #include "core/sketch.h"
 #include "data/dataset_builder.h"
 #include "engine/pipeline.h"
+#include "fnv1a_digest.h"
 #include "math/combinatorics.h"
 #include "data/generators/uniform_grid.h"
 #include "stream/pair_slots.h"
@@ -526,15 +527,24 @@ TEST(StreamDrawPinTest, PairFilterBuilderTable) {
   auto table = std::move(builder).FinishPairTable();
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table->num_rows(), 400u);
-  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
-  for (RowIndex i = 0; i < table->num_rows(); ++i) {
-    for (unsigned char c : table->FormatRow(i) + "\n") {
-      hash ^= c;
-      hash *= 0x100000001b3ull;
-    }
-  }
-  EXPECT_EQ(hash, 0x9c743c68beda5933ull);
+  EXPECT_EQ(RowsDigest(*table), 0x9c743c68beda5933ull);
   EXPECT_EQ(rng.Next(), 0x1fbe6b238f3cb227ull);
+}
+
+TEST(StreamDrawPinTest, TupleFilterBuilderSample) {
+  Rng data_rng(73);
+  Dataset d = MakeUniformGridSample(6, 5, 3000, &data_rng);
+  Rng rng(74);
+  StreamingTupleFilterBuilder builder(d.schema(), Cardinalities(d), 120,
+                                      &rng);
+  for (const auto& row : DatasetRows(d)) {
+    ASSERT_TRUE(builder.Offer(row).ok());
+  }
+  auto filter = std::move(builder).Finish();
+  ASSERT_TRUE(filter.ok());
+  ASSERT_EQ(filter->sample_size(), 120u);
+  EXPECT_EQ(RowsDigest(filter->sample()), 0x502e86ee8bec7297ull);
+  EXPECT_EQ(rng.Next(), 0x698ed877f7a38fe5ull);
 }
 
 TEST(StreamBuilderTest, RejectsEmptyStream) {
