@@ -8,6 +8,7 @@
 #include "core/sample_bounds.h"
 #include "core/separation.h"
 #include "data/partition.h"
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 
 namespace qikey {
@@ -50,13 +51,9 @@ Result<RiskReport> AuditQuasiIdentifiers(const Dataset& dataset, double eps,
   QIKEY_RETURN_NOT_OK(ValidateEps(eps));
   // Enumerate candidate QIs on the paper's tuple sample (cheap), then
   // score the survivors exactly on the full data.
-  uint64_t r = TupleSampleSizePaper(
-      static_cast<uint32_t>(dataset.num_attributes()), eps);
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  Dataset sample = dataset.SelectRows(rows);
+  uint64_t r = ResolveTupleSampleSize(0, dataset.num_attributes(), eps);
+  Dataset sample =
+      DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng).sample;
 
   KeyEnumerationOptions enum_opts;
   enum_opts.eps = eps;

@@ -4,6 +4,7 @@
 
 #include "core/sample_bounds.h"
 #include "data/partition.h"
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 
 namespace qikey {
@@ -67,18 +68,12 @@ Result<MaskingResult> FindMaskingSet(const Dataset& dataset,
     return Status::InvalidArgument("need at least two rows");
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
-  uint64_t r = options.sample_size > 0
-                   ? options.sample_size
-                   : TupleSampleSizePaper(
-                         static_cast<uint32_t>(dataset.num_attributes()),
-                         options.eps);
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  Dataset sample = dataset.SelectRows(rows);
+  uint64_t r = ResolveTupleSampleSize(options.sample_size,
+                                      dataset.num_attributes(), options.eps);
+  Dataset sample =
+      DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng).sample;
   MaskingResult result = GreedyMask(sample, options.eps, options.max_masked);
-  result.sample_size = r;
+  result.sample_size = sample.num_rows();
   return result;
 }
 

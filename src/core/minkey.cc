@@ -5,6 +5,7 @@
 #include "core/sample_bounds.h"
 #include "setcover/set_cover.h"
 #include "stream/pair_slots.h"
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 
 namespace qikey {
@@ -31,19 +32,14 @@ Result<MinKeyResult> FindApproxMinimumEpsKey(const Dataset& dataset,
     return Status::InvalidArgument("need at least two rows");
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
-  uint64_t r = options.sample_size > 0
-                   ? options.sample_size
-                   : TupleSampleSizePaper(
-                         static_cast<uint32_t>(dataset.num_attributes()),
-                         options.eps);
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  Dataset sample = dataset.SelectRows(rows);
+  uint64_t r = ResolveTupleSampleSize(options.sample_size,
+                                      dataset.num_attributes(), options.eps);
+  Dataset sample =
+      DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng).sample;
 
   RefineEngine engine(sample, options.gain_strategy);
-  return ResultFromGreedy(engine.RunGreedy(options.max_attributes), r);
+  return ResultFromGreedy(engine.RunGreedy(options.max_attributes),
+                          sample.num_rows());
 }
 
 Result<MinKeyResult> FindApproxMinimumEpsKeyMx(const Dataset& dataset,
@@ -91,15 +87,9 @@ Result<MinKeyResult> FindMinimumEpsKeyExact(const Dataset& dataset,
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
   const size_t m = dataset.num_attributes();
-  uint64_t r = options.sample_size > 0
-                   ? options.sample_size
-                   : TupleSampleSizePaper(static_cast<uint32_t>(m),
-                                          options.eps);
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  Dataset sample = dataset.SelectRows(rows);
+  uint64_t r = ResolveTupleSampleSize(options.sample_size, m, options.eps);
+  Dataset sample =
+      DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng).sample;
 
   // Ground set: only the pairs the full attribute set leaves together
   // can never be covered; exclude them so a cover exists whenever the
@@ -137,7 +127,7 @@ Result<MinKeyResult> FindMinimumEpsKeyExact(const Dataset& dataset,
   out.key = AttributeSet(m);
   for (uint32_t j : *cover) out.key.Add(static_cast<AttributeIndex>(j));
   out.covered_sample = !has_duplicates;
-  out.sample_size = r;
+  out.sample_size = sample.num_rows();
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef QIKEY_CORE_SAMPLE_BOUNDS_H_
 #define QIKEY_CORE_SAMPLE_BOUNDS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/status.h"
@@ -38,6 +39,10 @@ uint64_t MxPairSampleSizeForDelta(uint32_t m, double eps, double delta);
 
 /// This paper's tuple sample for Table 1: `⌈m/√ε⌉` tuples.
 uint64_t TupleSampleSizePaper(uint32_t m, double eps);
+
+/// The tuple count a caller asked for: `requested`, or the paper's
+/// `TupleSampleSizePaper(m, eps)` when `requested` is 0.
+uint64_t ResolveTupleSampleSize(uint64_t requested, size_t m, double eps);
 
 /// This paper's tuple sample with failure `δ = e^{-m}` (Theorem 1):
 /// `r = ⌈c·m/√ε⌉`. `c` is the universal constant; the analysis proves a

@@ -5,8 +5,8 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "data/concat.h"
 #include "data/serialize.h"
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -20,23 +20,11 @@ Result<TupleSampleFilter> TupleSampleFilter::Build(
     return Status::InvalidArgument("need at least two rows");
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
-  uint64_t r = options.sample_size > 0
-                   ? options.sample_size
-                   : TupleSampleSizePaper(
-                         static_cast<uint32_t>(dataset.num_attributes()),
-                         options.eps);
-  // Sampling without replacement (Algorithm 1). If the request exceeds
-  // the data set, keep everything: the filter then answers exactly.
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-
-  TupleSampleFilter filter;
-  filter.sample_ = std::make_shared<Dataset>(dataset.SelectRows(rows));
-  filter.original_rows_ = std::move(rows);
-  filter.detection_ = options.detection;
-  return filter;
+  uint64_t r = ResolveTupleSampleSize(options.sample_size,
+                                      dataset.num_attributes(), options.eps);
+  TupleSample drawn = DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng);
+  return FromSample(std::move(drawn.sample), std::move(drawn.provenance),
+                    options.detection);
 }
 
 TupleSampleFilter TupleSampleFilter::FromSample(
@@ -54,53 +42,6 @@ TupleSampleFilter TupleSampleFilter::FromSample(
   filter.original_rows_ = std::move(original_rows);
   filter.detection_ = detection;
   return filter;
-}
-
-Result<TupleSampleFilter> TupleSampleFilter::MergeDisjoint(
-    const TupleSampleFilter& a, uint64_t seen_a, const TupleSampleFilter& b,
-    uint64_t seen_b, uint64_t target_sample_size, Rng* rng) {
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  if (target_sample_size == 0) {
-    return Status::InvalidArgument("target sample size must be positive");
-  }
-  if (seen_a < a.sample_size() || seen_b < b.sample_size()) {
-    return Status::InvalidArgument(
-        "seen row counts smaller than the retained samples");
-  }
-  if (a.detection_ != b.detection_) {
-    return Status::InvalidArgument("cannot merge differing detection modes");
-  }
-  const uint64_t target = std::min(target_sample_size, seen_a + seen_b);
-  const uint64_t need_a = std::min(target, seen_a);
-  const uint64_t need_b = std::min(target, seen_b);
-  if (a.sample_size() < need_a || b.sample_size() < need_b) {
-    return Status::InvalidArgument(
-        "inputs retain fewer tuples than the merge target requires");
-  }
-
-  // k of the merged sample come from a's population (hypergeometric),
-  // filled by uniform sub-draws of the two uniform per-shard samples.
-  uint64_t k = rng->HypergeometricDraw(target, seen_a, seen_b);
-  std::vector<uint64_t> pick_a =
-      rng->SampleWithoutReplacement(a.sample_size(), k);
-  std::vector<uint64_t> pick_b =
-      rng->SampleWithoutReplacement(b.sample_size(), target - k);
-  std::vector<RowIndex> rows_a(pick_a.begin(), pick_a.end());
-  std::vector<RowIndex> rows_b(pick_b.begin(), pick_b.end());
-
-  Dataset part_a = a.sample_->SelectRows(rows_a);
-  Dataset part_b = b.sample_->SelectRows(rows_b);
-  Result<Dataset> merged = ConcatDatasets({&part_a, &part_b});
-  if (!merged.ok()) return merged.status();
-
-  std::vector<RowIndex> provenance;
-  if (!a.original_rows_.empty() && !b.original_rows_.empty()) {
-    provenance.reserve(target);
-    for (RowIndex r : rows_a) provenance.push_back(a.original_rows_[r]);
-    for (RowIndex r : rows_b) provenance.push_back(b.original_rows_[r]);
-  }
-  return FromSample(std::move(merged).ValueOrDie(), std::move(provenance),
-                    a.detection_);
 }
 
 FilterVerdict TupleSampleFilter::Query(const AttributeSet& attrs) const {

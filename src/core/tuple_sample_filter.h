@@ -36,6 +36,8 @@ struct TupleSampleFilterOptions {
 ///
 /// The retained sample is materialized into a private table, so the
 /// filter is a genuine sketch: `r·m` codes ≈ `(m²/√ε)·log|U|` bits.
+/// The filter is only the query side: its sample comes from
+/// stream/tuple_sample.h through `Build` or `FromSample`.
 class TupleSampleFilter : public SeparationFilter {
  public:
   static Result<TupleSampleFilter> Build(
@@ -54,28 +56,6 @@ class TupleSampleFilter : public SeparationFilter {
   static TupleSampleFilter FromSample(std::shared_ptr<Dataset> sample,
                                       std::vector<RowIndex> original_rows,
                                       DuplicateDetection detection);
-
-  /// \brief Merges two filters built over DISJOINT row populations into
-  /// one whose retained sample is distributed exactly as a single
-  /// uniform draw of `min(target_sample_size, seen_a + seen_b)` tuples
-  /// from the union — the sharded-construction primitive: per-shard
-  /// filters built independently (even in separate processes, with
-  /// their own dictionaries) merge into the global filter without ever
-  /// materializing the full relation.
-  ///
-  /// `seen_a`/`seen_b` are the row counts each filter's sample was
-  /// drawn from. Each input must retain at least
-  /// `min(target_sample_size, seen)` tuples — true whenever the shard
-  /// sampled at the target rate. The split is hypergeometric (see
-  /// `Rng::HypergeometricDraw`); values are re-encoded through a union
-  /// dictionary, so answers are exact regardless of per-shard encoding.
-  /// Provenance is preserved when both inputs carry it.
-  static Result<TupleSampleFilter> MergeDisjoint(const TupleSampleFilter& a,
-                                                 uint64_t seen_a,
-                                                 const TupleSampleFilter& b,
-                                                 uint64_t seen_b,
-                                                 uint64_t target_sample_size,
-                                                 Rng* rng);
 
   FilterVerdict Query(const AttributeSet& attrs) const override;
   std::optional<std::pair<RowIndex, RowIndex>> QueryWitness(

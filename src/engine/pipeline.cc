@@ -7,6 +7,7 @@
 #include "core/sample_bounds.h"
 #include "shard/filter_merger.h"
 #include "shard/shard_builder.h"
+#include "stream/tuple_sample.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -47,20 +48,14 @@ Result<PipelineResult> DiscoveryPipeline::Run(const Dataset& dataset,
   QIKEY_RETURN_NOT_OK(ValidateOptions(options_));
 
   Timer timer;
-  uint64_t r = options_.sample_size > 0
-                   ? options_.sample_size
-                   : TupleSampleSizePaper(
-                         static_cast<uint32_t>(dataset.num_attributes()),
-                         options_.eps);
-  r = std::min<uint64_t>(r, dataset.num_rows());
-  std::vector<uint64_t> chosen =
-      rng->SampleWithoutReplacement(dataset.num_rows(), r);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  auto sample = std::make_shared<Dataset>(dataset.SelectRows(rows));
+  uint64_t r = ResolveTupleSampleSize(options_.sample_size,
+                                      dataset.num_attributes(), options_.eps);
+  TupleSample drawn = DrawTupleSample(dataset, 0, dataset.num_rows(), r, rng);
+  auto sample = std::make_shared<Dataset>(std::move(drawn.sample));
   double sample_millis = timer.ElapsedMillis();
 
   Result<PipelineResult> result =
-      RunStages(&dataset, std::move(sample), std::move(rows), rng);
+      RunStages(&dataset, std::move(sample), std::move(drawn.provenance), rng);
   if (!result.ok()) return result;
   result->rows = dataset.num_rows();
   result->stages.insert(result->stages.begin(),
@@ -123,6 +118,19 @@ ShardedBuildOptions MakeShardBuildOptions(const PipelineOptions& options) {
   return build;
 }
 
+/// The merge of shard artifacts over `m` attributes that the pipeline's
+/// options imply.
+FilterMerger::Options MakeMergerOptions(const PipelineOptions& options,
+                                        size_t m, uint64_t seed) {
+  FilterMerger::Options merge;
+  merge.backend = options.backend;
+  merge.tuple_sample_size =
+      ResolveTupleSampleSize(options.sample_size, m, options.eps);
+  merge.detection = options.detection;
+  merge.seed = seed;
+  return merge;
+}
+
 /// Turns a finished merge into the pipeline tail's inputs: the shared
 /// greedy sample and the verdict filter.
 struct MergedInputs {
@@ -152,6 +160,27 @@ Result<MergedInputs> TakeMergedInputs(MergedFilter merged) {
   return inputs;
 }
 
+/// `RunOnShardArtifacts` on a shard build's artifacts, with the build's
+/// time and bytes added to the stages and the peak.
+Result<PipelineResult> RunOnBuiltArtifacts(
+    const DiscoveryPipeline& pipeline,
+    Result<std::vector<ShardFilterArtifact>> artifacts, double build_millis,
+    uint64_t merge_seed) {
+  if (!artifacts.ok()) return artifacts.status();
+  uint64_t artifact_bytes = 0;
+  for (const ShardFilterArtifact& a : *artifacts) {
+    artifact_bytes += a.MemoryBytes();
+  }
+  Result<PipelineResult> result = pipeline.RunOnShardArtifacts(
+      std::move(artifacts).ValueOrDie(), merge_seed);
+  if (!result.ok()) return result;
+  result->stages.insert(result->stages.begin(),
+                        PipelineStage{"shard-build", build_millis});
+  result->total_millis += build_millis;
+  result->peak_tracked_bytes = artifact_bytes + result->filter_bytes;
+  return result;
+}
+
 }  // namespace
 
 Result<PipelineResult> DiscoveryPipeline::RunSharded(
@@ -170,21 +199,8 @@ Result<PipelineResult> DiscoveryPipeline::RunSharded(
   Timer timer;
   Result<std::vector<ShardFilterArtifact>> artifacts =
       BuildShardArtifacts(dataset, build);
-  if (!artifacts.ok()) return artifacts.status();
-  double build_millis = timer.ElapsedMillis();
-  uint64_t artifact_bytes = 0;
-  for (const ShardFilterArtifact& a : *artifacts) {
-    artifact_bytes += a.MemoryBytes();
-  }
-
-  Result<PipelineResult> result =
-      RunOnShardArtifacts(std::move(artifacts).ValueOrDie(), merge_seed);
-  if (!result.ok()) return result;
-  result->stages.insert(result->stages.begin(),
-                        PipelineStage{"shard-build", build_millis});
-  result->total_millis += build_millis;
-  result->peak_tracked_bytes = artifact_bytes + result->filter_bytes;
-  return result;
+  return RunOnBuiltArtifacts(*this, std::move(artifacts),
+                             timer.ElapsedMillis(), merge_seed);
 }
 
 Result<PipelineResult> DiscoveryPipeline::RunSharded(
@@ -205,20 +221,8 @@ Result<PipelineResult> DiscoveryPipeline::RunSharded(
     Timer timer;
     Result<std::vector<ShardFilterArtifact>> artifacts =
         BuildShardArtifactsFromCsv(csv_path, build);
-    if (!artifacts.ok()) return artifacts.status();
-    double build_millis = timer.ElapsedMillis();
-    uint64_t artifact_bytes = 0;
-    for (const ShardFilterArtifact& a : *artifacts) {
-      artifact_bytes += a.MemoryBytes();
-    }
-    Result<PipelineResult> result =
-        RunOnShardArtifacts(std::move(artifacts).ValueOrDie(), merge_seed);
-    if (!result.ok()) return result;
-    result->stages.insert(result->stages.begin(),
-                          PipelineStage{"shard-build", build_millis});
-    result->total_millis += build_millis;
-    result->peak_tracked_bytes = artifact_bytes + result->filter_bytes;
-    return result;
+    return RunOnBuiltArtifacts(*this, std::move(artifacts),
+                               timer.ElapsedMillis(), merge_seed);
   }
 
   // Out-of-core mode: sequential chunked ingest with an eager merge; at
@@ -230,17 +234,8 @@ Result<PipelineResult> DiscoveryPipeline::RunSharded(
       csv_path, build,
       [&](ShardFilterArtifact artifact) -> Status {
         if (!merger.has_value()) {
-          FilterMerger::Options merge_options;
-          merge_options.backend = options_.backend;
-          uint64_t r = 0, s = 0;
-          ResolveShardSampleSizes(
-              build,
-              static_cast<uint32_t>(artifact.tuple_sample.num_attributes()),
-              &r, &s);
-          merge_options.tuple_sample_size = r;
-          merge_options.detection = options_.detection;
-          merge_options.seed = merge_seed;
-          merger.emplace(merge_options);
+          merger.emplace(MakeMergerOptions(
+              options_, artifact.tuple_sample.num_attributes(), merge_seed));
         }
         merge_status = merger->Add(std::move(artifact));
         return merge_status;
@@ -279,17 +274,8 @@ Result<PipelineResult> DiscoveryPipeline::RunOnShardArtifacts(
     return Status::InvalidArgument("no shard artifacts");
   }
   Timer timer;
-  FilterMerger::Options merge_options;
-  merge_options.backend = options_.backend;
-  uint64_t r = 0, s = 0;
-  ResolveShardSampleSizes(
-      MakeShardBuildOptions(options_),
-      static_cast<uint32_t>(artifacts[0].tuple_sample.num_attributes()), &r,
-      &s);
-  merge_options.tuple_sample_size = r;
-  merge_options.detection = options_.detection;
-  merge_options.seed = seed;
-  FilterMerger merger(merge_options);
+  FilterMerger merger(MakeMergerOptions(
+      options_, artifacts[0].tuple_sample.num_attributes(), seed));
   for (ShardFilterArtifact& artifact : artifacts) {
     QIKEY_RETURN_NOT_OK(merger.Add(std::move(artifact)));
   }

@@ -16,9 +16,7 @@ IncrementalFilter::IncrementalFilter(Schema schema,
   const uint32_t m = static_cast<uint32_t>(schema_.num_attributes());
   switch (options_.backend) {
     case FilterBackend::kTupleSample:
-      target_ = options_.sample_size > 0
-                    ? options_.sample_size
-                    : TupleSampleSizePaper(m, options_.eps);
+      target_ = ResolveTupleSampleSize(options_.sample_size, m, options_.eps);
       break;
     case FilterBackend::kBitset:
       target_ = options_.pair_sample_size > 0
@@ -463,6 +461,17 @@ Dataset IncrementalFilter::WindowDataset() const {
     columns.emplace_back(std::move(codes));
   }
   return Dataset(schema_, std::move(columns));
+}
+
+std::vector<std::vector<ValueCode>> IncrementalFilter::SampledRows() const {
+  // Each backend keeps only its own sample; the other list is empty.
+  std::vector<std::vector<ValueCode>> rows;
+  for (uint32_t slot : sample_slots_) rows.push_back(slots_[slot]);
+  for (const auto& [a, b] : pair_slots_) {
+    rows.push_back(slots_[a]);
+    rows.push_back(slots_[b]);
+  }
+  return rows;
 }
 
 }  // namespace qikey

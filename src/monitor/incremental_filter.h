@@ -115,6 +115,11 @@ class IncrementalFilter : public SeparationFilter {
   /// internal order). O(n·m); used by rebuild baselines and reports.
   Dataset WindowDataset() const;
 
+  /// Copies of the retained sample's tuples: one per sampled tuple
+  /// (tuple backend), or entries `2i` and `2i+1` for pair slot `i`
+  /// (bitset backend). Read-only; for inspection and tests.
+  std::vector<std::vector<ValueCode>> SampledRows() const;
+
  private:
   static constexpr uint32_t kNone = ~uint32_t{0};
 

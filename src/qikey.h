@@ -83,6 +83,7 @@
 #include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "stream/stream_builder.h"
+#include "stream/tuple_sample.h"
 #include "util/csv.h"
 #include "util/jsonw.h"
 #include "util/logging.h"

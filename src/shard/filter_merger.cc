@@ -42,15 +42,14 @@ Status FilterMerger::Add(ShardFilterArtifact artifact) {
 }
 
 Status FilterMerger::Fold(ShardFilterArtifact artifact) {
-  TupleSampleFilter incoming = TupleSampleFilter::FromSample(
-      std::move(artifact.tuple_sample), std::move(artifact.provenance),
-      options_.detection);
+  TupleSample incoming{std::move(artifact.tuple_sample),
+                       std::move(artifact.provenance)};
   if (!tuple_.has_value()) {
     tuple_ = std::move(incoming);
   } else {
-    Result<TupleSampleFilter> merged = TupleSampleFilter::MergeDisjoint(
-        *tuple_, rows_folded_, incoming, artifact.rows_seen,
-        options_.tuple_sample_size, &rng_);
+    Result<TupleSample> merged =
+        MergeTupleSamples(*tuple_, rows_folded_, incoming, artifact.rows_seen,
+                          options_.tuple_sample_size, &rng_);
     if (!merged.ok()) return merged.status();
     tuple_ = std::move(merged).ValueOrDie();
   }
@@ -71,7 +70,11 @@ Status FilterMerger::Fold(ShardFilterArtifact artifact) {
 
 uint64_t FilterMerger::TrackedBytes() const {
   uint64_t bytes = 0;
-  if (tuple_.has_value()) bytes += tuple_->MemoryBytes();
+  if (tuple_.has_value()) {
+    bytes += tuple_->sample.num_rows() * tuple_->sample.num_attributes() *
+                 sizeof(ValueCode) +
+             tuple_->provenance.size() * sizeof(RowIndex);
+  }
   bytes += pairs_.num_rows() * pairs_.num_attributes() * sizeof(ValueCode);
   for (const auto& [index, artifact] : pending_) {
     bytes += artifact.MemoryBytes();
@@ -92,7 +95,9 @@ Result<MergedFilter> FilterMerger::Finish() && {
   out.backend = options_.backend;
   out.total_rows = rows_folded_;
   out.num_shards = next_index_;
-  out.tuple_filter = std::move(tuple_);
+  out.tuple_filter = TupleSampleFilter::FromSample(
+      std::move(tuple_->sample), std::move(tuple_->provenance),
+      options_.detection);
   out.pair_table = std::move(pairs_);
   return out;
 }

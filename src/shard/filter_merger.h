@@ -8,6 +8,7 @@
 #include "core/tuple_sample_filter.h"
 #include "data/dataset.h"
 #include "shard/shard_artifact.h"
+#include "stream/tuple_sample.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -33,11 +34,11 @@ struct MergedFilter {
 ///
 /// Artifacts may arrive in any order; consecutive runs fold EAGERLY (in
 /// shard-index order, so results are deterministic for a fixed seed),
-/// which keeps resident state at one merged filter plus any
+/// which keeps resident state at one merged sample plus any
 /// out-of-order stragglers. Distribution-equivalence to a single-pass
 /// build follows by induction from the two pairwise merges
-/// (`TupleSampleFilter::MergeDisjoint`, `MergePairSlots`);
-/// `tests/shard_test.cc` checks it empirically.
+/// (`MergeTupleSamples`, `MergePairSlots`); `tests/shard_test.cc` checks
+/// it empirically. `Finish` builds the tuple filter once.
 ///
 /// An artifact's pair table must carry its tuple sample's schema: the
 /// merged filter answers queries over that schema's attributes.
@@ -73,7 +74,7 @@ class FilterMerger {
   Rng rng_;
   uint32_t next_index_ = 0;
   std::map<uint32_t, ShardFilterArtifact> pending_;
-  std::optional<TupleSampleFilter> tuple_;
+  std::optional<TupleSample> tuple_;
   Dataset pairs_;
   uint64_t rows_folded_ = 0;
 };

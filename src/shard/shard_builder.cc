@@ -10,6 +10,7 @@
 #include "data/schema.h"
 #include "stream/pair_slots.h"
 #include "stream/reservoir.h"
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -17,36 +18,28 @@ namespace qikey {
 
 namespace {
 
-/// Columns from sampled rows, sharing `dicts` (cardinality = dictionary
-/// size so codes always validate).
-Dataset RowsToDataset(const std::vector<std::string>& names,
-                      const std::vector<std::shared_ptr<Dictionary>>& dicts,
-                      const std::vector<std::vector<ValueCode>>& rows) {
-  const size_t m = names.size();
-  std::vector<Column> columns;
-  columns.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    std::vector<ValueCode> codes;
-    codes.reserve(rows.size());
-    for (const auto& row : rows) codes.push_back(row[j]);
-    uint32_t cardinality =
-        std::max<uint32_t>(1, static_cast<uint32_t>(dicts[j]->size()));
-    columns.emplace_back(std::move(codes), cardinality, dicts[j]);
+/// The artifact of rows `[lo, lo + n)` of `d`: `r` sampled tuples, then
+/// (bitset backend) `s` pair slots, all drawn from `rng`.
+ShardFilterArtifact SampleRowRange(const Dataset& d, uint64_t lo, uint64_t n,
+                                   FilterBackend backend, uint64_t r,
+                                   uint64_t s, Rng* rng) {
+  ShardFilterArtifact artifact;
+  artifact.first_row = lo;
+  artifact.rows_seen = n;
+  artifact.backend = backend;
+  TupleSample drawn = DrawTupleSample(d, lo, n, r, rng);
+  artifact.tuple_sample = std::move(drawn.sample);
+  artifact.provenance = std::move(drawn.provenance);
+  if (backend == FilterBackend::kBitset) {
+    std::vector<RowIndex> rows;
+    rows.reserve(2 * static_cast<size_t>(s));
+    for (auto [a, b] : DrawPairSlots(n, s, rng)) {
+      rows.push_back(static_cast<RowIndex>(lo + a));
+      rows.push_back(static_cast<RowIndex>(lo + b));
+    }
+    artifact.pair_table = d.SelectRows(rows);
   }
-  return Dataset(Schema(names), std::move(columns));
-}
-
-/// The pair-slot table of `s` slots drawn from rows `[lo, lo + n)` of
-/// `d`.
-Dataset DrawPairTable(const Dataset& d, uint64_t lo, uint64_t n, uint64_t s,
-                      Rng* rng) {
-  std::vector<RowIndex> rows;
-  rows.reserve(2 * static_cast<size_t>(s));
-  for (auto [a, b] : DrawPairSlots(n, s, rng)) {
-    rows.push_back(static_cast<RowIndex>(lo + a));
-    rows.push_back(static_cast<RowIndex>(lo + b));
-  }
-  return d.SelectRows(rows);
+  return artifact;
 }
 
 /// Fields in `record`. A quote-free record is not split: it has one
@@ -65,9 +58,8 @@ size_t CountCsvFields(std::string_view record, const CsvOptions& options,
 void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,
                              uint64_t* tuple_sample_size,
                              uint64_t* pair_slots) {
-  *tuple_sample_size = options.tuple_sample_size > 0
-                           ? options.tuple_sample_size
-                           : TupleSampleSizePaper(m, options.eps);
+  *tuple_sample_size =
+      ResolveTupleSampleSize(options.tuple_sample_size, m, options.eps);
   *pair_slots = options.pair_slots > 0 ? options.pair_slots
                                        : MxPairSampleSizePaper(m, options.eps);
 }
@@ -76,7 +68,7 @@ void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,
 // ShardArtifactBuilder
 
 struct ShardArtifactBuilder::Impl {
-  std::vector<std::string> names;
+  Schema schema;
   std::vector<std::shared_ptr<Dictionary>> dicts;
   CsvOptions csv;
   CsvFieldSplitter splitter;
@@ -97,7 +89,7 @@ struct ShardArtifactBuilder::Impl {
        FilterBackend backend_in, uint64_t tuple_sample_size,
        uint64_t pair_slots, uint32_t shard_index_in, uint64_t first_row_in,
        uint64_t seed)
-      : names(std::move(names_in)),
+      : schema(std::move(names_in)),
         csv(csv_in),
         splitter(csv_in),
         backend(backend_in),
@@ -105,8 +97,8 @@ struct ShardArtifactBuilder::Impl {
         first_row(first_row_in),
         rng(seed),
         tuples(static_cast<size_t>(tuple_sample_size), &rng) {
-    dicts.reserve(names.size());
-    for (size_t j = 0; j < names.size(); ++j) {
+    dicts.reserve(schema.num_attributes());
+    for (size_t j = 0; j < schema.num_attributes(); ++j) {
       dicts.push_back(std::make_shared<Dictionary>());
     }
     if (backend == FilterBackend::kBitset) {
@@ -138,14 +130,14 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   const bool tuple_keeps = im.tuples.NextIsKept();
   if (!pair_keeps && !tuple_keeps) {
     // Neither side keeps it: check its width, never split or encode it.
-    if (CountCsvFields(record, im.csv, &im.splitter) != im.names.size()) {
+    if (CountCsvFields(record, im.csv, &im.splitter) != im.schema.num_attributes()) {
       return Status::InvalidArgument("row arity mismatch in shard");
     }
     im.tuples.SkipNext();
     return Status::OK();
   }
   std::span<const std::string_view> fields = im.splitter.Split(record);
-  if (fields.size() != im.names.size()) {
+  if (fields.size() != im.schema.num_attributes()) {
     return Status::InvalidArgument("row arity mismatch in shard");
   }
   auto& [row, row_pos] = im.offered;
@@ -190,11 +182,17 @@ Result<ShardFilterArtifact> ShardArtifactBuilder::Finish() && {
     artifact.provenance.push_back(
         static_cast<RowIndex>(im.first_row + pos));
   }
-  artifact.tuple_sample = RowsToDataset(im.names, im.dicts, sample_rows);
-
+  // Cardinality = dictionary size, so every code validates.
+  std::vector<uint32_t> cardinalities;
+  for (const auto& dict : im.dicts) {
+    cardinalities.push_back(
+        std::max<uint32_t>(1, static_cast<uint32_t>(dict->size())));
+  }
+  artifact.tuple_sample =
+      RowsToDataset(im.schema, cardinalities, sample_rows, im.dicts);
   if (im.pairs != nullptr) {
-    artifact.pair_table =
-        RowsToDataset(im.names, im.dicts, std::move(*im.pairs).TakeRows());
+    artifact.pair_table = RowsToDataset(
+        im.schema, cardinalities, std::move(*im.pairs).TakeRows(), im.dicts);
   }
   return artifact;
 }
@@ -230,23 +228,9 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
       const uint64_t lo = n * i / shards;
       const uint64_t range_n = n * (i + 1) / shards - lo;
       Rng rng(seeds[i]);
-      ShardFilterArtifact artifact;
-      artifact.shard_index = static_cast<uint32_t>(i);
-      artifact.first_row = lo;
-      artifact.rows_seen = range_n;
-      artifact.backend = options.backend;
-      uint64_t keep = std::min(r, range_n);
-      std::vector<RowIndex> rows;
-      rows.reserve(static_cast<size_t>(keep));
-      for (uint64_t local : rng.SampleWithoutReplacement(range_n, keep)) {
-        rows.push_back(static_cast<RowIndex>(lo + local));
-      }
-      artifact.tuple_sample = dataset.SelectRows(rows);
-      artifact.provenance = std::move(rows);
-      if (options.backend == FilterBackend::kBitset) {
-        artifact.pair_table = DrawPairTable(dataset, lo, range_n, s, &rng);
-      }
-      artifacts[i] = std::move(artifact);
+      artifacts[i] =
+          SampleRowRange(dataset, lo, range_n, options.backend, r, s, &rng);
+      artifacts[i].shard_index = static_cast<uint32_t>(i);
     }
   });
   return artifacts;
@@ -265,26 +249,15 @@ Result<ShardFilterArtifact> BuildArtifactFromChunk(
   if (tuple_sample_size == 0) {
     return Status::InvalidArgument("tuple sample size must be positive");
   }
-  ShardFilterArtifact artifact;
+  if (backend == FilterBackend::kBitset && pair_slots == 0) {
+    return Status::InvalidArgument("pair slot count must be positive");
+  }
+  ShardFilterArtifact artifact = SampleRowRange(
+      chunk, 0, n, backend, tuple_sample_size, pair_slots, rng);
   artifact.shard_index = shard_index;
   artifact.first_row = first_row;
-  artifact.rows_seen = n;
-  artifact.backend = backend;
-
-  uint64_t keep = std::min(tuple_sample_size, n);
-  std::vector<uint64_t> chosen = rng->SampleWithoutReplacement(n, keep);
-  std::vector<RowIndex> rows(chosen.begin(), chosen.end());
-  artifact.tuple_sample = chunk.SelectRows(rows);
-  artifact.provenance.reserve(rows.size());
-  for (RowIndex row : rows) {
-    artifact.provenance.push_back(static_cast<RowIndex>(first_row + row));
-  }
-
-  if (backend == FilterBackend::kBitset) {
-    if (pair_slots == 0) {
-      return Status::InvalidArgument("pair slot count must be positive");
-    }
-    artifact.pair_table = DrawPairTable(chunk, 0, n, pair_slots, rng);
+  for (RowIndex& row : artifact.provenance) {
+    row = static_cast<RowIndex>(first_row + row);
   }
   return artifact;
 }

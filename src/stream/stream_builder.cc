@@ -1,27 +1,9 @@
 #include "stream/stream_builder.h"
 
+#include "stream/tuple_sample.h"
 #include "util/logging.h"
 
 namespace qikey {
-
-namespace {
-
-Dataset RowsToDataset(const Schema& schema,
-                      const std::vector<uint32_t>& cardinalities,
-                      const std::vector<std::vector<ValueCode>>& rows) {
-  const size_t m = schema.num_attributes();
-  std::vector<Column> columns;
-  columns.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    std::vector<ValueCode> codes;
-    codes.reserve(rows.size());
-    for (const auto& row : rows) codes.push_back(row[j]);
-    columns.emplace_back(std::move(codes), cardinalities[j]);
-  }
-  return Dataset(schema, std::move(columns));
-}
-
-}  // namespace
 
 StreamingSketchBuilder::StreamingSketchBuilder(
     Schema schema, std::vector<uint32_t> cardinalities, uint64_t num_pairs,
@@ -79,9 +61,9 @@ Result<TupleSampleFilter> StreamingTupleFilterBuilder::Finish(
   if (reservoir_.seen() < 2) {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
-  Dataset sample =
-      RowsToDataset(schema_, cardinalities_, reservoir_.items());
-  return TupleSampleFilter::FromSample(std::move(sample), {}, detection);
+  return TupleSampleFilter::FromSample(
+      RowsToDataset(schema_, cardinalities_, reservoir_.items()), {},
+      detection);
 }
 
 StreamingPairFilterBuilder::StreamingPairFilterBuilder(

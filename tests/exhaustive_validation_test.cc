@@ -307,6 +307,60 @@ TEST_P(ForAllGuaranteeTest, ShardedTupleMergeWholeUniverseCorrect) {
                          static_cast<uint64_t>(GetParam()));
 }
 
+// The filter `KeyMonitor` answers from: an `IncrementalFilter` whose
+// window slid over the table. Rows [0, 600) go in, then each of rows
+// [600, 1000) is inserted as row i - 600 is erased, so every draw ends
+// on rows [400, 1000) after 400 erases, which drop sampled tuples and
+// pair-slot ends along the way. The universe is classified on that
+// final window; as in the sharded cases, the pair filter's bound also
+// covers the tuple backend.
+void ExpectSlidingMonitorGuarantee(FilterBackend backend, uint64_t seed) {
+  Rng rng(seed);
+  const double eps = 0.02;
+  Dataset d = KeyedGridSample(&rng);
+  const RowIndex width = 600, total = 1000;
+  std::vector<RowIndex> window_rows(width);
+  std::iota(window_rows.begin(), window_rows.end(), total - width);
+  Dataset window = d.SelectRows(window_rows);
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  PairUniverse universe =
+      ClassifyUniverse(window, eps, MxPairSampleSizePaper(m, eps));
+  std::vector<AttributeSet> subsets;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    subsets.push_back(SubsetOf(m, mask));
+  }
+  auto row_of = [&](RowIndex i) {
+    std::vector<ValueCode> row(m);
+    for (AttributeIndex j = 0; j < m; ++j) row[j] = d.code(i, j);
+    return row;
+  };
+  ExpectPairPathGuarantee(universe, 20, [&](int) {
+    IncrementalFilterOptions options;
+    options.eps = eps;
+    options.backend = backend;
+    auto filter = IncrementalFilter::Make(d.schema(), options, rng.Next());
+    EXPECT_TRUE(filter.ok());
+    for (RowIndex i = 0; i < total; ++i) {
+      EXPECT_TRUE(filter->Insert(row_of(i)).ok());
+      if (i >= width) {
+        EXPECT_TRUE(filter->Erase(row_of(i - width)).ok());
+      }
+    }
+    EXPECT_EQ(filter->window_size(), width);
+    return filter->QueryBatch(subsets);
+  });
+}
+
+TEST_P(ForAllGuaranteeTest, SlidingMonitorBitsetWholeUniverseCorrect) {
+  ExpectSlidingMonitorGuarantee(FilterBackend::kBitset,
+                                static_cast<uint64_t>(GetParam()));
+}
+
+TEST_P(ForAllGuaranteeTest, SlidingMonitorTupleWholeUniverseCorrect) {
+  ExpectSlidingMonitorGuarantee(FilterBackend::kTupleSample,
+                                static_cast<uint64_t>(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ForAllGuaranteeTest,
                          ::testing::Range(100, 106));
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "chi_square.h"
 #include "core/key_enumeration.h"
 #include "core/tuple_sample_filter.h"
 #include "data/column.h"
@@ -560,6 +562,76 @@ TEST(IncrementalFilterTest, BitsetPairsStayWithinLiveWindow) {
   }
   EXPECT_EQ(filter->window_size(), 0u);
   EXPECT_EQ(filter->Query(AttributeSet(2)), FilterVerdict::kAccept);
+}
+
+// ------------------------------------- sample uniformity over the window
+
+/// Slides a window of `width` one-attribute tuples over `total`
+/// arrivals: arrival `t` (value `t`) is inserted, then arrival
+/// `t - width` erased. The live window ends as `[total - width, total)`.
+void SlideWindow(IncrementalFilter* filter, uint64_t width, uint64_t total) {
+  for (uint64_t t = 0; t < total; ++t) {
+    ASSERT_TRUE(filter->Insert({static_cast<ValueCode>(t)}).ok());
+    if (t >= width) {
+      ASSERT_TRUE(filter->Erase({static_cast<ValueCode>(t - width)}).ok());
+    }
+  }
+}
+
+// After the slide, the retained tuples are a uniform r-subset of the
+// live window. r = 3 refills erased sample tuples by rejection draws,
+// r = 5 by the scan over unsampled slots.
+TEST(IncrementalFilterTest, TupleSampleUniformOverSlidingWindow) {
+  const uint64_t width = 8, total = 20;  // C(8, r) = 56 subsets for both
+  for (uint64_t r : {3u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "r " << r);
+    IncrementalFilterOptions options;
+    options.sample_size = r;
+    std::map<std::vector<ValueCode>, uint64_t> freq;
+    for (uint64_t seed = 0; seed < 5600; ++seed) {
+      auto filter = IncrementalFilter::Make(Schema::Anonymous(1), options,
+                                            seed);
+      ASSERT_TRUE(filter.ok());
+      SlideWindow(&*filter, width, total);
+      std::vector<ValueCode> sampled;
+      for (const Row& row : filter->SampledRows()) {
+        ASSERT_GE(row[0], total - width);
+        sampled.push_back(row[0]);
+      }
+      ASSERT_EQ(sampled.size(), r);
+      std::sort(sampled.begin(), sampled.end());
+      freq[sampled]++;
+    }
+    EXPECT_EQ(freq.size(), 56u);
+    EXPECT_LT(ChiSquareStatistic(freq, 56), ChiSquareCritical(55));
+  }
+}
+
+// After the slide, every pair slot holds a uniform pair of distinct
+// live tuples.
+TEST(IncrementalFilterTest, PairSlotsUniformOverSlidingWindow) {
+  const uint64_t width = 6, total = 18;  // C(6, 2) = 15 pairs
+  IncrementalFilterOptions options;
+  options.backend = FilterBackend::kBitset;
+  options.pair_sample_size = 4;
+  std::map<std::pair<ValueCode, ValueCode>, uint64_t> freq;
+  for (uint64_t seed = 0; seed < 1500; ++seed) {
+    auto filter =
+        IncrementalFilter::Make(Schema::Anonymous(1), options, seed);
+    ASSERT_TRUE(filter.ok());
+    SlideWindow(&*filter, width, total);
+    std::vector<Row> rows = filter->SampledRows();
+    ASSERT_EQ(rows.size(), 8u);
+    for (size_t i = 0; i < rows.size(); i += 2) {
+      ValueCode a = std::min(rows[i][0], rows[i + 1][0]);
+      ValueCode b = std::max(rows[i][0], rows[i + 1][0]);
+      ASSERT_LT(a, b) << "self-pair in slot " << i / 2;
+      ASSERT_GE(a, total - width);
+      freq[{a, b}]++;
+    }
+  }
+  EXPECT_EQ(freq.size(), 15u);
+  EXPECT_LT(ChiSquareStatistic(freq, 15), ChiSquareCritical(14));
 }
 
 }  // namespace

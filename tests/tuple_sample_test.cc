@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -10,11 +12,121 @@
 #include "data/generators/tabular.h"
 #include "data/generators/uniform_grid.h"
 #include "engine/pipeline.h"
+#include "chi_square.h"
+#include "data/dataset_builder.h"
 #include "fnv1a_digest.h"
+#include "stream/tuple_sample.h"
 #include "util/rng.h"
 
 namespace qikey {
 namespace {
+
+/// One column whose value names the row: `row0`, `row1`, ...
+Dataset NamedRows(uint64_t n) {
+  DatasetBuilder b({"v"});
+  for (uint64_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(b.AddRow({"row" + std::to_string(i)}).ok());
+  }
+  return std::move(b).Finish();
+}
+
+/// The sample's rows as a sorted list of their names.
+std::vector<std::string> SortedRows(const Dataset& sample) {
+  std::vector<std::string> rows;
+  for (RowIndex i = 0; i < sample.num_rows(); ++i) {
+    rows.push_back(sample.FormatRow(i));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// ----------------------------------------------------------------- draw
+
+TEST(DrawTupleSampleTest, ClampsToTheRangeAndOffsetsProvenance) {
+  Dataset d = NamedRows(10);
+  Rng rng(1);
+  TupleSample all = DrawTupleSample(d, 4, 3, 50, &rng);
+  ASSERT_EQ(all.sample.num_rows(), 3u);
+  ASSERT_EQ(all.provenance.size(), 3u);
+  std::vector<RowIndex> rows = all.provenance;
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<RowIndex>{4, 5, 6}));
+  for (RowIndex i = 0; i < 3; ++i) {
+    EXPECT_EQ(all.sample.FormatRow(i), d.FormatRow(all.provenance[i]));
+  }
+}
+
+// Every r-subset of the range is equally likely.
+TEST(DrawTupleSampleTest, SubsetsOfTheRangeAreUniform) {
+  Dataset d = NamedRows(9);
+  const uint64_t lo = 2, n = 6, r = 3;  // C(6, 3) = 20 subsets
+  const int trials = 4000;
+  Rng rng(2);
+  std::map<std::vector<std::string>, uint64_t> freq;
+  for (int t = 0; t < trials; ++t) {
+    TupleSample drawn = DrawTupleSample(d, lo, n, r, &rng);
+    ASSERT_EQ(drawn.sample.num_rows(), r);
+    for (RowIndex row : drawn.provenance) {
+      ASSERT_GE(row, lo);
+      ASSERT_LT(row, lo + n);
+    }
+    freq[SortedRows(drawn.sample)]++;
+  }
+  EXPECT_EQ(freq.size(), 20u);
+  EXPECT_LT(ChiSquareStatistic(freq, 20), ChiSquareCritical(19));
+}
+
+// ---------------------------------------------------------------- merge
+
+// The merge of two per-population draws is distributed as one draw of
+// the union: every 3-subset of the 9 rows is equally likely.
+TEST(MergeTupleSamplesTest, SubsetsOfTheUnionAreUniform) {
+  Dataset d = NamedRows(9);
+  const uint64_t seen_a = 4, seen_b = 5, target = 3;  // C(9, 3) = 84
+  const int trials = 8400;
+  Rng rng(3);
+  std::map<std::vector<std::string>, uint64_t> freq;
+  for (int t = 0; t < trials; ++t) {
+    TupleSample a = DrawTupleSample(d, 0, seen_a, target, &rng);
+    TupleSample b = DrawTupleSample(d, seen_a, seen_b, target, &rng);
+    auto merged = MergeTupleSamples(a, seen_a, b, seen_b, target, &rng);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    ASSERT_EQ(merged->sample.num_rows(), target);
+    ASSERT_EQ(merged->provenance.size(), target);
+    for (RowIndex i = 0; i < target; ++i) {
+      ASSERT_EQ(merged->sample.FormatRow(i),
+                d.FormatRow(merged->provenance[i]));
+    }
+    freq[SortedRows(merged->sample)]++;
+  }
+  EXPECT_EQ(freq.size(), 84u);
+  EXPECT_LT(ChiSquareStatistic(freq, 84), ChiSquareCritical(83));
+}
+
+TEST(MergeTupleSamplesTest, KeepsProvenanceOnlyWhenBothSidesCarryIt) {
+  Dataset d = NamedRows(8);
+  Rng rng(4);
+  TupleSample a = DrawTupleSample(d, 0, 4, 4, &rng);
+  TupleSample b = DrawTupleSample(d, 4, 4, 4, &rng);
+  b.provenance.clear();
+  auto merged = MergeTupleSamples(a, 4, b, 4, 6, &rng);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->sample.num_rows(), 6u);
+  EXPECT_TRUE(merged->provenance.empty());
+}
+
+TEST(MergeTupleSamplesTest, RejectsInvalidInputs) {
+  Dataset d = NamedRows(8);
+  Rng rng(5);
+  TupleSample a = DrawTupleSample(d, 0, 4, 2, &rng);
+  TupleSample b = DrawTupleSample(d, 4, 4, 2, &rng);
+  EXPECT_FALSE(MergeTupleSamples(a, 4, b, 4, 2, nullptr).ok());
+  EXPECT_FALSE(MergeTupleSamples(a, 4, b, 4, 0, &rng).ok());
+  // Fewer rows seen than retained.
+  EXPECT_FALSE(MergeTupleSamples(a, 1, b, 4, 2, &rng).ok());
+  // Each side retains 2 but a target of 3 needs 3 from either.
+  EXPECT_FALSE(MergeTupleSamples(a, 4, b, 4, 3, &rng).ok());
+}
 
 // ------------------------------------------------------------ draw pins
 

@@ -46,6 +46,14 @@ compiler cannot check and reviewers keep re-litigating:
       core/mx_pair_filter.h — the test-and-bench oracle, not part of
       libqikey — may not be included from src/, tools/ or examples/.
 
+  QL007 tuple-sample-home
+      Inside src/, `SampleWithoutReplacement(` may be called only from
+      src/stream/tuple_sample.cc (the one tuple draw and merge),
+      src/util/rng.* (which defines it), src/core/attribute_set.cc
+      (random attribute subsets, not tuples) and src/data/generators/
+      (synthetic tables). Every other tuple sample goes through
+      DrawTupleSample or MergeTupleSamples.
+
 Scope: src/, tools/, bench/, examples/, fuzz/ (*.h, *.cc, *.cpp). Findings
 print as `path:line: QLxxx: message`; exit 1 if any.
 
@@ -75,6 +83,9 @@ NEW_RE = re.compile(r"\bnew\b")
 SAMPLE_PAIR_RE = re.compile(r"\bSamplePair\s*\(")
 SAMPLE_PAIR_HOMES = ("src/stream/pair_slots.cc", "src/util/rng.",
                      "src/monitor/incremental_filter.cc")
+SAMPLE_WOR_RE = re.compile(r"\bSampleWithoutReplacement\s*\(")
+SAMPLE_WOR_HOMES = ("src/stream/tuple_sample.cc", "src/util/rng.",
+                    "src/core/attribute_set.cc", "src/data/generators/")
 MX_INCLUDE_RE = re.compile(
     r'^[ \t]*#[ \t]*include[ \t]*[<"](?:[^<>"]*/)?core/mx_pair_filter\.h[>"]',
     re.M)
@@ -339,6 +350,15 @@ def lint_text(stripped, virtual_path, findings, header_stripped="",
                          "core/mx_pair_filter.h is the test-and-bench "
                          "oracle, not part of libqikey; use "
                          "BitsetSeparationFilter")
+
+
+    # QL007 ---------------------------------------------------------
+    if under("src/") and not any(under(home) for home in SAMPLE_WOR_HOMES):
+        for match in SAMPLE_WOR_RE.finditer(stripped):
+            findings.add(virtual_path, line_of(stripped, match.start()),
+                         "QL007",
+                         "tuple samples are drawn in stream/tuple_sample.cc "
+                         "only; call DrawTupleSample or MergeTupleSamples")
 
 
 def lint_file(path, findings):
