@@ -130,7 +130,8 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   const bool tuple_keeps = im.tuples.NextIsKept();
   if (!pair_keeps && !tuple_keeps) {
     // Neither side keeps it: check its width, never split or encode it.
-    if (CountCsvFields(record, im.csv, &im.splitter) != im.schema.num_attributes()) {
+    if (CountCsvFields(record, im.csv, &im.splitter) !=
+        im.schema.num_attributes()) {
       return Status::InvalidArgument("row arity mismatch in shard");
     }
     im.tuples.SkipNext();

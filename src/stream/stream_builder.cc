@@ -61,9 +61,9 @@ Result<TupleSampleFilter> StreamingTupleFilterBuilder::Finish(
   if (reservoir_.seen() < 2) {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
-  return TupleSampleFilter::FromSample(
-      RowsToDataset(schema_, cardinalities_, reservoir_.items()), {},
-      detection);
+  Dataset sample =
+      RowsToDataset(schema_, cardinalities_, reservoir_.items());
+  return TupleSampleFilter::FromSample(std::move(sample), {}, detection);
 }
 
 StreamingPairFilterBuilder::StreamingPairFilterBuilder(

@@ -174,8 +174,11 @@ TEST(TupleDrawPinTest, PipelineRun) {
     uint64_t digest;
   };
   Dataset d = PinTable(2000, 33);
-  for (const Pin& pin : {Pin{FilterBackend::kTupleSample, 0xb3f6a685181c6a98ull, 0xad01db18a64574f5ull},
-                         Pin{FilterBackend::kBitset, 0xb3f6a685181c6a98ull, 0x3effee393bd3c478ull}}) {
+  for (const Pin& pin :
+       {Pin{FilterBackend::kTupleSample, 0xb3f6a685181c6a98ull,
+            0xad01db18a64574f5ull},
+        Pin{FilterBackend::kBitset, 0xb3f6a685181c6a98ull,
+            0x3effee393bd3c478ull}}) {
     SCOPED_TRACE(::testing::Message()
                  << "backend " << static_cast<int>(pin.backend));
     PipelineOptions options;
@@ -207,7 +210,8 @@ TEST(TupleDrawPinTest, MinKeySearches) {
   auto exact = FindMinimumEpsKeyExact(d, options, &exact_rng);
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact->sample_size, 40u);
-  EXPECT_EQ(Fnv1a(exact->key.ToString()), 0xf9d64a767f9b1091ull) << exact->key.ToString();
+  EXPECT_EQ(Fnv1a(exact->key.ToString()), 0xf9d64a767f9b1091ull)
+      << exact->key.ToString();
 }
 
 TEST(TupleDrawPinTest, AuditAndMasking) {
