@@ -23,8 +23,10 @@
 // Part 4 — whole-table ingest: `LoadCsvDataset` on a 300k x 55
 // covtype-like CSV, serial (one chunk) and chunk-parallel (one chunk
 // per usable CPU, its default), median of three loads each (`csv_load`
-// rows).
-// Both loads must produce the same dataset.
+// rows). Both loads must produce the same dataset. Those two time text
+// already in memory; the `csv_load_file` and `csv_plan_shards` rows time
+// `LoadCsvDataset(path)` and `PlanCsvShards(path, 4)` on the same file,
+// reading it included.
 //
 //   ./bench_sharded [--rows N] [--json PATH]
 
@@ -34,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,8 +47,10 @@
 #include "engine/pipeline.h"
 #include "shard/filter_merger.h"
 #include "shard/shard_builder.h"
+#include "shard/sharded_loader.h"
 #include "util/flag_parse.h"
 #include "util/logging.h"
+#include "util/mapped_file.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -267,8 +272,9 @@ int main(int argc, char** argv) {
     Rng load_rng(1);
     std::string load_path =
         WriteCsvFile(MakeTabular(load_spec, &load_rng), "load");
-    std::string text;
-    QIKEY_CHECK_OK(ReadWholeFile(load_path, &text));
+    Result<FileText> file = FileText::Open(load_path);
+    QIKEY_CHECK(file.ok()) << file.status().ToString();
+    const std::string_view text = file->view();
     std::printf("\nwhole-table CSV load (%zu rows x %zu attributes, %.1f "
                 "MiB)\n  %8s %12s %10s\n",
                 load_spec.num_rows, load_spec.attributes.size(),
@@ -302,6 +308,35 @@ int main(int argc, char** argv) {
       json.Add("csv_load", {{"chunks", std::to_string(chunks)}}, ms[1] * 1e6,
                1e3 / ms[1]);
     }
+
+    // The same file through the public path-taking readers, file mapping
+    // included: the whole-table load (default chunk count) and the
+    // sharded build's serial boundary scan.
+    std::vector<double> load_ms, plan_ms;
+    for (int rep = 0; rep < 3; ++rep) {
+      Timer load_timer;
+      Result<Dataset> loaded = LoadCsvDataset(load_path);
+      load_ms.push_back(load_timer.ElapsedMillis());
+      QIKEY_CHECK(loaded.ok()) << loaded.status().ToString();
+      for (AttributeIndex j = 0; j < first.num_attributes(); ++j) {
+        QIKEY_CHECK(std::ranges::equal(loaded->column(j).codes(),
+                                       first.column(j).codes()))
+            << "LoadCsvDataset(path) differs from the in-memory load in "
+               "column " << j;
+      }
+      Timer plan_timer;
+      Result<CsvShardPlan> plan = PlanCsvShards(load_path, 4);
+      plan_ms.push_back(plan_timer.ElapsedMillis());
+      QIKEY_CHECK(plan.ok()) << plan.status().ToString();
+      QIKEY_CHECK(plan->total_rows == load_spec.num_rows);
+    }
+    std::sort(load_ms.begin(), load_ms.end());
+    std::sort(plan_ms.begin(), plan_ms.end());
+    std::printf("  LoadCsvDataset(path) %8.1f ms\n  PlanCsvShards(path, 4) "
+                "%6.1f ms\n", load_ms[1], plan_ms[1]);
+    json.Add("csv_load_file", {}, load_ms[1] * 1e6, 1e3 / load_ms[1]);
+    json.Add("csv_plan_shards", {{"shards", "4"}}, plan_ms[1] * 1e6,
+             1e3 / plan_ms[1]);
   }
 
   std::printf("\nReading: build time should fall with shard count until "

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "data/csv_loader_internal.h"
+#include "util/mapped_file.h"
 #include "util/thread_pool.h"
 
 namespace qikey {
@@ -212,9 +213,10 @@ Result<Dataset> LoadCsvDatasetInChunks(std::string_view text,
 
 Result<Dataset> LoadCsvDataset(const std::string& path,
                                const CsvOptions& options) {
-  std::string text;
-  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
-  return internal::LoadCsvDatasetInChunks(text, options, /*num_chunks=*/0);
+  Result<FileText> text = FileText::Open(path);
+  if (!text.ok()) return text.status();
+  return internal::LoadCsvDatasetInChunks(text->view(), options,
+                                          /*num_chunks=*/0);
 }
 
 Result<Dataset> LoadCsvDatasetFromString(std::string_view text,

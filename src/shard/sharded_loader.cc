@@ -9,6 +9,7 @@
 
 #include "data/dataset_builder.h"
 #include "data/schema.h"
+#include "util/mapped_file.h"
 
 namespace qikey {
 
@@ -17,29 +18,28 @@ namespace {
 constexpr size_t kIoBufferBytes = size_t{1} << 18;  // 256 KiB
 constexpr size_t kMaxBoundaryMarks = size_t{1} << 16;
 constexpr size_t kDefaultShardRows = size_t{1} << 16;
+/// The shard readers' error prefix for a file they cannot open.
+constexpr std::string_view kCannotOpen = "cannot open: ";
 
-/// Walks a file record by record through a sliding buffer.
-/// `on_record(begin, end, record)` gets each record with its byte range
-/// [begin, end) in the file; the record's text is a view into the buffer,
-/// valid for the call. Returning false stops the walk early. Only a
-/// record that straddles a refill is moved (to the buffer's front); one
-/// longer than the buffer doubles it.
+/// Walks a stream record by record through a sliding buffer, for the
+/// readers that must accept pipes (`ShardedLoader`) or need only the
+/// first record. `on_record` gets each record; its text is a view into
+/// the buffer, valid for the call. Returning false stops the walk early.
+/// Only a record that straddles a refill is moved (to the buffer's
+/// front); one longer than the buffer doubles it.
 Status WalkCsvRecords(
-    std::ifstream& in, uint64_t start_offset, const CsvOptions& options,
-    const std::function<bool(uint64_t begin, uint64_t end,
-                             const CsvRecord& record)>& on_record) {
+    std::ifstream& in, const CsvOptions& options,
+    const std::function<bool(const CsvRecord& record)>& on_record) {
   std::string buffer(kIoBufferBytes, '\0');
   size_t head = 0;  // unconsumed bytes are buffer[head, tail)
   size_t tail = 0;
-  uint64_t offset = start_offset;  // file offset of buffer[head]
   bool at_end = false;
   CsvRecord record;
   while (true) {
     std::string_view pending(buffer.data() + head, tail - head);
     if (size_t used = NextCsvRecord(pending, at_end, options, &record)) {
-      if (!on_record(offset, offset + used, record)) break;
+      if (!on_record(record)) break;
       head += used;
-      offset += used;
       continue;
     }
     if (at_end) break;
@@ -75,8 +75,9 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
   if (num_shards == 0) {
     return Status::InvalidArgument("need at least one shard");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
+  Result<FileText> file = FileText::Open(path, kCannotOpen);
+  if (!file.ok()) return file.status();
+  const std::string_view text = file->view();
 
   CsvShardPlan plan;
   CsvFieldSplitter splitter(options);
@@ -87,31 +88,32 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
   std::vector<std::pair<uint64_t, uint64_t>> marks;
   uint64_t stride = 1;
 
-  Status walk = WalkCsvRecords(
-      in, 0, options,
-      [&](uint64_t offset, uint64_t next, const CsvRecord& record) {
-        if (record.blank) return true;
-        if (!names_known) {
-          plan.attribute_names =
-              NamesFromFirstRecord(splitter.Split(record.text), options);
-          names_known = true;
-          if (options.has_header) return true;
-        }
-        if (data_rows % stride == 0) {
-          marks.emplace_back(data_rows, offset);
-          if (marks.size() > kMaxBoundaryMarks) {
-            // Keep every other mark; the stride doubles.
-            size_t keep = 0;
-            for (size_t i = 0; i < marks.size(); i += 2) marks[keep++] = marks[i];
-            marks.resize(keep);
-            stride *= 2;
-          }
-        }
-        ++data_rows;
-        end_offset = next;
-        return true;
-      });
-  QIKEY_RETURN_NOT_OK(walk);
+  size_t offset = 0;
+  CsvRecord record;
+  while (size_t used = NextCsvRecord(text.substr(offset), /*at_end=*/true,
+                                     options, &record)) {
+    const size_t begin = offset;
+    offset += used;
+    if (record.blank) continue;
+    if (!names_known) {
+      plan.attribute_names =
+          NamesFromFirstRecord(splitter.Split(record.text), options);
+      names_known = true;
+      if (options.has_header) continue;
+    }
+    if (data_rows % stride == 0) {
+      marks.emplace_back(data_rows, begin);
+      if (marks.size() > kMaxBoundaryMarks) {
+        // Keep every other mark; the stride doubles.
+        size_t keep = 0;
+        for (size_t i = 0; i < marks.size(); i += 2) marks[keep++] = marks[i];
+        marks.resize(keep);
+        stride *= 2;
+      }
+    }
+    ++data_rows;
+    end_offset = offset;
+  }
   if (!names_known) {
     return Status::InvalidArgument("CSV has no records: " + path);
   }
@@ -169,7 +171,7 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
   std::vector<std::string> names;
   CsvFieldSplitter splitter(options);
   Status walk = WalkCsvRecords(
-      in, 0, options, [&](uint64_t, uint64_t, const CsvRecord& record) {
+      in, options, [&](const CsvRecord& record) {
         if (record.blank) return true;
         names = NamesFromFirstRecord(splitter.Split(record.text), options);
         return false;  // one record is enough
@@ -185,24 +187,19 @@ Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,
     const std::function<Status(std::string_view record)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  in.seekg(static_cast<std::streamoff>(range.byte_begin));
-  if (!in) return Status::IOError("cannot seek: " + path);
+  Result<FileText> file = FileText::Open(path, kCannotOpen);
+  if (!file.ok()) return file.status();
+  const std::string_view text = file->view();
   uint64_t remaining = range.num_rows;
-  Status inner = Status::OK();
-  Status walk = WalkCsvRecords(
-      in, range.byte_begin, options,
-      [&](uint64_t offset, uint64_t, const CsvRecord& record) {
-        if (remaining == 0 || offset >= range.byte_end) return false;
-        if (record.blank) return true;
-        inner = fn(record.text);
-        if (!inner.ok()) return false;
-        --remaining;
-        return remaining > 0;
-      });
-  QIKEY_RETURN_NOT_OK(walk);
-  QIKEY_RETURN_NOT_OK(inner);
+  uint64_t offset = range.byte_begin;
+  CsvRecord record;
+  while (remaining > 0 && offset < range.byte_end && offset < text.size()) {
+    offset += NextCsvRecord(text.substr(offset), /*at_end=*/true, options,
+                            &record);
+    if (record.blank) continue;
+    QIKEY_RETURN_NOT_OK(fn(record.text));
+    --remaining;
+  }
   if (remaining != 0) {
     return Status::IOError("shard range ended before its row count");
   }
@@ -294,7 +291,7 @@ Result<ShardedIngestStats> ShardedLoader::Load(
   };
 
   Status walk = WalkCsvRecords(
-      in, 0, options_.csv, [&](uint64_t, uint64_t, const CsvRecord& record) {
+      in, options_.csv, [&](const CsvRecord& record) {
         if (record.blank) return true;
         if (builder == nullptr) {
           std::span<const std::string_view> fields =

@@ -37,7 +37,9 @@ struct CsvShardPlan {
 /// boundaries and splits the data records into (up to) `num_shards`
 /// contiguous ranges, each with at least two rows.
 ///
-/// Memory is bounded: boundary candidates are kept as stride-compacted
+/// The file is mapped (`FileText`), not copied; its pages count in RSS
+/// during the pass as clean, reclaimable page cache. The plan's own
+/// memory is bounded: boundary candidates are kept as stride-compacted
 /// marks (the stride doubles whenever 64Ki marks accumulate), so shard
 /// boundaries land within one stride of the ideal even split. The scan
 /// does not parse fields — it finds record ends with `NextCsvRecord`
@@ -54,12 +56,13 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
     const std::string& path, const CsvOptions& options = {});
 
 /// \brief Streams the data records of `range` (in file order), invoking
-/// `fn` with each record's text: a view into the read buffer, valid for
+/// `fn` with each record's text: a view into the mapped file, valid for
 /// the call, with its terminator removed (see `CsvRecord::text`). The
 /// walker locates records but never splits them; callers split (with a
 /// `CsvFieldSplitter`) only what they need. Blank records are skipped;
-/// reads stop at `range.byte_end` / `range.num_rows`. Each call opens its
-/// own stream, so ranges can be consumed from concurrent workers.
+/// reads stop at `range.byte_end` / `range.num_rows`. Each call maps the
+/// file itself and touches only its range's pages, so ranges can be
+/// consumed from concurrent workers.
 Status ForEachCsvRecordInRange(
     const std::string& path, const ShardRange& range,
     const CsvOptions& options,

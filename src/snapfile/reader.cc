@@ -12,9 +12,9 @@
 #include "core/tuple_sample_filter.h"
 #include "data/serialize.h"
 #include "data/wire_codec.h"
-#include "snapfile/mapped_file.h"
 #include "snapfile/snapfile.h"
 #include "util/jsonw.h"
+#include "util/mapped_file.h"
 
 namespace qikey {
 namespace snapfile {

@@ -1,9 +1,9 @@
 #include "util/csv.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "util/mapped_file.h"
 
 namespace qikey {
 
@@ -187,31 +187,6 @@ size_t NextCsvRecord(std::string_view text, bool at_end,
   return used;
 }
 
-Status ReadWholeFile(const std::string& path, std::string* text) {
-  // A directory opens as a stream on Linux and reports a nonsense size.
-  std::error_code ec;
-  if (std::filesystem::is_directory(path, ec)) {
-    return Status::IOError("is a directory: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open file: " + path);
-  in.seekg(0, std::ios::end);
-  std::streamoff size = in.tellg();
-  if (size < 0) {
-    in.clear();
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    *text = std::move(buffer).str();
-    return Status::OK();
-  }
-  in.seekg(0, std::ios::beg);
-  text->resize(static_cast<size_t>(size));
-  if (size > 0 && !in.read(text->data(), size)) {
-    return Status::IOError("read failed: " + path);
-  }
-  return Status::OK();
-}
-
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
   CsvTable table;
   CsvFieldSplitter splitter(options);
@@ -245,9 +220,9 @@ Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
 
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvOptions& options) {
-  std::string text;
-  QIKEY_RETURN_NOT_OK(ReadWholeFile(path, &text));
-  return ParseCsv(text, options);
+  Result<FileText> text = FileText::Open(path);
+  if (!text.ok()) return text.status();
+  return ParseCsv(text->view(), options);
 }
 
 std::string WriteCsv(const CsvTable& table, const CsvOptions& options) {

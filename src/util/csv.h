@@ -108,11 +108,6 @@ struct CsvRecord {
 size_t NextCsvRecord(std::string_view text, bool at_end,
                      const CsvOptions& options, CsvRecord* record);
 
-/// \brief Reads a whole file into `text` with one allocation (streams
-/// it when the size is unknown, e.g. a pipe or FIFO). A directory is an
-/// IOError, not a read.
-Status ReadWholeFile(const std::string& path, std::string* text);
-
 /// The field with the spaces, tabs and carriage returns that
 /// `trim_whitespace` strips from unquoted fields removed at both ends.
 inline std::string_view TrimCsvField(std::string_view field) {
@@ -136,7 +131,8 @@ struct CsvTable {
 /// (blank records counted).
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options = {});
 
-/// \brief Reads and parses a CSV file from disk.
+/// \brief Reads and parses a CSV file from disk (through `FileText`:
+/// mapped, not copied).
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvOptions& options = {});
 

@@ -360,32 +360,136 @@ TEST(CsvIngestTest, LargeTableLoadsAndDiscoversAlikeAtEveryChunkCount) {
 
 // ------------------------------------------------------- file kinds
 
+/// `bytes` bytes of CSV whose last record ends at the end of the file,
+/// with no terminator: a reader that looks one byte past its view faults
+/// when `bytes` is a multiple of the page size. A quoted tail holds a
+/// quoted newline, so the last record is walked byte by byte.
+std::string TextOfSize(size_t bytes, bool quoted_tail) {
+  std::ostringstream out;
+  out << "id,value\n";
+  for (int i = 0; static_cast<size_t>(out.tellp()) + 64 < bytes; ++i) {
+    out << "r" << i % 50 << ",v" << i % 7 << "\n";
+  }
+  const std::string_view last = quoted_tail ? "tail,\"q\n" : "tail,";
+  const std::string_view close = quoted_tail ? "\"" : "";
+  const size_t filler = bytes - static_cast<size_t>(out.tellp()) -
+                        last.size() - close.size();
+  out << last << std::string(filler, 'x') << close;
+  return out.str();
+}
+
+/// Every reader that takes a path agrees with the in-memory oracle on a
+/// file holding `text`.
+void ExpectFileReadersMatchOracle(const std::string& text) {
+  SCOPED_TRACE(::testing::Message() << text.size() << " bytes: ["
+                                    << text.substr(0, 40) << "]");
+  const std::string path = WriteTemp("shape.csv", text);
+  EXPECT_EQ(csv_oracle::Describe(LoadCsvDataset(path)),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
+  Result<CsvTable> table = csv_oracle::Parse(text, CsvOptions{});
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(DescribeTable(ReadCsvFile(path)), DescribeTable(table));
+  Result<CsvShardPlan> plan = PlanCsvShards(path, 2);
+  if (table->header.empty()) {
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    return;
+  }
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->attribute_names, table->header);
+  EXPECT_EQ(plan->total_rows, table->rows.size());
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}}) {
+    EXPECT_EQ(RangeRows(path, shards, CsvOptions{}), table->rows)
+        << shards << " shards";
+  }
+}
+
+TEST(CsvIngestTest, FileReadersMatchOracleOnEveryFileShape) {
+  ExpectFileReadersMatchOracle("");                     // empty file
+  ExpectFileReadersMatchOracle("a,b,c\n");              // header only
+  ExpectFileReadersMatchOracle("a,b\n1,2\n3,4");         // no final newline
+  ExpectFileReadersMatchOracle("a,b\r\n1,2\r\n3,4\r\n");  // CRLF
+  ExpectFileReadersMatchOracle("a,b\n\"x\ny\",2\n3,\"4\n\"\n");  // quoted newlines
+  for (size_t bytes : {size_t{4095}, size_t{4096}, size_t{4097}}) {
+    for (bool quoted_tail : {false, true}) {
+      std::string text = TextOfSize(bytes, quoted_tail);
+      ASSERT_EQ(text.size(), bytes);
+      ExpectFileReadersMatchOracle(text);
+    }
+  }
+}
+
 TEST(CsvIngestTest, LoadingADirectoryIsAnIoError) {
   std::string dir = ::testing::TempDir() + "qikey_csv_ingest_dir";
   std::filesystem::create_directories(dir);
-  Result<Dataset> loaded = LoadCsvDataset(dir);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
-  Result<CsvTable> parsed = ReadCsvFile(dir);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  auto expect_directory_error = [&](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kIOError);
+    EXPECT_NE(status.message().find("is a directory"), std::string::npos)
+        << status.ToString();
+  };
+  expect_directory_error(LoadCsvDataset(dir).status());
+  expect_directory_error(ReadCsvFile(dir).status());
+  expect_directory_error(PlanCsvShards(dir, 2).status());
+  ShardRange range;
+  range.num_rows = 1;
+  expect_directory_error(ForEachCsvRecordInRange(
+      dir, range, CsvOptions{},
+      [](std::string_view) { return Status::OK(); }));
 }
 
 TEST(CsvIngestTest, FifoInputIsStreamed) {
-  // A FIFO has no size; the reader must fall back to streaming it.
-  std::string path = ::testing::TempDir() + "qikey_csv_ingest_fifo";
-  std::filesystem::remove(path);
-  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // A FIFO has no size to map; the readers must fall back to streaming.
   const std::string text = "a,b\n1,2\n3,4\n";
-  std::thread writer([&] {
-    std::ofstream out(path, std::ios::binary);
-    out << text;
-  });
+  auto through_fifo = [&](const auto& read) {
+    std::string path = ::testing::TempDir() + "qikey_csv_ingest_fifo";
+    std::filesystem::remove(path);
+    EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    std::thread writer([&] {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    });
+    auto result = read(path);
+    writer.join();
+    std::filesystem::remove(path);
+    return result;
+  };
+  EXPECT_EQ(csv_oracle::Describe(through_fifo([](const std::string& path) {
+              return LoadCsvDataset(path);
+            })),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
+  EXPECT_EQ(DescribeTable(through_fifo([](const std::string& path) {
+              return ReadCsvFile(path);
+            })),
+            DescribeTable(csv_oracle::Parse(text, CsvOptions{})));
+  Result<CsvShardPlan> plan = through_fifo(
+      [](const std::string& path) { return PlanCsvShards(path, 1); });
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->total_rows, 2u);
+}
+
+TEST(CsvIngestTest, NothingBorrowsFromTheFileAfterTheReaderReturns) {
+  // The readers map the file and unmap it before they return. Overwrite
+  // the file in place, then rename another file over it: a value still
+  // pointing into the mapping would read the new bytes or fault on an
+  // unmapped page (which AddressSanitizer reports).
+  const std::string text = ShardedCsvText();
+  const std::string path = WriteTemp("lifetime.csv", text);
   Result<Dataset> loaded = LoadCsvDataset(path);
-  writer.join();
-  std::filesystem::remove(path);
+  Result<CsvTable> parsed = ReadCsvFile(path);
+  Result<CsvShardPlan> plan = PlanCsvShards(path, 3);
+  ASSERT_TRUE(loaded.ok() && parsed.ok() && plan.ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string(text.size(), 'z');
+  }
+  std::filesystem::rename(WriteTemp("lifetime_other.csv", "p,q\n1,2\n"),
+                          path);
+  // Fingerprints read every dictionary value and attribute name.
   EXPECT_EQ(csv_oracle::Describe(loaded),
             csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
+  Result<CsvTable> expected = csv_oracle::Parse(text, CsvOptions{});
+  EXPECT_EQ(DescribeTable(parsed), DescribeTable(expected));
+  EXPECT_EQ(plan->attribute_names, expected->header);
 }
 
 // ---------------------------------------------- records past the buffer

@@ -848,6 +848,35 @@ TEST(ShardBuildTest, ZeroThreadsFollowsTheAffinityMask) {
   EXPECT_EQ(built->size(), 1u);
 }
 
+// Every shard maps the CSV and unmaps it before the build returns.
+// Overwrite the file in place, then rename another file over it: an
+// artifact still pointing into a mapping would serialize the new bytes
+// or fault on an unmapped page (which AddressSanitizer reports).
+TEST(ShardBuildTest, CsvArtifactsDoNotBorrowFromTheFile) {
+  const std::string text = ShardedCsvText();
+  const std::string path = WriteTempFile("lifetime.csv", text);
+  const std::string copy = WriteTempFile("lifetime_copy.csv", text);
+  ShardedBuildOptions options = SkipBuild(FilterBackend::kBitset, 3, 0, 0, 7);
+  auto built = BuildShardArtifactsFromCsv(path, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string(text.size(), 'z');
+  }
+  ASSERT_EQ(std::rename(WriteTempFile("lifetime_other.csv", "p,q\n1,2\n")
+                            .c_str(),
+                        path.c_str()),
+            0);
+  auto fresh = BuildShardArtifactsFromCsv(copy, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(built->size(), fresh->size());
+  for (size_t i = 0; i < built->size(); ++i) {
+    EXPECT_EQ(SerializeShardArtifact((*built)[i]),
+              SerializeShardArtifact((*fresh)[i]))
+        << "shard " << i;
+  }
+}
+
 // ------------------------------------------------------------ draw pins
 
 // The digests below are fixed constants, never re-derived by the test:

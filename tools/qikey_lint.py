@@ -54,8 +54,16 @@ compiler cannot check and reviewers keep re-litigating:
       (synthetic tables). Every other tuple sample goes through
       DrawTupleSample or MergeTupleSamples.
 
-Scope: src/, tools/, bench/, examples/, fuzz/ (*.h, *.cc, *.cpp). Findings
-print as `path:line: QLxxx: message`; exit 1 if any.
+  QL008 mapped-file-home
+      Inside src/, `mmap(` and `munmap(` may appear only in
+      src/util/mapped_file.cc. Every file mapping goes through
+      MappedFile or FileText, so the mapping's checks (regular file,
+      size, unmap on every path) live in one place.
+
+Scope: src/, tools/, bench/, examples/, fuzz/ (*.h, *.cc, *.cpp) of the
+tree given by --root (default: this script's checkout); the path rules
+read paths relative to that root. Findings print as
+`path:line: QLxxx: message`; exit 1 if any.
 
 Fixtures/self-test: a file may carry `// LINT-PATH: virtual/path.cc`
 (the path rules are evaluated against) and `// EXPECT-LINT: QLxxx`
@@ -86,6 +94,8 @@ SAMPLE_PAIR_HOMES = ("src/stream/pair_slots.cc", "src/util/rng.",
 SAMPLE_WOR_RE = re.compile(r"\bSampleWithoutReplacement\s*\(")
 SAMPLE_WOR_HOMES = ("src/stream/tuple_sample.cc", "src/util/rng.",
                     "src/core/attribute_set.cc", "src/data/generators/")
+MMAP_RE = re.compile(r"\b(mmap|munmap)\s*\(")
+MMAP_HOME = "src/util/mapped_file.cc"
 MX_INCLUDE_RE = re.compile(
     r'^[ \t]*#[ \t]*include[ \t]*[<"](?:[^<>"]*/)?core/mx_pair_filter\.h[>"]',
     re.M)
@@ -360,15 +370,23 @@ def lint_text(stripped, virtual_path, findings, header_stripped="",
                          "tuple samples are drawn in stream/tuple_sample.cc "
                          "only; call DrawTupleSample or MergeTupleSamples")
 
+    # QL008 ---------------------------------------------------------
+    if under("src/") and virtual_path != MMAP_HOME:
+        for match in MMAP_RE.finditer(stripped):
+            findings.add(virtual_path, line_of(stripped, match.start()),
+                         "QL008",
+                         f"{match.group(1)}() belongs in util/mapped_file.cc "
+                         "only; map files through MappedFile or FileText")
 
-def lint_file(path, findings):
+
+def lint_file(path, root, findings):
     with open(path, encoding="utf-8", errors="replace") as fp:
         original = fp.read()
     virtual = None
     match = LINT_PATH_RE.search(original)
     if match:
         virtual = match.group(1)
-    rel = os.path.relpath(os.path.abspath(path), REPO_ROOT)
+    rel = os.path.relpath(os.path.abspath(path), os.path.abspath(root))
     stripped = strip_code(original)
     lint_text(stripped, virtual or rel, findings,
               paired_header_text(path), original)
@@ -385,7 +403,8 @@ def discover_files(root):
     return sorted(files)
 
 
-def self_test(fixtures_dir):
+def self_test(root):
+    fixtures_dir = os.path.join(root, "tests", "lint_fixtures")
     failures = 0
     ran = 0
     for name in sorted(os.listdir(fixtures_dir)):
@@ -396,7 +415,7 @@ def self_test(fixtures_dir):
             original = fp.read()
         expected = sorted(EXPECT_RE.findall(original))
         findings = Findings()
-        lint_file(path, findings)
+        lint_file(path, root, findings)
         actual = sorted(rule for _, _, rule, _ in findings.items)
         ran += 1
         if actual != expected:
@@ -423,12 +442,12 @@ def main():
     args = parser.parse_args()
 
     if args.self_test:
-        return self_test(os.path.join(args.root, "tests", "lint_fixtures"))
+        return self_test(args.root)
 
     files = args.files or discover_files(args.root)
     findings = Findings()
     for path in files:
-        lint_file(path, findings)
+        lint_file(path, args.root, findings)
     for path, line, rule, message in sorted(findings.items):
         print(f"{path}:{line}: {rule}: {message}")
     if findings.items:
