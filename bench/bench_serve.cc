@@ -1,14 +1,17 @@
-// Serve-layer throughput: one discovery snapshot, N caller threads
-// sharing one QueryEngine — the server's model, where every shard loop
-// calls the same engine. Each caller answers its contiguous share of
-// the 4096-request workload in fixed 64-request batches, so the kernel
+// Serve-layer throughput: one discovery snapshot, N caller threads,
+// each running its own QueryEngine over the shared snapshot store —
+// the server's model, where every shard loop owns one engine and one
+// verdict cache. Each caller answers its contiguous share of the
+// 4096-request workload in fixed 64-request batches, so the kernel
 // work per request (the within-batch dedupe) is the same at every N.
 //
-//   cold: is-key over 512 distinct attribute sets, verdict cache
+//   cold: is-key over 512 distinct attribute sets, verdict caches
 //         disabled — every batch runs the filter kernel (bitset
 //         backend) on the calling thread.
-//   hot:  the same workload with the sharded LRU verdict cache enabled
-//         and pre-warmed — batches resolve in the cache lookup pass.
+//   hot:  the same workload with each caller's LRU verdict cache
+//         enabled (a 16384-entry total, split over the callers as the
+//         server splits --cache over its loops) and pre-warmed —
+//         batches resolve in the cache lookup pass.
 //
 // Reports queries/sec at 1..8 callers plus the hot-path hit rate, and
 // (on runners with >= 8 hardware threads) asserts the acceptance gate:
@@ -20,13 +23,14 @@
 // identical — the cache must never change verdicts. Emits a
 // `serve_env` row recording the runner's hardware threads so
 // ci/check_bench_regression.py can re-assert the anti-scaling gate
-// from the JSON alone.
+// (both columns) from the JSON alone.
 //
 //   ./bench_serve [--json PATH] [--rows N]
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -99,20 +103,34 @@ std::vector<QueryRequest> MakeIsKeyBatch(size_t m, size_t batch,
 /// Requests per ExecuteBatch call, at every caller count.
 constexpr size_t kBatchRequests = 64;
 
-/// Queries/sec of `rounds` passes over `requests` by `callers` threads
-/// sharing `engine`, each answering its contiguous share in
-/// kBatchRequests-request batches. `answers`, if non-null, receives
-/// the responses in request order.
-double RunCallers(const QueryEngine& engine,
-                  std::span<const QueryRequest> requests, size_t callers,
-                  size_t rounds, std::vector<QueryResponse>* answers) {
+/// One engine per caller over `store`, sharing `options`' cache
+/// capacity as a total.
+std::vector<std::unique_ptr<QueryEngine>> MakeEngines(
+    const SnapshotStore& store, const QueryEngineOptions& options,
+    size_t callers) {
+  std::vector<std::unique_ptr<QueryEngine>> engines;
+  for (size_t c = 0; c < callers; ++c) {
+    engines.push_back(std::make_unique<QueryEngine>(
+        &store, SplitQueryEngineOptions(options, callers, c)));
+  }
+  return engines;
+}
+
+/// Queries/sec of `rounds` passes over `requests` by one thread per
+/// engine, caller `c` answering its contiguous share through
+/// `engines[c]` in kBatchRequests-request batches. `answers`, if
+/// non-null, receives the responses in request order.
+double RunCallers(const std::vector<std::unique_ptr<QueryEngine>>& engines,
+                  std::span<const QueryRequest> requests, size_t rounds,
+                  std::vector<QueryResponse>* answers) {
+  const size_t callers = engines.size();
   std::vector<QueryResponse> out(requests.size());
   auto caller = [&](size_t c) {
     size_t lo = requests.size() * c / callers;
     size_t hi = requests.size() * (c + 1) / callers;
     for (size_t r = 0; r < rounds; ++r) {
       for (size_t b = lo; b < hi; b += kBatchRequests) {
-        std::vector<QueryResponse> got = engine.ExecuteBatch(
+        std::vector<QueryResponse> got = engines[c]->ExecuteBatch(
             requests.subspan(b, std::min(kBatchRequests, hi - b)));
         std::move(got.begin(), got.end(), out.begin() + b);
       }
@@ -129,11 +147,10 @@ double RunCallers(const QueryEngine& engine,
 }
 
 /// Queries/sec after one untimed warm pass.
-double MeasureQps(const QueryEngine& engine,
-                  const std::vector<QueryRequest>& requests, size_t callers,
-                  size_t rounds) {
-  RunCallers(engine, requests, callers, 1, nullptr);
-  return RunCallers(engine, requests, callers, rounds, nullptr);
+double MeasureQps(const std::vector<std::unique_ptr<QueryEngine>>& engines,
+                  const std::vector<QueryRequest>& requests, size_t rounds) {
+  RunCallers(engines, requests, 1, nullptr);
+  return RunCallers(engines, requests, rounds, nullptr);
 }
 
 }  // namespace
@@ -192,20 +209,25 @@ int main(int argc, char** argv) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     QueryEngineOptions cold_options;
     cold_options.cache_capacity = 0;
-    QueryEngine cold(&store, cold_options);
-    double cold_qps = MeasureQps(cold, workload, threads, 16);
+    auto cold = MakeEngines(store, cold_options, threads);
+    double cold_qps = MeasureQps(cold, workload, 16);
 
     QueryEngineOptions hot_options;
     hot_options.cache_capacity = 16384;
-    QueryEngine hot(&store, hot_options);
-    double hot_qps = MeasureQps(hot, workload, threads, 256);
-    double total = static_cast<double>(hot.cache_hits() + hot.cache_misses());
-    hit_rate = total > 0 ? static_cast<double>(hot.cache_hits()) / total : 0;
+    auto hot = MakeEngines(store, hot_options, threads);
+    double hot_qps = MeasureQps(hot, workload, 256);
+    double hits = 0, total = 0;
+    for (const auto& engine : hot) {
+      hits += static_cast<double>(engine->cache_hits());
+      total += static_cast<double>(engine->cache_hits() +
+                                   engine->cache_misses());
+    }
+    hit_rate = total > 0 ? hits / total : 0;
 
     // The cache must be answer-transparent.
     std::vector<QueryResponse> cold_answers, hot_answers;
-    RunCallers(cold, workload, threads, 1, &cold_answers);
-    RunCallers(hot, workload, threads, 1, &hot_answers);
+    RunCallers(cold, workload, 1, &cold_answers);
+    RunCallers(hot, workload, 1, &hot_answers);
     for (size_t i = 0; i < workload.size(); ++i) {
       QIKEY_CHECK(cold_answers[i].verdict == hot_answers[i].verdict)
           << "cache changed a verdict at request " << i;

@@ -9,10 +9,11 @@
 // pooled across connections into p50/p99/p999.
 //
 // Every response byte is also diffed against the shared encoder run
-// directly on the engine — the bench aborts on the first divergence,
+// directly on an engine — the bench aborts on the first divergence,
 // so the latency numbers can never come from wrong answers.
 //
-// The load runs TWICE against the same warmed engine: once with the
+// The load runs TWICE, each time on a fresh server whose shard loops'
+// engines start with empty verdict caches: once with the
 // default (baked-in) instrumentation only, once with an external
 // metrics registry attached and request tracing sampled at 1/64 — the
 // configuration `qikey serve --stats-interval-sec ... --trace-sample`
@@ -214,7 +215,7 @@ int Run(int argc, char** argv) {
   }
   SnapshotStore store;
   if (!store.Publish(std::move(*snapshot)).ok()) return 1;
-  QueryEngine engine(&store, QueryEngineOptions{});
+  QueryEngine engine(&store, QueryEngineOptions{});  // expected answers
 
   // Per-connection workloads and the answers the server must produce.
   std::vector<std::vector<std::string>> workloads, expectations;
@@ -239,8 +240,8 @@ int Run(int argc, char** argv) {
     expectations.push_back(std::move(expected));
   }
 
-  // One measured pass: fresh server over the shared warmed engine,
-  // open-loop load, pooled quantiles. `instrumented` attaches an
+  // One measured pass: fresh server over the store, open-loop load,
+  // pooled quantiles. `instrumented` attaches an
   // external registry and 1-in-64 request tracing (discarded sink) —
   // the production observability configuration.
   struct PassResult {
@@ -258,7 +259,7 @@ int Run(int argc, char** argv) {
       sopts.trace_sample = 64;
       sopts.trace_sink = [](const std::string&) {};  // format, then drop
     }
-    ServeServer server(&engine, data.schema(), sopts);
+    ServeServer server(&store, data.schema(), QueryEngineOptions{}, sopts);
     Status started = server.Start();
     if (!started.ok()) {
       std::fprintf(stderr, "server: %s\n", started.ToString().c_str());

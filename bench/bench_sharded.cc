@@ -25,8 +25,8 @@
 // per usable CPU, its default), median of three loads each (`csv_load`
 // rows). Both loads must produce the same dataset. Those two time text
 // already in memory; the `csv_load_file` and `csv_plan_shards` rows time
-// `LoadCsvDataset(path)` and `PlanCsvShards(path, 4)` on the same file,
-// reading it included.
+// `LoadCsvDataset(path)` and `PlanCsvShards(text, 4)` on the same file,
+// opening it (`FileText`, a mapping) included.
 //
 //   ./bench_sharded [--rows N] [--json PATH]
 
@@ -325,14 +325,16 @@ int main(int argc, char** argv) {
                "column " << j;
       }
       Timer plan_timer;
-      Result<CsvShardPlan> plan = PlanCsvShards(load_path, 4);
+      Result<FileText> text = FileText::Open(load_path);
+      QIKEY_CHECK(text.ok()) << text.status().ToString();
+      Result<CsvShardPlan> plan = PlanCsvShards(text->view(), 4);
       plan_ms.push_back(plan_timer.ElapsedMillis());
       QIKEY_CHECK(plan.ok()) << plan.status().ToString();
       QIKEY_CHECK(plan->total_rows == load_spec.num_rows);
     }
     std::sort(load_ms.begin(), load_ms.end());
     std::sort(plan_ms.begin(), plan_ms.end());
-    std::printf("  LoadCsvDataset(path) %8.1f ms\n  PlanCsvShards(path, 4) "
+    std::printf("  LoadCsvDataset(path) %8.1f ms\n  PlanCsvShards(text, 4) "
                 "%6.1f ms\n", load_ms[1], plan_ms[1]);
     json.Add("csv_load_file", {}, load_ms[1] * 1e6, 1e3 / load_ms[1]);
     json.Add("csv_plan_shards", {{"shards", "4"}}, plan_ms[1] * 1e6,

@@ -22,9 +22,9 @@ from the same run on the same hardware, so this comparison is immune
 to the cross-machine noise that keeps the baseline check advisory.
 
 With --serve-anti-scaling, additionally HARD-FAILS (exit 1) when the
-current file's serve_query_batch cache=off ns_per_op at the highest
-benched thread count that the runner actually has cores for exceeds
-the 1-thread figure. Adding threads making the serve path slower is
+current file's serve_query_batch ns_per_op at the highest benched
+thread count that the runner actually has cores for exceeds the
+1-thread figure, in the cache=off or the cache=on column. Adding threads making the serve path slower is
 the anti-scaling bug this repo already shipped once; like the p50
 check this is current-file-only, so it is exact on any runner. The
 runner's parallelism is read from the bench's own serve_env row
@@ -80,44 +80,51 @@ def check_instrumentation_overhead(current, threshold):
 
 
 def check_serve_anti_scaling(current):
-    """Hard gate: cache-off serve throughput must not degrade between 1
-    thread and the highest benched thread count the runner can actually
-    run in parallel. Returns 0 (ok/skip) or 1 (gate tripped)."""
+    """Hard gate: serve throughput, cache off and cache on alike, must not
+    degrade between 1 thread and the highest benched thread count the
+    runner can actually run in parallel. Returns 0 (ok/skip) or 1 (gate
+    tripped in either column)."""
     hardware = None
-    cold = {}
+    columns = {"off": {}, "on": {}}
     for (name, params) in current:
         pdict = dict(params)
         if name == "serve_env" and "hardware_threads" in pdict:
             hardware = int(pdict["hardware_threads"])
-        elif name == "serve_query_batch" and pdict.get("cache") == "off":
-            cold[int(pdict["threads"])] = current[(name, params)]
+        elif name == "serve_query_batch" and pdict.get("cache") in columns:
+            columns[pdict["cache"]][int(pdict["threads"])] = current[
+                (name, params)]
     if hardware is None:
         print(
             "::notice::serve anti-scaling gate skipped: no serve_env "
             "row in the current bench json"
         )
         return 0
-    eligible = [t for t in cold if t <= hardware]
-    if 1 not in cold or not eligible or max(eligible) <= 1:
+    tripped = 0
+    for cache, by_threads in columns.items():
+        eligible = [t for t in by_threads if t <= hardware]
+        if 1 not in by_threads or not eligible or max(eligible) <= 1:
+            print(
+                f"::notice::serve anti-scaling gate (cache={cache}) "
+                f"skipped: runner has {hardware} hardware thread(s)"
+            )
+            continue
+        t_max = max(eligible)
+        one_ns, top_ns = by_threads[1], by_threads[t_max]
+        if top_ns > one_ns:
+            print(
+                f"::error::serve anti-scaling: cache={cache} {top_ns:.0f} "
+                f"ns/op at {t_max} threads vs {one_ns:.0f} ns/op at 1 "
+                f"thread ({top_ns / one_ns:.2f}x) — more threads made "
+                f"serving slower"
+            )
+            tripped = 1
+            continue
         print(
-            f"::notice::serve anti-scaling gate skipped: runner has "
-            f"{hardware} hardware thread(s)"
+            f"ok: serve cache={cache} scaling 1 -> {t_max} threads: "
+            f"{one_ns:.0f} -> {top_ns:.0f} ns/op "
+            f"({one_ns / top_ns:.2f}x faster)"
         )
-        return 0
-    t_max = max(eligible)
-    one_ns, top_ns = cold[1], cold[t_max]
-    if top_ns > one_ns:
-        print(
-            f"::error::serve anti-scaling: cache=off {top_ns:.0f} ns/op "
-            f"at {t_max} threads vs {one_ns:.0f} ns/op at 1 thread "
-            f"({top_ns / one_ns:.2f}x) — more threads made serving slower"
-        )
-        return 1
-    print(
-        f"ok: serve cache=off scaling 1 -> {t_max} threads: "
-        f"{one_ns:.0f} -> {top_ns:.0f} ns/op ({one_ns / top_ns:.2f}x faster)"
-    )
-    return 0
+    return tripped
 
 
 def main():

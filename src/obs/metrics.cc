@@ -42,7 +42,15 @@ void MetricsRegistry::RegisterGaugeFn(const std::string& name,
 void MetricsRegistry::RegisterHistogram(const std::string& name,
                                         const LatencyHistogram* histogram) {
   MutexLock lock(mu_);
+  histogram_fns_.erase(name);
   histograms_[name] = histogram;
+}
+
+void MetricsRegistry::RegisterHistogramFn(
+    const std::string& name, std::function<HistogramSnapshot()> fn) {
+  MutexLock lock(mu_);
+  histograms_.erase(name);
+  histogram_fns_[name] = std::move(fn);
 }
 
 MetricsSnapshot MetricsRegistry::SnapshotAll() const {
@@ -62,6 +70,9 @@ MetricsSnapshot MetricsRegistry::SnapshotAll() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     snap.histograms[name] = histogram->Snapshot();
+  }
+  for (const auto& [name, fn] : histogram_fns_) {
+    snap.histograms[name] = fn();
   }
   return snap;
 }

@@ -110,6 +110,8 @@ class MetricsRegistry {
   void RegisterGaugeFn(const std::string& name, std::function<int64_t()> fn);
   void RegisterHistogram(const std::string& name,
                          const LatencyHistogram* histogram);
+  void RegisterHistogramFn(const std::string& name,
+                           std::function<HistogramSnapshot()> fn);
 
   /// Reads every registered metric under the registry lock.
   MetricsSnapshot SnapshotAll() const;
@@ -118,7 +120,7 @@ class MetricsRegistry {
   std::string RenderJson() const;
 
  private:
-  /// Registry capability: guards the five name→instrument maps below.
+  /// Registry capability: guards the six name→instrument maps below.
   /// Only registration and snapshotting take it — recording into an
   /// instrument never does (the instruments are internally lock-free).
   mutable Mutex mu_;
@@ -128,6 +130,8 @@ class MetricsRegistry {
   std::map<std::string, const Gauge*> gauges_ GUARDED_BY(mu_);
   std::map<std::string, std::function<int64_t()>> gauge_fns_ GUARDED_BY(mu_);
   std::map<std::string, const LatencyHistogram*> histograms_ GUARDED_BY(mu_);
+  std::map<std::string, std::function<HistogramSnapshot()>> histogram_fns_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace qikey

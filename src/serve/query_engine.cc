@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "core/anonymity.h"
 #include "core/separation.h"
@@ -18,6 +19,12 @@ int64_t NowNs() {
 }
 
 }  // namespace
+
+QueryEngineOptions SplitQueryEngineOptions(const QueryEngineOptions& options,
+                                           size_t count, size_t index) {
+  const size_t total = options.cache_capacity;
+  return {total / count + (index < total % count ? 1 : 0)};
+}
 
 QueryEngine::QueryEngine(const SnapshotStore* store,
                          const QueryEngineOptions& options)
@@ -73,27 +80,49 @@ void QueryEngine::AnswerOnSample(const ServeSnapshot& snapshot,
   }
 }
 
-QueryResponse QueryEngine::Execute(const QueryRequest& request) const {
-  QueryRequest copy[1] = {request};
-  return ExecuteBatch(std::span<const QueryRequest>(copy, 1)).front();
+QueryResponse QueryEngine::Execute(const QueryRequest& request) {
+  return ExecuteBatch(std::span<const QueryRequest>(&request, 1)).front();
 }
 
-void QueryEngine::RegisterMetrics(MetricsRegistry* registry) const {
-  registry->RegisterCounter("engine.requests", &requests_);
-  registry->RegisterCounter("engine.batches", &batches_);
-  registry->RegisterHistogram("engine.batch_size", &batch_size_);
-  registry->RegisterHistogram("engine.pass.validate_ns", &validate_ns_);
-  registry->RegisterHistogram("engine.pass.dedupe_ns", &dedupe_ns_);
-  registry->RegisterHistogram("engine.pass.execute_ns", &execute_ns_);
-  registry->RegisterCounterFn("cache.hits", [this] { return cache_.hits(); });
-  registry->RegisterCounterFn("cache.misses",
-                              [this] { return cache_.misses(); });
-  registry->RegisterCounterFn("cache.evictions",
-                              [this] { return cache_.evictions(); });
-  registry->RegisterGaugeFn("cache.size", [this] {
-    return static_cast<int64_t>(cache_.size());
-  });
-  const SnapshotStore* store = store_;
+void QueryEngine::RegisterMetrics(std::span<const QueryEngine* const> engines,
+                                  MetricsRegistry* registry) {
+  const std::vector<const QueryEngine*> all(engines.begin(), engines.end());
+  using Engine = const QueryEngine&;
+  auto sum = [&all](uint64_t (*read)(Engine)) {
+    return [all, read] {
+      uint64_t total = 0;
+      for (const QueryEngine* engine : all) total += read(*engine);
+      return total;
+    };
+  };
+  // Requests and batches are the batch-size histogram's sum and count.
+  const std::pair<const char*, uint64_t (*)(Engine)> counters[] = {
+      {"engine.requests", [](Engine e) { return e.batch_size_.sum(); }},
+      {"engine.batches", [](Engine e) { return e.batch_size_.count(); }},
+      {"cache.hits", [](Engine e) { return e.cache_.hits(); }},
+      {"cache.misses", [](Engine e) { return e.cache_.misses(); }},
+      {"cache.evictions", [](Engine e) { return e.cache_.evictions(); }}};
+  for (const auto& [name, read] : counters) {
+    registry->RegisterCounterFn(name, sum(read));
+  }
+  registry->RegisterGaugeFn(
+      "cache.size", [size = sum([](Engine e) { return e.cache_.size(); })] {
+        return static_cast<int64_t>(size());
+      });
+  for (auto [name, histogram] :
+       {std::pair{"engine.batch_size", &QueryEngine::batch_size_},
+        std::pair{"engine.pass.validate_ns", &QueryEngine::validate_ns_},
+        std::pair{"engine.pass.dedupe_ns", &QueryEngine::dedupe_ns_},
+        std::pair{"engine.pass.execute_ns", &QueryEngine::execute_ns_}}) {
+    registry->RegisterHistogramFn(name, [all, histogram] {
+      HistogramSnapshot merged;
+      for (const QueryEngine* engine : all) {
+        merged.MergeFrom((engine->*histogram).Snapshot());
+      }
+      return merged;
+    });
+  }
+  const SnapshotStore* store = all.front()->store_;
   registry->RegisterGaugeFn("snapshot.epoch", [store] {
     return static_cast<int64_t>(store->epoch());
   });
@@ -109,9 +138,7 @@ void QueryEngine::RegisterMetrics(MetricsRegistry* registry) const {
 }
 
 std::vector<QueryResponse> QueryEngine::ExecuteBatch(
-    std::span<const QueryRequest> requests) const {
-  batches_.Increment();
-  requests_.Increment(requests.size());
+    std::span<const QueryRequest> requests) {
   batch_size_.Record(static_cast<int64_t>(requests.size()));
   std::vector<QueryResponse> responses(requests.size());
   std::shared_ptr<const ServeSnapshot> snapshot = store_->Current();

@@ -19,7 +19,13 @@ struct QueryEngineOptions {
   size_t cache_capacity = 4096;
 };
 
-/// \brief Concurrent request executor over a `SnapshotStore`.
+/// Options for engine `index` of `count` that share `cache_capacity` as
+/// a total: `capacity / count` entries each, one more for the first
+/// `capacity % count`.
+QueryEngineOptions SplitQueryEngineOptions(const QueryEngineOptions& options,
+                                           size_t count, size_t index);
+
+/// \brief One caller's request executor over a `SnapshotStore`.
 ///
 /// Each request (or batch) pins the store's current snapshot, answers
 /// purely from it, and stamps the snapshot's epoch on the response —
@@ -31,13 +37,15 @@ struct QueryEngineOptions {
 /// the batch go through one `SeparationFilter::QueryBatch` (the bitset
 /// backend's block kernel), and the sample-evaluated kinds are
 /// answered in place. Responses are positionally aligned with requests
-/// and bit-identical across caller counts and cache configurations.
+/// and bit-identical across engines, caller counts and cache
+/// configurations.
 ///
-/// Thread safety: `Execute`/`ExecuteBatch` are safe to call
-/// concurrently from many threads, concurrently with `Publish` on the
-/// store. The engine owns no threads: parallelism comes from callers
-/// (the server's shard loops, `qikey query --threads`), which share
-/// the verdict cache.
+/// Thread safety: an engine belongs to one caller thread; its verdict
+/// cache has no lock. Concurrent callers (the server's shard loops,
+/// `qikey query --threads`) each own an engine over the same store,
+/// and `Publish` on the store is safe concurrently with all of them.
+/// The engine owns no threads. Its metrics (`RegisterMetrics`) may be
+/// read from any thread.
 class QueryEngine {
  public:
   QueryEngine(const SnapshotStore* store, const QueryEngineOptions& options);
@@ -45,24 +53,25 @@ class QueryEngine {
   /// Answers one request against the current snapshot. A response with
   /// a non-OK status (no snapshot published yet, arity mismatch, ...)
   /// carries no payload.
-  QueryResponse Execute(const QueryRequest& request) const;
+  QueryResponse Execute(const QueryRequest& request);
 
   /// Answers `requests[i]` into the `i`-th response, all against one
   /// pinned snapshot.
   std::vector<QueryResponse> ExecuteBatch(
-      std::span<const QueryRequest> requests) const;
+      std::span<const QueryRequest> requests);
 
   uint64_t cache_hits() const { return cache_.hits(); }
   uint64_t cache_misses() const { return cache_.misses(); }
   size_t cache_size() const { return cache_.size(); }
 
-  /// Registers the engine's metric families with `registry`:
-  /// `engine.*` (request/batch counters, batch-size histogram,
-  /// per-pass validate/dedupe/execute timings), `cache.*`
-  /// (hit/miss/evict/size) and `snapshot.*` (epoch, publish count,
-  /// age). The registry must not outlive the engine or its store.
-  /// Recording is always on; registration only exposes the instruments.
-  void RegisterMetrics(MetricsRegistry* registry) const;
+  /// Registers with `registry`, summed (histograms merged) over
+  /// `engines` (non-empty, one store): `engine.*` (request/batch
+  /// counters, batch-size histogram, per-pass validate/dedupe/execute
+  /// timings), `cache.*` (hit/miss/evict/size) and `snapshot.*` (epoch,
+  /// publish count, age). The registry must not outlive the engines or
+  /// their store. Registration only exposes the always-on instruments.
+  static void RegisterMetrics(std::span<const QueryEngine* const> engines,
+                              MetricsRegistry* registry);
 
  private:
   /// Validates `request` against `snapshot`; OK means the payload can
@@ -75,16 +84,14 @@ class QueryEngine {
                              QueryResponse* response);
 
   const SnapshotStore* store_;
-  mutable VerdictCache cache_;
+  VerdictCache cache_;
 
-  // Observability (recorded by const ExecuteBatch, hence mutable; all
-  // instruments are internally thread-safe).
-  mutable Counter requests_;
-  mutable Counter batches_;
-  mutable LatencyHistogram batch_size_;
-  mutable LatencyHistogram validate_ns_;
-  mutable LatencyHistogram dedupe_ns_;
-  mutable LatencyHistogram execute_ns_;
+  // Observability: written by the owning caller, read by `stats` from
+  // any thread (all instruments are internally thread-safe).
+  LatencyHistogram batch_size_;
+  LatencyHistogram validate_ns_;
+  LatencyHistogram dedupe_ns_;
+  LatencyHistogram execute_ns_;
 };
 
 }  // namespace qikey

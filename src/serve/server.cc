@@ -69,14 +69,19 @@ struct TraceRecord {
 
 }  // namespace
 
-/// One event loop: an epoll set, the connections it owns, and the inbox
-/// through which shard 0 hands it newly accepted connections. Everything
-/// but the inbox and `open_conns_` is touched by the shard's own thread
-/// only.
+/// One event loop: an epoll set, the connections it owns, the engine that
+/// answers them, and the inbox through which shard 0 hands it newly
+/// accepted connections. Everything but the inbox, `open_conns_` and the
+/// engine's metrics is touched by the shard's own thread only.
 class ServeServer::Shard {
  public:
-  Shard(ServeServer* server, bool acceptor)
-      : server_(server), acceptor_(acceptor) {}
+  Shard(ServeServer* server, bool acceptor,
+        const QueryEngineOptions& engine_options)
+      : server_(server),
+        acceptor_(acceptor),
+        engine_(server->store_, engine_options) {}
+
+  const QueryEngine& engine() const { return engine_; }
 
   Status Init() {
     epoll_fd_ = OwnedFd(::epoll_create1(EPOLL_CLOEXEC));
@@ -157,6 +162,7 @@ class ServeServer::Shard {
 
   // Shard-thread only.
   std::unordered_map<uint64_t, std::unique_ptr<ServeConn>> conns_;
+  QueryEngine engine_;
 
   // Request-path scratch, reused by every read and batch of every
   // connection of this shard: once grown to the largest batch seen,
@@ -181,10 +187,12 @@ class ServeServer::Shard {
   std::thread thread_;  ///< last: runs over every member above
 };
 
-ServeServer::ServeServer(const QueryEngine* engine, Schema schema,
+ServeServer::ServeServer(const SnapshotStore* store, Schema schema,
+                         const QueryEngineOptions& engine_options,
                          const ServerOptions& options)
-    : engine_(engine),
+    : store_(store),
       schema_(std::move(schema)),
+      engine_options_(engine_options),
       options_(options),
       next_conn_id_(kFirstConnId) {}
 
@@ -208,7 +216,9 @@ Status ServeServer::Start() {
   // One shard per CPU the process may run on.
   size_t count = UsableCpuCount();
   for (size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(this, /*acceptor=*/i == 0));
+    shards_.push_back(std::make_unique<Shard>(
+        this, /*acceptor=*/i == 0,
+        SplitQueryEngineOptions(engine_options_, count, i)));
     QIKEY_RETURN_NOT_OK(shards_.back()->Init());
   }
 
@@ -272,7 +282,9 @@ void ServeServer::RegisterMetrics() {
   registry_->RegisterGauge("server.read_buffer_bytes", &read_buffer_bytes_);
   registry_->RegisterGauge("server.write_buffer_bytes", &write_buffer_bytes_);
   registry_->RegisterHistogram("server.request_ns", &request_ns_);
-  engine_->RegisterMetrics(registry_);
+  std::vector<const QueryEngine*> engines;
+  for (const auto& shard : shards_) engines.push_back(&shard->engine());
+  QueryEngine::RegisterMetrics(engines, registry_);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +574,7 @@ void ServeServer::Shard::Answer(ServeConn* conn,
     // One pinned snapshot per batch: a concurrent Publish never mixes
     // epochs inside it (QueryEngine semantics).
     int64_t execute_start = traces_.empty() ? 0 : NowNs();
-    responses = s.engine_->ExecuteBatch(
+    responses = engine_.ExecuteBatch(
         std::span<const QueryRequest>(requests_.data(), num_requests));
     if (!traces_.empty()) execute_ns = NowNs() - execute_start;
   }

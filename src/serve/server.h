@@ -54,7 +54,7 @@ struct ServerOptions {
   /// force-closing.
   int drain_timeout_ms = 5000;
 
-  /// Registry the server (and its engine) register their metrics with
+  /// Registry the server (and its engines) register their metrics with
   /// at `Start()` — this is what the `stats` wire verb renders. Null
   /// means the server creates and owns a private registry, so `stats`
   /// works with zero wiring; pass one to share it with other exposure
@@ -89,18 +89,19 @@ struct ServerStats {
 
 /// \brief The `qikey serve` front end: non-blocking epoll shard loops
 /// speaking the newline-delimited `QIKEY/1` protocol (see
-/// `serve/protocol.h`) over one shared `QueryEngine`.
+/// `serve/protocol.h`), each with its own `QueryEngine`.
 ///
 /// ## Threading model
 ///
 /// One shard per CPU in the process's affinity mask, each a thread with
 /// its own epoll set that owns its connections end to end and runs every
 /// step of a request inline: `recv` → frame lines → admit or shed →
-/// parse → `QueryEngine::ExecuteBatch` → encode → `send`. Shard 0 also
-/// owns the one listening socket and hands each accepted connection to
-/// the shard with the fewest open connections (ties to the lowest
-/// index) through that shard's inbox. That hand-off is the only thing
-/// that crosses threads; no request does.
+/// parse → `QueryEngine::ExecuteBatch` → encode → `send`, through an
+/// engine whose verdict cache holds the shard's share of the capacity.
+/// Shard 0 also owns the one listening socket and hands each accepted
+/// connection to the shard with the fewest open connections (ties to
+/// the lowest index) through that shard's inbox. That hand-off is the
+/// only thing that crosses threads; no request does.
 ///
 /// ## Backpressure
 ///
@@ -117,8 +118,8 @@ struct ServerStats {
 ///
 /// ## Snapshots
 ///
-/// The server holds no snapshot itself — it serves whatever the
-/// `SnapshotStore` behind its `QueryEngine` currently publishes.
+/// The server holds no snapshot itself — it serves whatever its
+/// `SnapshotStore` currently publishes.
 /// Publishing a new snapshot while serving is safe and instant:
 /// batches already executing finish on their pinned epoch, the next
 /// batch sees the new one (`SnapshotStore` semantics). The schema must
@@ -126,7 +127,7 @@ struct ServerStats {
 ///
 /// ## Lifecycle
 ///
-///   ServeServer server(&engine, schema, options);
+///   ServeServer server(&store, schema, engine_options, options);
 ///   server.Start();              // binds; shard loops running
 ///   ... server.port() ...
 ///   server.Shutdown();           // begin graceful drain (thread-safe)
@@ -137,9 +138,11 @@ struct ServerStats {
 /// CLI translates SIGTERM into exactly this sequence.
 class ServeServer {
  public:
-  /// `engine` (and the store behind it) must outlive the server.
-  /// `schema` is the request-parsing schema — the served snapshot's.
-  ServeServer(const QueryEngine* engine, Schema schema,
+  /// `store` must outlive the server. `schema` is the request-parsing
+  /// schema — the served snapshot's. `engine_options.cache_capacity` is
+  /// the total over all shards' verdict caches.
+  ServeServer(const SnapshotStore* store, Schema schema,
+              const QueryEngineOptions& engine_options,
               const ServerOptions& options);
   ~ServeServer();
 
@@ -177,12 +180,13 @@ class ServeServer {
   class Shard;
 
   /// Registers the server's own metric families (`server.*`) with
-  /// `registry_` and attaches the engine's. Called once from `Start()`
+  /// `registry_` and attaches the engines'. Called once from `Start()`
   /// before any thread exists.
   void RegisterMetrics();
 
-  const QueryEngine* engine_;
+  const SnapshotStore* store_;
   const Schema schema_;
+  const QueryEngineOptions engine_options_;
   ServerOptions options_;
 
   /// Touched by shard 0's thread only once the shards run.

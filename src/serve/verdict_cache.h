@@ -4,31 +4,21 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/attribute_set.h"
 #include "core/filter.h"
-#include "util/mutex.h"
 
 namespace qikey {
 
 /// Options for `VerdictCache`.
 struct VerdictCacheOptions {
-  /// Total retained verdicts across all shards; 0 disables the cache
-  /// (`Lookup` always misses, `Insert` is a no-op). Split over the
-  /// shards so that `size() <= capacity` always holds: each shard gets
-  /// `capacity / shards` slots and the first `capacity % shards` one
-  /// more.
+  /// Retained verdicts; 0 disables the cache (`Lookup` always misses,
+  /// `Insert` is a no-op).
   size_t capacity = 4096;
-  /// Lock shards. Requests hash to a shard by (epoch, attrs), so
-  /// concurrent lookups contend only 1/shards of the time. Clamped to
-  /// [1, capacity] when the cache is enabled.
-  size_t shards = 16;
 };
 
-/// \brief Sharded LRU cache of `is-key` filter verdicts, keyed by
+/// \brief Single-owner LRU cache of `is-key` filter verdicts, keyed by
 /// (snapshot epoch, attribute set).
 ///
 /// The epoch is part of the key, so publishing a new snapshot never
@@ -36,33 +26,36 @@ struct VerdictCacheOptions {
 /// of the LRU. Verdicts are deterministic functions of the snapshot,
 /// so a hit returns exactly what recomputation would — the cache can
 /// change latency, never answers.
+///
+/// Thread safety: one thread (the owning engine's caller) calls `Lookup`
+/// and `Insert`; the counters, single-writer relaxed atomics, may be
+/// read from any thread.
 class VerdictCache {
  public:
-  explicit VerdictCache(const VerdictCacheOptions& options);
+  explicit VerdictCache(const VerdictCacheOptions& options)
+      : capacity_(options.capacity) {}
 
-  bool enabled() const { return !shards_.empty(); }
+  bool enabled() const { return capacity_ > 0; }
 
   /// True (and fills `*verdict`) on a hit; counts hit/miss either way.
   bool Lookup(uint64_t epoch, const AttributeSet& attrs,
               FilterVerdict* verdict);
 
-  /// Records a verdict, evicting the shard's least-recently-used entry
-  /// at capacity. Inserting an existing key refreshes its verdict and
+  /// Records a verdict, evicting the least-recently-used entry at
+  /// capacity. Inserting an existing key refreshes its verdict and
   /// recency. At capacity the evicted entry's list and index nodes are
   /// recycled for the new key (its set assigned in place), so a full
   /// cache inserts without heap allocation.
   void Insert(uint64_t epoch, const AttributeSet& attrs,
               FilterVerdict verdict);
 
-  /// Hit/miss/eviction totals, summed over the per-shard counters
-  /// (each shard counts under its own lock, so the hot path adds no
-  /// shared atomic traffic).
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
-  /// Live entries over all shards (test/diagnostic use; takes each
-  /// shard's lock in turn).
-  size_t size() const;
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t evictions() const {
+    return evictions_.load(std::memory_order_relaxed);
+  }
+  /// Live entries.
+  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
   /// One cached verdict. The list node owns the only copy of the key's
@@ -94,27 +87,21 @@ class VerdictCache {
       return static_cast<size_t>(h);
     }
   };
-  struct Shard {
-    /// This shard's share of the total capacity; set at construction.
-    size_t capacity = 0;
-    /// Shard capability: guards this shard's LRU list, its index, and
-    /// its counters — and nothing of any sibling shard, which is the
-    /// whole point of sharding the lock.
-    Mutex mu;
-    /// Front = most recently used.
-    Lru lru GUARDED_BY(mu);
-    std::unordered_map<KeyRef, Lru::iterator, KeyHash> index GUARDED_BY(mu);
-    /// Bumped while the shard lock is already held (no atomics needed).
-    uint64_t hits GUARDED_BY(mu) = 0;
-    uint64_t misses GUARDED_BY(mu) = 0;
-    uint64_t evictions GUARDED_BY(mu) = 0;
-  };
 
-  Shard& ShardFor(const KeyRef& key);
+  /// Single-writer increment: a relaxed load and store, no RMW.
+  static void Bump(std::atomic<uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Misses recorded while the cache is disabled (no shard to charge).
-  std::atomic<uint64_t> disabled_misses_{0};
+  const size_t capacity_;
+  /// Front = most recently used.
+  Lru lru_;
+  std::unordered_map<KeyRef, Lru::iterator, KeyHash> index_;
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> size_{0};
 };
 
 }  // namespace qikey

@@ -12,6 +12,7 @@
 #include "stream/reservoir.h"
 #include "stream/tuple_sample.h"
 #include "util/logging.h"
+#include "util/mapped_file.h"
 #include "util/thread_pool.h"
 
 namespace qikey {
@@ -270,7 +271,10 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
     const std::string& path, const ShardedBuildOptions& options) {
   size_t threads = ResolveThreads(options.num_threads);
   size_t shards = options.num_shards > 0 ? options.num_shards : threads;
-  Result<CsvShardPlan> plan = PlanCsvShards(path, shards, options.csv);
+  // Planning and every range walk read this one text: a FIFO is read once.
+  Result<FileText> file = FileText::Open(path, "cannot open: ");
+  if (!file.ok()) return file.status();
+  Result<CsvShardPlan> plan = PlanCsvShards(file->view(), shards, options.csv);
   if (!plan.ok()) return plan.status();
   if (plan->total_rows < 2) {
     return Status::InvalidArgument("CSV has fewer than two data rows");
@@ -296,7 +300,7 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
                                    static_cast<uint32_t>(i), range.first_row,
                                    seeds[i]);
       Status st = ForEachCsvRecordInRange(
-          path, range, options.csv, [&](std::string_view record) {
+          file->view(), range, options.csv, [&](std::string_view record) {
             return builder.OfferRecord(record);
           });
       if (st.ok()) {

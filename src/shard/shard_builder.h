@@ -88,9 +88,10 @@ class ShardArtifactBuilder {
 Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
     const Dataset& dataset, const ShardedBuildOptions& options);
 
-/// \brief Scale-out CSV construction: plans record-aligned byte ranges
-/// (`PlanCsvShards`), then samples every range on its own worker through
-/// a `ShardArtifactBuilder`, which splits and encodes only the records
+/// \brief Scale-out CSV construction: opens the file once (`FileText`),
+/// plans record-aligned byte ranges of its text (`PlanCsvShards`), then
+/// samples every range on its own worker through a
+/// `ShardArtifactBuilder`, which splits and encodes only the records
 /// its reservoirs keep. Per-worker memory is `O(sample + dictionary of
 /// the sampled values)`, not `O(rows)`.
 Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(

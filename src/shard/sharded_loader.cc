@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -9,7 +10,6 @@
 
 #include "data/dataset_builder.h"
 #include "data/schema.h"
-#include "util/mapped_file.h"
 
 namespace qikey {
 
@@ -18,8 +18,18 @@ namespace {
 constexpr size_t kIoBufferBytes = size_t{1} << 18;  // 256 KiB
 constexpr size_t kMaxBoundaryMarks = size_t{1} << 16;
 constexpr size_t kDefaultShardRows = size_t{1} << 16;
-/// The shard readers' error prefix for a file they cannot open.
-constexpr std::string_view kCannotOpen = "cannot open: ";
+
+/// Opens `path` for `WalkCsvRecords`, refusing a directory by name as
+/// `FileText` does (a stream opens one, then fails to read).
+Status OpenCsvStream(const std::string& path, std::ifstream* in) {
+  std::error_code error;
+  if (std::filesystem::is_directory(path, error)) {
+    return Status::IOError("is a directory: " + path);
+  }
+  in->open(path, std::ios::binary);
+  if (!*in) return Status::IOError("cannot open: " + path);
+  return Status::OK();
+}
 
 /// Walks a stream record by record through a sliding buffer, for the
 /// readers that must accept pipes (`ShardedLoader`) or need only the
@@ -70,15 +80,11 @@ std::vector<std::string> NamesFromFirstRecord(
 
 }  // namespace
 
-Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
+Result<CsvShardPlan> PlanCsvShards(std::string_view text, size_t num_shards,
                                    const CsvOptions& options) {
   if (num_shards == 0) {
     return Status::InvalidArgument("need at least one shard");
   }
-  Result<FileText> file = FileText::Open(path, kCannotOpen);
-  if (!file.ok()) return file.status();
-  const std::string_view text = file->view();
-
   CsvShardPlan plan;
   CsvFieldSplitter splitter(options);
   bool names_known = false;
@@ -114,9 +120,7 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
     ++data_rows;
     end_offset = offset;
   }
-  if (!names_known) {
-    return Status::InvalidArgument("CSV has no records: " + path);
-  }
+  if (!names_known) return Status::InvalidArgument("CSV has no records");
   plan.total_rows = data_rows;
   if (data_rows == 0) return plan;
 
@@ -166,8 +170,8 @@ Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
 
 Result<std::vector<std::string>> ReadCsvAttributeNames(
     const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
+  std::ifstream in;
+  QIKEY_RETURN_NOT_OK(OpenCsvStream(path, &in));
   std::vector<std::string> names;
   CsvFieldSplitter splitter(options);
   Status walk = WalkCsvRecords(
@@ -184,12 +188,9 @@ Result<std::vector<std::string>> ReadCsvAttributeNames(
 }
 
 Status ForEachCsvRecordInRange(
-    const std::string& path, const ShardRange& range,
+    std::string_view text, const ShardRange& range,
     const CsvOptions& options,
     const std::function<Status(std::string_view record)>& fn) {
-  Result<FileText> file = FileText::Open(path, kCannotOpen);
-  if (!file.ok()) return file.status();
-  const std::string_view text = file->view();
   uint64_t remaining = range.num_rows;
   uint64_t offset = range.byte_begin;
   CsvRecord record;
@@ -209,8 +210,8 @@ Status ForEachCsvRecordInRange(
 Result<ShardedIngestStats> ShardedLoader::Load(
     const std::string& path, const std::function<Status(ShardInput)>& consumer,
     const std::function<uint64_t()>& consumer_tracked) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
+  std::ifstream in;
+  QIKEY_RETURN_NOT_OK(OpenCsvStream(path, &in));
 
   ShardedIngestStats stats;
   // Chunk sizing: an explicit row cap wins; otherwise a budget caps the

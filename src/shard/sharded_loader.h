@@ -33,38 +33,38 @@ struct CsvShardPlan {
   std::vector<ShardRange> ranges;
 };
 
-/// \brief Single quote-aware pass over `path` that locates record
-/// boundaries and splits the data records into (up to) `num_shards`
-/// contiguous ranges, each with at least two rows.
+/// \brief Single quote-aware pass over a CSV file's `text` that locates
+/// record boundaries and splits the data records into (up to)
+/// `num_shards` contiguous ranges, each with at least two rows.
 ///
-/// The file is mapped (`FileText`), not copied; its pages count in RSS
-/// during the pass as clean, reclaimable page cache. The plan's own
-/// memory is bounded: boundary candidates are kept as stride-compacted
+/// The caller opens the file once (`FileText`: a mapping of a regular
+/// file, the bytes of a pipe) and walks every range over that same text
+/// with `ForEachCsvRecordInRange`. The plan's own memory is bounded: boundary candidates are kept as stride-compacted
 /// marks (the stride doubles whenever 64Ki marks accumulate), so shard
 /// boundaries land within one stride of the ideal even split. The scan
 /// does not parse fields — it finds record ends with `NextCsvRecord`
 /// (`memchr`, plus quote tracking for records that hold a quote) — and
 /// is several times cheaper than a full parse, which is what makes the
 /// parse itself worth fanning out over the ranges afterwards.
-Result<CsvShardPlan> PlanCsvShards(const std::string& path, size_t num_shards,
+Result<CsvShardPlan> PlanCsvShards(std::string_view text, size_t num_shards,
                                    const CsvOptions& options = {});
 
 /// Attribute names of a CSV file — the header record, or anonymous
 /// names matching the first record's width. Reads one record, not the
-/// file.
+/// file. A directory is an IOError ("is a directory: PATH").
 Result<std::vector<std::string>> ReadCsvAttributeNames(
     const std::string& path, const CsvOptions& options = {});
 
-/// \brief Streams the data records of `range` (in file order), invoking
-/// `fn` with each record's text: a view into the mapped file, valid for
-/// the call, with its terminator removed (see `CsvRecord::text`). The
-/// walker locates records but never splits them; callers split (with a
-/// `CsvFieldSplitter`) only what they need. Blank records are skipped;
-/// reads stop at `range.byte_end` / `range.num_rows`. Each call maps the
-/// file itself and touches only its range's pages, so ranges can be
-/// consumed from concurrent workers.
+/// \brief Streams the data records of `range` (in file order) out of
+/// the `text` the plan was made from, invoking `fn` with each record's
+/// text: a view into `text`, with its terminator removed (see
+/// `CsvRecord::text`). The walker locates records but never splits
+/// them; callers split (with a `CsvFieldSplitter`) only what they need.
+/// Blank records are skipped; reads stop at `range.byte_end` /
+/// `range.num_rows`. A call touches only its range's bytes, so ranges
+/// can be consumed from concurrent workers.
 Status ForEachCsvRecordInRange(
-    const std::string& path, const ShardRange& range,
+    std::string_view text, const ShardRange& range,
     const CsvOptions& options,
     const std::function<Status(std::string_view record)>& fn);
 
@@ -114,6 +114,7 @@ class ShardedLoader {
   explicit ShardedLoader(const ShardedLoaderOptions& options)
       : options_(options) {}
 
+  /// `path` may be a pipe; a directory is an IOError ("is a directory").
   Result<ShardedIngestStats> Load(
       const std::string& path,
       const std::function<Status(ShardInput)>& consumer,

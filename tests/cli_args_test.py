@@ -17,9 +17,11 @@ where `--eps 0` then fed the Θ(m/ε) pair-count computation).
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
 
 def run(argv):
@@ -71,6 +73,9 @@ def main():
         # a directory is a load error, not an abort
         (qikey, ["discover", tmp], 1, "is a directory"),
         (qikey, ["query", tmp, "--requests", good_requests], 1,
+         "is a directory"),
+        # the sliding-buffer (out-of-core) reader names it too
+        (qikey, ["discover", tmp, "--memory-budget", "8"], 1,
          "is a directory"),
         (qikey, ["query", people, "--requests",
                  os.path.join(tmp, "missing_requests.txt")], 1,
@@ -240,11 +245,38 @@ def main():
         elif want_exit == 2 and not err.strip():
             failures.append(f"{label}\n  exit 2 with empty stderr")
 
+    # A FIFO is read once: the sharded build must plan and walk its
+    # ranges over that one read. Opening the path again blocks forever
+    # in open(2), waiting for a writer that has already gone.
+    for mode in (["--shards", "2"], ["--memory-budget", "8"]):
+        fifo = os.path.join(tmp, "people.fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as out, open(people) as src:
+                shutil.copyfileobj(src, out)
+
+        threading.Thread(target=feed, daemon=True).start()
+        label = " ".join(["qikey", "discover", fifo] + mode)
+        try:
+            proc = subprocess.run([qikey, "discover", fifo] + mode,
+                                  capture_output=True, text=True, timeout=20)
+            if proc.returncode != 0 or "{last}" not in proc.stdout:
+                failures.append(
+                    f"{label}\n  exit {proc.returncode}, want 0 and key "
+                    f"{{last}}\n  stdout: {proc.stdout.strip()[:200]}\n"
+                    f"  stderr: {proc.stderr.strip()[:200]}")
+        except subprocess.TimeoutExpired:
+            failures.append(f"{label}\n  hung (killed after 20 s)")
+        os.remove(fifo)
+
+    checked = len(cases) + 2
+    shutil.rmtree(tmp, ignore_errors=True)
     if failures:
-        print(f"{len(failures)} of {len(cases)} case(s) failed:\n")
+        print(f"{len(failures)} of {checked} case(s) failed:\n")
         print("\n\n".join(failures))
         return 1
-    print(f"ok: all {len(cases)} CLI argument cases behaved")
+    print(f"ok: all {checked} CLI argument cases behaved")
     return 0
 
 

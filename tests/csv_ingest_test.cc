@@ -23,8 +23,10 @@
 #include "data/csv_loader_internal.h"
 #include "data/generators/tabular.h"
 #include "engine/pipeline.h"
+#include "shard/shard_builder.h"
 #include "shard/sharded_loader.h"
 #include "util/csv.h"
+#include "util/mapped_file.h"
 #include "util/rng.h"
 
 namespace qikey {
@@ -90,13 +92,16 @@ std::vector<std::vector<std::string>> RangeRows(const std::string& path,
                                                 size_t shards,
                                                 const CsvOptions& options) {
   std::vector<std::vector<std::string>> rows;
-  Result<CsvShardPlan> plan = PlanCsvShards(path, shards, options);
+  Result<FileText> text = FileText::Open(path);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  if (!text.ok()) return rows;
+  Result<CsvShardPlan> plan = PlanCsvShards(text->view(), shards, options);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return rows;
   CsvFieldSplitter splitter(options);
   for (const ShardRange& range : plan->ranges) {
     Status st = ForEachCsvRecordInRange(
-        path, range, options, [&](std::string_view record) {
+        text->view(), range, options, [&](std::string_view record) {
           std::span<const std::string_view> fields = splitter.Split(record);
           rows.emplace_back(fields.begin(), fields.end());
           return Status::OK();
@@ -389,7 +394,9 @@ void ExpectFileReadersMatchOracle(const std::string& text) {
   Result<CsvTable> table = csv_oracle::Parse(text, CsvOptions{});
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(DescribeTable(ReadCsvFile(path)), DescribeTable(table));
-  Result<CsvShardPlan> plan = PlanCsvShards(path, 2);
+  Result<FileText> file = FileText::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  Result<CsvShardPlan> plan = PlanCsvShards(file->view(), 2);
   if (table->header.empty()) {
     ASSERT_FALSE(plan.ok());
     EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
@@ -429,12 +436,14 @@ TEST(CsvIngestTest, LoadingADirectoryIsAnIoError) {
   };
   expect_directory_error(LoadCsvDataset(dir).status());
   expect_directory_error(ReadCsvFile(dir).status());
-  expect_directory_error(PlanCsvShards(dir, 2).status());
-  ShardRange range;
-  range.num_rows = 1;
-  expect_directory_error(ForEachCsvRecordInRange(
-      dir, range, CsvOptions{},
-      [](std::string_view) { return Status::OK(); }));
+  expect_directory_error(FileText::Open(dir).status());
+  expect_directory_error(
+      BuildShardArtifactsFromCsv(dir, ShardedBuildOptions{}).status());
+  // The sliding-buffer readers, which also accept pipes.
+  expect_directory_error(ReadCsvAttributeNames(dir).status());
+  ShardedLoader loader(ShardedLoaderOptions{});
+  expect_directory_error(
+      loader.Load(dir, [](ShardInput) { return Status::OK(); }).status());
 }
 
 TEST(CsvIngestTest, FifoInputIsStreamed) {
@@ -461,10 +470,20 @@ TEST(CsvIngestTest, FifoInputIsStreamed) {
               return ReadCsvFile(path);
             })),
             DescribeTable(csv_oracle::Parse(text, CsvOptions{})));
-  Result<CsvShardPlan> plan = through_fifo(
-      [](const std::string& path) { return PlanCsvShards(path, 1); });
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->total_rows, 2u);
+  // The sharded build plans and walks its ranges over one read of the
+  // FIFO: a second open would block forever, waiting for a writer.
+  ShardedBuildOptions build;
+  build.num_shards = 2;
+  Result<std::vector<ShardFilterArtifact>> artifacts =
+      through_fifo([&](const std::string& path) {
+        return BuildShardArtifactsFromCsv(path, build);
+      });
+  ASSERT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+  uint64_t rows = 0;
+  for (const ShardFilterArtifact& artifact : *artifacts) {
+    rows += artifact.rows_seen;
+  }
+  EXPECT_EQ(rows, 2u);
 }
 
 TEST(CsvIngestTest, NothingBorrowsFromTheFileAfterTheReaderReturns) {
@@ -476,7 +495,12 @@ TEST(CsvIngestTest, NothingBorrowsFromTheFileAfterTheReaderReturns) {
   const std::string path = WriteTemp("lifetime.csv", text);
   Result<Dataset> loaded = LoadCsvDataset(path);
   Result<CsvTable> parsed = ReadCsvFile(path);
-  Result<CsvShardPlan> plan = PlanCsvShards(path, 3);
+  Result<CsvShardPlan> plan = Status::Internal("not planned");
+  {
+    Result<FileText> text = FileText::Open(path);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    plan = PlanCsvShards(text->view(), 3);
+  }
   ASSERT_TRUE(loaded.ok() && parsed.ok() && plan.ok());
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

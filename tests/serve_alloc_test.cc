@@ -26,6 +26,7 @@
 #include "serve/snapshot.h"
 #include "util/net.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define QIKEY_SANITIZED_ALLOCATOR 1
@@ -153,11 +154,16 @@ TEST(ServeAllocTest, PipelinedIsKeyStaysUnderTwoAllocationsPerRequest) {
 
   QueryEngineOptions eopts;
   eopts.cache_capacity = 512;
-  QueryEngine engine(&store, eopts);
   ServerOptions sopts;
   sopts.listen = {"127.0.0.1", 0};
-  ServeServer server(&engine, data.schema(), sopts);
+  ServeServer server(&store, data.schema(), eopts, sopts);
   ASSERT_TRUE(server.Start().ok());
+  // The one connection lands on the first shard loop, whose engine
+  // holds the largest share of the capacity.
+  const size_t loops = UsableCpuCount();
+  const int64_t first_share = static_cast<int64_t>(
+      SplitQueryEngineOptions(eopts, loops, 0).cache_capacity);
+
 
   const Schema& schema = data.schema();
   constexpr size_t kWarmup = 64 * kBatch;
@@ -199,7 +205,8 @@ TEST(ServeAllocTest, PipelinedIsKeyStaysUnderTwoAllocationsPerRequest) {
   for (size_t begin = 0; begin < kWarmup; begin += kBatch) {
     ASSERT_TRUE(RoundTripBatch(client.fd(), wire, line_end, begin, &received));
   }
-  ASSERT_EQ(engine.cache_size(), eopts.cache_capacity) << "cache not full";
+  ASSERT_EQ(server.metrics()->SnapshotAll().gauges["cache.size"], first_share)
+      << "cache not full";
 
   const uint64_t before = g_allocations.load();
   for (size_t begin = kWarmup; begin < kWarmup + kMeasured; begin += kBatch) {
@@ -221,7 +228,9 @@ TEST(ServeAllocTest, PipelinedIsKeyStaysUnderTwoAllocationsPerRequest) {
   std::printf("allocations per is-key request: %.3f (%llu over %zu)\n",
               per_request, static_cast<unsigned long long>(allocations),
               kMeasured);
-  EXPECT_GT(engine.cache_misses(), kMeasured / 2) << "workload mostly hits";
+  EXPECT_GT(server.metrics()->SnapshotAll().counters["cache.misses"],
+            kMeasured / 2)
+      << "workload mostly hits";
   EXPECT_LT(per_request, 2.0);
 #endif
 }

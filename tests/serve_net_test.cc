@@ -327,11 +327,12 @@ Dataset MakeKeyedData(size_t rows, uint64_t seed) {
       Schema({"id", "c1", "c2", "c3", "c4", "c5"}), std::move(columns));
 }
 
-/// Store + engine + running server over one published pipeline
-/// snapshot; tears everything down in order.
+/// Store + running server over one published pipeline snapshot; tears
+/// everything down in order.
 struct TestServer {
   explicit TestServer(ServerOptions options = {}, bool publish = true,
-                      size_t rows = 96) {
+                      size_t rows = 96,
+                      const QueryEngineOptions& engine_options = {}) {
     data = std::make_unique<Dataset>(MakeKeyedData(rows, /*seed=*/7));
     if (publish) {
       PipelineOptions popts;
@@ -344,10 +345,9 @@ struct TestServer {
       auto epoch = store.Publish(std::move(*snapshot));
       EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
     }
-    engine = std::make_unique<QueryEngine>(&store, QueryEngineOptions{});
     options.listen = {"127.0.0.1", 0};
-    server = std::make_unique<ServeServer>(engine.get(), data->schema(),
-                                           options);
+    server = std::make_unique<ServeServer>(&store, data->schema(),
+                                           engine_options, options);
     Status started = server->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
@@ -375,7 +375,6 @@ struct TestServer {
 
   std::unique_ptr<Dataset> data;
   SnapshotStore store;
-  std::unique_ptr<QueryEngine> engine;
   std::unique_ptr<ServeServer> server;
 };
 
@@ -456,10 +455,11 @@ std::vector<std::string> MakeWireWorkload(const Schema& schema, size_t count,
 }
 
 /// What the server MUST answer for `lines`: parse with the shared
-/// parser, execute directly on the engine, encode with the shared
-/// encoder. Any divergence on the socket is a codec fork.
+/// parser, execute directly on a cache-less engine over `store`, encode
+/// with the shared encoder. Any divergence on the socket is a codec
+/// fork.
 std::vector<std::string> ExpectedResponses(
-    const QueryEngine& engine, const Schema& schema,
+    const SnapshotStore& store, const Schema& schema,
     const std::vector<std::string>& lines) {
   std::vector<QueryRequest> requests;
   for (const std::string& line : lines) {
@@ -467,6 +467,9 @@ std::vector<std::string> ExpectedResponses(
     EXPECT_TRUE(request.ok()) << line << ": " << request.status().ToString();
     requests.push_back(std::move(*request));
   }
+  QueryEngineOptions cache_off;
+  cache_off.cache_capacity = 0;
+  QueryEngine engine(&store, cache_off);
   std::vector<QueryResponse> responses = engine.ExecuteBatch(requests);
   std::vector<std::string> expected;
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -484,7 +487,7 @@ TEST(ServeNetTest, PipelinedClientGetsBitIdenticalResponses) {
   const Schema& schema = ts.data->schema();
   std::vector<std::string> lines = MakeWireWorkload(schema, 60, 21);
   std::vector<std::string> expected =
-      ExpectedResponses(*ts.engine, schema, lines);
+      ExpectedResponses(ts.store, schema, lines);
 
   BlockingLineClient client = ts.Connect();
   std::string blob;
@@ -509,7 +512,7 @@ TEST(ServeNetTest, MoreClientsThanShardsEachBitIdentical) {
   for (size_t c = 0; c < kClients; ++c) {
     all_lines.push_back(MakeWireWorkload(schema, kLines, 100 + c));
     all_expected.push_back(
-        ExpectedResponses(*ts.engine, schema, all_lines.back()));
+        ExpectedResponses(ts.store, schema, all_lines.back()));
   }
 
   std::vector<std::string> failures(kClients);
@@ -619,7 +622,7 @@ TEST(ServeNetTest, FloodIsShedInOrderWithErrOverloadNeverUnbounded) {
   constexpr size_t kFlood = 64;
   std::vector<std::string> lines = MakeWireWorkload(schema, kFlood, 77);
   std::vector<std::string> expected =
-      ExpectedResponses(*ts.engine, schema, lines);
+      ExpectedResponses(ts.store, schema, lines);
   BlockingLineClient client = ts.Connect();
   std::string blob;
   for (const std::string& line : lines) blob += line + "\n";
@@ -766,10 +769,7 @@ TEST(ServeNetTest, SnapshotFileReplacedUnderLiveMappingKeepsServing) {
   auto expected_from = [&](ServeSnapshot snapshot) {
     SnapshotStore store;
     EXPECT_TRUE(store.Publish(std::move(snapshot)).ok());
-    QueryEngineOptions eopts;
-    eopts.cache_capacity = 0;
-    QueryEngine engine(&store, eopts);
-    return ExpectedResponses(engine, schema, lines);
+    return ExpectedResponses(store, schema, lines);
   };
   const std::vector<std::string> want_big = expected_from(big);
   const std::vector<std::string> want_small = expected_from(small);
@@ -833,7 +833,7 @@ TEST(ServeNetTest, GracefulDrainAnswersEverythingAdmittedThenCloses) {
   const Schema& schema = ts.data->schema();
   std::vector<std::string> lines = MakeWireWorkload(schema, 24, 33);
   std::vector<std::string> expected =
-      ExpectedResponses(*ts.engine, schema, lines);
+      ExpectedResponses(ts.store, schema, lines);
 
   BlockingLineClient client = ts.Connect();
   std::string blob;
@@ -1067,6 +1067,57 @@ TEST(ServeNetTest, StatsSnapshotIsBitStableAcrossIdenticalRuns) {
   std::string second = NormalizeTimings(run(lines));
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+/// The integer value rendered for `name` in a `stats` JSON line.
+int64_t StatsValue(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from " << json;
+  return at == std::string::npos ? -1 : std::stoll(json.substr(at + key.size()));
+}
+
+TEST(ServeNetTest, StatsSumCacheCountsOverEveryShardEngine) {
+  // Each shard loop owns an engine with its share of the --cache total.
+  // `stats` must still read as one server: every is-key request is one
+  // lookup (hit or miss) on the engine of the loop that answered it,
+  // and the loops together never hold more than the total.
+  QueryEngineOptions engine_options;
+  engine_options.cache_capacity = 5;
+  TestServer ts(ServerOptions{}, /*publish=*/true, /*rows=*/96,
+                engine_options);
+  const std::vector<std::string> sets = {"c1",    "c2",    "c1,c2", "c3",
+                                         "c1,c3", "c2,c3", "c4",    "c1,c4",
+                                         "c5",    "c2,c5", "id",    "c3,c4,c5"};
+  constexpr size_t kClients = 3;
+  std::vector<BlockingLineClient> clients;
+  for (size_t c = 0; c < kClients; ++c) clients.push_back(ts.Connect());
+  int64_t sent = 0;
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t c = 0; c < kClients; ++c) {
+      for (size_t i = c; i < sets.size(); ++i) {
+        // Each set twice in a row: the repeat hits on any loop whose
+        // share holds at least one entry.
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          ASSERT_TRUE(clients[c].SendLine("is-key " + sets[i]).ok());
+          auto got = clients[c].RecvLine();
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got->rfind("ok ", 0), 0u) << *got;
+          ++sent;
+        }
+      }
+      ASSERT_TRUE(clients[c].SendLine("min-key").ok());  // not a lookup
+      ASSERT_TRUE(clients[c].RecvLine().ok());
+    }
+  }
+  ASSERT_TRUE(clients[1].SendLine("stats").ok());
+  auto stats = clients[1].RecvLine();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const int64_t hits = StatsValue(*stats, "cache.hits");
+  EXPECT_EQ(hits + StatsValue(*stats, "cache.misses"), sent) << *stats;
+  EXPECT_GE(hits, sent / 2) << *stats;
+  EXPECT_LE(StatsValue(*stats, "cache.size"), 5) << *stats;
+  EXPECT_GT(StatsValue(*stats, "cache.size"), 0) << *stats;
 }
 
 TEST(ServeNetTest, TraceSampleEmitsPerStageTimings) {

@@ -121,21 +121,43 @@ void ExpectSameAnswers(const std::vector<QueryResponse>& a,
   }
 }
 
-/// Answers `workload` with `callers` threads sharing `engine`: each
-/// thread runs one `ExecuteBatch` over its contiguous share, the way
-/// the server's shard loops and `qikey query --threads` call it.
-std::vector<QueryResponse> ExecuteWithCallers(
-    const QueryEngine& engine, std::span<const QueryRequest> workload,
+/// Caller `c`'s contiguous share of `workload` among `callers`.
+std::span<const QueryRequest> CallerShare(
+    std::span<const QueryRequest> workload, size_t callers, size_t c) {
+  size_t lo = workload.size() * c / callers;
+  size_t hi = workload.size() * (c + 1) / callers;
+  return workload.subspan(lo, hi - lo);
+}
+
+/// One engine per caller over `store`, splitting `options`' cache
+/// capacity between them as the server splits it between shard loops.
+std::vector<std::unique_ptr<QueryEngine>> MakeCallerEngines(
+    const SnapshotStore& store, const QueryEngineOptions& options,
     size_t callers) {
+  std::vector<std::unique_ptr<QueryEngine>> engines;
+  for (size_t c = 0; c < callers; ++c) {
+    engines.push_back(std::make_unique<QueryEngine>(
+        &store, SplitQueryEngineOptions(options, callers, c)));
+  }
+  return engines;
+}
+
+/// Answers `workload` with one thread per engine: thread `c` runs one
+/// `ExecuteBatch` over its contiguous share through `engines[c]`, the
+/// way the server's shard loops and `qikey query --threads` chunks call
+/// their own engines.
+std::vector<QueryResponse> ExecuteWithCallers(
+    std::span<const std::unique_ptr<QueryEngine>> engines,
+    std::span<const QueryRequest> workload) {
   std::vector<QueryResponse> responses(workload.size());
   std::vector<std::thread> threads;
-  for (size_t c = 0; c < callers; ++c) {
+  for (size_t c = 0; c < engines.size(); ++c) {
     threads.emplace_back([&, c] {
-      size_t lo = workload.size() * c / callers;
-      size_t hi = workload.size() * (c + 1) / callers;
-      std::vector<QueryResponse> share =
-          engine.ExecuteBatch(workload.subspan(lo, hi - lo));
-      std::move(share.begin(), share.end(), responses.begin() + lo);
+      std::span<const QueryRequest> share =
+          CallerShare(workload, engines.size(), c);
+      std::vector<QueryResponse> answers = engines[c]->ExecuteBatch(share);
+      std::move(answers.begin(), answers.end(),
+                responses.begin() + (share.data() - workload.data()));
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -143,7 +165,7 @@ std::vector<QueryResponse> ExecuteWithCallers(
 }
 
 /// Distinct attribute sets among the is-key requests of `workload`.
-size_t DistinctIsKeySets(const std::vector<QueryRequest>& workload) {
+size_t DistinctIsKeySets(std::span<const QueryRequest> workload) {
   std::vector<AttributeSet> seen;
   for (const QueryRequest& request : workload) {
     if (request.kind == QueryKind::kIsKey &&
@@ -210,19 +232,23 @@ TEST(QueryEngineTest, DeterministicAcrossThreadsAndCache) {
   QueryEngine baseline(&store, serial);
   std::vector<QueryResponse> expected = baseline.ExecuteBatch(workload);
 
-  // Concurrent callers share one engine (and its cache).
+  // Concurrent callers, each with its own engine (and cache).
   for (size_t callers : {1u, 4u, 8u}) {
     for (size_t cache : {0u, 4096u}) {
       QueryEngineOptions options;
       options.cache_capacity = cache;
-      QueryEngine engine(&store, options);
+      std::vector<std::unique_ptr<QueryEngine>> engines =
+          MakeCallerEngines(store, options, callers);
       // Twice: the second round answers is-key from the cache when on.
-      ExpectSameAnswers(expected,
-                        ExecuteWithCallers(engine, workload, callers));
-      ExpectSameAnswers(expected,
-                        ExecuteWithCallers(engine, workload, callers));
-      EXPECT_EQ(engine.cache_size(), cache == 0 ? 0u : distinct)
-          << callers << " callers";
+      ExpectSameAnswers(expected, ExecuteWithCallers(engines, workload));
+      ExpectSameAnswers(expected, ExecuteWithCallers(engines, workload));
+      for (size_t c = 0; c < callers; ++c) {
+        EXPECT_EQ(engines[c]->cache_size(),
+                  cache == 0 ? 0u
+                             : DistinctIsKeySets(
+                                   CallerShare(workload, callers, c)))
+            << callers << " callers, engine " << c;
+      }
     }
   }
 }
@@ -262,11 +288,15 @@ TEST(QueryEngineTest, DedupeOfRepeatedSetsMatchesPerRequestExecute) {
     for (size_t cache : {0u, 4096u}) {
       QueryEngineOptions options;
       options.cache_capacity = cache;
-      QueryEngine engine(&store, options);
-      ExpectSameAnswers(expected,
-                        ExecuteWithCallers(engine, workload, callers));
-      EXPECT_EQ(engine.cache_size(), cache == 0 ? 0u : distinct.size())
-          << callers << " callers";
+      std::vector<std::unique_ptr<QueryEngine>> engines =
+          MakeCallerEngines(store, options, callers);
+      ExpectSameAnswers(expected, ExecuteWithCallers(engines, workload));
+      // Every caller's share of 250+ draws holds all 7 sets.
+      for (size_t c = 0; c < callers; ++c) {
+        EXPECT_EQ(engines[c]->cache_size(),
+                  cache == 0 ? 0u : distinct.size())
+            << callers << " callers, engine " << c;
+      }
     }
   }
 }
@@ -566,7 +596,6 @@ TEST(RequestParsingTest, FileBodySkipsCommentsAndNamesBadLines) {
 TEST(VerdictCacheTest, LruEvictionAndEpochKeying) {
   VerdictCacheOptions options;
   options.capacity = 2;
-  options.shards = 1;
   VerdictCache cache(options);
   AttributeSet a = AttributeSet::FromIndices(4, {0});
   AttributeSet b = AttributeSet::FromIndices(4, {1});
@@ -595,35 +624,47 @@ TEST(VerdictCacheTest, LruEvictionAndEpochKeying) {
 }
 
 TEST(VerdictCacheTest, SizeNeverExceedsCapacity) {
-  // Capacity is split over the lock shards; no rounding may let the
-  // shards together hold more than the configured total.
   for (size_t capacity : {1u, 17u, 100u, 4096u}) {
-    for (size_t shards : {1u, 16u, 64u}) {
-      VerdictCacheOptions options;
-      options.capacity = capacity;
-      options.shards = shards;
-      VerdictCache cache(options);
-      for (uint32_t i = 1; i <= 20000; ++i) {
-        AttributeSet attrs(16);
-        for (AttributeIndex a = 0; a < 16; ++a) {
-          if (i & (1u << a)) attrs.Add(a);
-        }
-        cache.Insert(1, attrs, FilterVerdict::kAccept);
-        if (i % 64 == 0) {
-          ASSERT_LE(cache.size(), capacity)
-              << capacity << "/" << shards << " after " << i;
-        }
+    VerdictCacheOptions options;
+    options.capacity = capacity;
+    VerdictCache cache(options);
+    for (uint32_t i = 1; i <= 20000; ++i) {
+      AttributeSet attrs(16);
+      for (AttributeIndex a = 0; a < 16; ++a) {
+        if (i & (1u << a)) attrs.Add(a);
       }
-      // 20,000 distinct keys fill every shard to its share exactly.
-      EXPECT_EQ(cache.size(), capacity) << capacity << "/" << shards;
-      EXPECT_EQ(cache.evictions(), 20000u - capacity)
-          << capacity << "/" << shards;
+      cache.Insert(1, attrs, FilterVerdict::kAccept);
+      if (i % 64 == 0) {
+        ASSERT_LE(cache.size(), capacity) << capacity << " after " << i;
+      }
+    }
+    // 20,000 distinct keys fill the cache exactly.
+    EXPECT_EQ(cache.size(), capacity) << capacity;
+    EXPECT_EQ(cache.evictions(), 20000u - capacity) << capacity;
+  }
+}
+
+TEST(QueryEngineTest, SplitCacheCapacitySumsToTheTotal) {
+  // The server and `qikey query --threads` split one --cache total over
+  // their engines; no rounding may let them hold more (or less).
+  for (size_t capacity : {0u, 1u, 17u, 100u, 4096u}) {
+    for (size_t count : {1u, 3u, 16u, 64u}) {
+      QueryEngineOptions total;
+      total.cache_capacity = capacity;
+      size_t sum = 0;
+      for (size_t i = 0; i < count; ++i) {
+        size_t share =
+            SplitQueryEngineOptions(total, count, i).cache_capacity;
+        EXPECT_LE(share, capacity / count + 1) << capacity << "/" << count;
+        sum += share;
+      }
+      EXPECT_EQ(sum, capacity) << capacity << "/" << count;
     }
   }
 }
 
-/// The textbook LRU the cache must reproduce: one std::list per lock
-/// shard, searched linearly, erasing and re-inserting on every touch.
+/// The textbook LRU the cache must reproduce: one std::list, searched
+/// linearly, erasing and re-inserting on every touch.
 class ReferenceLru {
  public:
   explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
@@ -677,10 +718,8 @@ class ReferenceLru {
 };
 
 TEST(VerdictCacheTest, RecycledNodesMatchReferenceLru) {
-  // One lock shard, so the whole cache is one LRU the model mirrors.
   VerdictCacheOptions options;
   options.capacity = 24;
-  options.shards = 1;
   VerdictCache cache(options);
   ReferenceLru model(options.capacity);
   Rng rng(20);

@@ -27,6 +27,7 @@
 #include "stream/pair_slots.h"
 #include "stream/reservoir.h"
 #include "util/csv.h"
+#include "util/mapped_file.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -301,8 +302,10 @@ TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
   ASSERT_TRUE(whole.ok());
   ASSERT_EQ(whole->num_rows(), 7u);
 
+  auto text = FileText::Open(path);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
   for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
-    auto plan = PlanCsvShards(path, shards);
+    auto plan = PlanCsvShards(text->view(), shards);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     EXPECT_EQ(plan->total_rows, 7u);
     EXPECT_EQ(plan->attribute_names,
@@ -315,7 +318,7 @@ TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
       covered += range.num_rows;
       CsvFieldSplitter splitter(CsvOptions{});
       Status st = ForEachCsvRecordInRange(
-          path, range, CsvOptions{}, [&](std::string_view record) {
+          text->view(), range, CsvOptions{}, [&](std::string_view record) {
             std::span<const std::string_view> fields = splitter.Split(record);
             collected.emplace_back(fields.begin(), fields.end());
             return Status::OK();
@@ -673,8 +676,10 @@ ShardSample SampleOf(const ShardFilterArtifact& artifact) {
 /// `Dataset::FormatRow` text.
 Result<std::vector<ShardSample>> BuildEveryRecord(
     const std::string& path, const ShardedBuildOptions& options) {
+  Result<FileText> text = FileText::Open(path);
+  if (!text.ok()) return text.status();
   Result<CsvShardPlan> plan =
-      PlanCsvShards(path, options.num_shards, options.csv);
+      PlanCsvShards(text->view(), options.num_shards, options.csv);
   if (!plan.ok()) return plan.status();
   const size_t m = plan->attribute_names.size();
   uint64_t r = 0, s = 0;
@@ -689,7 +694,7 @@ Result<std::vector<ShardSample>> BuildEveryRecord(
     std::map<uint64_t, std::string> payloads;
     CsvFieldSplitter splitter(options.csv);
     Status st = ForEachCsvRecordInRange(
-        path, range, options.csv, [&](std::string_view record) {
+        text->view(), range, options.csv, [&](std::string_view record) {
           std::span<const std::string_view> fields = splitter.Split(record);
           if (fields.size() != m) {
             return Status::InvalidArgument("row arity mismatch in shard");

@@ -16,19 +16,20 @@
 //                [--stats]
 //       Batch serve executor: run discovery once, publish the result as
 //       an immutable snapshot, and answer every request in the file
-//       through the serve-layer QueryEngine (sharded LRU verdict cache
-//       of C entries; 0 disables). --threads N splits the file into N
-//       contiguous chunks, answered as one batch each by N callers
-//       sharing the engine. Request grammar (one per line; '#'
-//       comments): is-key a,b | separation a,b | min-key | afd a,b -> c
+//       through the serve-layer QueryEngine (LRU verdict cache of C
+//       entries in total; 0 disables). --threads N splits the file into
+//       N contiguous chunks, each answered as one batch by its own
+//       engine, whose cache holds C/N entries (one more for the first
+//       C%N chunks). Request grammar (one per line; '#' comments):
+//       is-key a,b | separation a,b | min-key | afd a,b -> c
 //       | anonymity a,b [k]. With --wire, print exactly one QIKEY/1 wire
 //       line per request (the same encoder the network server uses) and
 //       nothing else — byte-diffable against a served session, and the
-//       same bytes at any N. Without --wire, at N > 1 the "(cached)"
-//       marks and the hit/miss totals may vary from run to run (which
-//       chunk first answers a repeated set is a race). With --stats,
-//       one final line with the engine metrics snapshot as JSON (same
-//       schema as the server's `stats` verb).
+//       same bytes at any N. Without --wire, the "(cached)" marks and
+//       the hit/miss totals depend on N: a repeated set hits only when
+//       its own chunk answered it before. With --stats, one final line
+//       with the engines' metrics, summed, as JSON (same schema as the
+//       server's `stats` verb).
 //   qikey serve <csv-or-artifacts> [--listen H:P]
 //               [--snapshot-from run|monitor|artifacts]
 //               [--snapshot-file FILE]
@@ -53,7 +54,9 @@
 //       emits a per-stage timing trace for every Nth request;
 //       --log-json switches log output to JSON lines. --threads sizes
 //       only the discovery run that builds the snapshot; requests are
-//       answered on one shard thread per CPU.
+//       answered on one shard thread per CPU, each with its own engine
+//       and a 1/N share of the --cache total, so a repeated set hits
+//       only on the loop its connection landed on.
 //   qikey snapshot save <csv-or-artifacts> --out FILE
 //                 [--snapshot-from run|monitor|artifacts] [--eps E]
 //                 [--backend B] [--threads T] [--seed S] [--max-size K]
@@ -496,20 +499,27 @@ int RunServe(const Dataset& data, const Args& args, Rng* rng) {
     return 1;
   }
 
-  QueryEngineOptions engine_options;
-  engine_options.cache_capacity = args.cache;
-  QueryEngine engine(&store, engine_options);
-  // Registered before the batches run so every pass timing and cache
-  // touch lands in the snapshot printed at the end.
-  MetricsRegistry registry;
-  if (args.stats) engine.RegisterMetrics(&registry);
-  // --threads N callers share the engine (and its cache), each
-  // answering one contiguous chunk of the file as one batch. Answers
-  // are pure functions of (snapshot, request), so the wire bytes do
-  // not depend on N; which repeats hit the cache does.
+  // --threads N callers each answer one contiguous chunk of the file
+  // as one batch, through an engine of their own holding 1/N of the
+  // --cache total. Answers are pure functions of (snapshot, request),
+  // so the wire bytes do not depend on N; which repeats hit the cache
+  // does.
   const std::span<const QueryRequest> all(*requests);
   const size_t callers = std::min(ResolveThreads(args.threads),
                                   std::max<size_t>(all.size(), 1));
+  QueryEngineOptions engine_options;
+  engine_options.cache_capacity = args.cache;
+  std::vector<std::unique_ptr<QueryEngine>> engines;
+  std::vector<const QueryEngine*> engine_views;
+  for (size_t c = 0; c < callers; ++c) {
+    engines.push_back(std::make_unique<QueryEngine>(
+        &store, SplitQueryEngineOptions(engine_options, callers, c)));
+    engine_views.push_back(engines.back().get());
+  }
+  // Registered before the batches run so every pass timing and cache
+  // touch lands in the snapshot printed at the end.
+  MetricsRegistry registry;
+  if (args.stats) QueryEngine::RegisterMetrics(engine_views, &registry);
   std::unique_ptr<ThreadPool> pool;
   if (callers > 1) pool = std::make_unique<ThreadPool>(callers);
   std::vector<QueryResponse> responses(all.size());
@@ -518,7 +528,7 @@ int RunServe(const Dataset& data, const Args& args, Rng* rng) {
       size_t lo = all.size() * c / callers;
       size_t hi = all.size() * (c + 1) / callers;
       std::vector<QueryResponse> chunk =
-          engine.ExecuteBatch(all.subspan(lo, hi - lo));
+          engines[c]->ExecuteBatch(all.subspan(lo, hi - lo));
       std::move(chunk.begin(), chunk.end(), responses.begin() + lo);
     }
   });
@@ -544,11 +554,16 @@ int RunServe(const Dataset& data, const Args& args, Rng* rng) {
                 FormatQueryResponse((*requests)[i], responses[i],
                                     &data.schema()).c_str());
   }
+  uint64_t hits = 0, misses = 0;
+  for (const QueryEngine* engine : engine_views) {
+    hits += engine->cache_hits();
+    misses += engine->cache_misses();
+  }
   std::printf("served %zu request(s) on %zu thread(s); cache: %llu hit(s), "
               "%llu miss(es)\n",
               responses.size(), callers,
-              static_cast<unsigned long long>(engine.cache_hits()),
-              static_cast<unsigned long long>(engine.cache_misses()));
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses));
   if (args.stats) std::printf("%s\n", registry.RenderJson().c_str());
   return 0;
 }
@@ -692,7 +707,6 @@ int RunServeNet(const Args& args) {
 
   QueryEngineOptions engine_options;
   engine_options.cache_capacity = args.cache;
-  QueryEngine engine(&store, engine_options);
 
   ServerOptions options;
   Result<HostPort> listen = ParseHostPort(args.listen);
@@ -706,14 +720,14 @@ int RunServeNet(const Args& args) {
   options.max_pending_per_conn = args.queue_depth;
   options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
   // One registry for the whole process: the server registers its own
-  // shard-loop metrics into it and chains the engine's (cache,
+  // shard-loop metrics into it and chains its engines' (cache,
   // snapshot, pass timings), so the `stats` verb, the periodic dump,
   // and SIGUSR1 all render the same families.
   MetricsRegistry registry;
   options.metrics = &registry;
   options.trace_sample = args.trace_sample;
 
-  ServeServer server(&engine, schema, options);
+  ServeServer server(&store, schema, engine_options, options);
   shutdown_flags::InstallSignalFlags();
   Status started = server.Start();
   if (!started.ok()) {
@@ -934,13 +948,12 @@ int RunDiscoverSharded(const Args& args) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  // The header is cheap; reload just the names for readable output.
-  Result<std::vector<std::string>> names =
-      ReadCsvAttributeNames(args.csv_path);
-  Schema schema;
-  if (names.ok()) schema = Schema(*names);
-  std::printf("%s",
-              result->Report(names.ok() ? &schema : nullptr).c_str());
+  // The merged sample carries the header's names; the input is not
+  // opened again (a FIFO could not be).
+  std::printf("%s", result->Report(result->sample != nullptr
+                                       ? &result->sample->schema()
+                                       : nullptr)
+                        .c_str());
   if (result->verdict != FilterVerdict::kAccept) {
     std::fprintf(stderr,
                  "verification failed: the emitted key was rejected\n");
