@@ -3,9 +3,12 @@
 
 Usage:
   check_bench_regression.py --baseline bench/baselines/BENCH_pipeline.json \
-      --current BENCH_pipeline.json [--threshold 0.25]
+      --current BENCH_pipeline.json [MORE.json ...] [--threshold 0.25]
 
-Entries are matched by (name, params). A current ns_per_op more than
+Entries are matched by (name, params). Given several --current files
+(repeated runs of one bench), every entry is the median of its
+ns_per_op across them, and every check below reads those medians. A
+current ns_per_op more than
 `threshold` above the baseline emits a GitHub Actions ::warning::
 annotation. Advisory by design: CI hardware differs from the machine
 that recorded the baseline, so regressions warn instead of failing; the
@@ -22,12 +25,15 @@ from the same run on the same hardware, so this comparison is immune
 to the cross-machine noise that keeps the baseline check advisory.
 
 With --serve-anti-scaling, additionally HARD-FAILS (exit 1) when the
-current file's serve_query_batch ns_per_op at the highest benched
-thread count that the runner actually has cores for exceeds the
-1-thread figure, in the cache=off or the cache=on column. Adding threads making the serve path slower is
-the anti-scaling bug this repo already shipped once; like the p50
-check this is current-file-only, so it is exact on any runner. The
-runner's parallelism is read from the bench's own serve_env row
+current serve_query_batch ns_per_op at the highest benched thread
+count that the runner actually has cores for exceeds the 1-thread
+figure, in the cache=off or the cache=on column. Adding threads making
+the serve path slower is the anti-scaling bug this repo already
+shipped once; like the p50 check this reads the current runs only, so
+it is exact on any runner. On a shared runner one bench_serve run can
+show no parallelism at all although the code scales, so CI passes
+three runs and the gate reads each column's median. The runner's
+parallelism is read from the bench's own serve_env row
 (hardware_threads param); the gate skips, loudly, when that row is
 missing or the runner has a single core. serve_env rows describe the
 runner, not the code, and are excluded from baseline comparison.
@@ -36,6 +42,7 @@ runner, not the code, and are excluded from baseline comparison.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 
@@ -47,6 +54,16 @@ def load(path):
         key = (entry["name"], tuple(sorted(entry.get("params", {}).items())))
         out[key] = float(entry["ns_per_op"])
     return out
+
+
+def load_median(paths):
+    """Each entry's median ns_per_op over the runs in `paths` that have
+    it (the one value when a single file is given)."""
+    runs = {}
+    for path in paths:
+        for key, ns in load(path).items():
+            runs.setdefault(key, []).append(ns)
+    return {key: statistics.median(values) for key, values in runs.items()}
 
 
 def check_instrumentation_overhead(current, threshold):
@@ -130,17 +147,21 @@ def check_serve_anti_scaling(current):
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--baseline", required=True)
-    parser.add_argument("--current", required=True)
+    parser.add_argument("--current", required=True, nargs="+",
+                        help="one or more runs of the bench; each entry "
+                        "is compared at its median across them")
     parser.add_argument("--threshold", type=float, default=0.25)
     parser.add_argument("--p50-overhead-threshold", type=float, default=None)
     parser.add_argument("--serve-anti-scaling", action="store_true")
     args = parser.parse_args()
 
     try:
-        current = load(args.current)
+        current = load_median(args.current)
     except (OSError, ValueError, KeyError) as err:
         print(f"::error::cannot read bench json: {err}")
         return 1
+    if len(args.current) > 1:
+        print(f"comparing medians over {len(args.current)} runs")
 
     # Same-run, same-hardware comparisons: work without any baseline.
     if args.p50_overhead_threshold is not None:

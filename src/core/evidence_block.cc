@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -91,10 +92,11 @@ void PackedEvidence::SetOwnedReps(std::vector<uint32_t> flat) {
 
 namespace {
 
-/// Pairs one mask-stage worker must have before a second one starts.
-/// Below it thread start-up costs more than the overlapped column
-/// misses save, so ε = 0.01-sized samples (a few thousand pairs)
-/// build on the calling thread.
+/// Pairs one worker must have before a second one starts, in the mask
+/// stage of `FromDatasetPairs` and in `MinimalAntichain`. Below it
+/// thread start-up costs more than the parallel work saves, so
+/// ε = 0.01-sized samples (a few thousand pairs) build on the calling
+/// thread.
 constexpr size_t kMinPairsPerWorker = 8192;
 
 /// First-occurrence dedupe of pair-major masks through a flat
@@ -114,8 +116,8 @@ class MaskAccumulator {
   }
 
   /// Keeps `mask` with representative (`rep_a`, `rep_b`) unless an
-  /// identical mask was offered before.
-  void Offer(const uint64_t* mask, uint32_t rep_a, uint32_t rep_b) {
+  /// identical mask was offered before; true when it was kept.
+  bool Offer(const uint64_t* mask, uint32_t rep_a, uint32_t rep_b) {
     const uint64_t h = Hash(mask);
     const uint64_t tag = h & ~uint64_t{0xFFFFFFFF};
     for (size_t i = h & slot_mask_;; i = (i + 1) & slot_mask_) {
@@ -126,11 +128,11 @@ class MaskAccumulator {
         masks.insert(masks.end(), mask, mask + wpp_);
         reps.push_back(rep_a);
         reps.push_back(rep_b);
-        return;
+        return true;
       }
       if ((slot & ~uint64_t{0xFFFFFFFF}) != tag) continue;
       const uint64_t* seen = masks.data() + ((slot & 0xFFFFFFFF) - 1) * wpp_;
-      if (std::equal(seen, seen + wpp_, mask)) return;
+      if (std::equal(seen, seen + wpp_, mask)) return false;
     }
   }
 
@@ -407,6 +409,24 @@ void TestMasksScalarBlocks(const uint64_t* words, size_t m, size_t pairs,
   }
 }
 
+/// The antichain's subset probe. `posting` holds one bitmap per
+/// attribute, `stride` words apart, over the masks kept so far (bit
+/// `lane` of attribute `j`'s bitmap = kept mask `lane` has `j`), and
+/// `dead` sets every lane that holds no kept mask. True iff some kept
+/// mask has none of the `count` attributes in `idx`: when `idx` lists
+/// the attributes a mask `x` lacks, iff some kept mask is a subset of
+/// `x`. `words` (a multiple of the tier's vector width) bounds the scan.
+bool AnyKeptAvoidsScalar(const uint64_t* posting, size_t stride,
+                         const uint32_t* idx, size_t count,
+                         const uint64_t* dead, size_t words) {
+  for (size_t c = 0; c < words; ++c) {
+    uint64_t acc = dead[c];
+    for (size_t a = 0; a < count; ++a) acc |= posting[idx[a] * stride + c];
+    if (~acc != 0) return true;
+  }
+  return false;
+}
+
 #if QIKEY_EVIDENCE_SIMD
 
 // ---------------------------------------------------------------------------
@@ -539,7 +559,97 @@ __attribute__((target("avx512f"))) size_t TestMasksAvx512Groups(
   return b;
 }
 
+// The antichain probe's vector tiers. Posting rows are contiguous, so
+// each attribute's 4 or 8 words load as one vector; two accumulators
+// halve the dependency chain.
+
+__attribute__((target("avx2"))) bool AnyKeptAvoidsAvx2(
+    const uint64_t* posting, size_t stride, const uint32_t* idx, size_t count,
+    const uint64_t* dead, size_t words) {
+  for (size_t c = 0; c < words; c += 4) {
+    V4 acc;
+    V4 acc2 = {0, 0, 0, 0};
+    V4 row;
+    std::memcpy(&acc, dead + c, sizeof(acc));
+    size_t a = 0;
+    for (; a + 2 <= count; a += 2) {
+      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
+      acc |= row;
+      std::memcpy(&row, posting + idx[a + 1] * stride + c, sizeof(row));
+      acc2 |= row;
+    }
+    if (a < count) {
+      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
+      acc |= row;
+    }
+    const V4 avoided = ~(acc | acc2);
+    if (((avoided[0] | avoided[1]) | (avoided[2] | avoided[3])) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+__attribute__((target("avx512f"))) bool AnyKeptAvoidsAvx512(
+    const uint64_t* posting, size_t stride, const uint32_t* idx, size_t count,
+    const uint64_t* dead, size_t words) {
+  for (size_t c = 0; c < words; c += 8) {
+    V8 acc;
+    V8 acc2 = {0, 0, 0, 0, 0, 0, 0, 0};
+    V8 row;
+    std::memcpy(&acc, dead + c, sizeof(acc));
+    size_t a = 0;
+    for (; a + 2 <= count; a += 2) {
+      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
+      acc |= row;
+      std::memcpy(&row, posting + idx[a + 1] * stride + c, sizeof(row));
+      acc2 |= row;
+    }
+    if (a < count) {
+      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
+      acc |= row;
+    }
+    const V8 avoided = ~(acc | acc2);
+    if (((avoided[0] | avoided[1]) | (avoided[2] | avoided[3]) |
+         (avoided[4] | avoided[5]) | (avoided[6] | avoided[7])) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 #endif  // QIKEY_EVIDENCE_SIMD
+
+/// Words one probe of `kernel` covers: posting rows are padded to it.
+size_t AntichainProbeWords(EvidenceKernel kernel) {
+  switch (kernel) {
+    case EvidenceKernel::kAvx512:
+      return 8;
+    case EvidenceKernel::kAvx2:
+      return 4;
+    case EvidenceKernel::kScalar:
+      break;
+  }
+  return 1;
+}
+
+bool AnyKeptAvoids(EvidenceKernel kernel, const uint64_t* posting,
+                   size_t stride, const uint32_t* idx, size_t count,
+                   const uint64_t* dead, size_t words) {
+#if QIKEY_EVIDENCE_SIMD
+  switch (kernel) {
+    case EvidenceKernel::kAvx512:
+      return AnyKeptAvoidsAvx512(posting, stride, idx, count, dead, words);
+    case EvidenceKernel::kAvx2:
+      return AnyKeptAvoidsAvx2(posting, stride, idx, count, dead, words);
+    case EvidenceKernel::kScalar:
+      break;
+  }
+#else
+  (void)kernel;
+#endif
+  return AnyKeptAvoidsScalar(posting, stride, idx, count, dead, words);
+}
 
 }  // namespace
 
@@ -678,6 +788,129 @@ void PackedEvidence::TestMasksBlockMajor(const uint64_t* masks, size_t stride,
 #endif
   TestMasksScalarBlocks(words, m, pairs, flat.data(), ranges.data(), active,
                         rejected, b, blocks);
+}
+
+PackedEvidence PackedEvidence::MinimalAntichain() const {
+  const size_t m = num_attributes_;
+  const size_t wpp = words_per_pair_;
+  const size_t n = num_pairs_;
+  PackedEvidence out;
+  out.num_attributes_ = m;
+  out.words_per_pair_ = wpp;
+  out.source_pairs_ = source_pairs_;
+  if (n == 0 || m == 0) return out;
+
+  // Back to pair-major masks, with each mask's popcount.
+  std::vector<uint64_t> masks(n * wpp, 0);
+  const uint64_t* words = words_.data();
+  for (size_t b = 0; b < num_blocks(); ++b) {
+    const uint64_t live = LiveLanes(b, n);
+    for (size_t j = 0; j < m; ++j) {
+      for (uint64_t bits = words[b * m + j] & live; bits != 0;
+           bits &= bits - 1) {
+        const size_t p = b * kPairsPerBlock + std::countr_zero(bits);
+        masks[p * wpp + j / 64] |= uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  std::vector<uint32_t> popcount(n, 0);
+  for (size_t p = 0; p < n; ++p) {
+    for (size_t w = 0; w < wpp; ++w) {
+      popcount[p] += static_cast<uint32_t>(std::popcount(masks[p * wpp + w]));
+    }
+  }
+
+  // Stable counting sort by popcount: `order` lists the pairs level by
+  // level, each level in pair order.
+  std::vector<uint32_t> level_begin(m + 2, 0);
+  for (uint32_t c : popcount) ++level_begin[c + 1];
+  for (size_t c = 1; c < level_begin.size(); ++c) {
+    level_begin[c] += level_begin[c - 1];
+  }
+  std::vector<uint32_t> order(n);
+  {
+    std::vector<uint32_t> next(level_begin.begin(), level_begin.end() - 1);
+    for (size_t p = 0; p < n; ++p) {
+      order[next[popcount[p]]++] = static_cast<uint32_t>(p);
+    }
+  }
+
+  // Kept masks so far as one bitmap per attribute (`posting`), each row
+  // padded to the probe width; `dead` sets the lanes not yet kept.
+  const EvidenceKernel kernel = ActiveEvidenceKernel();
+  const size_t probe_words = AntichainProbeWords(kernel);
+  auto padded_words = [&](size_t lanes) {
+    return ((lanes + 63) / 64 + probe_words - 1) / probe_words * probe_words;
+  };
+  const size_t stride = padded_words(n);
+  AlignedWordBuffer posting(m * stride);
+  AlignedWordBuffer dead(stride);
+  std::fill(dead.data(), dead.data() + stride, ~uint64_t{0});
+  const uint64_t last_word_bits =
+      m % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (m % 64)) - 1;
+
+  // Masks of one popcount cannot contain each other, so each level is
+  // tested against the lower levels' kept masks only, and its masks are
+  // tested in parallel; verdicts do not depend on the worker count.
+  const size_t threads =
+      std::clamp(n / kMinPairsPerWorker, size_t{1}, UsableCpuCount());
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  std::vector<uint8_t> dominated(n, 0);  // by position in `order`
+  MaskAccumulator kept(wpp, n);
+  size_t num_kept = 0;
+  for (size_t level = 0; level <= m; ++level) {
+    const size_t lb = level_begin[level];
+    const size_t le = level_begin[level + 1];
+    if (lb == le) continue;
+    if (num_kept > 0) {
+      const size_t scan_words = padded_words(num_kept);
+      ThreadPool::ParallelFor(
+          pool.get(), le - lb,
+          [&](size_t begin, size_t end) {
+            // A kept mask is a subset of `x` iff it has none of the
+            // attributes `x` lacks.
+            std::vector<uint32_t> lacks;
+            lacks.reserve(m);
+            for (size_t i = lb + begin; i < lb + end; ++i) {
+              const uint64_t* x = masks.data() + size_t{order[i]} * wpp;
+              lacks.clear();
+              for (size_t w = 0; w < wpp; ++w) {
+                uint64_t bits = ~x[w] & (w + 1 == wpp ? last_word_bits
+                                                      : ~uint64_t{0});
+                for (; bits != 0; bits &= bits - 1) {
+                  lacks.push_back(
+                      static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+                }
+              }
+              dominated[i] = AnyKeptAvoids(kernel, posting.data(), stride,
+                                           lacks.data(), lacks.size(),
+                                           dead.data(), scan_words);
+            }
+          },
+          /*min_grain=*/64);
+    }
+    // Keep the level's survivors in pair order; equal masks share a
+    // level, and the accumulator keeps the first of them.
+    for (size_t i = lb; i < le; ++i) {
+      if (dominated[i]) continue;
+      const size_t p = order[i];
+      const uint64_t* x = masks.data() + p * wpp;
+      if (!kept.Offer(x, reps_[2 * p], reps_[2 * p + 1])) continue;
+      const uint64_t lane_bit = uint64_t{1} << (num_kept % 64);
+      for (size_t w = 0; w < wpp; ++w) {
+        for (uint64_t bits = x[w]; bits != 0; bits &= bits - 1) {
+          const size_t j = w * 64 + std::countr_zero(bits);
+          posting.data()[j * stride + num_kept / 64] |= lane_bit;
+        }
+      }
+      dead.data()[num_kept / 64] &= ~lane_bit;
+      ++num_kept;
+    }
+  }
+  out.SetOwnedReps(std::move(kept.reps));
+  out.Pack(kept.masks);
+  return out;
 }
 
 uint64_t PackedEvidence::MemoryBytes() const {

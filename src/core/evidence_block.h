@@ -140,7 +140,11 @@ class AlignedWordBuffer {
 /// Identical disagree masks are deduplicated at build time (one
 /// representative source pair is kept for witness reporting); verdicts
 /// are unchanged because the reject predicate only asks whether *some*
-/// pair's mask misses `A`.
+/// pair's mask misses `A`. By the same argument, if any mask misses `A`
+/// then so does every mask it contains, so `MinimalAntichain` reduces
+/// the evidence to its inclusion-minimal masks with identical verdicts.
+/// Discovery, its witnesses and the monitor's lane-stable evidence keep
+/// every mask; served snapshots answer from the antichain.
 ///
 /// The words and representatives are stored exactly as the snapshot
 /// file lays them out (blocks of words, then a flat `2·pairs` array of
@@ -210,8 +214,22 @@ class PackedEvidence {
   void PatchPair(uint32_t index, const ValueCode* row_a,
                  const ValueCode* row_b, std::pair<uint32_t, uint32_t> ids);
 
+  /// \brief The minimal-mask antichain: an owning copy holding one copy
+  /// of each mask that no other mask is a proper subset of, in
+  /// ascending popcount order. Ties keep pair order, and each kept mask
+  /// keeps the representative of its first occurrence. Every query
+  /// rejects exactly what it rejects on this evidence (a set that
+  /// misses some mask misses a minimal one), though the first witness
+  /// can differ. `source_pairs()` is unchanged. Levels of equal
+  /// popcount cannot contain each other, so each is tested against the
+  /// lower ones in parallel, on a pool local to the call sized as in
+  /// `FromDatasetPairs`; the output is bit-identical for any worker
+  /// count and kernel tier.
+  PackedEvidence MinimalAntichain() const;
+
   size_t num_attributes() const { return num_attributes_; }
-  /// Deduplicated evidence pairs actually packed.
+  /// Evidence pairs actually packed: the distinct masks, or the
+  /// minimal ones after `MinimalAntichain`.
   size_t num_pairs() const { return num_pairs_; }
   /// Words of a pair-major disagree mask (`⌈m/64⌉`, the `AttributeSet`
   /// word count) — the unit of the query-mask inputs below.

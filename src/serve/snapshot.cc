@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/bitset_filter.h"
 #include "core/sample_bounds.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
@@ -39,6 +40,18 @@ Result<ServeSnapshot> SnapshotFromPipelineResult(const PipelineResult& result,
   snapshot.source_rows = result.rows;
   snapshot.sample = result.sample;
   snapshot.filter = result.filter;
+  // A bitset filter serves its minimal-mask antichain: the same
+  // verdicts from fewer blocks. is-key answers carry no witness, so
+  // nothing served depends on the masks it drops.
+  if (const auto* bitset =
+          dynamic_cast<const BitsetSeparationFilter*>(result.filter.get())) {
+    Result<BitsetSeparationFilter> minimal =
+        BitsetSeparationFilter::FromPackedEvidence(
+            bitset->evidence().MinimalAntichain(), bitset->sample_size());
+    if (!minimal.ok()) return minimal.status();
+    snapshot.filter =
+        std::make_shared<const BitsetSeparationFilter>(std::move(*minimal));
+  }
   snapshot.keys = std::make_shared<const std::vector<AttributeSet>>(
       std::vector<AttributeSet>{result.key});
   return snapshot;

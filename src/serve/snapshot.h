@@ -53,10 +53,13 @@ struct ServeSnapshot {
   std::string Describe() const;
 };
 
-/// Freezes a finished pipeline run into a snapshot: the run's verify
-/// filter and greedy sample are shared (not copied), and the emitted
-/// key becomes the snapshot's single tracked minimal key. `eps` is the
-/// pipeline's option (the result does not carry it).
+/// Freezes a finished pipeline run into a snapshot: the run's greedy
+/// sample is shared (not copied), and the emitted key becomes the
+/// snapshot's single tracked minimal key. A tuple verify filter is
+/// shared too; a bitset one is replaced by a filter over its evidence's
+/// `MinimalAntichain` with the same declared pair count, which answers
+/// every is-key request identically. `eps` is the pipeline's option
+/// (the result does not carry it).
 Result<ServeSnapshot> SnapshotFromPipelineResult(const PipelineResult& result,
                                                  double eps);
 

@@ -66,6 +66,82 @@ Status ReadColumnMeta(ByteReader* r, ColumnMeta* out) {
   return Status::OK();
 }
 
+/// Everything the meta section declares, in the writer's order.
+struct SnapshotMeta {
+  uint32_t m = 0;
+  uint64_t rows = 0;
+  std::vector<std::string> names;
+  std::vector<ColumnMeta> sample_metas;
+  uint64_t num_keys = 0;
+  std::vector<RowIndex> provenance;
+  uint64_t pair_rows = 0;              // backend 1 (legacy mx pair table)
+  std::vector<ColumnMeta> pair_metas;  // backend 1
+  uint64_t ev_pairs = 0;               // backend 2: evidence pairs stored
+  uint64_t ev_source_pairs = 0;        // backend 2: pairs the sample drew
+};
+
+/// Parses the meta section of an image whose layout parsed, for the
+/// header's `backend`; every count is bounded before it sizes anything.
+Status ReadMeta(const uint8_t* data, const SectionEntry& section,
+                uint8_t backend, SnapshotMeta* out) {
+  ByteReader meta(std::string_view(
+      reinterpret_cast<const char*>(data + section.offset),
+      static_cast<size_t>(section.bytes)));
+  if (!meta.U32(&out->m) || !meta.U64(&out->rows)) {
+    return Status::InvalidArgument("snapshot metadata truncated");
+  }
+  const uint32_t m = out->m;
+  if (m == 0 || m > kMaxAttributes) {
+    return Status::InvalidArgument(
+        "snapshot attribute count out of range");
+  }
+  if (out->rows > kMaxRows) {
+    return Status::InvalidArgument("snapshot sample row count out of range");
+  }
+  out->names.resize(m);
+  out->sample_metas.resize(m);
+  for (uint32_t j = 0; j < m; ++j) {
+    if (!meta.Str(&out->names[j])) {
+      return Status::InvalidArgument("snapshot metadata truncated");
+    }
+    QIKEY_RETURN_NOT_OK(ReadColumnMeta(&meta, &out->sample_metas[j]));
+  }
+  uint32_t prov_count = 0;
+  if (!meta.U64(&out->num_keys) || !meta.U32(&prov_count)) {
+    return Status::InvalidArgument("snapshot metadata truncated");
+  }
+  if (backend != 0 && prov_count != 0) {
+    return Status::InvalidArgument(
+        "snapshot carries provenance for a pair backend");
+  }
+  if (prov_count > meta.remaining() / sizeof(RowIndex)) {
+    return Status::InvalidArgument("snapshot provenance truncated");
+  }
+  out->provenance.resize(prov_count);
+  if (prov_count > 0 &&
+      !meta.Raw(out->provenance.data(), prov_count * sizeof(RowIndex))) {
+    return Status::InvalidArgument("snapshot provenance truncated");
+  }
+  if (backend == 1) {
+    if (!meta.U64(&out->pair_rows)) {
+      return Status::InvalidArgument("snapshot metadata truncated");
+    }
+    out->pair_metas.resize(m);
+    for (uint32_t j = 0; j < m; ++j) {
+      QIKEY_RETURN_NOT_OK(ReadColumnMeta(&meta, &out->pair_metas[j]));
+    }
+  } else if (backend == 2) {
+    if (!meta.U64(&out->ev_pairs) || !meta.U64(&out->ev_source_pairs)) {
+      return Status::InvalidArgument("snapshot metadata truncated");
+    }
+  }
+  if (!meta.AtEnd()) {
+    return Status::InvalidArgument(
+        "trailing bytes after snapshot metadata");
+  }
+  return Status::OK();
+}
+
 /// Builds a dataset over a column-major codes section without copying a
 /// single code: every column is a `Column::Borrowed` view into the
 /// image. All codes are range-checked against their column's declared
@@ -137,68 +213,11 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
         "snapshot is missing a required section");
   }
 
-  ByteReader meta(std::string_view(
-      reinterpret_cast<const char*>(data + meta_sec->offset),
-      static_cast<size_t>(meta_sec->bytes)));
-  uint32_t m = 0;
-  uint64_t rows = 0;
-  if (!meta.U32(&m) || !meta.U64(&rows)) {
-    return Status::InvalidArgument("snapshot metadata truncated");
-  }
-  if (m == 0 || m > kMaxAttributes) {
-    return Status::InvalidArgument(
-        "snapshot attribute count out of range");
-  }
-  if (rows > kMaxRows) {
-    return Status::InvalidArgument("snapshot sample row count out of range");
-  }
-  std::vector<std::string> names(m);
-  std::vector<ColumnMeta> sample_metas(m);
-  for (uint32_t j = 0; j < m; ++j) {
-    if (!meta.Str(&names[j])) {
-      return Status::InvalidArgument("snapshot metadata truncated");
-    }
-    QIKEY_RETURN_NOT_OK(ReadColumnMeta(&meta, &sample_metas[j]));
-  }
-  uint64_t num_keys = 0;
-  uint32_t prov_count = 0;
-  if (!meta.U64(&num_keys) || !meta.U32(&prov_count)) {
-    return Status::InvalidArgument("snapshot metadata truncated");
-  }
-  if (h.backend != 0 && prov_count != 0) {
-    return Status::InvalidArgument(
-        "snapshot carries provenance for a pair backend");
-  }
-  if (prov_count > meta.remaining() / sizeof(RowIndex)) {
-    return Status::InvalidArgument("snapshot provenance truncated");
-  }
-  std::vector<RowIndex> provenance(prov_count);
-  if (prov_count > 0 &&
-      !meta.Raw(provenance.data(), prov_count * sizeof(RowIndex))) {
-    return Status::InvalidArgument("snapshot provenance truncated");
-  }
-
-  uint64_t pair_rows = 0;
-  std::vector<ColumnMeta> pair_metas;
-  uint64_t ev_pairs = 0;
-  uint64_t ev_source_pairs = 0;
-  if (h.backend == 1) {
-    if (!meta.U64(&pair_rows)) {
-      return Status::InvalidArgument("snapshot metadata truncated");
-    }
-    pair_metas.resize(m);
-    for (uint32_t j = 0; j < m; ++j) {
-      QIKEY_RETURN_NOT_OK(ReadColumnMeta(&meta, &pair_metas[j]));
-    }
-  } else if (h.backend == 2) {
-    if (!meta.U64(&ev_pairs) || !meta.U64(&ev_source_pairs)) {
-      return Status::InvalidArgument("snapshot metadata truncated");
-    }
-  }
-  if (!meta.AtEnd()) {
-    return Status::InvalidArgument(
-        "trailing bytes after snapshot metadata");
-  }
+  SnapshotMeta meta;
+  QIKEY_RETURN_NOT_OK(ReadMeta(data, *meta_sec, h.backend, &meta));
+  const uint32_t m = meta.m;
+  const uint64_t rows = meta.rows;
+  const uint32_t prov_count = static_cast<uint32_t>(meta.provenance.size());
 
   // Exact section census: everything the backend needs, nothing else.
   size_t expected = 3;
@@ -212,8 +231,8 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
   }
 
   Result<Dataset> sample_ds =
-      BorrowCodesDataset(Schema(names), sample_metas, data, *codes_sec,
-                         rows, "sample");
+      BorrowCodesDataset(Schema(meta.names), meta.sample_metas, data,
+                         *codes_sec, rows, "sample");
   if (!sample_ds.ok()) return sample_ds.status();
   // Every component that views the image carries `owner` in its
   // deleter, so the mapping lives exactly as long as the last view.
@@ -224,15 +243,15 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
   const uint64_t key_words = (uint64_t{m} + 63) / 64;
   const uint64_t key_bytes = key_words * sizeof(uint64_t);
   if (keys_sec->bytes % key_bytes != 0 ||
-      keys_sec->bytes / key_bytes != num_keys) {
+      keys_sec->bytes / key_bytes != meta.num_keys) {
     return Status::InvalidArgument(
         "snapshot key section size does not match its key count");
   }
   std::vector<AttributeSet> keys;
-  keys.reserve(static_cast<size_t>(num_keys));
+  keys.reserve(static_cast<size_t>(meta.num_keys));
   const auto* key_data =
       reinterpret_cast<const uint64_t*>(data + keys_sec->offset);
-  for (uint64_t k = 0; k < num_keys; ++k) {
+  for (uint64_t k = 0; k < meta.num_keys; ++k) {
     AttributeSet key(m);
     for (uint64_t w = 0; w < key_words; ++w) {
       uint64_t bits = key_data[k * key_words + w];
@@ -262,7 +281,7 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
               "snapshot provenance does not match its sample");
         }
         filter = std::make_shared<const TupleSampleFilter>(
-            TupleSampleFilter::FromSample(sample, std::move(provenance),
+            TupleSampleFilter::FromSample(sample, std::move(meta.provenance),
                                           detection));
         break;
       }
@@ -286,7 +305,7 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
       }
       filter = std::make_shared<const TupleSampleFilter>(
           TupleSampleFilter::FromSample(std::move(*filter_sample),
-                                        std::move(provenance), detection));
+                                        std::move(meta.provenance), detection));
       break;
     }
     case 1: {
@@ -294,17 +313,17 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
       if (pair_sec == nullptr) {
         return Status::InvalidArgument("snapshot is missing its pair table");
       }
-      if (pair_rows % 2 != 0 || pair_rows > kMaxRows) {
+      if (meta.pair_rows % 2 != 0 || meta.pair_rows > kMaxRows) {
         return Status::InvalidArgument(
             "snapshot pair table row count out of range");
       }
-      if (pair_rows / 2 != h.declared_sample_size) {
+      if (meta.pair_rows / 2 != h.declared_sample_size) {
         return Status::InvalidArgument(
             "snapshot pair table does not match its declared sample size");
       }
       Result<Dataset> pair_ds =
-          BorrowCodesDataset(Schema(names), pair_metas, data, *pair_sec,
-                             pair_rows, "pair table");
+          BorrowCodesDataset(Schema(meta.names), meta.pair_metas, data,
+                             *pair_sec, meta.pair_rows, "pair table");
       if (!pair_ds.ok()) return pair_ds.status();
       // Legacy mx-pair image: the raw pair table packs into the same
       // evidence (and answers) a bitset save of those pairs would hold.
@@ -324,11 +343,11 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
         return Status::InvalidArgument(
             "snapshot is missing its packed evidence");
       }
-      if (ev_pairs > kMaxRows) {
+      if (meta.ev_pairs > kMaxRows) {
         return Status::InvalidArgument(
             "snapshot evidence pair count out of range");
       }
-      if (reps_sec->bytes != ev_pairs * 2 * sizeof(uint32_t)) {
+      if (reps_sec->bytes != meta.ev_pairs * 2 * sizeof(uint32_t)) {
         return Status::InvalidArgument(
             "snapshot evidence reps size does not match its pair count");
       }
@@ -337,7 +356,7 @@ Result<ServeSnapshot> SnapshotFromBytes(const uint8_t* data, size_t size,
             "snapshot evidence words section is not word-sized");
       }
       Result<PackedEvidence> evidence = PackedEvidence::FromBorrowed(
-          m, ev_source_pairs, static_cast<size_t>(ev_pairs),
+          m, meta.ev_source_pairs, static_cast<size_t>(meta.ev_pairs),
           reinterpret_cast<const uint64_t*>(data + words_sec->offset),
           static_cast<size_t>(words_sec->bytes / sizeof(uint64_t)),
           reinterpret_cast<const uint32_t*>(data + reps_sec->offset));
@@ -401,6 +420,20 @@ Result<SnapshotFileInfo> InspectSnapshotFile(const std::string& path) {
   }
   SnapshotFileInfo info;
   info.header = layout->header;
+  if (info.header.backend == 2) {
+    const SectionEntry* meta_sec = layout->Find(SectionId::kMeta);
+    if (meta_sec == nullptr) {
+      return Status::InvalidArgument("'" + path +
+                                     "': snapshot is missing its meta");
+    }
+    SnapshotMeta meta;
+    Status status = ReadMeta(mapped->data(), *meta_sec, 2, &meta);
+    if (!status.ok()) {
+      return Status::InvalidArgument("'" + path + "': " + status.message());
+    }
+    info.evidence_pairs = meta.ev_pairs;
+    info.source_pairs = meta.ev_source_pairs;
+  }
   info.sections = std::move(layout->sections);
   return info;
 }
@@ -464,6 +497,10 @@ std::string RenderSnapshotInfoJson(const SnapshotFileInfo& info) {
   out += std::to_string(info.header.epoch);
   out += ",\"eps\":";
   AppendDouble(info.header.eps, &out);
+  if (info.header.backend == 2) {
+    out += ",\"evidence_pairs\":";
+    out += std::to_string(info.evidence_pairs);
+  }
   out += ",\"file_bytes\":";
   out += std::to_string(info.header.file_bytes);
   out += ",\"flags\":";
@@ -488,7 +525,12 @@ std::string RenderSnapshotInfoJson(const SnapshotFileInfo& info) {
     out += std::to_string(s.offset);
     out += "}";
   }
-  out += "],\"source_rows\":";
+  out += "]";
+  if (info.header.backend == 2) {
+    out += ",\"source_pairs\":";
+    out += std::to_string(info.source_pairs);
+  }
+  out += ",\"source_rows\":";
   out += std::to_string(info.header.source_rows);
   out += ",\"version\":";
   out += std::to_string(info.header.version);

@@ -67,6 +67,12 @@ Result<ServeSnapshot> ReadSnapshotFile(const std::string& path);
 struct SnapshotFileInfo {
   SnapshotHeader header;
   std::vector<SectionEntry> sections;
+  /// Bitset images only (0 otherwise), from the meta section: the
+  /// evidence pairs stored and the pairs the sample drew. A served
+  /// image stores the minimal masks, so `evidence_pairs /
+  /// source_pairs` is the share of sampled pairs it answers from.
+  uint64_t evidence_pairs = 0;
+  uint64_t source_pairs = 0;
 };
 
 Result<SnapshotFileInfo> InspectSnapshotFile(const std::string& path);

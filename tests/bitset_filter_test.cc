@@ -6,7 +6,9 @@
 // insert/erase streams, it must reproduce the keys, verdicts,
 // witnesses and sample sizes recorded from the retired mx-pair
 // discovery backend for the same seeds — and agree with the
-// tuple-sample backend wherever both are exact.
+// tuple-sample backend wherever both are exact. The minimal-mask
+// antichain served snapshots answer from must match a quadratic
+// reference and reject exactly what the full evidence rejects.
 
 #include <gtest/gtest.h>
 
@@ -486,6 +488,301 @@ TEST(EvidenceKernelTest, RandomizedFilterPropertyAcrossSeedsAndThreads) {
       }
     }
   }
+}
+
+// ------------------------------------------------- minimal antichain
+
+using Mask = std::vector<uint64_t>;  // words_per_pair words
+
+/// Lane-stable evidence whose pair `p` has exactly disagree mask
+/// `masks[p]` and representative `(p, p + 1000)`.
+PackedEvidence EvidenceFromMasks(size_t m, const std::vector<Mask>& masks) {
+  std::vector<Row> store;
+  store.reserve(masks.size());
+  for (const Mask& mask : masks) {
+    Row row(m, 0);
+    for (size_t j = 0; j < m; ++j) row[j] = (mask[j / 64] >> (j % 64)) & 1;
+    store.push_back(std::move(row));
+  }
+  const Row zeros(m, 0);
+  std::vector<std::pair<const ValueCode*, const ValueCode*>> rows;
+  std::vector<std::pair<uint32_t, uint32_t>> ids;
+  for (size_t p = 0; p < masks.size(); ++p) {
+    rows.emplace_back(zeros.data(), store[p].data());
+    ids.emplace_back(static_cast<uint32_t>(p), static_cast<uint32_t>(p + 1000));
+  }
+  return PackedEvidence::FromRowMajorPairs(m, rows, ids);
+}
+
+/// `count` random masks over `m` attributes, each bit set with
+/// probability `density`; with `prototypes` > 0 every mask copies one
+/// of that many random masks.
+std::vector<Mask> RandomMasks(size_t m, size_t count, double density,
+                              size_t prototypes, uint64_t seed) {
+  Rng rng(seed);
+  const size_t wpp = (m + 63) / 64;
+  auto draw = [&] {
+    Mask mask(wpp, 0);
+    for (size_t j = 0; j < m; ++j) {
+      if (rng.UniformDouble() < density) {
+        mask[j / 64] |= uint64_t{1} << (j % 64);
+      }
+    }
+    return mask;
+  };
+  std::vector<Mask> pool;
+  for (size_t i = 0; i < prototypes; ++i) pool.push_back(draw());
+  std::vector<Mask> masks;
+  for (size_t p = 0; p < count; ++p) {
+    masks.push_back(prototypes > 0 ? pool[rng.Uniform(prototypes)] : draw());
+  }
+  return masks;
+}
+
+/// The masks of `ev`'s lanes, read back from its block words.
+std::vector<Mask> LaneMasks(const PackedEvidence& ev) {
+  const size_t m = ev.num_attributes();
+  std::vector<Mask> masks(ev.num_pairs(), Mask(ev.words_per_pair(), 0));
+  const std::span<const uint64_t> words = ev.raw_words();
+  for (size_t p = 0; p < ev.num_pairs(); ++p) {
+    for (size_t j = 0; j < m; ++j) {
+      if ((words[(p / 64) * m + j] >> (p % 64)) & 1) {
+        masks[p][j / 64] |= uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  return masks;
+}
+
+size_t MaskPopcount(const Mask& mask) {
+  size_t count = 0;
+  for (uint64_t w : mask) count += std::popcount(w);
+  return count;
+}
+
+bool MaskIsSubset(const Mask& y, const Mask& x) {
+  for (size_t w = 0; w < y.size(); ++w) {
+    if ((y[w] & ~x[w]) != 0) return false;
+  }
+  return true;
+}
+
+/// The antichain the quadratic way: lanes stably sorted by popcount,
+/// each kept unless an already kept mask is a subset of it (an equal
+/// one included).
+struct ReferenceAntichain {
+  std::vector<Mask> masks;
+  std::vector<std::pair<uint32_t, uint32_t>> reps;
+};
+
+ReferenceAntichain BuildReferenceAntichain(const PackedEvidence& ev) {
+  const std::vector<Mask> masks = LaneMasks(ev);
+  std::vector<size_t> order(masks.size());
+  for (size_t p = 0; p < order.size(); ++p) order[p] = p;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return MaskPopcount(masks[a]) < MaskPopcount(masks[b]);
+  });
+  ReferenceAntichain ref;
+  for (size_t p : order) {
+    auto is_subset = [&](const Mask& y) { return MaskIsSubset(y, masks[p]); };
+    if (std::none_of(ref.masks.begin(), ref.masks.end(), is_subset)) {
+      ref.masks.push_back(masks[p]);
+      ref.reps.push_back(ev.representative(static_cast<uint32_t>(p)));
+    }
+  }
+  return ref;
+}
+
+/// `ev`'s antichain equals the reference under every available tier,
+/// and every tier builds the same bytes.
+void ExpectAntichainMatchesReference(const PackedEvidence& ev) {
+  KernelGuard guard;
+  const ReferenceAntichain ref = BuildReferenceAntichain(ev);
+  std::optional<PackedEvidence> first;
+  for (const char* tier : AvailableKernels()) {
+    SCOPED_TRACE(tier);
+    ASSERT_TRUE(SetEvidenceKernel(tier).ok());
+    PackedEvidence anti = ev.MinimalAntichain();
+    EXPECT_FALSE(anti.borrowed());
+    EXPECT_EQ(anti.num_attributes(), ev.num_attributes());
+    EXPECT_EQ(anti.words_per_pair(), ev.words_per_pair());
+    EXPECT_EQ(anti.source_pairs(), ev.source_pairs());
+    ASSERT_EQ(anti.num_pairs(), ref.masks.size());
+    EXPECT_EQ(LaneMasks(anti), ref.masks);
+    for (size_t i = 0; i < ref.reps.size(); ++i) {
+      EXPECT_EQ(anti.representative(static_cast<uint32_t>(i)), ref.reps[i])
+          << "lane " << i;
+    }
+    if (!first.has_value()) {
+      first = std::move(anti);
+      continue;
+    }
+    EXPECT_TRUE(std::ranges::equal(anti.raw_words(), first->raw_words()));
+    EXPECT_TRUE(std::ranges::equal(anti.raw_reps(), first->raw_reps()));
+  }
+}
+
+/// Same reject verdict from `full` and `anti` on `count` query masks
+/// (`wpp` words each), through both kernels, under every tier.
+void ExpectSameVerdicts(const PackedEvidence& full, const PackedEvidence& anti,
+                        const std::vector<uint64_t>& queries, size_t count) {
+  KernelGuard guard;
+  const size_t wpp = full.words_per_pair();
+  for (const char* tier : AvailableKernels()) {
+    SCOPED_TRACE(tier);
+    ASSERT_TRUE(SetEvidenceKernel(tier).ok());
+    std::vector<uint8_t> want(count, 0), got(count, 0);
+    full.TestMasksBlockMajor(queries.data(), wpp, count, want.data());
+    anti.TestMasksBlockMajor(queries.data(), wpp, count, got.data());
+    EXPECT_EQ(got, want);
+    for (size_t i = 0; i < count; ++i) {
+      const std::span<const uint64_t> q(queries.data() + i * wpp, wpp);
+      ASSERT_EQ(anti.FindUnseparated(q).has_value(), want[i] != 0)
+          << "query " << i;
+    }
+  }
+}
+
+// m covers one-word masks, the 64-attribute edge and two- and
+// three-word masks; counts straddle the one-block edge.
+TEST(MinimalAntichainTest, MatchesQuadraticReferenceOnRandomMasks) {
+  for (size_t m : {5u, 12u, 55u, 64u, 70u, 130u}) {
+    for (size_t count : {1u, 63u, 64u, 65u, 700u, 2500u}) {
+      for (double density : {0.2, 0.5, 0.8}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " pairs=" +
+                     std::to_string(count) +
+                     " density=" + std::to_string(density));
+        const PackedEvidence ev = EvidenceFromMasks(
+            m, RandomMasks(m, count, density, 0, m * 7919 + count));
+        ExpectAntichainMatchesReference(ev);
+        // Random query sets: the antichain rejects exactly what the
+        // full evidence rejects.
+        const size_t wpp = ev.words_per_pair();
+        Rng qrng(count + m);
+        std::vector<uint64_t> queries;
+        for (int i = 0; i < 300; ++i) {
+          const AttributeSet q =
+              AttributeSet::Random(m, 0.1 + 0.8 * (i % 7) / 7.0, &qrng);
+          queries.insert(queries.end(), q.words().begin(),
+                         q.words().begin() + wpp);
+        }
+        ExpectSameVerdicts(ev, ev.MinimalAntichain(), queries, 300);
+      }
+    }
+  }
+}
+
+TEST(MinimalAntichainTest, MatchesQuadraticReferenceOnDuplicateHeavyMasks) {
+  for (size_t m : {8u, 40u, 70u}) {
+    SCOPED_TRACE("m=" + std::to_string(m));
+    // Lane-stable evidence keeps every copy: the antichain keeps the
+    // first copy of each minimal mask.
+    ExpectAntichainMatchesReference(
+        EvidenceFromMasks(m, RandomMasks(m, 5000, 0.4, 20, m)));
+    // Deduplicated evidence of a table that repeats a few rows.
+    const Dataset dupes = RandomCodeTable(2000, m, 2, 12, m + 3);
+    ExpectAntichainMatchesReference(PackedEvidence::FromDatasetPairs(
+        dupes, RandomPairs(2000, 3000, m + 4)));
+  }
+}
+
+TEST(MinimalAntichainTest, EmptyEvidenceStaysEmpty) {
+  const PackedEvidence none;
+  EXPECT_EQ(none.MinimalAntichain().num_pairs(), 0u);
+  const PackedEvidence empty = EvidenceFromMasks(9, {});
+  const PackedEvidence anti = empty.MinimalAntichain();
+  EXPECT_EQ(anti.num_pairs(), 0u);
+  EXPECT_EQ(anti.num_attributes(), 9u);
+  EXPECT_EQ(anti.source_pairs(), 0u);
+  const uint64_t all = (uint64_t{1} << 9) - 1;
+  EXPECT_FALSE(anti.FindUnseparated(std::span<const uint64_t>(&all, 1))
+                   .has_value());
+}
+
+TEST(MinimalAntichainTest, ZeroMaskIsTheWholeAntichainAndRejectsEverything) {
+  // Pair 3 joins two identical rows: its mask is empty, a subset of
+  // every other mask, so it is all that remains, and no attribute set
+  // separates it.
+  std::vector<Mask> masks = RandomMasks(20, 200, 0.5, 0, 4);
+  masks[3] = Mask{0};
+  masks[150] = Mask{0};
+  const PackedEvidence ev = EvidenceFromMasks(20, masks);
+  ExpectAntichainMatchesReference(ev);
+  const PackedEvidence anti = ev.MinimalAntichain();
+  ASSERT_EQ(anti.num_pairs(), 1u);
+  EXPECT_EQ(anti.representative(0), std::make_pair(3u, 1003u));
+  for (uint64_t q : {uint64_t{0}, uint64_t{1}, (uint64_t{1} << 20) - 1}) {
+    EXPECT_EQ(anti.FindUnseparated(std::span<const uint64_t>(&q, 1)),
+              std::optional<uint32_t>(0));
+  }
+
+  // The same through a table: rows 0 and 1 are identical.
+  std::vector<Row> rows = {{1, 2, 3}, {1, 2, 3}, {4, 2, 3}, {1, 5, 6}};
+  const Dataset table = RowsToDataset(3, rows);
+  const std::vector<RowPair> pairs = {{2, 3}, {0, 2}, {0, 1}, {1, 3}};
+  const PackedEvidence dup = PackedEvidence::FromDatasetPairs(table, pairs);
+  const PackedEvidence dup_anti = dup.MinimalAntichain();
+  ASSERT_EQ(dup_anti.num_pairs(), 1u);
+  EXPECT_EQ(dup_anti.representative(0), std::make_pair(0u, 1u));
+  EXPECT_EQ(dup_anti.source_pairs(), 4u);
+}
+
+TEST(MinimalAntichainTest, PopcountOrderAndFirstOccurrencePinned) {
+  auto set = [](std::initializer_list<int> bits) {
+    Mask mask{0};
+    for (int b : bits) mask[0] |= uint64_t{1} << b;
+    return mask;
+  };
+  const std::vector<Mask> masks = {
+      set({0, 1, 2}),  // pair 0: contains pair 5's {0}
+      set({3}),        // pair 1: kept, level 1 first
+      set({0, 1}),     // pair 2: contains {0}
+      set({3}),        // pair 3: a copy of pair 1
+      set({4, 5}),     // pair 4: kept, level 2 first
+      set({0}),        // pair 5: kept, level 1 second
+      set({1, 2}),     // pair 6: kept, level 2 second
+      set({1, 2, 4}),  // pair 7: contains pair 6's {1, 2}
+  };
+  const PackedEvidence ev = EvidenceFromMasks(6, masks);
+  ExpectAntichainMatchesReference(ev);
+  const PackedEvidence anti = ev.MinimalAntichain();
+  EXPECT_EQ(LaneMasks(anti), (std::vector<Mask>{set({3}), set({0}),
+                                                 set({4, 5}), set({1, 2})}));
+  const std::vector<uint32_t> want_reps = {1, 1001, 5, 1005,
+                                           4, 1004, 6, 1006};
+  EXPECT_TRUE(std::ranges::equal(anti.raw_reps(), want_reps));
+  EXPECT_EQ(anti.source_pairs(), 8u);
+}
+
+TEST(MinimalAntichainTest, VerdictsEqualFullEvidenceOnAllSubsets) {
+  for (size_t m : {9u, 12u}) {
+    for (size_t prototypes : {0u, 30u}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   " prototypes=" + std::to_string(prototypes));
+      const PackedEvidence ev = EvidenceFromMasks(
+          m, RandomMasks(m, 900, 0.35, prototypes, m + prototypes));
+      const PackedEvidence anti = ev.MinimalAntichain();
+      EXPECT_LT(anti.num_pairs(), ev.num_pairs());
+      std::vector<uint64_t> subsets(size_t{1} << m);
+      for (size_t s = 0; s < subsets.size(); ++s) subsets[s] = s;
+      ExpectSameVerdicts(ev, anti, subsets, subsets.size());
+    }
+  }
+}
+
+// Several workers test a level when the affinity mask allows them; one
+// CPU means one worker, and the bytes must not change.
+TEST(MinimalAntichainTest, BitIdenticalForAnyWorkerCount) {
+  const PackedEvidence ev =
+      EvidenceFromMasks(55, RandomMasks(55, 40000, 0.45, 0, 31));
+  const PackedEvidence unpinned = ev.MinimalAntichain();
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  ASSERT_EQ(UsableCpuCount(), 1u);
+  const PackedEvidence pinned = ev.MinimalAntichain();
+  EXPECT_GT(pinned.num_pairs(), 0u);
+  EXPECT_TRUE(std::ranges::equal(pinned.raw_words(), unpinned.raw_words()));
+  EXPECT_TRUE(std::ranges::equal(pinned.raw_reps(), unpinned.raw_reps()));
 }
 
 // ------------------------------------------- filter-level differential

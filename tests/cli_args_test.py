@@ -16,6 +16,7 @@ on stderr — never be silently coerced to 0 (the old atoi/atof behavior,
 where `--eps 0` then fed the Θ(m/ε) pair-count computation).
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -270,7 +271,24 @@ def main():
             failures.append(f"{label}\n  hung (killed after 20 s)")
         os.remove(fifo)
 
-    checked = len(cases) + 2
+    # A served bitset image reports how many of the pairs its sample
+    # drew it stores: the minimal masks, at most all of them.
+    bitset_snap = os.path.join(tmp, "people_bitset.qsnp")
+    run([qikey, "snapshot", "save", people, "--backend", "bitset",
+         "--eps", "0.01", "--out", bitset_snap])
+    code, out, err = run([qikey, "snapshot", "inspect", bitset_snap])
+    try:
+        info = json.loads(out)
+        if not (info["backend"] == "bitset" and
+                0 < info["evidence_pairs"] <= info["source_pairs"] and
+                info["source_pairs"] == info["declared_sample_size"]):
+            failures.append(f"snapshot inspect {bitset_snap}\n  evidence "
+                            f"counts inconsistent: {out.strip()[:300]}")
+    except (ValueError, KeyError) as e:
+        failures.append(f"snapshot inspect {bitset_snap}\n  exit {code}, "
+                        f"no evidence counts ({e}): {out.strip()[:300]}")
+
+    checked = len(cases) + 3
     shutil.rmtree(tmp, ignore_errors=True)
     if failures:
         print(f"{len(failures)} of {checked} case(s) failed:\n")

@@ -195,6 +195,8 @@ TEST_P(ForAllGuaranteeTest, ServedIsKeyFromReloadedSnapshotFileCorrect) {
   // file the previous draw's published snapshot still maps, re-maps it
   // and publishes it (the `serve --snapshot-file` SIGHUP reload), then
   // answers all 64 is-key requests through the cached QueryEngine.
+  // `SnapshotFromPipelineResult` reduces the run's evidence to its
+  // minimal-mask antichain, so this is the served antichain's guarantee.
   Rng rng(static_cast<uint64_t>(GetParam()));
   const double eps = 0.02;
   Dataset d = KeyedGridSample(&rng);

@@ -6,15 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/bitset_filter.h"
 #include "core/tuple_sample_filter.h"
 #include "data/csv_loader.h"
+#include "data/generators/tabular.h"
 #include "data/wire_codec.h"
 #include "engine/pipeline.h"
 #include "serve/protocol.h"
@@ -330,13 +333,27 @@ TEST(SnapfileTest, InspectRendersSortedKeyJson) {
   EXPECT_EQ(info->header.source_rows, 70u);
   EXPECT_EQ(info->header.section_count, info->sections.size());
 
+  // The served evidence is the minimal-mask antichain: fewer pairs
+  // than the sample drew, which is the declared count.
+  const auto* bitset =
+      dynamic_cast<const BitsetSeparationFilter*>(built.filter.get());
+  ASSERT_NE(bitset, nullptr);
+  EXPECT_EQ(info->evidence_pairs, bitset->evidence().num_pairs());
+  EXPECT_EQ(info->source_pairs, info->header.declared_sample_size);
+  EXPECT_LT(info->evidence_pairs, info->source_pairs);
+
   std::string json = snapfile::RenderSnapshotInfoJson(*info);
   EXPECT_EQ(json.rfind("{\"backend\":\"bitset\"", 0), 0u) << json;
-  for (const char* field :
-       {"\"declared_sample_size\":", "\"eps\":", "\"file_bytes\":",
-        "\"header_checksum\":\"0x", "\"sections\":[", "\"source_rows\":70",
-        "\"version\":1", "\"name\":\"meta\"",
-        "\"name\":\"evidence_words\""}) {
+  for (const std::string& field :
+       {std::string("\"declared_sample_size\":"), std::string("\"eps\":"),
+        std::string("\"file_bytes\":"), std::string("\"header_checksum\":\"0x"),
+        std::string("\"sections\":["), std::string("\"source_rows\":70"),
+        std::string("\"version\":1"), std::string("\"name\":\"meta\""),
+        std::string("\"name\":\"evidence_words\""),
+        ",\"evidence_pairs\":" + std::to_string(info->evidence_pairs) +
+            ",\"file_bytes\":",
+        "],\"source_pairs\":" + std::to_string(info->source_pairs) +
+            ",\"source_rows\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
   }
   EXPECT_FALSE(snapfile::InspectSnapshotFile("/nonexistent.qsnp").ok());
@@ -399,6 +416,101 @@ TEST(SnapfileLegacyTest, InspectStillReportsTheMxHeaderByte) {
   EXPECT_EQ(json.rfind("{\"backend\":\"mx\"", 0), 0u) << json;
   EXPECT_NE(json.find("\"name\":\"pair_codes\""), std::string::npos)
       << json;
+  // Evidence counts are a bitset-image field.
+  EXPECT_EQ(json.find("evidence_pairs"), std::string::npos) << json;
+  EXPECT_EQ(json.find("source_pairs"), std::string::npos) << json;
+}
+
+// ------------------------------------------------ served antichain
+
+// An oracle for the served is-key path that does not go through a
+// served snapshot: qbench's expected answers come from `qikey query`,
+// which answers from the same reduced snapshot it checks.
+TEST(SnapfileAntichainTest, ServedFilterAnswersAsTheDiscoveryFilter) {
+  Rng data_rng(17);
+  TabularSpec spec = CovtypeLikeSpec();
+  spec.num_rows = 12000;
+  const Dataset data = MakeTabular(spec, &data_rng);
+  const size_t m = data.num_attributes();
+  ASSERT_GE(m, 40u);
+  PipelineOptions options;
+  options.eps = 0.001;
+  options.backend = FilterBackend::kBitset;
+  Rng rng(1);
+  auto result = DiscoveryPipeline(options).Run(data, &rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto served = SnapshotFromPipelineResult(*result, options.eps);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const auto* full =
+      dynamic_cast<const BitsetSeparationFilter*>(result->filter.get());
+  const auto* minimal =
+      dynamic_cast<const BitsetSeparationFilter*>(served->filter.get());
+  ASSERT_NE(full, nullptr);
+  ASSERT_NE(minimal, nullptr);
+  EXPECT_EQ(minimal->sample_size(), full->sample_size());
+  EXPECT_LT(minimal->evidence().num_pairs(), full->evidence().num_pairs());
+
+  // 10,000 random 2- to 8-attribute sets, both verdicts represented.
+  Rng qrng(5);
+  std::vector<AttributeSet> sets;
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < 10000; ++i) {
+    sets.push_back(AttributeSet::RandomOfSize(m, 2 + qrng.Uniform(7), &qrng));
+    QueryRequest request;
+    request.kind = QueryKind::kIsKey;
+    request.attrs = sets.back();
+    requests.push_back(std::move(request));
+  }
+  const std::vector<FilterVerdict> want = full->QueryBatch(sets);
+  EXPECT_EQ(minimal->QueryBatch(sets), want);
+  EXPECT_GT(std::count(want.begin(), want.end(), FilterVerdict::kAccept), 0);
+  EXPECT_GT(std::count(want.begin(), want.end(), FilterVerdict::kReject), 0);
+
+  // The largest sets each sampled mask rejects: its complement. The
+  // served filter must reject every one through a minimal mask inside
+  // it, so a dropped minimal mask shows here.
+  const PackedEvidence& evidence = full->evidence();
+  const std::span<const uint64_t> words = evidence.raw_words();
+  std::vector<AttributeSet> complements;
+  for (size_t p = 0; p < evidence.num_pairs(); ++p) {
+    AttributeSet complement(m);
+    for (size_t j = 0; j < m; ++j) {
+      if (((words[(p / 64) * m + j] >> (p % 64)) & 1) == 0) {
+        complement.Add(static_cast<AttributeIndex>(j));
+      }
+    }
+    complements.push_back(std::move(complement));
+  }
+  EXPECT_EQ(minimal->QueryBatch(complements),
+            std::vector<FilterVerdict>(complements.size(),
+                                       FilterVerdict::kReject));
+
+  // An image as saved before served snapshots were reduced: the full
+  // evidence under the same declared pair count. It still loads and
+  // answers byte for byte as the reduced image does.
+  auto unreduced = BitsetSeparationFilter::FromPackedEvidence(
+      full->evidence(), full->sample_size());
+  ASSERT_TRUE(unreduced.ok()) << unreduced.status().ToString();
+  ServeSnapshot legacy = *served;
+  legacy.filter =
+      std::make_shared<const BitsetSeparationFilter>(std::move(*unreduced));
+  const std::string legacy_path = "/tmp/qikey_snapfile_full_evidence.qsnp";
+  const std::string served_path = "/tmp/qikey_snapfile_antichain.qsnp";
+  ASSERT_TRUE(snapfile::WriteSnapshotFile(legacy, legacy_path).ok());
+  ASSERT_TRUE(snapfile::WriteSnapshotFile(*served, served_path).ok());
+  auto legacy_info = snapfile::InspectSnapshotFile(legacy_path);
+  ASSERT_TRUE(legacy_info.ok()) << legacy_info.status().ToString();
+  EXPECT_EQ(legacy_info->evidence_pairs, full->evidence().num_pairs());
+  auto legacy_loaded = snapfile::ReadSnapshotFile(legacy_path);
+  auto served_loaded = snapfile::ReadSnapshotFile(served_path);
+  ASSERT_TRUE(legacy_loaded.ok()) << legacy_loaded.status().ToString();
+  ASSERT_TRUE(served_loaded.ok()) << served_loaded.status().ToString();
+  EXPECT_EQ(legacy_loaded->filter->QueryBatch(sets), want);
+  EXPECT_EQ(served_loaded->filter->QueryBatch(sets), want);
+  EXPECT_EQ(WireAnswers(std::move(*legacy_loaded), requests),
+            WireAnswers(std::move(*served_loaded), requests));
+  std::remove(legacy_path.c_str());
+  std::remove(served_path.c_str());
 }
 
 // --------------------------------------------------------- corruption
