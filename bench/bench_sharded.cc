@@ -11,11 +11,13 @@
 // the pair side is what a sharded bitset build pays for.
 //
 // Part 2 — out-of-core: the same file is ingested through the
-// bounded-memory streaming path at growing input sizes with a fixed
-// chunk size. Peak tracked bytes (chunk + dictionaries + merged
-// filter) must stay flat as the input grows, and a run with
-// --memory-budget set to a quarter of the file size must finish within
-// it — the input is 4x the budget by construction.
+// bounded-memory streaming path (one `ShardArtifactBuilder` over the
+// whole file) at growing input sizes. Peak tracked bytes (read buffer +
+// retained rows + dictionaries) must stay flat as the input grows, and
+// runs with --memory-budget set to a quarter of the file size (tuple
+// backend) and to half of it (bitset backend, whose pair reservoirs hold
+// up to two rows per slot) must finish within it. VmHWM, the process's
+// peak RSS so far, is printed beside every row.
 //
 // Part 3 — self-check: in the exact regime the sharded pipeline must
 // emit the same key as the single-process pipeline.
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "core/sample_bounds.h"
 #include "data/csv_loader.h"
 #include "data/csv_loader_internal.h"
 #include "data/generators/tabular.h"
@@ -180,10 +183,12 @@ int main(int argc, char** argv) {
                 hw);
   }
 
-  // Part 2: flat peak memory vs input size (fixed chunk), then a hard
-  // budget of a quarter of the file with the full input.
-  std::printf("\nout-of-core ingest (chunks of 4096 rows)\n");
-  std::printf("  %10s %12s %16s\n", "rows", "file (MiB)", "peak tracked");
+  // Part 2: flat peak memory vs input size, then hard budgets (a quarter
+  // of the file for the tuple backend, half for the bitset backend's
+  // pair payloads) on the full input.
+  std::printf("\nout-of-core ingest (one streaming builder)\n");
+  std::printf("  %10s %12s %16s %12s\n", "rows", "file (MiB)",
+              "peak tracked", "VmHWM");
   uint64_t peak_small = 0, peak_large = 0;
   for (uint64_t part : {rows / 4, rows / 2, rows}) {
     TabularSpec sub = AdultLikeSpec();
@@ -194,51 +199,69 @@ int main(int argc, char** argv) {
     PipelineOptions options;
     options.eps = 0.001;
     ShardedRunOptions sharded;
-    sharded.shard_rows = 4096;
+    sharded.memory_budget_bytes = uint64_t{1} << 30;  // roomy: measure only
     DiscoveryPipeline pipeline(options);
     auto result = pipeline.RunSharded(sub_path, sharded, 5);
     QIKEY_CHECK(result.ok()) << result.status().ToString();
     if (part == rows / 4) peak_small = result->peak_tracked_bytes;
     if (part == rows) peak_large = result->peak_tracked_bytes;
-    std::printf("  %10" PRIu64 " %12.1f %13.2f MiB\n", part,
+    std::printf("  %10" PRIu64 " %12.1f %13.2f MiB %8.1f MiB\n", part,
                 FileSize(sub_path) / 1048576.0,
-                result->peak_tracked_bytes / 1048576.0);
+                result->peak_tracked_bytes / 1048576.0,
+                PeakRssBytes() / 1048576.0);
     json.Add("sharded_ingest_peak",
              {{"rows", std::to_string(part)}},
              static_cast<double>(result->peak_tracked_bytes), 0.0);
   }
-  // Flat: 4x the input must not cost 2x the (dictionary-dominated) peak.
+  // Flat: 4x the input must not cost 2x the (read-buffer-dominated) peak.
   QIKEY_CHECK(peak_large <= 2 * peak_small)
       << "peak tracked bytes grew with input size: " << peak_small << " -> "
       << peak_large;
 
-  uint64_t budget = file_bytes / 4;
-  if (peak_large <= budget - budget / 5) {
+  struct BudgetRow {
+    FilterBackend backend;
+    uint64_t budget;
+  };
+  for (BudgetRow row : {BudgetRow{FilterBackend::kTupleSample, file_bytes / 4},
+                        BudgetRow{FilterBackend::kBitset, file_bytes / 2}}) {
+    const bool bitset = row.backend == FilterBackend::kBitset;
+    // What the build holds whatever the input's size: the tuple run's
+    // peak, plus up to 2s pair payload rows on the bitset backend.
+    const uint32_t m = static_cast<uint32_t>(table.num_attributes());
+    const uint64_t floor =
+        peak_large + (bitset ? 2 * MxPairSampleSizePaper(m, 0.001) * m *
+                                   sizeof(ValueCode)
+                             : 0);
+    if (floor > row.budget - row.budget / 5) {
+      // A small --rows input makes a budget below that floor; the
+      // default --rows gives the budget demo plenty of headroom.
+      std::printf("  (input too small for the %s budget demo: floor %.2f "
+                  "MiB vs budget %.2f MiB; rerun with more --rows)\n",
+                  bitset ? "bitset" : "tuple", floor / 1048576.0,
+                  row.budget / 1048576.0);
+      continue;
+    }
     PipelineOptions options;
     options.eps = 0.001;
+    options.backend = row.backend;
     ShardedRunOptions sharded;
-    sharded.shard_rows = 4096;
-    sharded.memory_budget_bytes = budget;
+    sharded.memory_budget_bytes = row.budget;
     DiscoveryPipeline pipeline(options);
     auto result = pipeline.RunSharded(path, sharded, 5);
     QIKEY_CHECK(result.ok())
         << "budgeted ingest failed: " << result.status().ToString();
-    QIKEY_CHECK(result->peak_tracked_bytes <= budget);
-    std::printf("  budget %.1f MiB on a %.1f MiB input (4x): peak %.2f MiB, "
-                "VmHWM %.1f MiB\n",
-                budget / 1048576.0, file_bytes / 1048576.0,
+    QIKEY_CHECK(result->peak_tracked_bytes <= row.budget);
+    std::printf("  %s budget %.1f MiB on a %.1f MiB input (%dx): peak "
+                "%.2f MiB, VmHWM %.1f MiB\n",
+                bitset ? "bitset" : "tuple", row.budget / 1048576.0,
+                file_bytes / 1048576.0, bitset ? 2 : 4,
                 result->peak_tracked_bytes / 1048576.0,
                 PeakRssBytes() / 1048576.0);
-    json.Add("sharded_budget",
-             {{"budget_bytes", std::to_string(budget)}},
+    BenchJsonWriter::Params params = {
+        {"budget_bytes", std::to_string(row.budget)}};
+    if (bitset) params.emplace_back("backend", "bitset");
+    json.Add("sharded_budget", params,
              static_cast<double>(result->peak_tracked_bytes), 0.0);
-  } else {
-    // The ingest floor (the dictionary) does not shrink with the
-    // budget; with a tiny input a quarter of the file cannot hold it.
-    // The default --rows gives the budget demo plenty of headroom.
-    std::printf("  (input too small for the 4x-budget demo: floor %.2f MiB "
-                "vs budget %.2f MiB; rerun with more --rows)\n",
-                peak_large / 1048576.0, budget / 1048576.0);
   }
 
   // Part 3: exact-regime equivalence with the single-process pipeline.

@@ -1,16 +1,23 @@
 // Fuzz target: the quote-aware CSV machinery — `CsvRecordScanner` byte
-// feeding, full `ParseCsv`, and the chunked dataset loader — must never
-// crash on arbitrary bytes, and `LoadCsvDatasetFromString` must agree
-// with the reference materialize-then-encode ingest (tests/csv_oracle.h)
-// at its own chunk count and at forced ones: the same dataset
-// fingerprint or the same error.
+// feeding, full `ParseCsv`, the chunked dataset loader and the streaming
+// shard build — must never crash on arbitrary bytes, and
+// `LoadCsvDatasetFromString` must agree with the reference
+// materialize-then-encode ingest (tests/csv_oracle.h) at its own chunk
+// count and at forced ones: the same dataset fingerprint or the same
+// error. The streaming shard build (its sliding read plus
+// `ShardArtifactBuilder`), run from memory under a tuple target that
+// keeps every record, must keep the oracle's rows, or fail where the
+// oracle fails or loads fewer than two rows.
 
+#include <sstream>
+#include <string>
 #include <string_view>
 
 #include "csv_oracle.h"
 #include "data/csv_loader.h"
 #include "data/csv_loader_internal.h"
 #include "fuzz_target.h"
+#include "shard/shard_builder.h"
 #include "util/csv.h"
 #include "util/logging.h"
 
@@ -32,6 +39,26 @@ void CheckLoaderMatchesOracle(std::string_view text,
         << "CSV ingest in " << chunks
         << " chunks disagrees with the oracle\nloader: " << actual
         << "\noracle: " << expected;
+  }
+  qikey::Result<qikey::Dataset> oracle = qikey::csv_oracle::Load(text, options);
+  qikey::ShardedBuildOptions build;
+  build.csv = options;
+  build.tuple_sample_size = text.size() + 2;  // more than the records
+  std::istringstream in{std::string(text)};
+  qikey::Result<qikey::ShardFilterArtifact> artifact =
+      qikey::internal::StreamCsvShardArtifact(in, build, nullptr);
+  if (oracle.ok() && oracle->num_rows() >= 2) {
+    QIKEY_CHECK(artifact.ok()) << "streaming shard build failed where the "
+                                  "oracle loads: "
+                               << artifact.status().ToString();
+    actual = qikey::csv_oracle::Fingerprint(artifact->tuple_sample);
+    QIKEY_CHECK(actual == expected)
+        << "streaming shard build disagrees with the oracle\nbuild: "
+        << actual << "\noracle: " << expected;
+  } else {
+    QIKEY_CHECK(!artifact.ok())
+        << "streaming shard build succeeded where the oracle "
+        << (oracle.ok() ? "loads fewer than two rows" : "fails");
   }
 }
 

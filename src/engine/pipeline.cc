@@ -131,8 +131,8 @@ FilterMerger::Options MakeMergerOptions(const PipelineOptions& options,
   return merge;
 }
 
-/// Turns a finished merge into the pipeline tail's inputs: the shared
-/// greedy sample and the verdict filter.
+/// Turns a finished merge into the pipeline tail's inputs (moving out of
+/// `merged`): the shared greedy sample and the verdict filter.
 struct MergedInputs {
   std::shared_ptr<Dataset> sample;
   std::unique_ptr<SeparationFilter> filter;
@@ -140,7 +140,7 @@ struct MergedInputs {
   uint32_t num_shards = 0;
 };
 
-Result<MergedInputs> TakeMergedInputs(MergedFilter merged) {
+Result<MergedInputs> TakeMergedInputs(MergedFilter& merged) {
   MergedInputs inputs;
   inputs.sample = merged.tuple_filter->shared_sample();
   inputs.total_rows = merged.total_rows;
@@ -212,58 +212,28 @@ Result<PipelineResult> DiscoveryPipeline::RunSharded(
   build.num_shards = sharded.num_shards;
   build.seed = seeder.Next();
   build.csv = sharded.csv;
-  build.shard_rows = sharded.shard_rows;
   build.memory_budget_bytes = sharded.memory_budget_bytes;
   uint64_t merge_seed = seeder.Next();
 
-  if (sharded.memory_budget_bytes == 0 && sharded.shard_rows == 0) {
+  Timer timer;
+  if (sharded.memory_budget_bytes == 0) {
     // Scale-out mode: parallel byte-range ingest, then central merge.
-    Timer timer;
     Result<std::vector<ShardFilterArtifact>> artifacts =
         BuildShardArtifactsFromCsv(csv_path, build);
     return RunOnBuiltArtifacts(*this, std::move(artifacts),
                                timer.ElapsedMillis(), merge_seed);
   }
-
-  // Out-of-core mode: sequential chunked ingest with an eager merge; at
-  // most one chunk plus the merged filter are ever live.
-  Timer timer;
-  std::optional<FilterMerger> merger;
-  Status merge_status = Status::OK();
-  Result<ShardedIngestStats> stats = StreamCsvShardArtifacts(
-      csv_path, build,
-      [&](ShardFilterArtifact artifact) -> Status {
-        if (!merger.has_value()) {
-          merger.emplace(MakeMergerOptions(
-              options_, artifact.tuple_sample.num_attributes(), merge_seed));
-        }
-        merge_status = merger->Add(std::move(artifact));
-        return merge_status;
-      },
-      [&]() -> uint64_t {
-        return merger.has_value() ? merger->TrackedBytes() : 0;
-      });
-  if (!stats.ok()) return stats.status();
-  if (!merge_status.ok()) return merge_status;
-  if (!merger.has_value()) {
-    return Status::InvalidArgument("CSV produced no shards");
-  }
-  Result<MergedFilter> merged = std::move(*merger).Finish();
-  if (!merged.ok()) return merged.status();
-  double ingest_millis = timer.ElapsedMillis();
-
-  Result<MergedInputs> inputs =
-      TakeMergedInputs(std::move(merged).ValueOrDie());
-  if (!inputs.ok()) return inputs.status();
-  Result<PipelineResult> result = FinishStages(
-      std::move(inputs->sample), std::move(inputs->filter), 0.0);
-  if (!result.ok()) return result;
-  result->rows = inputs->total_rows;
-  result->num_shards = inputs->num_shards;
-  result->peak_tracked_bytes = stats->peak_tracked_bytes;
-  result->stages.insert(result->stages.begin(),
-                        PipelineStage{"ingest+merge", ingest_millis});
-  result->total_millis += ingest_millis;
+  // Out-of-core mode: one streaming builder over the whole file, within
+  // the budget; the peak reported is the one the budget bounds.
+  uint64_t peak = 0;
+  Result<ShardFilterArtifact> artifact =
+      StreamCsvShardArtifact(csv_path, build, &peak);
+  if (!artifact.ok()) return artifact.status();
+  std::vector<ShardFilterArtifact> artifacts;
+  artifacts.push_back(std::move(artifact).ValueOrDie());
+  Result<PipelineResult> result = RunOnBuiltArtifacts(
+      *this, std::move(artifacts), timer.ElapsedMillis(), merge_seed);
+  if (result.ok()) result->peak_tracked_bytes = peak;
   return result;
 }
 
@@ -283,8 +253,7 @@ Result<PipelineResult> DiscoveryPipeline::RunOnShardArtifacts(
   if (!merged.ok()) return merged.status();
   double merge_millis = timer.ElapsedMillis();
 
-  Result<MergedInputs> inputs =
-      TakeMergedInputs(std::move(merged).ValueOrDie());
+  Result<MergedInputs> inputs = TakeMergedInputs(*merged);
   if (!inputs.ok()) return inputs.status();
   Result<PipelineResult> result = FinishStages(
       std::move(inputs->sample), std::move(inputs->filter), 0.0);

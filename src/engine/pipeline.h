@@ -51,13 +51,12 @@ struct PipelineStage {
 struct ShardedRunOptions {
   /// Shard count; 0 = one per worker thread.
   size_t num_shards = 0;
-  /// Streaming mode: rows per ingest chunk (0 = derived default).
-  size_t shard_rows = 0;
-  /// When > 0, the CSV entry point ingests sequentially with bounded
-  /// memory and fails (OutOfRange) if the tracked live bytes — chunk,
-  /// dictionaries, merged filter — ever exceed this budget. When 0, the
-  /// CSV entry point fans record-aligned byte ranges out over the
-  /// worker threads (each parsing with private dictionaries).
+  /// When > 0, the CSV entry point reads the file once (it may be a
+  /// pipe) through one streaming shard builder and fails (OutOfRange)
+  /// if the live bytes — read buffer, retained rows, dictionaries —
+  /// ever exceed this budget. When 0, the CSV entry point fans
+  /// record-aligned byte ranges out over the worker threads (each
+  /// parsing with private dictionaries).
   uint64_t memory_budget_bytes = 0;
   CsvOptions csv;
 };
@@ -84,8 +83,9 @@ struct PipelineResult {
   uint64_t filter_sample_size = 0;  ///< tuples or pairs in the filter
   uint64_t filter_bytes = 0;        ///< filter memory footprint
   uint64_t num_shards = 0;          ///< > 0 when built by RunSharded
-  /// RunSharded: peak live ingest bytes (chunk + dictionaries + merged
-  /// state); the number the memory budget bounds.
+  /// RunSharded: with a memory budget, the peak live ingest bytes (read
+  /// buffer + retained rows + dictionaries), the number the budget
+  /// bounds; otherwise the artifacts' bytes plus the filter's.
   uint64_t peak_tracked_bytes = 0;
 
   std::vector<PipelineStage> stages;
@@ -157,9 +157,11 @@ class DiscoveryPipeline {
                                     uint64_t seed) const;
 
   /// \brief Out-of-core entry: ingests a CSV file directly. With a
-  /// memory budget, single-passes the file in bounded chunks (shared
-  /// dictionary, eager merge — peak memory independent of file size);
-  /// without one, fans record-aligned byte ranges out over workers.
+  /// memory budget, single-passes the file through one streaming shard
+  /// builder (`StreamCsvShardArtifact`: peak memory independent of file
+  /// size, and the same artifact as a one-shard build); without one,
+  /// fans record-aligned byte ranges out over workers. Either way the
+  /// artifacts go through `RunOnShardArtifacts`.
   Result<PipelineResult> RunSharded(const std::string& csv_path,
                                     const ShardedRunOptions& sharded,
                                     uint64_t seed) const;

@@ -68,20 +68,6 @@ Status FilterMerger::Fold(ShardFilterArtifact artifact) {
   return Status::OK();
 }
 
-uint64_t FilterMerger::TrackedBytes() const {
-  uint64_t bytes = 0;
-  if (tuple_.has_value()) {
-    bytes += tuple_->sample.num_rows() * tuple_->sample.num_attributes() *
-                 sizeof(ValueCode) +
-             tuple_->provenance.size() * sizeof(RowIndex);
-  }
-  bytes += pairs_.num_rows() * pairs_.num_attributes() * sizeof(ValueCode);
-  for (const auto& [index, artifact] : pending_) {
-    bytes += artifact.MemoryBytes();
-  }
-  return bytes;
-}
-
 Result<MergedFilter> FilterMerger::Finish() && {
   if (!pending_.empty()) {
     return Status::InvalidArgument(

@@ -58,10 +58,6 @@ class FilterMerger {
   /// Validates and folds (or stages) one shard's artifact.
   Status Add(ShardFilterArtifact artifact);
 
-  /// Live bytes held (merged state + staged out-of-order artifacts) —
-  /// reported into the ingest memory budget.
-  uint64_t TrackedBytes() const;
-
   uint32_t shards_merged() const { return next_index_; }
 
   /// Finishes the merge; fails if any shard index is missing.

@@ -1,12 +1,14 @@
 #include "shard/shard_builder.h"
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "core/sample_bounds.h"
-#include "data/dataset_builder.h"
 #include "data/schema.h"
 #include "stream/pair_slots.h"
 #include "stream/reservoir.h"
@@ -85,6 +87,16 @@ struct ShardArtifactBuilder::Impl {
   std::pair<std::vector<ValueCode>, uint64_t> offered;
   // Pair side: per-slot pair reservoirs retaining the kept rows.
   std::unique_ptr<PairReservoir> pairs;
+  // Estimated dictionary bytes: each value's bytes plus two words of
+  // index overhead.
+  uint64_t dict_bytes = 0;
+
+  Status ArityError(uint64_t pos, size_t fields) const {
+    return Status::InvalidArgument(
+        "CSV data row " + std::to_string(first_row + pos + 1) + " has " +
+        std::to_string(fields) + " fields, expected " +
+        std::to_string(schema.num_attributes()));
+  }
 
   Impl(std::vector<std::string> names_in, const CsvOptions& csv_in,
        FilterBackend backend_in, uint64_t tuple_sample_size,
@@ -131,21 +143,25 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   const bool tuple_keeps = im.tuples.NextIsKept();
   if (!pair_keeps && !tuple_keeps) {
     // Neither side keeps it: check its width, never split or encode it.
-    if (CountCsvFields(record, im.csv, &im.splitter) !=
-        im.schema.num_attributes()) {
-      return Status::InvalidArgument("row arity mismatch in shard");
+    const size_t width = CountCsvFields(record, im.csv, &im.splitter);
+    if (width != im.schema.num_attributes()) {
+      return im.ArityError(pos, width);
     }
     im.tuples.SkipNext();
     return Status::OK();
   }
   std::span<const std::string_view> fields = im.splitter.Split(record);
   if (fields.size() != im.schema.num_attributes()) {
-    return Status::InvalidArgument("row arity mismatch in shard");
+    return im.ArityError(pos, fields.size());
   }
   auto& [row, row_pos] = im.offered;
   row.clear();
   for (size_t j = 0; j < fields.size(); ++j) {
+    const size_t before = im.dicts[j]->size();
     row.push_back(im.dicts[j]->GetOrAdd(fields[j]));
+    if (im.dicts[j]->size() != before) {
+      im.dict_bytes += fields[j].size() + 2 * sizeof(void*);
+    }
   }
   row_pos = pos;
   if (pair_keeps) im.pairs->Retain(row);
@@ -161,12 +177,18 @@ uint64_t ShardArtifactBuilder::rows_seen() const {
   return impl_->tuples.seen();
 }
 
+uint64_t ShardArtifactBuilder::RetainedBytes() const {
+  const Impl& im = *impl_;
+  uint64_t rows = im.tuples.items().size();
+  if (im.pairs != nullptr) rows += im.pairs->retained();
+  return rows * im.schema.num_attributes() * sizeof(ValueCode) +
+         im.dict_bytes;
+}
+
 Result<ShardFilterArtifact> ShardArtifactBuilder::Finish() && {
   Impl& im = *impl_;
   uint64_t seen = im.tuples.seen();
-  if (seen < 2) {
-    return Status::InvalidArgument("shard has fewer than two rows");
-  }
+  if (seen < 2) return Status::InvalidArgument("need at least two rows");
   if (im.first_row + seen > static_cast<uint64_t>(~RowIndex{0})) {
     return Status::InvalidArgument("shard rows exceed RowIndex range");
   }
@@ -238,32 +260,6 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
   return artifacts;
 }
 
-Result<ShardFilterArtifact> BuildArtifactFromChunk(
-    const Dataset& chunk, uint64_t first_row, uint32_t shard_index,
-    FilterBackend backend, uint64_t tuple_sample_size, uint64_t pair_slots,
-    Rng* rng) {
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  const uint64_t n = chunk.num_rows();
-  if (n < 2) return Status::InvalidArgument("shard has fewer than two rows");
-  if (first_row + n > static_cast<uint64_t>(~RowIndex{0})) {
-    return Status::InvalidArgument("shard rows exceed RowIndex range");
-  }
-  if (tuple_sample_size == 0) {
-    return Status::InvalidArgument("tuple sample size must be positive");
-  }
-  if (backend == FilterBackend::kBitset && pair_slots == 0) {
-    return Status::InvalidArgument("pair slot count must be positive");
-  }
-  ShardFilterArtifact artifact = SampleRowRange(
-      chunk, 0, n, backend, tuple_sample_size, pair_slots, rng);
-  artifact.shard_index = shard_index;
-  artifact.first_row = first_row;
-  for (RowIndex& row : artifact.provenance) {
-    row = static_cast<RowIndex>(first_row + row);
-  }
-  return artifact;
-}
-
 // ---------------------------------------------------------------------------
 // CSV construction
 
@@ -277,7 +273,7 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
   Result<CsvShardPlan> plan = PlanCsvShards(file->view(), shards, options.csv);
   if (!plan.ok()) return plan.status();
   if (plan->total_rows < 2) {
-    return Status::InvalidArgument("CSV has fewer than two data rows");
+    return Status::InvalidArgument("need at least two rows");
   }
   uint64_t r = 0, s = 0;
   ResolveShardSampleSizes(
@@ -318,42 +314,54 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
   return artifacts;
 }
 
-Result<ShardedIngestStats> StreamCsvShardArtifacts(
+Result<ShardFilterArtifact> StreamCsvShardArtifact(
     const std::string& path, const ShardedBuildOptions& options,
-    const std::function<Status(ShardFilterArtifact)>& consumer,
-    const std::function<uint64_t()>& consumer_tracked) {
-  ShardedLoaderOptions loader_options;
-  loader_options.shard_rows = options.shard_rows;
-  loader_options.memory_budget_bytes = options.memory_budget_bytes;
-  loader_options.csv = options.csv;
-  ShardedLoader loader(loader_options);
+    uint64_t* peak_tracked_bytes) {
+  std::ifstream in;
+  QIKEY_RETURN_NOT_OK(OpenCsvStream(path, &in));
+  return internal::StreamCsvShardArtifact(in, options, peak_tracked_bytes);
+}
 
-  Rng seeder(options.seed);
-  uint64_t r = 0, s = 0;
-  bool resolved = false;
+Result<ShardFilterArtifact> internal::StreamCsvShardArtifact(
+    std::istream& in, const ShardedBuildOptions& options,
+    uint64_t* peak_tracked_bytes) {
+  std::optional<ShardArtifactBuilder> builder;
+  CsvFieldSplitter splitter(options.csv);
+  uint64_t peak = 0;
   Status inner = Status::OK();
-  Result<ShardedIngestStats> stats = loader.Load(
-      path,
-      [&](ShardInput chunk) -> Status {
-        if (!resolved) {
-          ResolveShardSampleSizes(
-              options, static_cast<uint32_t>(chunk.rows.num_attributes()),
-              &r, &s);
-          resolved = true;
+  Status walk = WalkCsvRecords(
+      in, options.csv, [&](const CsvRecord& record, size_t buffer_bytes) {
+        if (record.blank) return true;
+        if (!builder.has_value()) {
+          std::vector<std::string> names =
+              CsvAttributeNames(splitter.Split(record.text), options.csv);
+          uint64_t r = 0, s = 0;
+          ResolveShardSampleSizes(options,
+                                  static_cast<uint32_t>(names.size()), &r, &s);
+          // The one-shard build's seed: `BuildShardArtifactsFromCsv`
+          // gives shard i the seeder's (i + 1)-th draw.
+          builder.emplace(std::move(names), options.csv, options.backend, r,
+                          s, /*shard_index=*/0, /*first_row=*/0,
+                          Rng(options.seed).Next());
+          if (options.csv.has_header) return true;
         }
-        Rng rng(seeder.Next());
-        Result<ShardFilterArtifact> built = BuildArtifactFromChunk(
-            chunk.rows, chunk.first_row, chunk.shard_index, options.backend,
-            r, s, &rng);
-        if (!built.ok()) {
-          inner = built.status();
-          return inner;
+        inner = builder->OfferRecord(record.text);
+        const uint64_t tracked = buffer_bytes + builder->RetainedBytes();
+        peak = std::max(peak, tracked);
+        if (inner.ok() && options.memory_budget_bytes > 0 &&
+            tracked > options.memory_budget_bytes) {
+          inner = Status::OutOfRange(
+              "streaming shard build exceeded the memory budget");
         }
-        return consumer(std::move(built).ValueOrDie());
-      },
-      consumer_tracked);
-  if (!stats.ok() && !inner.ok()) return inner;
-  return stats;
+        return inner.ok();
+      });
+  QIKEY_RETURN_NOT_OK(walk);
+  QIKEY_RETURN_NOT_OK(inner);
+  if (!builder.has_value()) {
+    return Status::InvalidArgument("need at least two rows");
+  }
+  if (peak_tracked_bytes != nullptr) *peak_tracked_bytes = peak;
+  return std::move(*builder).Finish();
 }
 
 }  // namespace qikey

@@ -2,7 +2,7 @@
 #define QIKEY_SHARD_SHARD_BUILDER_H_
 
 #include <cstdint>
-#include <functional>
+#include <istream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,8 +34,9 @@ struct ShardedBuildOptions {
   size_t num_threads = 1;
   uint64_t seed = 1;
   CsvOptions csv;
-  /// Streaming mode only: see `ShardedLoaderOptions`.
-  size_t shard_rows = 0;
+  /// `StreamCsvShardArtifact` only: when > 0, the build fails with
+  /// OutOfRange once its live bytes (read buffer, retained rows,
+  /// dictionaries) exceed this budget.
   uint64_t memory_budget_bytes = 0;
 };
 
@@ -69,10 +70,17 @@ class ShardArtifactBuilder {
   /// Offers the shard's next data record (its text, as
   /// `ForEachCsvRecordInRange` yields it; it need only live for the
   /// call). A record whose field count differs from the attribute count
-  /// is InvalidArgument, whether or not it is sampled.
+  /// is InvalidArgument, whether or not it is sampled: "CSV data row N
+  /// has X fields, expected Y", N counting data rows from 1 over the
+  /// whole file (`first_row` + 1 for the shard's first record).
   Status OfferRecord(std::string_view record);
 
   uint64_t rows_seen() const;
+
+  /// Live bytes the build holds: the codes of every retained row (the
+  /// tuple reservoir plus every pair payload row, referenced or kept for
+  /// reuse) and an estimate of the dictionaries.
+  uint64_t RetainedBytes() const;
 
   Result<ShardFilterArtifact> Finish() &&;
 
@@ -97,22 +105,27 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifacts(
 Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
     const std::string& path, const ShardedBuildOptions& options);
 
-/// \brief Bounded-memory sequential construction: single-passes the
-/// file through `ShardedLoader` (shared dictionary, one chunk resident)
-/// and emits one artifact per chunk to `consumer` — which typically
-/// folds it into a `FilterMerger` immediately, keeping the whole run
-/// within the memory budget. `consumer_tracked` joins the budget check.
-Result<ShardedIngestStats> StreamCsvShardArtifacts(
+/// \brief Bounded-memory construction: reads `path` once (it may be a
+/// pipe) through `WalkCsvRecords`' sliding buffer and offers every data
+/// record to ONE `ShardArtifactBuilder` over the whole file, seeded as
+/// `BuildShardArtifactsFromCsv` seeds its first shard, so the artifact is
+/// the one-shard build's. With `memory_budget_bytes` > 0 the build fails
+/// with OutOfRange once the read buffer plus the builder's
+/// `RetainedBytes` exceed it. `peak_tracked_bytes`, when set, receives
+/// the peak of that sum.
+Result<ShardFilterArtifact> StreamCsvShardArtifact(
     const std::string& path, const ShardedBuildOptions& options,
-    const std::function<Status(ShardFilterArtifact)>& consumer,
-    const std::function<uint64_t()>& consumer_tracked = nullptr);
+    uint64_t* peak_tracked_bytes = nullptr);
 
-/// Samples one artifact from a materialized chunk (rows already
-/// encoded). Used by the streaming path and by tests.
-Result<ShardFilterArtifact> BuildArtifactFromChunk(
-    const Dataset& chunk, uint64_t first_row, uint32_t shard_index,
-    FilterBackend backend, uint64_t tuple_sample_size, uint64_t pair_slots,
-    Rng* rng);
+namespace internal {
+
+/// `StreamCsvShardArtifact` over an open stream (a test seam: the fuzz
+/// target drives it from memory).
+Result<ShardFilterArtifact> StreamCsvShardArtifact(
+    std::istream& in, const ShardedBuildOptions& options,
+    uint64_t* peak_tracked_bytes);
+
+}  // namespace internal
 
 /// Resolves the 0-defaulted sample sizes against `m` attributes.
 void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,

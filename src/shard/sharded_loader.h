@@ -2,13 +2,14 @@
 #define QIKEY_SHARD_SHARDED_LOADER_H_
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <istream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "data/dataset.h"
-#include "data/dictionary.h"
 #include "util/csv.h"
 #include "util/status.h"
 
@@ -68,67 +69,27 @@ Status ForEachCsvRecordInRange(
     const CsvOptions& options,
     const std::function<Status(std::string_view record)>& fn);
 
-/// Options for `ShardedLoader`.
-struct ShardedLoaderOptions {
-  /// Rows per shard; 0 derives it from the memory budget (or a default
-  /// of 64Ki rows when no budget is set). Shards always get >= 2 rows.
-  size_t shard_rows = 0;
-  /// When > 0, `Load` fails with OutOfRange if the tracked live bytes
-  /// (current chunk + dictionaries + whatever the consumer reports)
-  /// ever exceed this budget — the out-of-core contract.
-  uint64_t memory_budget_bytes = 0;
-  CsvOptions csv;
-};
+/// Attribute names fixed by a file's first non-blank record, split into
+/// `fields`: the header, or anonymous names of the record's width.
+std::vector<std::string> CsvAttributeNames(
+    std::span<const std::string_view> fields, const CsvOptions& options);
 
-/// One ingested chunk: a fixed-size row range of the input, encoded
-/// against the loader's SHARED dictionaries (codes of all chunks
-/// compare directly).
-struct ShardInput {
-  Dataset rows;
-  uint32_t shard_index = 0;
-  uint64_t first_row = 0;
-};
+/// Opens `path` for `WalkCsvRecords`. A directory is an IOError ("is a
+/// directory: PATH"): a stream would open one, then fail to read it.
+Status OpenCsvStream(const std::string& path, std::ifstream* in);
 
-/// What one ingest pass did, for reporting and the benches' memory
-/// assertions.
-struct ShardedIngestStats {
-  uint64_t total_rows = 0;
-  uint64_t num_shards = 0;
-  /// Max over time of: live chunk bytes + dictionary bytes + the
-  /// consumer-reported bytes. The loader's peak footprint.
-  uint64_t peak_tracked_bytes = 0;
-  uint64_t dictionary_bytes = 0;
-};
-
-/// \brief Chunked, bounded-memory CSV ingest: single-passes the file,
-/// dictionary-encodes incrementally into one shared per-column
-/// dictionary, and hands fixed-size row-range chunks to `consumer`
-/// without ever holding more than one chunk — the ingest path for
-/// tables larger than RAM.
-///
-/// `consumer_tracked`, when provided, reports the consumer's current
-/// live bytes (e.g. the running merged filter) so the budget check
-/// covers the whole pipeline, not just the loader.
-class ShardedLoader {
- public:
-  explicit ShardedLoader(const ShardedLoaderOptions& options)
-      : options_(options) {}
-
-  /// `path` may be a pipe; a directory is an IOError ("is a directory").
-  Result<ShardedIngestStats> Load(
-      const std::string& path,
-      const std::function<Status(ShardInput)>& consumer,
-      const std::function<uint64_t()>& consumer_tracked = nullptr);
-
-  /// The shared per-column dictionaries (valid after `Load`).
-  const std::vector<std::shared_ptr<Dictionary>>& dictionaries() const {
-    return dictionaries_;
-  }
-
- private:
-  ShardedLoaderOptions options_;
-  std::vector<std::shared_ptr<Dictionary>> dictionaries_;
-};
+/// \brief Walks a stream record by record through a sliding buffer, for
+/// the readers that must accept pipes (`StreamCsvShardArtifact`) or need
+/// only the first record (`ReadCsvAttributeNames`). `on_record` gets
+/// every record, blank ones included, and the buffer's current size in
+/// bytes; the record's text is a view into the buffer, valid for the
+/// call. Returning false stops the walk early. The buffer starts at
+/// 256 KiB; only a record that straddles a refill is moved (to the
+/// buffer's front), and one longer than the buffer doubles it.
+Status WalkCsvRecords(
+    std::istream& in, const CsvOptions& options,
+    const std::function<bool(const CsvRecord& record, size_t buffer_bytes)>&
+        on_record);
 
 }  // namespace qikey
 

@@ -1,8 +1,8 @@
 #include "stream/pair_slots.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "data/concat.h"
 #include "util/logging.h"
@@ -31,7 +31,10 @@ constexpr uint64_t kNever = uint64_t{1} << 62;
 }  // namespace
 
 PairReservoir::PairReservoir(size_t num_slots, Rng* rng)
-    : slots_(num_slots, {0, 0}), rng_(rng) {
+    : slots_(num_slots, {0, 0}),
+      rng_(rng),
+      near_(std::bit_ceil(std::clamp<size_t>(num_slots, 1, 4096))),
+      slot_rows_(num_slots, {kNoRow, kNoRow}) {
   QIKEY_CHECK(rng != nullptr);
 }
 
@@ -49,66 +52,98 @@ uint64_t PairReservoir::NextReplacementCount(uint64_t t) {
   return std::min(count, kNever);
 }
 
+void PairReservoir::Repoint(uint32_t* end) {
+  if (*end != kNoRow && --refs_[*end] == 0) free_rows_.push_back(*end);
+  *end = kNoRow;
+  pending_.push_back(end);
+}
+
+void PairReservoir::Schedule(uint64_t count, uint64_t due, uint32_t slot) {
+  if (due - count < near_.size()) {
+    near_[due % near_.size()].push_back(slot);
+  } else {
+    far_.emplace(due, slot);
+  }
+}
+
 bool PairReservoir::Offer() {
+  pending_.clear();  // an item not retained leaves its ends at kNoRow
   uint64_t pos = seen_++;
   uint64_t count = pos + 1;  // 1-based item count after this arrival
   if (pos == 0) {
-    for (auto& slot : slots_) slot.first = 0;
+    for (uint32_t i = 0; i < slots_.size(); ++i) {
+      slots_[i].first = 0;
+      Repoint(&slot_rows_[i].first);
+    }
     return !slots_.empty();
   }
   if (pos == 1) {
     for (uint32_t i = 0; i < slots_.size(); ++i) {
       slots_[i].second = 1;
-      heap_.emplace(NextReplacementCount(2), i);
+      Repoint(&slot_rows_[i].second);
+      Schedule(count, NextReplacementCount(count), i);
     }
     return !slots_.empty();
   }
-  bool referenced = false;
-  while (!heap_.empty() && heap_.top().first <= count) {
-    auto [due, slot] = heap_.top();
-    heap_.pop();
-    QIKEY_DCHECK(due == count);
+  // The ring's bucket for this count holds one count's slots only: a
+  // slot is filed there at most W - 1 counts ahead. Those the heap held
+  // join it now.
+  std::vector<uint32_t>& due = near_[count % near_.size()];
+  while (!far_.empty() && far_.top().first == count) {
+    due.push_back(far_.top().second);
+    far_.pop();
+  }
+  QIKEY_DCHECK(far_.empty() || far_.top().first > count);
+  std::sort(due.begin(), due.end());
+  for (uint32_t slot : due) {
     if (rng_->Uniform(2) == 0) {
       slots_[slot].first = pos;
+      Repoint(&slot_rows_[slot].first);
     } else {
       slots_[slot].second = pos;
+      Repoint(&slot_rows_[slot].second);
     }
-    referenced = true;
-    heap_.emplace(NextReplacementCount(count), slot);
+    Schedule(count, NextReplacementCount(count), slot);
   }
-  return referenced;
+  due.clear();
+  return !pending_.empty();
 }
 
 void PairReservoir::Retain(const std::vector<ValueCode>& row) {
-  QIKEY_DCHECK(seen_ > 0) << "Retain before any Offer";
-  payloads_[seen_ - 1] = row;
-  if (payloads_.size() >= next_gc_) {
-    CollectGarbage();
-    next_gc_ = std::max<uint64_t>(4 * slots_.size(), 1024) + payloads_.size();
+  QIKEY_DCHECK(!pending_.empty()) << "Retain without a kept Offer";
+  if (refs_.empty() && free_rows_.empty()) {
+    // At most 2s rows are ever live, and a released row is reused
+    // before a new one is added: the buffer never moves.
+    width_ = row.size();
+    codes_.reserve(2 * slots_.size() * width_);
   }
-}
-
-void PairReservoir::CollectGarbage() {
-  std::unordered_set<uint64_t> live;
-  live.reserve(2 * slots_.size());
-  for (const auto& [a, b] : slots_) {
-    live.insert(a);
-    live.insert(b);
+  QIKEY_DCHECK(row.size() == width_) << "payload width changed";
+  uint32_t index;
+  if (free_rows_.empty()) {
+    index = static_cast<uint32_t>(refs_.size());
+    refs_.push_back(0);
+    codes_.insert(codes_.end(), row.begin(), row.end());
+  } else {
+    index = free_rows_.back();
+    free_rows_.pop_back();
+    std::copy(row.begin(), row.end(), codes_.begin() + index * width_);
   }
-  std::erase_if(payloads_,
-                [&](const auto& entry) { return live.count(entry.first) == 0; });
+  refs_[index] = static_cast<uint32_t>(pending_.size());
+  for (uint32_t* end : pending_) *end = index;
+  pending_.clear();
 }
 
 std::vector<std::vector<ValueCode>> PairReservoir::TakeRows() && {
   std::vector<std::vector<ValueCode>> rows;
   rows.reserve(2 * slots_.size());
-  for (const auto& [a, b] : slots_) {
-    auto ia = payloads_.find(a);
-    auto ib = payloads_.find(b);
-    QIKEY_CHECK(ia != payloads_.end() && ib != payloads_.end())
-        << "payload lost for a sampled position";
-    rows.push_back(ia->second);
-    rows.push_back(ib->second);
+  auto row = [&](uint32_t index) {
+    QIKEY_CHECK(index != kNoRow) << "payload lost for a sampled position";
+    auto begin = codes_.begin() + static_cast<std::ptrdiff_t>(index * width_);
+    rows.emplace_back(begin, begin + static_cast<std::ptrdiff_t>(width_));
+  };
+  for (const auto& [a, b] : slot_rows_) {
+    row(a);
+    row(b);
   }
   return rows;
 }

@@ -146,10 +146,12 @@ def main():
         # --window
         (qikey, ["monitor", people, "--window", "banana"], 2, "must be"),
         (qikey, ["monitor", people, "--window", "-2"], 2, "must be"),
-        # --shards / --shard-rows / --cache (counted flags)
+        # --shards / --cache (counted flags)
         (qikey, ["discover", people, "--shards", "banana"], 2, "must be"),
         (qikey, ["discover", people, "--shards", "-1"], 2, "must be"),
-        (qikey, ["discover", people, "--shard-rows", "x"], 2, "must be"),
+        # --shard-rows bounded the old chunked ingest; it is gone
+        (qikey, ["discover", people, "--shard-rows", "256"], 2,
+         "unknown flag"),
         (qikey, ["query", people, "--cache", "banana"], 2, "must be"),
         # --memory-budget
         (qikey, ["discover", people, "--memory-budget", "-1"], 2,
@@ -271,6 +273,36 @@ def main():
             failures.append(f"{label}\n  hung (killed after 20 s)")
         os.remove(fifo)
 
+    # The same bad input gets the same error on every discover path: in
+    # memory, --shards and --memory-budget. A sharded build names the
+    # data row (counted from 1) of a record of the wrong width.
+    ragged = os.path.join(tmp, "ragged.csv")
+    with open(ragged, "w") as f:
+        f.write("a,b\n1,2\n1,2,3\n4,5\n")
+    one_row = os.path.join(tmp, "one_row.csv")
+    with open(one_row, "w") as f:
+        f.write("a,b\n1,2\n")
+    modes = ([], ["--shards", "2"], ["--memory-budget", "8"])
+    same_error_cases = [
+        (ragged, ["has 3 fields, expected 2",
+                  "CSV data row 2 has 3 fields, expected 2",
+                  "CSV data row 2 has 3 fields, expected 2"]),
+        (one_row, ["need at least two rows"] * 3),
+    ]
+    for path, wants in same_error_cases:
+        sharded_errors = set()
+        for mode, want in zip(modes, wants):
+            code, out, err = run([qikey, "discover", path] + mode)
+            label = " ".join(["qikey", "discover", path] + mode)
+            if code != 1 or want not in err:
+                failures.append(f"{label}\n  exit {code}, want 1 and "
+                                f"{want!r}\n  stderr: {err.strip()[:200]}")
+            if mode:
+                sharded_errors.add(err)
+        if len(sharded_errors) != 1:
+            failures.append(f"qikey discover {path}: --shards and "
+                            f"--memory-budget differ: {sharded_errors}")
+
     # A served bitset image reports how many of the pairs its sample
     # drew it stores: the minimal masks, at most all of them.
     bitset_snap = os.path.join(tmp, "people_bitset.qsnp")
@@ -288,7 +320,7 @@ def main():
         failures.append(f"snapshot inspect {bitset_snap}\n  exit {code}, "
                         f"no evidence counts ({e}): {out.strip()[:300]}")
 
-    checked = len(cases) + 3
+    checked = len(cases) + 3 + len(modes) * len(same_error_cases)
     shutil.rmtree(tmp, ignore_errors=True)
     if failures:
         print(f"{len(failures)} of {checked} case(s) failed:\n")

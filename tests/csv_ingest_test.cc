@@ -111,27 +111,15 @@ std::vector<std::vector<std::string>> RangeRows(const std::string& path,
   return rows;
 }
 
-/// The rows `ShardedLoader` encodes, decoded back through its shared
-/// dictionaries.
-std::vector<std::vector<std::string>> LoaderRows(const std::string& path,
-                                                 size_t shard_rows) {
-  ShardedLoaderOptions options;
-  options.shard_rows = shard_rows;
-  ShardedLoader loader(options);
-  std::vector<std::vector<std::string>> rows;
-  auto stats = loader.Load(path, [&](ShardInput chunk) {
-    for (RowIndex r = 0; r < chunk.rows.num_rows(); ++r) {
-      std::vector<std::string> row;
-      for (AttributeIndex j = 0; j < chunk.rows.num_attributes(); ++j) {
-        const Column& col = chunk.rows.column(j);
-        row.push_back(col.dictionary()->Value(col.code(r)));
-      }
-      rows.push_back(std::move(row));
-    }
-    return Status::OK();
-  });
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return rows;
+/// The tuple sample the streaming shard builder draws from `path` under a
+/// target of `rows` — at least the row count, so it keeps every record
+/// in file order — described as `csv_oracle::Describe` describes a load.
+std::string StreamedSample(const std::string& path, uint64_t rows) {
+  ShardedBuildOptions options;
+  options.tuple_sample_size = rows;
+  Result<ShardFilterArtifact> artifact = StreamCsvShardArtifact(path, options);
+  if (!artifact.ok()) return "error: " + artifact.status().ToString();
+  return csv_oracle::Fingerprint(artifact->tuple_sample);
 }
 
 // ------------------------------------------------------------- quoting
@@ -441,9 +429,8 @@ TEST(CsvIngestTest, LoadingADirectoryIsAnIoError) {
       BuildShardArtifactsFromCsv(dir, ShardedBuildOptions{}).status());
   // The sliding-buffer readers, which also accept pipes.
   expect_directory_error(ReadCsvAttributeNames(dir).status());
-  ShardedLoader loader(ShardedLoaderOptions{});
   expect_directory_error(
-      loader.Load(dir, [](ShardInput) { return Status::OK(); }).status());
+      StreamCsvShardArtifact(dir, ShardedBuildOptions{}).status());
 }
 
 TEST(CsvIngestTest, FifoInputIsStreamed) {
@@ -484,6 +471,16 @@ TEST(CsvIngestTest, FifoInputIsStreamed) {
     rows += artifact.rows_seen;
   }
   EXPECT_EQ(rows, 2u);
+  // The streaming build reads the FIFO once through its sliding buffer.
+  ShardedBuildOptions streamed;
+  streamed.tuple_sample_size = 2;
+  Result<ShardFilterArtifact> artifact =
+      through_fifo([&](const std::string& path) {
+        return StreamCsvShardArtifact(path, streamed);
+      });
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  EXPECT_EQ(csv_oracle::Fingerprint(artifact->tuple_sample),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
 }
 
 TEST(CsvIngestTest, NothingBorrowsFromTheFileAfterTheReaderReturns) {
@@ -519,7 +516,8 @@ TEST(CsvIngestTest, NothingBorrowsFromTheFileAfterTheReaderReturns) {
 // ---------------------------------------------- records past the buffer
 
 TEST(CsvIngestTest, RecordsLongerThanTheReadBuffer) {
-  // The sharded walker reads 256 KiB at a time; these records are longer.
+  // The streaming walker reads 256 KiB at a time; these records are
+  // longer.
   std::string plain(300 * 1024, 'x');
   std::string quoted = "\"" + std::string(150 * 1024, 'y') + ",\n\"\"" +
                        std::string(150 * 1024, 'z') + "\"";
@@ -533,7 +531,8 @@ TEST(CsvIngestTest, RecordsLongerThanTheReadBuffer) {
   for (size_t shards : {size_t{1}, size_t{2}}) {
     EXPECT_EQ(RangeRows(path, shards, CsvOptions{}), expected->rows);
   }
-  EXPECT_EQ(LoaderRows(path, 2), expected->rows);
+  EXPECT_EQ(StreamedSample(path, expected->rows.size()),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
   Result<std::vector<std::string>> names = ReadCsvAttributeNames(path);
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(*names, expected->header);
@@ -551,7 +550,8 @@ TEST(CsvIngestTest, RangeFieldsEqualSplitCsvLineFields) {
     EXPECT_EQ(RangeRows(path, shards, CsvOptions{}), expected->rows)
         << shards << " shards";
   }
-  EXPECT_EQ(LoaderRows(path, 100), expected->rows);
+  EXPECT_EQ(StreamedSample(path, expected->rows.size()),
+            csv_oracle::Describe(csv_oracle::Load(text, CsvOptions{})));
 }
 
 TEST(CsvIngestTest, RunShardedCsvKeyAndFrontierArePinned) {

@@ -330,35 +330,5 @@ TEST(ConcatTest, AppendsRawCodesWithWidenedCardinality) {
   EXPECT_EQ(merged->code(2, 0), 4u);
 }
 
-// ------------------------------------------------- shard-aware builder
-
-TEST(DatasetBuilderTest, TakeShardSharesDictionaries) {
-  DatasetBuilder b({"word"});
-  ASSERT_TRUE(b.AddRow({"alpha"}).ok());
-  ASSERT_TRUE(b.AddRow({"beta"}).ok());
-  Dataset first = b.TakeShard();
-  EXPECT_EQ(b.num_rows(), 0u);
-  ASSERT_TRUE(b.AddRow({"beta"}).ok());
-  ASSERT_TRUE(b.AddRow({"gamma"}).ok());
-  Dataset second = b.TakeShard();
-  // Shared dictionary: codes compare across shards without remapping.
-  EXPECT_EQ(first.code(1, 0), second.code(0, 0));  // both "beta"
-  EXPECT_EQ(first.FormatRow(0), "alpha");
-  EXPECT_EQ(second.FormatRow(1), "gamma");
-  // The second shard's cardinality covers the grown dictionary.
-  EXPECT_EQ(second.column(0).cardinality(), 3u);
-}
-
-TEST(DatasetBuilderTest, EstimatedBytesGrowsWithRowsAndDictionary) {
-  DatasetBuilder b({"a", "b"});
-  uint64_t empty = b.EstimatedBytes();
-  ASSERT_TRUE(b.AddRow({"one", "two"}).ok());
-  uint64_t one = b.EstimatedBytes();
-  EXPECT_GT(one, empty);
-  ASSERT_TRUE(b.AddRow({"one", "two"}).ok());  // no new dict entries
-  uint64_t two = b.EstimatedBytes();
-  EXPECT_EQ(two - one, 2 * sizeof(ValueCode));
-}
-
 }  // namespace
 }  // namespace qikey

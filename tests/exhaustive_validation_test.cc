@@ -309,6 +309,51 @@ TEST_P(ForAllGuaranteeTest, ShardedTupleMergeWholeUniverseCorrect) {
                          static_cast<uint64_t>(GetParam()));
 }
 
+// The filter `RunSharded(csv)` answers with under a memory budget: one
+// streaming shard builder reads the table back from a CSV file and keeps
+// only the rows its reservoirs sample. Each draw takes a fresh run seed
+// from `rng`. As in the merged cases, the pair filter's bound also covers
+// the tuple backend.
+void ExpectBudgetGuarantee(FilterBackend backend, uint64_t seed) {
+  Rng rng(seed);
+  const double eps = 0.02;
+  Dataset d = KeyedGridSample(&rng);
+  const uint32_t m = static_cast<uint32_t>(d.num_attributes());
+  PairUniverse universe =
+      ClassifyUniverse(d, eps, MxPairSampleSizePaper(m, eps));
+  std::vector<AttributeSet> subsets;
+  for (uint32_t mask = 0; mask < (1u << m); ++mask) {
+    subsets.push_back(SubsetOf(m, mask));
+  }
+  const std::string path = ::testing::TempDir() + "qikey_forall_budget_" +
+                           std::to_string(seed) + "_" +
+                           std::to_string(::getpid()) + ".csv";
+  ASSERT_TRUE(SaveCsvDataset(d, path).ok());
+  PipelineOptions options;
+  options.eps = eps;
+  options.backend = backend;
+  ShardedRunOptions sharded;
+  sharded.memory_budget_bytes = 8 << 20;
+  ExpectPairPathGuarantee(universe, 20, [&](int) {
+    auto run = DiscoveryPipeline(options).RunSharded(path, sharded,
+                                                     rng.Next());
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->rows, d.num_rows());
+    return run->filter->QueryBatch(subsets);
+  });
+  std::remove(path.c_str());
+}
+
+TEST_P(ForAllGuaranteeTest, MemoryBudgetBitsetWholeUniverseCorrect) {
+  ExpectBudgetGuarantee(FilterBackend::kBitset,
+                        static_cast<uint64_t>(GetParam()));
+}
+
+TEST_P(ForAllGuaranteeTest, MemoryBudgetTupleWholeUniverseCorrect) {
+  ExpectBudgetGuarantee(FilterBackend::kTupleSample,
+                        static_cast<uint64_t>(GetParam()));
+}
+
 // The filter `KeyMonitor` answers from: an `IncrementalFilter` whose
 // window slid over the table. Rows [0, 600) go in, then each of rows
 // [600, 1000) is inserted as row i - 600 is erased, so every draw ends

@@ -296,7 +296,7 @@ std::string TrickyCsv() {
       "grace,last,13\n";
 }
 
-TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
+TEST(CsvShardPlanTest, PlanCoversEveryRowAcrossShardCounts) {
   std::string path = WriteTempFile("plan.csv", TrickyCsv());
   auto whole = LoadCsvDataset(path);
   ASSERT_TRUE(whole.ok());
@@ -337,35 +337,26 @@ TEST(ShardedLoaderTest, PlanCoversEveryRowAcrossShardCounts) {
   }
 }
 
-TEST(ShardedLoaderTest, ChunkedIngestMatchesWholeFileLoad) {
+TEST(StreamingShardBuildTest, KeepsEveryRowInFileOrderUnderALargeTarget) {
   Rng rng(5);
   TabularSpec spec = AdultLikeSpec();
   spec.num_rows = 500;
   Dataset d = MakeTabular(spec, &rng);
   std::string path = WriteTempFile("chunks.csv", DatasetToCsv(d));
 
-  ShardedLoaderOptions options;
-  options.shard_rows = 64;
-  ShardedLoader loader(options);
-  std::vector<std::string> rows;
-  uint64_t next_first = 0;
-  auto stats = loader.Load(path, [&](ShardInput chunk) {
-    EXPECT_EQ(chunk.first_row, next_first);
-    next_first += chunk.rows.num_rows();
-    for (RowIndex i = 0; i < chunk.rows.num_rows(); ++i) {
-      rows.push_back(chunk.rows.FormatRow(i));
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->total_rows, 500u);
-  EXPECT_GE(stats->num_shards, 500u / 66);
-
+  // A tuple target of at least the row count keeps every record.
+  ShardedBuildOptions options = TupleBuild(500, 1, 3);
+  uint64_t peak = 0;
+  auto artifact = StreamCsvShardArtifact(path, options, &peak);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  EXPECT_EQ(artifact->rows_seen, 500u);
+  EXPECT_GT(peak, 0u);
   auto whole = LoadCsvDataset(path);
   ASSERT_TRUE(whole.ok());
-  ASSERT_EQ(rows.size(), whole->num_rows());
+  ASSERT_EQ(artifact->tuple_sample.num_rows(), whole->num_rows());
   for (RowIndex i = 0; i < whole->num_rows(); ++i) {
-    EXPECT_EQ(rows[i], whole->FormatRow(i));
+    EXPECT_EQ(artifact->tuple_sample.FormatRow(i), whole->FormatRow(i));
+    EXPECT_EQ(artifact->provenance[i], i);
   }
 }
 
@@ -399,25 +390,29 @@ TEST(RunShardedTest, MemoryBudgetIsHonoredOrRefused) {
   Dataset d = MakeTabular(spec, &rng);
   std::string path = WriteTempFile("budget.csv", DatasetToCsv(d));
 
-  PipelineOptions options;
-  options.eps = 0.01;
-  DiscoveryPipeline pipeline(options);
+  for (FilterBackend backend :
+       {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    PipelineOptions options;
+    options.eps = 0.01;
+    options.backend = backend;
+    DiscoveryPipeline pipeline(options);
 
-  ShardedRunOptions roomy;
-  roomy.memory_budget_bytes = 8 << 20;
-  roomy.shard_rows = 256;
-  auto ok = pipeline.RunSharded(path, roomy, 3);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_GT(ok->num_shards, 4u);
-  EXPECT_LE(ok->peak_tracked_bytes, roomy.memory_budget_bytes);
-  EXPECT_GT(ok->peak_tracked_bytes, 0u);
+    ShardedRunOptions roomy;
+    roomy.memory_budget_bytes = 8 << 20;
+    auto ok = pipeline.RunSharded(path, roomy, 3);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->num_shards, 1u);
+    EXPECT_EQ(ok->rows, 2000u);
+    EXPECT_LE(ok->peak_tracked_bytes, roomy.memory_budget_bytes);
+    EXPECT_GT(ok->peak_tracked_bytes, 0u);
 
-  ShardedRunOptions tiny;
-  tiny.memory_budget_bytes = 2048;  // absurd: even one chunk won't fit
-  tiny.shard_rows = 256;
-  auto refused = pipeline.RunSharded(path, tiny, 3);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
+    ShardedRunOptions tiny;
+    tiny.memory_budget_bytes = 2048;  // absurd: not even the read buffer
+    auto refused = pipeline.RunSharded(path, tiny, 3);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 // ---------------------------------------------------------- artifacts
@@ -879,6 +874,90 @@ TEST(ShardBuildTest, CsvArtifactsDoNotBorrowFromTheFile) {
     EXPECT_EQ(SerializeShardArtifact((*built)[i]),
               SerializeShardArtifact((*fresh)[i]))
         << "shard " << i;
+  }
+}
+
+// What the memory budget charges a builder: the codes of every retained
+// row plus each new dictionary value's bytes and two words of index.
+TEST(StreamingShardBuildTest, RetainedBytesCountRowsAndNewValues) {
+  ShardArtifactBuilder builder({"a", "b"}, CsvOptions{},
+                               FilterBackend::kTupleSample,
+                               /*tuple_sample_size=*/4, /*pair_slots=*/0,
+                               /*shard_index=*/0, /*first_row=*/0,
+                               /*seed=*/1);
+  EXPECT_EQ(builder.RetainedBytes(), 0u);
+  ASSERT_TRUE(builder.OfferRecord("one,two").ok());
+  const uint64_t one = builder.RetainedBytes();
+  EXPECT_EQ(one, 2 * sizeof(ValueCode) + 6 + 4 * sizeof(void*));
+  ASSERT_TRUE(builder.OfferRecord("one,two").ok());  // no new values
+  EXPECT_EQ(builder.RetainedBytes() - one, 2 * sizeof(ValueCode));
+}
+
+// A wrong width names the record's data row over the whole file, counted
+// from 1, whether a reservoir keeps the record (it is split) or not (only
+// its delimiters are counted).
+TEST(StreamingShardBuildTest, ArityErrorNamesTheDataRowAndBothCounts) {
+  for (uint64_t tuples : {uint64_t{1}, uint64_t{8}}) {
+    ShardArtifactBuilder builder({"a", "b"}, CsvOptions{},
+                                 FilterBackend::kTupleSample, tuples,
+                                 /*pair_slots=*/0, /*shard_index=*/2,
+                                 /*first_row=*/10, /*seed=*/1);
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(builder.OfferRecord("x,y").ok());
+    Status bad = builder.OfferRecord("x,\"y,z\",w");
+    EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad.message(), "CSV data row 15 has 3 fields, expected 2")
+        << tuples << " tuples";
+  }
+}
+
+// The budget path's one builder is seeded as the first shard of a
+// `--shards` build, so its artifact is the one-shard build's, byte for
+// byte, and `RunSharded` answers alike either way at any thread count.
+TEST(StreamingShardBuildTest, IsTheOneShardBuild) {
+  const std::string people = std::string(QIKEY_GOLDEN_DIR) + "/people.csv";
+  const std::string sharded =
+      WriteTempFile("stream_sharded.csv", ShardedCsvText());
+  for (const std::string& path : {people, sharded}) {
+    for (FilterBackend backend :
+         {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
+      SCOPED_TRACE(::testing::Message()
+                   << path << " backend " << static_cast<int>(backend));
+      ShardedBuildOptions options = SkipBuild(backend, 1, 0, 0, 7);
+      auto one_shard = BuildShardArtifactsFromCsv(path, options);
+      ASSERT_TRUE(one_shard.ok()) << one_shard.status().ToString();
+      ASSERT_EQ(one_shard->size(), 1u);
+      options.memory_budget_bytes = 64 << 20;
+      auto streamed = StreamCsvShardArtifact(path, options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(SerializeShardArtifact(*streamed),
+                SerializeShardArtifact((*one_shard)[0]));
+
+      PipelineOptions pipeline_options;
+      pipeline_options.eps = 0.01;
+      pipeline_options.backend = backend;
+      ShardedRunOptions by_shards;
+      by_shards.num_shards = 1;
+      auto want = DiscoveryPipeline(pipeline_options)
+                      .RunSharded(path, by_shards, 11);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        pipeline_options.num_threads = threads;
+        ShardedRunOptions by_budget;
+        by_budget.memory_budget_bytes = 64 << 20;
+        auto got = DiscoveryPipeline(pipeline_options)
+                       .RunSharded(path, by_budget, 11);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->key, want->key) << threads << " threads";
+        EXPECT_EQ(got->verdict, want->verdict);
+        EXPECT_EQ(got->witness, want->witness);
+        EXPECT_EQ(got->rows, want->rows);
+        EXPECT_EQ(got->num_shards, 1u);
+        ASSERT_EQ(got->steps.size(), want->steps.size());
+        for (size_t i = 0; i < want->steps.size(); ++i) {
+          EXPECT_EQ(got->steps[i].chosen, want->steps[i].chosen);
+        }
+      }
+    }
   }
 }
 

@@ -252,9 +252,8 @@ TEST(PairReservoirTest, PairDistributionIsUniform) {
   }
 }
 
-// Payloads no slot references are collected as the stream runs: after
-// 20000 rows, 50 slots hold at most 100 live payloads plus one
-// collection period's worth (max(4·50, 1024)) of stale ones.
+// A payload no slot end references any more is reused by the next
+// `Retain`: over 20000 rows, 50 slots never hold more than 100 payloads.
 TEST(PairReservoirTest, RetainsOnlyLivePayloads) {
   Rng rng(11);
   constexpr size_t kSlots = 50;
@@ -264,7 +263,7 @@ TEST(PairReservoirTest, RetainsOnlyLivePayloads) {
     if (res.Offer()) res.Retain({i, i + 1});
     peak = std::max(peak, res.retained());
   }
-  EXPECT_LE(peak, 2 * kSlots + 1024);
+  EXPECT_LE(peak, 2 * kSlots);
   std::vector<std::pair<uint64_t, uint64_t>> pairs = res.pairs();
   std::vector<std::vector<ValueCode>> rows = std::move(res).TakeRows();
   ASSERT_EQ(rows.size(), 2 * kSlots);

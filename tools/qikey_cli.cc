@@ -79,13 +79,15 @@
 //       given quasi-identifier (interval hierarchies, branching 4).
 //   qikey discover <csv> [--eps E] [--backend tuple|bitset]
 //                  [--threads T]
-//                  [--shards N] [--memory-budget MB] [--shard-rows R]
+//                  [--shards N] [--memory-budget MB]
 //       End-to-end discovery pipeline: sample, filter, parallel greedy,
 //       batched minimization, verify with witness; per-stage timings.
 //       With --shards, per-shard filters are built in parallel over
 //       record-aligned byte ranges of the file and merged; with
-//       --memory-budget, the file is single-passed in bounded chunks
-//       and never loaded whole (out-of-core mode).
+//       --memory-budget, the file is read once (a pipe works) by one
+//       streaming builder that encodes only the rows its samples keep,
+//       and the run fails if its live bytes exceed MB (out-of-core
+//       mode).
 //   qikey monitor <csv> [--eps E] [--max-size K] [--window W]
 //                 [--backend tuple|bitset] [--threads T]
 //       Replay the CSV as a live insert stream through the incremental
@@ -154,7 +156,6 @@ struct Args {
   uint64_t window = 0;
   size_t shards = 0;
   double memory_budget_mb = 0.0;
-  size_t shard_rows = 0;
   std::string requests;
   size_t cache = 4096;
   bool wire = false;
@@ -179,8 +180,7 @@ void Usage() {
                "[--rhs col]\n"
                "             [--error E] [--seed S] [--backend "
                "tuple|bitset] [--threads T]\n"
-               "             [--window W] [--shards N] [--memory-budget MB] "
-               "[--shard-rows R]\n"
+               "             [--window W] [--shards N] [--memory-budget MB]\n"
                "             [--requests FILE] [--cache N] [--wire]\n"
                "             [--listen H:P] [--snapshot-from "
                "run|monitor|artifacts]\n"
@@ -301,8 +301,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->window = static_cast<uint64_t>(n);
     } else if (flag == "--shards") {
       if (!next_count(&args->shards)) return false;
-    } else if (flag == "--shard-rows") {
-      if (!next_count(&args->shard_rows)) return false;
     } else if (flag == "--memory-budget") {
       const char* v = next();
       if (!v || !ParseDoubleFlag(flag, v, 0.0, 1e12, false, false,
@@ -939,7 +937,6 @@ int RunDiscoverSharded(const Args& args) {
   if (!ParseBackend(args.backend, &opts.backend)) return 2;
   ShardedRunOptions sharded;
   sharded.num_shards = args.shards;
-  sharded.shard_rows = args.shard_rows;
   sharded.memory_budget_bytes =
       static_cast<uint64_t>(args.memory_budget_mb * 1024.0 * 1024.0);
   DiscoveryPipeline pipeline(opts);
@@ -1010,8 +1007,7 @@ int Main(int argc, char** argv) {
   }
   if (args.log_json) LogMessage::SetJsonLines(true);
   if (args.command == "discover" &&
-      (args.shards > 0 || args.memory_budget_mb > 0.0 ||
-       args.shard_rows > 0)) {
+      (args.shards > 0 || args.memory_budget_mb > 0.0)) {
     return RunDiscoverSharded(args);
   }
   // serve and snapshot load their own input (CSV, artifact files, or a
