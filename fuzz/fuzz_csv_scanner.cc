@@ -7,11 +7,16 @@
 // error. The streaming shard build (its sliding read plus
 // `ShardArtifactBuilder`), run from memory under a tuple target that
 // keeps every record, must keep the oracle's rows, or fail where the
-// oracle fails or loads fewer than two rows.
+// oracle fails or loads fewer than two rows. The sample-first reader
+// (`CsvRowReader`, its parallel index at forced range counts) must fail
+// with the loader's error, or encode every row, in order, to the
+// oracle's dataset.
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "csv_oracle.h"
 #include "data/csv_loader.h"
@@ -38,6 +43,23 @@ void CheckLoaderMatchesOracle(std::string_view text,
     QIKEY_CHECK(actual == expected)
         << "CSV ingest in " << chunks
         << " chunks disagrees with the oracle\nloader: " << actual
+        << "\noracle: " << expected;
+  }
+  for (size_t chunks : {size_t{1}, size_t{3}}) {
+    qikey::Result<std::unique_ptr<qikey::CsvRowReader>> reader =
+        qikey::internal::CsvRowReaderForText(text, options, chunks);
+    if (!reader.ok()) {
+      actual = "error: " + reader.status().ToString();
+    } else {
+      std::vector<qikey::RowIndex> rows((*reader)->num_rows());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        rows[r] = static_cast<qikey::RowIndex>(r);
+      }
+      actual = qikey::csv_oracle::Fingerprint((*reader)->EncodeRows(rows));
+    }
+    QIKEY_CHECK(actual == expected)
+        << "CsvRowReader in " << chunks
+        << " ranges disagrees with the oracle\nreader: " << actual
         << "\noracle: " << expected;
   }
   qikey::Result<qikey::Dataset> oracle = qikey::csv_oracle::Load(text, options);

@@ -15,11 +15,8 @@ Result<BitsetSeparationFilter> BitsetSeparationFilter::Build(
     return Status::InvalidArgument("need at least two rows to sample pairs");
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
-  uint64_t s = options.sample_size > 0
-                   ? options.sample_size
-                   : MxPairSampleSizePaper(
-                         static_cast<uint32_t>(dataset.num_attributes()),
-                         options.eps);
+  uint64_t s = ResolvePairSampleSize(options.sample_size,
+                                     dataset.num_attributes(), options.eps);
   std::vector<std::pair<RowIndex, RowIndex>> pairs =
       DrawPairSlots(dataset.num_rows(), s, rng);
   return FromPairs(dataset, pairs);

@@ -184,14 +184,10 @@ void PackedEvidence::Pack(const std::vector<uint64_t>& masks) {
 
 PackedEvidence PackedEvidence::FromDatasetPairs(
     const Dataset& table, std::span<const std::pair<RowIndex, RowIndex>> pairs) {
-  PackedEvidence out;
   const size_t m = table.num_attributes();
   const size_t wpp = (m + 63) / 64;
   const size_t s = pairs.size();
-  out.num_attributes_ = m;
-  out.words_per_pair_ = wpp;
-  out.source_pairs_ = s;
-  if (s == 0 || m == 0) return out;
+  if (s == 0 || m == 0) return FromPairMasks(m, {}, pairs);
 
   // Mask stage: each worker owns one contiguous range of pairs, so no
   // two write the same mask word, and the masks do not depend on how
@@ -221,6 +217,21 @@ PackedEvidence PackedEvidence::FromDatasetPairs(
       },
       /*min_grain=*/(s + threads - 1) / threads);
 
+  return FromPairMasks(m, masks, pairs);
+}
+
+PackedEvidence PackedEvidence::FromPairMasks(
+    size_t num_attributes, std::span<const uint64_t> masks,
+    std::span<const std::pair<RowIndex, RowIndex>> pairs) {
+  PackedEvidence out;
+  const size_t m = num_attributes;
+  const size_t wpp = (m + 63) / 64;
+  const size_t s = pairs.size();
+  QIKEY_CHECK(masks.size() == s * wpp);
+  out.num_attributes_ = m;
+  out.words_per_pair_ = wpp;
+  out.source_pairs_ = s;
+  if (s == 0 || m == 0) return out;
   // Dedupe in pair order: each mask's representative is its first
   // occurrence, whatever the worker count.
   MaskAccumulator acc(wpp, s);

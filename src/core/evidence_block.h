@@ -180,6 +180,18 @@ class PackedEvidence {
       const Dataset& table,
       std::span<const std::pair<RowIndex, RowIndex>> pairs);
 
+  /// Packs disagree masks computed elsewhere: `masks` holds
+  /// `words_per_pair()` words per pair (`⌈m/64⌉`), pair-major, bit `j %
+  /// 64` of word `j / 64` set iff the pair's tuples differ on attribute
+  /// `j`; `pairs[i]` is pair `i`'s representative. Deduplicated exactly as
+  /// `FromDatasetPairs`, so masks equal to the ones it would compute give
+  /// the same evidence, bit for bit (the CSV entry of
+  /// `DiscoveryPipeline::Run` compares field text, never encoding the
+  /// pairs' rows).
+  static PackedEvidence FromPairMasks(
+      size_t num_attributes, std::span<const uint64_t> masks,
+      std::span<const std::pair<RowIndex, RowIndex>> pairs);
+
   /// As `FromDatasetPairs` for row-major storage: `rows[i]` points at
   /// the two tuples (of `num_attributes` codes each) of pair `i`, and
   /// `ids[i]` is the representative pair reported for it (the

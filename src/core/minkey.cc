@@ -51,10 +51,7 @@ Result<MinKeyResult> FindApproxMinimumEpsKeyMx(const Dataset& dataset,
   }
   QIKEY_RETURN_NOT_OK(ValidateEps(options.eps));
   const size_t m = dataset.num_attributes();
-  uint64_t s = options.sample_size > 0
-                   ? options.sample_size
-                   : MxPairSampleSizePaper(static_cast<uint32_t>(m),
-                                           options.eps);
+  uint64_t s = ResolvePairSampleSize(options.sample_size, m, options.eps);
   // Ground set: the sampled pairs. Set j: pairs separated by attribute j.
   SetCoverInstance instance(s, m);
   std::vector<std::pair<RowIndex, RowIndex>> pairs =

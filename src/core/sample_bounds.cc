@@ -57,6 +57,11 @@ uint64_t ResolveTupleSampleSize(uint64_t requested, size_t m, double eps) {
                        : TupleSampleSizePaper(static_cast<uint32_t>(m), eps);
 }
 
+uint64_t ResolvePairSampleSize(uint64_t requested, size_t m, double eps) {
+  return requested > 0 ? requested
+                       : MxPairSampleSizePaper(static_cast<uint32_t>(m), eps);
+}
+
 uint64_t TupleSampleSizeForDelta(uint32_t m, double eps, double delta) {
   QIKEY_CHECK(eps > 0.0 && eps < 1.0);
   QIKEY_CHECK(delta > 0.0 && delta < 1.0);

@@ -32,6 +32,10 @@ Status ValidateUnitFraction(double value, const char* what);
 /// Motwani–Xu pair sample for Table 1: `⌈m/ε⌉` pairs.
 uint64_t MxPairSampleSizePaper(uint32_t m, double eps);
 
+/// The pair count a caller asked for: `requested`, or the paper's
+/// `MxPairSampleSizePaper(m, eps)` when `requested` is 0.
+uint64_t ResolvePairSampleSize(uint64_t requested, size_t m, double eps);
+
 /// Motwani–Xu pair sample so that, union-bounded over `2^m` subsets,
 /// every bad subset is rejected w.p. `1-δ`:
 /// `s ≥ (m ln 2 + ln(1/δ)) / ε` (since `(1-ε)^s ≤ e^{-εs}`).

@@ -63,10 +63,13 @@ std::vector<FilterVerdict> TupleSampleFilter::QueryBatch(
 
 std::optional<std::pair<RowIndex, RowIndex>> TupleSampleFilter::QueryWitness(
     const AttributeSet& attrs) const {
-  std::vector<AttributeIndex> idx = attrs.ToIndices();
+  // Either detection reports the hashed scan's pair: the first row, in
+  // sample order, whose projection repeats an earlier row's, and that
+  // earlier row. It depends only on which values are equal, not on
+  // their codes, so a sample encoded with other dictionaries (the CSV
+  // entry of `DiscoveryPipeline::Run`) reports the same rows.
   std::optional<std::pair<RowIndex, RowIndex>> dup =
-      (detection_ == DuplicateDetection::kSort) ? FindDuplicateSorted(idx)
-                                                : FindDuplicateHashed(idx);
+      FindDuplicateHashed(attrs.ToIndices());
   if (!dup.has_value()) return std::nullopt;
   // Translate sample-row indices back to original rows when known.
   auto [a, b] = *dup;

@@ -58,6 +58,9 @@ class TupleSampleFilter : public SeparationFilter {
                                       DuplicateDetection detection);
 
   FilterVerdict Query(const AttributeSet& attrs) const override;
+  /// The first sample row whose projection on `attrs` repeats an earlier
+  /// row's, with that earlier row (original rows when known), whatever
+  /// the detection: the pair depends only on which values are equal.
   std::optional<std::pair<RowIndex, RowIndex>> QueryWitness(
       const AttributeSet& attrs) const override;
 

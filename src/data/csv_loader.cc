@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "data/csv_loader_internal.h"
+#include "util/logging.h"
 #include "util/mapped_file.h"
 #include "util/thread_pool.h"
 
@@ -20,6 +21,10 @@ namespace {
 /// of milliseconds of encoding on a wide table, far above the cost of a
 /// thread and of merging one more set of dictionaries.
 constexpr size_t kMinChunkRecords = 8192;
+
+/// Fewest bytes worth a chunk of their own in `CsvRowReader`'s index
+/// pass: about `kMinChunkRecords` records of a wide table.
+constexpr size_t kMinChunkBytes = size_t{1} << 20;
 
 /// The text after one serial pass: the attribute names (the header, or
 /// anonymous names as many as the first record's fields) and the
@@ -98,6 +103,40 @@ size_t EncodePlainRecord(std::string_view record, const CsvOptions& options,
   }
 }
 
+/// `a == b` for the few-byte fields of a CSV record, where a byte loop
+/// beats a call to `memcmp`.
+bool SameField(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+/// Sets bit `j` of `mask` (`⌈m/64⌉` words) iff field `j` of the
+/// quote-free records `a` and `b`, both `m` fields wide, differ as the
+/// loader would encode them, walking each record once without splitting
+/// it into views.
+void PlainDisagreeMask(std::string_view a, std::string_view b,
+                       const CsvOptions& options, size_t m, uint64_t* mask) {
+  const char* pa = a.data();
+  const char* pb = b.data();
+  const char* end_a = pa + a.size();
+  const char* end_b = pb + b.size();
+  auto next_field = [&](const char*& p, const char* end) {
+    const char* begin = p;
+    while (p != end && *p != options.delimiter) ++p;
+    std::string_view field(begin, static_cast<size_t>(p - begin));
+    if (p != end) ++p;  // past the delimiter
+    return options.trim_whitespace ? TrimCsvField(field) : field;
+  };
+  for (size_t j = 0; j < m; ++j) {
+    std::string_view fa = next_field(pa, end_a);
+    std::string_view fb = next_field(pb, end_b);
+    mask[j / 64] |= uint64_t{!SameField(fa, fb)} << (j % 64);
+  }
+}
+
 /// Encodes data records `[begin, end)` into their rows of `columns`
 /// through the chunk's own dictionaries, stopping at the first record
 /// whose width is not `m`.
@@ -156,6 +195,158 @@ Column MergeColumn(size_t j, std::span<ChunkCodes> chunks,
                 std::make_shared<Dictionary>(std::move(merged)));
 }
 
+/// Workers worth starting for `records` records: one per
+/// `kMinChunkRecords`, at least one, at most the usable CPUs.
+size_t ThreadsFor(size_t records) {
+  return std::clamp(records / kMinChunkRecords, size_t{1}, UsableCpuCount());
+}
+
+/// The loader's error for data record `record` of `text`, which has
+/// `fields` fields where `m` were expected.
+Status WidthError(std::string_view text, std::string_view record,
+                  size_t fields, size_t m, const CsvOptions& options) {
+  std::ostringstream msg;
+  msg << "CSV record " << RecordNumber(text, record.data(), options)
+      << " has " << fields << " fields, expected " << m;
+  return Status::InvalidArgument(msg.str());
+}
+
+/// `LocateRecords` in `k` byte ranges on `pool`, for a text whose data
+/// records hold no quote character: such a record ends at the first
+/// newline, so ranges that start just past a newline locate their
+/// records on their own, and each record's delimiters are counted (its
+/// width checked) while its bytes are in cache. Returns the loader's
+/// error for the first record of the wrong width. Sets `*plain` to false
+/// and locates nothing when some data record holds a quote: the caller
+/// takes the serial pass.
+Status LocatePlainRecords(std::string_view text, const CsvOptions& options,
+                          size_t k, ThreadPool* pool, LocatedRecords* located,
+                          bool* plain) {
+  *plain = true;
+  // The first non-blank record names the attributes (and, without a
+  // header, is the first data record); the ranges cut what follows.
+  size_t data_begin = 0;
+  CsvRecord first;
+  while (size_t used = NextCsvRecord(text.substr(data_begin),
+                                     /*at_end=*/true, options, &first)) {
+    if (!first.blank) {
+      CsvFieldSplitter splitter(options);
+      std::span<const std::string_view> fields = splitter.Split(first.text);
+      if (options.has_header) {
+        located->names.assign(fields.begin(), fields.end());
+        data_begin += used;
+      } else {
+        located->names = Schema::Anonymous(fields.size()).names();
+      }
+      break;
+    }
+    data_begin += used;
+  }
+  const size_t m = located->names.size();
+  const std::string_view data = text.substr(data_begin);
+  std::vector<size_t> cut(k + 1, data.size());
+  cut[0] = 0;
+  for (size_t c = 1; c < k; ++c) {
+    const size_t newline = data.find('\n', c * data.size() / k);
+    cut[c] = std::max(cut[c - 1], newline == std::string_view::npos
+                                      ? data.size()
+                                      : newline + 1);
+  }
+  struct Range {
+    std::vector<std::string_view> records;
+    std::optional<size_t> bad_record;  // index into `records`
+    size_t bad_fields = 0;
+    bool quoted = false;
+  };
+  std::vector<Range> ranges(k);
+  ThreadPool::ParallelFor(pool, k, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      Range& out = ranges[c];
+      std::string_view range = data.substr(cut[c], cut[c + 1] - cut[c]);
+      if (range.find(options.quote) != std::string_view::npos) {
+        out.quoted = true;
+        continue;
+      }
+      // Room for records of 32 bytes and more: growing the vector would
+      // remap it, and a remap stalls every thread's page faults.
+      out.records.reserve(range.size() / 32 + 16);
+      CsvRecord record;
+      while (size_t used =
+                 NextCsvRecord(range, /*at_end=*/true, options, &record)) {
+        range.remove_prefix(used);
+        if (record.blank) continue;
+        const size_t fields = 1 + CountByte(record.text, options.delimiter);
+        if (fields != m && !out.bad_record.has_value()) {
+          out.bad_record = out.records.size();
+          out.bad_fields = fields;
+        }
+        out.records.push_back(record.text);
+      }
+    }
+  });
+  size_t total = 0;
+  for (const Range& range : ranges) {
+    if (range.quoted) {
+      *plain = false;
+      located->names.clear();
+      return Status::OK();
+    }
+    total += range.records.size();
+  }
+  for (const Range& range : ranges) {
+    if (range.bad_record.has_value()) {
+      return WidthError(text, range.records[*range.bad_record],
+                        range.bad_fields, m, options);
+    }
+  }
+  located->rows.reserve(total);
+  for (const Range& range : ranges) {
+    located->rows.insert(located->rows.end(), range.records.begin(),
+                         range.records.end());
+  }
+  return Status::OK();
+}
+
+/// Encodes `records` (data records of `text`, in order) into `m`
+/// columns, cut into `k` contiguous chunks that encode in parallel on
+/// `pool` through chunk-local dictionaries, merged in chunk order: the
+/// codes follow first appearance in `records`, whatever `k` is. The
+/// first record whose width is not `m` is the loader's error.
+Result<std::vector<Column>> EncodeRecords(
+    std::string_view text, std::span<const std::string_view> records,
+    size_t m, const CsvOptions& options, size_t k, ThreadPool* pool) {
+  const size_t n = records.size();
+  std::vector<std::vector<ValueCode>> codes(m);
+  ThreadPool::ParallelFor(pool, m, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) codes[j].resize(n);
+  });
+  std::vector<ValueCode*> columns(m);
+  for (size_t j = 0; j < m; ++j) columns[j] = codes[j].data();
+  std::vector<ChunkCodes> chunks(k);
+  ThreadPool::ParallelFor(pool, k, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      EncodeChunk(records, c * n / k, (c + 1) * n / k, options,
+                  columns.data(), m, &chunks[c]);
+    }
+  });
+  // Chunks run in record order, so the first chunk that stopped early
+  // holds the first malformed record.
+  for (const ChunkCodes& chunk : chunks) {
+    if (chunk.bad_row.has_value()) {
+      return WidthError(text, records[*chunk.bad_row], chunk.bad_row_fields,
+                        m, options);
+    }
+  }
+
+  std::vector<Column> merged(m);
+  ThreadPool::ParallelFor(pool, m, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      merged[j] = MergeColumn(j, chunks, std::move(codes[j]));
+    }
+  });
+  return merged;
+}
+
 }  // namespace
 
 namespace internal {
@@ -165,48 +356,27 @@ Result<Dataset> LoadCsvDatasetInChunks(std::string_view text,
                                        size_t num_chunks) {
   LocatedRecords located = LocateRecords(text, options);
   const size_t m = located.names.size();
-  const size_t n = located.rows.size();
   // The work sets the thread count; a forced chunk count only changes
   // how the records are cut, so tiny inputs never start threads.
-  const size_t threads =
-      std::clamp(n / kMinChunkRecords, size_t{1}, UsableCpuCount());
+  const size_t threads = ThreadsFor(located.rows.size());
   const size_t k = num_chunks > 0 ? num_chunks : threads;
   std::unique_ptr<ThreadPool> pool;
   if (std::min(k, threads) > 1) {
     pool = std::make_unique<ThreadPool>(std::min(k, threads));
   }
+  Result<std::vector<Column>> columns =
+      EncodeRecords(text, located.rows, m, options, k, pool.get());
+  if (!columns.ok()) return columns.status();
+  return Dataset(Schema(std::move(located.names)),
+                 std::move(columns).ValueOrDie());
+}
 
-  std::vector<std::vector<ValueCode>> codes(m);
-  ThreadPool::ParallelFor(pool.get(), m, [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) codes[j].resize(n);
-  });
-  std::vector<ValueCode*> columns(m);
-  for (size_t j = 0; j < m; ++j) columns[j] = codes[j].data();
-  std::vector<ChunkCodes> chunks(k);
-  ThreadPool::ParallelFor(pool.get(), k, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      EncodeChunk(located.rows, c * n / k, (c + 1) * n / k, options,
-                  columns.data(), m, &chunks[c]);
-    }
-  });
-  // Chunks run in file order, so the first chunk that stopped early
-  // holds the first malformed record.
-  for (const ChunkCodes& chunk : chunks) {
-    if (!chunk.bad_row.has_value()) continue;
-    std::ostringstream msg;
-    msg << "CSV record "
-        << RecordNumber(text, located.rows[*chunk.bad_row].data(), options)
-        << " has " << chunk.bad_row_fields << " fields, expected " << m;
-    return Status::InvalidArgument(msg.str());
-  }
-
-  std::vector<Column> merged(m);
-  ThreadPool::ParallelFor(pool.get(), m, [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      merged[j] = MergeColumn(j, chunks, std::move(codes[j]));
-    }
-  });
-  return Dataset(Schema(std::move(located.names)), std::move(merged));
+Result<std::unique_ptr<CsvRowReader>> CsvRowReaderForText(
+    std::string_view text, const CsvOptions& options, size_t num_chunks) {
+  std::unique_ptr<CsvRowReader> reader(
+      new CsvRowReader(text, options, num_chunks));
+  QIKEY_RETURN_NOT_OK(reader->Index());
+  return reader;
 }
 
 }  // namespace internal
@@ -222,6 +392,104 @@ Result<Dataset> LoadCsvDataset(const std::string& path,
 Result<Dataset> LoadCsvDatasetFromString(std::string_view text,
                                          const CsvOptions& options) {
   return internal::LoadCsvDatasetInChunks(text, options, /*num_chunks=*/0);
+}
+
+CsvRowReader::CsvRowReader(std::string_view text, const CsvOptions& options,
+                           size_t num_chunks)
+    : text_(text), options_(options), num_chunks_(num_chunks) {}
+
+CsvRowReader::~CsvRowReader() = default;
+
+Result<std::unique_ptr<CsvRowReader>> CsvRowReader::Open(
+    const std::string& path, const CsvOptions& options) {
+  Result<FileText> file = FileText::Open(path);
+  if (!file.ok()) return file.status();
+  // The reader never moves once built, so the views its index takes
+  // into the text stay valid, an owned (pipe) text's included.
+  std::unique_ptr<CsvRowReader> reader(
+      new CsvRowReader(std::string_view(), options, /*num_chunks=*/0));
+  reader->file_ = std::make_unique<FileText>(std::move(file).ValueOrDie());
+  reader->text_ = reader->file_->view();
+  QIKEY_RETURN_NOT_OK(reader->Index());
+  return reader;
+}
+
+Status CsvRowReader::Index() {
+  const size_t threads = std::clamp(text_.size() / kMinChunkBytes, size_t{1},
+                                    UsableCpuCount());
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+  LocatedRecords located;
+  bool plain = false;
+  Status status = LocatePlainRecords(text_, options_,
+                                     num_chunks_ > 0 ? num_chunks_ : threads,
+                                     pool_.get(), &located, &plain);
+  if (plain) {
+    names_ = std::move(located.names);
+    rows_ = std::move(located.rows);
+    return status;
+  }
+  // A quote may hide newlines: the loader's serial pass finds the
+  // records, and their widths are checked one by one.
+  located = LocateRecords(text_, options_);
+  names_ = std::move(located.names);
+  rows_ = std::move(located.rows);
+  CsvFieldSplitter splitter(options_);
+  for (std::string_view record : rows_) {
+    const size_t fields = CountCsvFields(record, options_, &splitter);
+    if (fields != names_.size()) {
+      return WidthError(text_, record, fields, names_.size(), options_);
+    }
+  }
+  return Status::OK();
+}
+
+Dataset CsvRowReader::EncodeRows(std::span<const RowIndex> rows) const {
+  std::vector<std::string_view> records;
+  records.reserve(rows.size());
+  for (RowIndex row : rows) {
+    QIKEY_CHECK(row < rows_.size()) << "row " << row << " out of range";
+    records.push_back(rows_[row]);
+  }
+  const size_t k = num_chunks_ > 0 ? num_chunks_ : ThreadsFor(records.size());
+  // Every record's width was checked when the file was indexed.
+  Result<std::vector<Column>> columns = EncodeRecords(
+      text_, records, names_.size(), options_, k, pool_.get());
+  QIKEY_CHECK(columns.ok()) << columns.status().ToString();
+  return Dataset(Schema(names_), std::move(columns).ValueOrDie());
+}
+
+std::vector<uint64_t> CsvRowReader::DisagreeMasks(
+    std::span<const std::pair<RowIndex, RowIndex>> pairs) const {
+  const size_t m = names_.size();
+  const size_t wpp = (m + 63) / 64;
+  const size_t s = pairs.size();
+  std::vector<uint64_t> masks(s * wpp, 0);
+  for (const auto& [a, b] : pairs) {
+    QIKEY_CHECK(a < rows_.size() && b < rows_.size()) << "pair out of range";
+  }
+  const size_t k = num_chunks_ > 0 ? num_chunks_ : ThreadsFor(s);
+  ThreadPool::ParallelFor(pool_.get(), k, [&](size_t begin, size_t end) {
+    CsvFieldSplitter split_a(options_);
+    CsvFieldSplitter split_b(options_);
+    for (size_t c = begin; c < end; ++c) {
+      for (size_t p = c * s / k; p < (c + 1) * s / k; ++p) {
+        std::string_view a = rows_[pairs[p].first];
+        std::string_view b = rows_[pairs[p].second];
+        uint64_t* mask = masks.data() + p * wpp;
+        if (a.find(options_.quote) == std::string_view::npos &&
+            b.find(options_.quote) == std::string_view::npos) {
+          PlainDisagreeMask(a, b, options_, m, mask);
+          continue;
+        }
+        std::span<const std::string_view> fa = split_a.Split(a);
+        std::span<const std::string_view> fb = split_b.Split(b);
+        for (size_t j = 0; j < m; ++j) {
+          mask[j / 64] |= uint64_t{!SameField(fa[j], fb[j])} << (j % 64);
+        }
+      }
+    }
+  });
+  return masks;
 }
 
 std::string DatasetToCsv(const Dataset& dataset, const CsvOptions& options) {

@@ -5,8 +5,10 @@
 
 #include "core/bitset_filter.h"
 #include "core/sample_bounds.h"
+#include "data/csv_loader.h"
 #include "shard/filter_merger.h"
 #include "shard/shard_builder.h"
+#include "stream/pair_slots.h"
 #include "stream/tuple_sample.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -61,6 +63,66 @@ Result<PipelineResult> DiscoveryPipeline::Run(const Dataset& dataset,
   result->stages.insert(result->stages.begin(),
                         PipelineStage{"sample", sample_millis});
   result->total_millis += sample_millis;
+  return result;
+}
+
+Result<PipelineResult> DiscoveryPipeline::Run(const std::string& csv_path,
+                                              Rng* rng) const {
+  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  Timer timer;
+  Result<std::unique_ptr<CsvRowReader>> reader =
+      CsvRowReader::Open(csv_path);
+  if (!reader.ok()) return reader.status();
+  const uint64_t n = (*reader)->num_rows();
+  const size_t m = (*reader)->names().size();
+  if (n < 2) return Status::InvalidArgument("need at least two rows");
+  QIKEY_RETURN_NOT_OK(ValidateOptions(options_));
+  const double read_millis = timer.ElapsedMillis();
+
+  // The draws need only the record count, so they run here, in
+  // `Run(const Dataset&)`'s order: the tuple rows, then (bitset, in
+  // `BitsetSeparationFilter::Build`) the pair slots. Only the tuple rows
+  // are encoded.
+  timer.Restart();
+  std::vector<RowIndex> provenance = DrawTupleRows(
+      0, n, ResolveTupleSampleSize(options_.sample_size, m, options_.eps), rng);
+  auto sample = std::make_shared<Dataset>((*reader)->EncodeRows(provenance));
+  const double sample_millis = timer.ElapsedMillis();
+
+  // Stage: filter, as `RunStages` builds it. The pair rows are compared
+  // field by field in the text, never encoded; the masks are the ones
+  // `Build` computes from codes, so the evidence is its evidence.
+  timer.Restart();
+  std::unique_ptr<SeparationFilter> filter;
+  switch (options_.backend) {
+    case FilterBackend::kTupleSample:
+      filter =
+          std::make_unique<TupleSampleFilter>(TupleSampleFilter::FromSample(
+              sample, std::move(provenance), options_.detection));
+      break;
+    case FilterBackend::kBitset: {
+      std::vector<std::pair<RowIndex, RowIndex>> pairs = DrawPairSlots(
+          n, ResolvePairSampleSize(options_.pair_sample_size, m, options_.eps),
+          rng);
+      Result<BitsetSeparationFilter> built =
+          BitsetSeparationFilter::FromPackedEvidence(
+              PackedEvidence::FromPairMasks(
+                  m, (*reader)->DisagreeMasks(pairs), pairs),
+              pairs.size());
+      if (!built.ok()) return built.status();
+      filter = std::make_unique<BitsetSeparationFilter>(
+          std::move(built).ValueOrDie());
+      break;
+    }
+  }
+  Result<PipelineResult> result =
+      FinishStages(std::move(sample), std::move(filter), timer.ElapsedMillis());
+  if (!result.ok()) return result;
+  result->rows = n;
+  result->stages.insert(result->stages.begin(),
+                        {PipelineStage{"read", read_millis},
+                         PipelineStage{"sample", sample_millis}});
+  result->total_millis += read_millis + sample_millis;
   return result;
 }
 

@@ -126,6 +126,18 @@ class DiscoveryPipeline {
   /// Runs all stages against an in-memory data set.
   Result<PipelineResult> Run(const Dataset& dataset, Rng* rng) const;
 
+  /// \brief Sample-first entry: runs all stages on a CSV file, encoding
+  /// only the rows the draws name (`LoadCsvRows`).
+  ///
+  /// The records are indexed and width-checked first; then the tuple
+  /// draw and, on the bitset backend, the pair draw run over the record
+  /// count exactly as `Run(const Dataset&)` runs them (neither reads a
+  /// value), so for the same `rng` the result — key, greedy steps,
+  /// verdict, witness rows — is `Run`'s on `LoadCsvDataset(csv_path)`,
+  /// and so are its errors. Only the sample's dictionaries differ: they
+  /// hold the encoded rows' values, not the whole columns'.
+  Result<PipelineResult> Run(const std::string& csv_path, Rng* rng) const;
+
   /// Streaming entry: consumes a tuple reservoir already drawn from a
   /// stream (e.g. `StreamingTupleFilterBuilder`'s sample), skipping the
   /// sample stage. `provenance[i]`, when non-empty, is the original

@@ -19,9 +19,8 @@ IncrementalFilter::IncrementalFilter(Schema schema,
       target_ = ResolveTupleSampleSize(options_.sample_size, m, options_.eps);
       break;
     case FilterBackend::kBitset:
-      target_ = options_.pair_sample_size > 0
-                    ? options_.pair_sample_size
-                    : MxPairSampleSizePaper(m, options_.eps);
+      target_ =
+          ResolvePairSampleSize(options_.pair_sample_size, m, options_.eps);
       break;
   }
 }

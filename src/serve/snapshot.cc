@@ -91,23 +91,14 @@ Result<ServeSnapshot> SnapshotFromShardArtifacts(
 Result<ServeSnapshot> LoadSnapshot(const SnapshotSource& source) {
   switch (source.kind) {
     case SnapshotSource::Kind::kPipelineRun: {
-      Result<Dataset> data = LoadCsvDataset(source.csv_path);
-      if (!data.ok()) return data.status();
-      auto full = std::make_shared<Dataset>(std::move(*data));
+      // Sample-first: only the rows the draws name are encoded. The
+      // result owns everything it serves (the sample with its
+      // dictionaries, packed evidence); nothing refers to the file.
       DiscoveryPipeline pipeline(source.pipeline);
       Rng rng(source.seed);
-      Result<PipelineResult> result = pipeline.Run(*full, &rng);
+      Result<PipelineResult> result = pipeline.Run(source.csv_path, &rng);
       if (!result.ok()) return result.status();
-      Result<ServeSnapshot> snapshot =
-          SnapshotFromPipelineResult(*result, source.pipeline.eps);
-      if (!snapshot.ok()) return snapshot;
-      // A non-materialized pair filter reads through to the relation it
-      // was built over; tie the loaded relation's lifetime to the
-      // filter's so the snapshot never outlives its backing rows.
-      std::shared_ptr<const SeparationFilter> filter = snapshot->filter;
-      snapshot->filter = std::shared_ptr<const SeparationFilter>(
-          filter.get(), [filter, full](const SeparationFilter*) {});
-      return snapshot;
+      return SnapshotFromPipelineResult(*result, source.pipeline.eps);
     }
     case SnapshotSource::Kind::kMonitor: {
       Result<Dataset> data = LoadCsvDataset(source.csv_path);

@@ -82,8 +82,9 @@ Result<ServeSnapshot> SnapshotFromShardArtifacts(
 /// from — the single entry point behind `qikey serve --snapshot-from`.
 ///
 /// Three deployments, one loader:
-///   kPipelineRun    — load `csv_path`, run the discovery pipeline once
-///                     (`pipeline`, `seed`), freeze the result.
+///   kPipelineRun    — run the discovery pipeline once on `csv_path`
+///                     (`pipeline`, `seed`; sample-first, so only the
+///                     sampled rows are encoded), freeze the result.
 ///   kMonitor        — replay `csv_path` through an incremental
 ///                     `KeyMonitor` (optionally a sliding `window`),
 ///                     freeze its final state.

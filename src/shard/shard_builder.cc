@@ -45,17 +45,6 @@ ShardFilterArtifact SampleRowRange(const Dataset& d, uint64_t lo, uint64_t n,
   return artifact;
 }
 
-/// Fields in `record`. A quote-free record is not split: it has one
-/// field more than it has delimiters.
-size_t CountCsvFields(std::string_view record, const CsvOptions& options,
-                      CsvFieldSplitter* splitter) {
-  if (record.find(options.quote) != std::string_view::npos) {
-    return splitter->Split(record).size();
-  }
-  return 1 + static_cast<size_t>(
-                 std::count(record.begin(), record.end(), options.delimiter));
-}
-
 }  // namespace
 
 void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,
@@ -63,8 +52,7 @@ void ResolveShardSampleSizes(const ShardedBuildOptions& options, uint32_t m,
                              uint64_t* pair_slots) {
   *tuple_sample_size =
       ResolveTupleSampleSize(options.tuple_sample_size, m, options.eps);
-  *pair_slots = options.pair_slots > 0 ? options.pair_slots
-                                       : MxPairSampleSizePaper(m, options.eps);
+  *pair_slots = ResolvePairSampleSize(options.pair_slots, m, options.eps);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,8 +203,9 @@ Result<ShardFilterArtifact> ShardArtifactBuilder::Finish() && {
   artifact.tuple_sample =
       RowsToDataset(im.schema, cardinalities, sample_rows, im.dicts);
   if (im.pairs != nullptr) {
-    artifact.pair_table = RowsToDataset(
-        im.schema, cardinalities, std::move(*im.pairs).TakeRows(), im.dicts);
+    artifact.pair_table = ColumnsToDataset(
+        im.schema, cardinalities, std::move(*im.pairs).TakeColumns(),
+        im.dicts);
   }
   return artifact;
 }

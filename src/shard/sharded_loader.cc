@@ -106,7 +106,8 @@ Result<CsvShardPlan> PlanCsvShards(std::string_view text, size_t num_shards,
     ++data_rows;
     end_offset = offset;
   }
-  if (!names_known) return Status::InvalidArgument("CSV has no records");
+  // No records, no rows: the error every discover path gives for it.
+  if (!names_known) return Status::InvalidArgument("need at least two rows");
   plan.total_rows = data_rows;
   if (data_rows == 0) return plan;
 

@@ -46,7 +46,9 @@ struct CsvShardPlan {
 /// does not parse fields — it finds record ends with `NextCsvRecord`
 /// (`memchr`, plus quote tracking for records that hold a quote) — and
 /// is several times cheaper than a full parse, which is what makes the
-/// parse itself worth fanning out over the ranges afterwards.
+/// parse itself worth fanning out over the ranges afterwards. A text
+/// with no records is InvalidArgument "need at least two rows", the
+/// error every discover path gives for it.
 Result<CsvShardPlan> PlanCsvShards(std::string_view text, size_t num_shards,
                                    const CsvOptions& options = {});
 

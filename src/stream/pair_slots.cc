@@ -133,19 +133,23 @@ void PairReservoir::Retain(const std::vector<ValueCode>& row) {
   pending_.clear();
 }
 
-std::vector<std::vector<ValueCode>> PairReservoir::TakeRows() && {
-  std::vector<std::vector<ValueCode>> rows;
-  rows.reserve(2 * slots_.size());
-  auto row = [&](uint32_t index) {
-    QIKEY_CHECK(index != kNoRow) << "payload lost for a sampled position";
-    auto begin = codes_.begin() + static_cast<std::ptrdiff_t>(index * width_);
-    rows.emplace_back(begin, begin + static_cast<std::ptrdiff_t>(width_));
-  };
-  for (const auto& [a, b] : slot_rows_) {
-    row(a);
-    row(b);
+std::vector<std::vector<ValueCode>> PairReservoir::TakeColumns() && {
+  std::vector<std::vector<ValueCode>> columns(width_);
+  for (std::vector<ValueCode>& column : columns) {
+    column.resize(2 * slot_rows_.size());
   }
-  return rows;
+  // Row by row: each payload row is read once, in one piece.
+  size_t r = 0;
+  for (const auto& [a, b] : slot_rows_) {
+    for (uint32_t index : {a, b}) {
+      QIKEY_CHECK(index != kNoRow) << "payload lost for a sampled position";
+      const ValueCode* row = codes_.data() + size_t{index} * width_;
+      for (size_t j = 0; j < width_; ++j) columns[j][r] = row[j];
+      ++r;
+    }
+  }
+  std::vector<ValueCode>().swap(codes_);
+  return columns;
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class PairReservoir {
   /// Advances the stream by one item (position `seen()`); returns true
   /// if any slot now references this position. The caller must then
   /// `Retain` its payload before the next `Offer`, or those slot ends
-  /// hold no payload (and `TakeRows` fails).
+  /// hold no payload (and `TakeColumns` fails).
   bool Offer();
 
   /// Keeps `row` as the payload of the item the last `Offer` kept. Every
@@ -77,9 +77,13 @@ class PairReservoir {
     return slots_;
   }
 
-  /// The retained payloads in slot order: entries `2i` and `2i+1` are
-  /// slot `i`'s. Valid once `seen() >= 2`, with every kept item retained.
-  std::vector<std::vector<ValueCode>> TakeRows() &&;
+  /// The retained payloads as the columns of a pair-slot table: entry
+  /// `2i` (`2i+1`) of column `j` is field `j` of slot `i`'s first
+  /// (second) end. Each column is written straight from the payload
+  /// buffer, which is freed before this returns, so the codes are held
+  /// at most twice, never once per row. Valid once `seen() >= 2`, with
+  /// every kept item retained.
+  std::vector<std::vector<ValueCode>> TakeColumns() &&;
 
  private:
   static constexpr uint32_t kNoRow = ~uint32_t{0};

@@ -29,10 +29,12 @@ Result<NonSeparationSketch> StreamingSketchBuilder::Finish() && {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
   const uint32_t m = static_cast<uint32_t>(schema_.num_attributes());
-  std::vector<ValueCode> codes;
-  codes.reserve(2 * reservoir_.num_slots() * m);
-  for (const auto& row : std::move(reservoir_).TakeRows()) {
-    codes.insert(codes.end(), row.begin(), row.end());
+  const size_t rows = 2 * reservoir_.num_slots();
+  std::vector<ValueCode> codes(rows * m);
+  std::vector<std::vector<ValueCode>> columns =
+      std::move(reservoir_).TakeColumns();
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t r = 0; r < rows; ++r) codes[r * m + j] = columns[j][r];
   }
   uint64_t total_pairs = (n % 2 == 0) ? (n / 2) * (n - 1) : n * ((n - 1) / 2);
   return NonSeparationSketch::FromMaterializedPairs(
@@ -87,8 +89,8 @@ Result<Dataset> StreamingPairFilterBuilder::FinishPairTable() && {
   if (reservoir_.seen() < 2) {
     return Status::InvalidArgument("stream had fewer than two rows");
   }
-  return RowsToDataset(schema_, cardinalities_,
-                       std::move(reservoir_).TakeRows());
+  return ColumnsToDataset(schema_, cardinalities_,
+                          std::move(reservoir_).TakeColumns());
 }
 
 Result<BitsetSeparationFilter> StreamingPairFilterBuilder::Finish() && {

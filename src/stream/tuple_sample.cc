@@ -6,12 +6,19 @@
 
 namespace qikey {
 
+std::vector<RowIndex> DrawTupleRows(uint64_t lo, uint64_t n, uint64_t r,
+                                    Rng* rng) {
+  std::vector<RowIndex> rows;
+  for (uint64_t local : rng->SampleWithoutReplacement(n, std::min(r, n))) {
+    rows.push_back(static_cast<RowIndex>(lo + local));
+  }
+  return rows;
+}
+
 TupleSample DrawTupleSample(const Dataset& d, uint64_t lo, uint64_t n,
                             uint64_t r, Rng* rng) {
   TupleSample out;
-  for (uint64_t local : rng->SampleWithoutReplacement(n, std::min(r, n))) {
-    out.provenance.push_back(static_cast<RowIndex>(lo + local));
-  }
+  out.provenance = DrawTupleRows(lo, n, r, rng);
   out.sample = d.SelectRows(out.provenance);
   return out;
 }
@@ -73,6 +80,22 @@ Dataset RowsToDataset(
                          dictionaries.empty() ? nullptr : dictionaries[j]);
   }
   return Dataset(schema, std::move(columns));
+}
+
+Dataset ColumnsToDataset(
+    const Schema& schema, const std::vector<uint32_t>& cardinalities,
+    std::vector<std::vector<ValueCode>> columns,
+    const std::vector<std::shared_ptr<Dictionary>>& dictionaries) {
+  // A reservoir that retained nothing knows no width: its columns are
+  // the schema's, empty.
+  columns.resize(schema.num_attributes());
+  std::vector<Column> out;
+  out.reserve(columns.size());
+  for (size_t j = 0; j < columns.size(); ++j) {
+    out.emplace_back(std::move(columns[j]), cardinalities[j],
+                     dictionaries.empty() ? nullptr : dictionaries[j]);
+  }
+  return Dataset(schema, std::move(out));
 }
 
 }  // namespace qikey

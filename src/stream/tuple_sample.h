@@ -22,9 +22,15 @@ struct TupleSample {
   std::vector<RowIndex> provenance;
 };
 
-/// Draws `min(r, n)` of rows `[lo, lo + n)` of `d` uniformly without
-/// replacement, in one `Rng::SampleWithoutReplacement` call. When
-/// `r >= n` every row is kept, and a filter on the sample is exact.
+/// Draws `min(r, n)` of the row indices `[lo, lo + n)` uniformly
+/// without replacement, in one `Rng::SampleWithoutReplacement` call. It
+/// reads no row, so a caller that has only counted the rows (the CSV
+/// entry of `DiscoveryPipeline::Run`) draws what `DrawTupleSample` would.
+std::vector<RowIndex> DrawTupleRows(uint64_t lo, uint64_t n, uint64_t r,
+                                    Rng* rng);
+
+/// The rows `DrawTupleRows(lo, n, r, rng)` names, selected from `d`.
+/// When `r >= n` every row is kept, and a filter on the sample is exact.
 TupleSample DrawTupleSample(const Dataset& d, uint64_t lo, uint64_t n,
                             uint64_t r, Rng* rng);
 
@@ -49,6 +55,14 @@ Result<TupleSample> MergeTupleSamples(const TupleSample& a, uint64_t seen_a,
 Dataset RowsToDataset(
     const Schema& schema, const std::vector<uint32_t>& cardinalities,
     const std::vector<std::vector<ValueCode>>& rows,
+    const std::vector<std::shared_ptr<Dictionary>>& dictionaries = {});
+
+/// The table whose column `j` holds `columns[j]` (a pair reservoir's
+/// `TakeColumns`; missing columns are empty), with `cardinalities[j]`
+/// and, when `dictionaries` is non-empty, `dictionaries[j]`.
+Dataset ColumnsToDataset(
+    const Schema& schema, const std::vector<uint32_t>& cardinalities,
+    std::vector<std::vector<ValueCode>> columns,
     const std::vector<std::shared_ptr<Dictionary>>& dictionaries = {});
 
 }  // namespace qikey

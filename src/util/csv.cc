@@ -1,5 +1,6 @@
 #include "util/csv.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -185,6 +186,30 @@ size_t NextCsvRecord(std::string_view text, bool at_end,
   record->text = body;
   record->blank = blank;
   return used;
+}
+
+size_t CountByte(std::string_view text, char byte) {
+  // Byte-wide counters over blocks of at most 255 bytes: the compiler
+  // turns the inner loop into byte-lane compares and adds, where
+  // `std::count`'s word-wide counter keeps it scalar (2x slower on
+  // covtype records).
+  size_t total = 0;
+  while (!text.empty()) {
+    const size_t block = std::min<size_t>(text.size(), 255);
+    uint8_t count = 0;
+    for (size_t i = 0; i < block; ++i) count += text[i] == byte;
+    total += count;
+    text.remove_prefix(block);
+  }
+  return total;
+}
+
+size_t CountCsvFields(std::string_view record, const CsvOptions& options,
+                      CsvFieldSplitter* splitter) {
+  if (record.find(options.quote) != std::string_view::npos) {
+    return splitter->Split(record).size();
+  }
+  return 1 + CountByte(record, options.delimiter);
 }
 
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {

@@ -119,6 +119,15 @@ inline std::string_view TrimCsvField(std::string_view field) {
   return field.substr(b, e - b);
 }
 
+/// Occurrences of `byte` in `text`.
+size_t CountByte(std::string_view text, char byte);
+
+/// Fields in `record` (a record's text, as `NextCsvRecord` yields it).
+/// A quote-free record is not split: it has one field more than it has
+/// delimiters. One holding the quote character is split by `splitter`.
+size_t CountCsvFields(std::string_view record, const CsvOptions& options,
+                      CsvFieldSplitter* splitter);
+
 /// Parsed CSV content: optional header plus rows of string fields.
 struct CsvTable {
   std::vector<std::string> header;

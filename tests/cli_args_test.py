@@ -274,20 +274,25 @@ def main():
         os.remove(fifo)
 
     # The same bad input gets the same error on every discover path: in
-    # memory, --shards and --memory-budget. A sharded build names the
-    # data row (counted from 1) of a record of the wrong width.
+    # memory (sample-first), --shards and --memory-budget, and from
+    # `snapshot save`, which reads the CSV as in-memory discover does. A
+    # sharded build names the data row (counted from 1) of a record of
+    # the wrong width.
     ragged = os.path.join(tmp, "ragged.csv")
     with open(ragged, "w") as f:
         f.write("a,b\n1,2\n1,2,3\n4,5\n")
     one_row = os.path.join(tmp, "one_row.csv")
     with open(one_row, "w") as f:
         f.write("a,b\n1,2\n")
+    empty = os.path.join(tmp, "empty.csv")
+    open(empty, "w").close()
     modes = ([], ["--shards", "2"], ["--memory-budget", "8"])
     same_error_cases = [
-        (ragged, ["has 3 fields, expected 2",
+        (ragged, ["CSV record 3 has 3 fields, expected 2",
                   "CSV data row 2 has 3 fields, expected 2",
                   "CSV data row 2 has 3 fields, expected 2"]),
         (one_row, ["need at least two rows"] * 3),
+        (empty, ["need at least two rows"] * 3),
     ]
     for path, wants in same_error_cases:
         sharded_errors = set()
@@ -302,6 +307,14 @@ def main():
         if len(sharded_errors) != 1:
             failures.append(f"qikey discover {path}: --shards and "
                             f"--memory-budget differ: {sharded_errors}")
+        for backend in ("tuple", "bitset"):
+            save = ["snapshot", "save", path, "--backend", backend,
+                    "--out", os.path.join(tmp, "bad.qsnp")]
+            code, out, err = run([qikey] + save)
+            if code != 1 or wants[0] not in err:
+                failures.append(f"qikey {' '.join(save)}\n  exit {code}, "
+                                f"want 1 and {wants[0]!r}\n"
+                                f"  stderr: {err.strip()[:200]}")
 
     # A served bitset image reports how many of the pairs its sample
     # drew it stores: the minimal masks, at most all of them.
@@ -320,7 +333,7 @@ def main():
         failures.append(f"snapshot inspect {bitset_snap}\n  exit {code}, "
                         f"no evidence counts ({e}): {out.strip()[:300]}")
 
-    checked = len(cases) + 3 + len(modes) * len(same_error_cases)
+    checked = len(cases) + 3 + (len(modes) + 2) * len(same_error_cases)
     shutil.rmtree(tmp, ignore_errors=True)
     if failures:
         print(f"{len(failures)} of {checked} case(s) failed:\n")

@@ -265,11 +265,13 @@ TEST(PairReservoirTest, RetainsOnlyLivePayloads) {
   }
   EXPECT_LE(peak, 2 * kSlots);
   std::vector<std::pair<uint64_t, uint64_t>> pairs = res.pairs();
-  std::vector<std::vector<ValueCode>> rows = std::move(res).TakeRows();
-  ASSERT_EQ(rows.size(), 2 * kSlots);
+  std::vector<std::vector<ValueCode>> columns = std::move(res).TakeColumns();
+  ASSERT_EQ(columns.size(), 2u);
+  ASSERT_EQ(columns[0].size(), 2 * kSlots);
   for (size_t i = 0; i < kSlots; ++i) {
-    EXPECT_EQ(rows[2 * i][0], pairs[i].first) << i;
-    EXPECT_EQ(rows[2 * i + 1][0], pairs[i].second) << i;
+    EXPECT_EQ(columns[0][2 * i], pairs[i].first) << i;
+    EXPECT_EQ(columns[0][2 * i + 1], pairs[i].second) << i;
+    EXPECT_EQ(columns[1][2 * i], pairs[i].first + 1) << i;
   }
 }
 

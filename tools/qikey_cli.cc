@@ -82,8 +82,11 @@
 //                  [--shards N] [--memory-budget MB]
 //       End-to-end discovery pipeline: sample, filter, parallel greedy,
 //       batched minimization, verify with witness; per-stage timings.
-//       With --shards, per-shard filters are built in parallel over
-//       record-aligned byte ranges of the file and merged; with
+//       The file is indexed and width-checked, then only the rows the
+//       samples draw are encoded (sample-first; the key is the one a
+//       whole-table load would give). With --shards, per-shard filters
+//       are built in parallel over record-aligned byte ranges of the
+//       file and merged; with
 //       --memory-budget, the file is read once (a pipe works) by one
 //       streaming builder that encodes only the rows its samples keep,
 //       and the run fails if its live bytes exceed MB (out-of-core
@@ -908,18 +911,24 @@ int RunAnonymize(const Dataset& data, const Args& args) {
   return 0;
 }
 
-int RunDiscover(const Dataset& data, const Args& args, Rng* rng) {
+/// In-memory discover, sample-first: the pipeline reads the CSV itself
+/// and encodes only the rows its draws name.
+int RunDiscover(const Args& args) {
   PipelineOptions opts;
   opts.eps = args.eps;
   opts.num_threads = args.threads;
   if (!ParseBackend(args.backend, &opts.backend)) return 2;
   DiscoveryPipeline pipeline(opts);
-  auto result = pipeline.Run(data, rng);
+  Rng rng(args.seed);
+  auto result = pipeline.Run(args.csv_path, &rng);
   if (!result.ok()) {
+    if (result.status().code() == StatusCode::kIOError) {
+      std::fprintf(stderr, "cannot load %s: ", args.csv_path.c_str());
+    }
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", result->Report(&data.schema()).c_str());
+  std::printf("%s", result->Report(&result->sample->schema()).c_str());
   if (result->verdict != FilterVerdict::kAccept) {
     std::fprintf(stderr,
                  "verification failed: the emitted key was rejected\n");
@@ -1006,12 +1015,14 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (args.log_json) LogMessage::SetJsonLines(true);
-  if (args.command == "discover" &&
-      (args.shards > 0 || args.memory_budget_mb > 0.0)) {
-    return RunDiscoverSharded(args);
+  if (args.command == "discover") {
+    return args.shards > 0 || args.memory_budget_mb > 0.0
+               ? RunDiscoverSharded(args)
+               : RunDiscover(args);
   }
-  // serve and snapshot load their own input (CSV, artifact files, or a
-  // snapshot file) via LoadSnapshot / the snapfile reader.
+  // discover (above), serve and snapshot read their own input (CSV,
+  // artifact files, or a snapshot file) via the pipeline, LoadSnapshot
+  // or the snapfile reader.
   if (args.command == "serve") return RunServeNet(args);
   if (args.command == "snapshot") {
     return args.sub == "save" ? RunSnapshotSave(args)
@@ -1032,7 +1043,6 @@ int Main(int argc, char** argv) {
   if (args.command == "mask") return RunMask(*data, args, &rng);
   if (args.command == "afd") return RunAfd(*data, args);
   if (args.command == "anonymize") return RunAnonymize(*data, args);
-  if (args.command == "discover") return RunDiscover(*data, args, &rng);
   if (args.command == "monitor") return RunMonitor(*data, args);
   Usage();
   return 2;
