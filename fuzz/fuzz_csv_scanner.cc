@@ -8,9 +8,9 @@
 // `ShardArtifactBuilder`), run from memory under a tuple target that
 // keeps every record, must keep the oracle's rows, or fail where the
 // oracle fails or loads fewer than two rows. The sample-first reader
-// (`CsvRowReader`, its parallel index at forced range counts) must fail
-// with the loader's error, or encode every row, in order, to the
-// oracle's dataset.
+// (`CsvRowReader`, its encode at forced chunk counts) must fail with the
+// loader's error, or encode every row, in order, to the oracle's
+// dataset.
 
 #include <memory>
 #include <sstream>
@@ -55,11 +55,12 @@ void CheckLoaderMatchesOracle(std::string_view text,
       for (size_t r = 0; r < rows.size(); ++r) {
         rows[r] = static_cast<qikey::RowIndex>(r);
       }
-      actual = qikey::csv_oracle::Fingerprint((*reader)->EncodeRows(rows));
+      qikey::Dataset encoded = (*reader)->EncodeRows(rows);
+      actual = qikey::csv_oracle::Fingerprint(encoded);
     }
     QIKEY_CHECK(actual == expected)
         << "CsvRowReader in " << chunks
-        << " ranges disagrees with the oracle\nreader: " << actual
+        << " chunks disagrees with the oracle\nreader: " << actual
         << "\noracle: " << expected;
   }
   qikey::Result<qikey::Dataset> oracle = qikey::csv_oracle::Load(text, options);

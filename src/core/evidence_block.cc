@@ -183,11 +183,17 @@ void PackedEvidence::Pack(const std::vector<uint64_t>& masks) {
 }
 
 PackedEvidence PackedEvidence::FromDatasetPairs(
-    const Dataset& table, std::span<const std::pair<RowIndex, RowIndex>> pairs) {
+    const Dataset& table, std::span<const std::pair<RowIndex, RowIndex>> pairs,
+    std::span<const RowIndex> row_ids) {
+  QIKEY_CHECK(row_ids.empty() || row_ids.size() == table.num_rows());
+  PackedEvidence out;
   const size_t m = table.num_attributes();
   const size_t wpp = (m + 63) / 64;
   const size_t s = pairs.size();
-  if (s == 0 || m == 0) return FromPairMasks(m, {}, pairs);
+  out.num_attributes_ = m;
+  out.words_per_pair_ = wpp;
+  out.source_pairs_ = s;
+  if (s == 0 || m == 0) return out;
 
   // Mask stage: each worker owns one contiguous range of pairs, so no
   // two write the same mask word, and the masks do not depend on how
@@ -217,26 +223,16 @@ PackedEvidence PackedEvidence::FromDatasetPairs(
       },
       /*min_grain=*/(s + threads - 1) / threads);
 
-  return FromPairMasks(m, masks, pairs);
-}
-
-PackedEvidence PackedEvidence::FromPairMasks(
-    size_t num_attributes, std::span<const uint64_t> masks,
-    std::span<const std::pair<RowIndex, RowIndex>> pairs) {
-  PackedEvidence out;
-  const size_t m = num_attributes;
-  const size_t wpp = (m + 63) / 64;
-  const size_t s = pairs.size();
-  QIKEY_CHECK(masks.size() == s * wpp);
-  out.num_attributes_ = m;
-  out.words_per_pair_ = wpp;
-  out.source_pairs_ = s;
-  if (s == 0 || m == 0) return out;
   // Dedupe in pair order: each mask's representative is its first
   // occurrence, whatever the worker count.
   MaskAccumulator acc(wpp, s);
   for (size_t p = 0; p < s; ++p) {
-    acc.Offer(masks.data() + p * wpp, pairs[p].first, pairs[p].second);
+    auto [a, b] = pairs[p];
+    if (!row_ids.empty()) {
+      a = row_ids[a];
+      b = row_ids[b];
+    }
+    acc.Offer(masks.data() + p * wpp, a, b);
   }
   out.SetOwnedReps(std::move(acc.reps));
   out.Pack(acc.masks);

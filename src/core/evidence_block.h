@@ -171,26 +171,17 @@ class PackedEvidence {
 
   /// Packs the disagree sets of the given row pairs of `table`
   /// (deduplicated; each mask's representative is the first pair that
-  /// produced it). Representative indices are `table` row indices.
+  /// produced it). Representative indices are `table` row indices, or
+  /// `row_ids[row]` when `row_ids` (one per `table` row) is given: a
+  /// table of selected rows reports the rows it was selected from.
   /// `O(s · m)` build; the price is paid once and every query
   /// afterwards is word-wise. Large samples spread the mask stage over
   /// a pool local to the call, sized by the work and the affinity mask;
   /// the output is bit-identical for any worker count.
   static PackedEvidence FromDatasetPairs(
       const Dataset& table,
-      std::span<const std::pair<RowIndex, RowIndex>> pairs);
-
-  /// Packs disagree masks computed elsewhere: `masks` holds
-  /// `words_per_pair()` words per pair (`⌈m/64⌉`), pair-major, bit `j %
-  /// 64` of word `j / 64` set iff the pair's tuples differ on attribute
-  /// `j`; `pairs[i]` is pair `i`'s representative. Deduplicated exactly as
-  /// `FromDatasetPairs`, so masks equal to the ones it would compute give
-  /// the same evidence, bit for bit (the CSV entry of
-  /// `DiscoveryPipeline::Run` compares field text, never encoding the
-  /// pairs' rows).
-  static PackedEvidence FromPairMasks(
-      size_t num_attributes, std::span<const uint64_t> masks,
-      std::span<const std::pair<RowIndex, RowIndex>> pairs);
+      std::span<const std::pair<RowIndex, RowIndex>> pairs,
+      std::span<const RowIndex> row_ids = {});
 
   /// As `FromDatasetPairs` for row-major storage: `rows[i]` points at
   /// the two tuples (of `num_attributes` codes each) of pair `i`, and

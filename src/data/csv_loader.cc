@@ -22,10 +22,6 @@ namespace {
 /// thread and of merging one more set of dictionaries.
 constexpr size_t kMinChunkRecords = 8192;
 
-/// Fewest bytes worth a chunk of their own in `CsvRowReader`'s index
-/// pass: about `kMinChunkRecords` records of a wide table.
-constexpr size_t kMinChunkBytes = size_t{1} << 20;
-
 /// The text after one serial pass: the attribute names (the header, or
 /// anonymous names as many as the first record's fields) and the
 /// non-blank data records in file order.
@@ -103,40 +99,6 @@ size_t EncodePlainRecord(std::string_view record, const CsvOptions& options,
   }
 }
 
-/// `a == b` for the few-byte fields of a CSV record, where a byte loop
-/// beats a call to `memcmp`.
-bool SameField(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-/// Sets bit `j` of `mask` (`⌈m/64⌉` words) iff field `j` of the
-/// quote-free records `a` and `b`, both `m` fields wide, differ as the
-/// loader would encode them, walking each record once without splitting
-/// it into views.
-void PlainDisagreeMask(std::string_view a, std::string_view b,
-                       const CsvOptions& options, size_t m, uint64_t* mask) {
-  const char* pa = a.data();
-  const char* pb = b.data();
-  const char* end_a = pa + a.size();
-  const char* end_b = pb + b.size();
-  auto next_field = [&](const char*& p, const char* end) {
-    const char* begin = p;
-    while (p != end && *p != options.delimiter) ++p;
-    std::string_view field(begin, static_cast<size_t>(p - begin));
-    if (p != end) ++p;  // past the delimiter
-    return options.trim_whitespace ? TrimCsvField(field) : field;
-  };
-  for (size_t j = 0; j < m; ++j) {
-    std::string_view fa = next_field(pa, end_a);
-    std::string_view fb = next_field(pb, end_b);
-    mask[j / 64] |= uint64_t{!SameField(fa, fb)} << (j % 64);
-  }
-}
-
 /// Encodes data records `[begin, end)` into their rows of `columns`
 /// through the chunk's own dictionaries, stopping at the first record
 /// whose width is not `m`.
@@ -201,6 +163,17 @@ size_t ThreadsFor(size_t records) {
   return std::clamp(records / kMinChunkRecords, size_t{1}, UsableCpuCount());
 }
 
+/// A pool for `records` records cut into `*num_chunks` chunks (0 is
+/// replaced by the count the work sets), or null when one thread does.
+/// The work sets the thread count; a forced chunk count only changes how
+/// the records are cut, so tiny inputs never start threads.
+std::unique_ptr<ThreadPool> ChunkPool(size_t records, size_t* num_chunks) {
+  const size_t threads = ThreadsFor(records);
+  if (*num_chunks == 0) *num_chunks = threads;
+  if (std::min(*num_chunks, threads) <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(std::min(*num_chunks, threads));
+}
+
 /// The loader's error for data record `record` of `text`, which has
 /// `fields` fields where `m` were expected.
 Status WidthError(std::string_view text, std::string_view record,
@@ -211,110 +184,18 @@ Status WidthError(std::string_view text, std::string_view record,
   return Status::InvalidArgument(msg.str());
 }
 
-/// `LocateRecords` in `k` byte ranges on `pool`, for a text whose data
-/// records hold no quote character: such a record ends at the first
-/// newline, so ranges that start just past a newline locate their
-/// records on their own, and each record's delimiters are counted (its
-/// width checked) while its bytes are in cache. Returns the loader's
-/// error for the first record of the wrong width. Sets `*plain` to false
-/// and locates nothing when some data record holds a quote: the caller
-/// takes the serial pass.
-Status LocatePlainRecords(std::string_view text, const CsvOptions& options,
-                          size_t k, ThreadPool* pool, LocatedRecords* located,
-                          bool* plain) {
-  *plain = true;
-  // The first non-blank record names the attributes (and, without a
-  // header, is the first data record); the ranges cut what follows.
-  size_t data_begin = 0;
-  CsvRecord first;
-  while (size_t used = NextCsvRecord(text.substr(data_begin),
-                                     /*at_end=*/true, options, &first)) {
-    if (!first.blank) {
-      CsvFieldSplitter splitter(options);
-      std::span<const std::string_view> fields = splitter.Split(first.text);
-      if (options.has_header) {
-        located->names.assign(fields.begin(), fields.end());
-        data_begin += used;
-      } else {
-        located->names = Schema::Anonymous(fields.size()).names();
-      }
-      break;
-    }
-    data_begin += used;
-  }
-  const size_t m = located->names.size();
-  const std::string_view data = text.substr(data_begin);
-  std::vector<size_t> cut(k + 1, data.size());
-  cut[0] = 0;
-  for (size_t c = 1; c < k; ++c) {
-    const size_t newline = data.find('\n', c * data.size() / k);
-    cut[c] = std::max(cut[c - 1], newline == std::string_view::npos
-                                      ? data.size()
-                                      : newline + 1);
-  }
-  struct Range {
-    std::vector<std::string_view> records;
-    std::optional<size_t> bad_record;  // index into `records`
-    size_t bad_fields = 0;
-    bool quoted = false;
-  };
-  std::vector<Range> ranges(k);
-  ThreadPool::ParallelFor(pool, k, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      Range& out = ranges[c];
-      std::string_view range = data.substr(cut[c], cut[c + 1] - cut[c]);
-      if (range.find(options.quote) != std::string_view::npos) {
-        out.quoted = true;
-        continue;
-      }
-      // Room for records of 32 bytes and more: growing the vector would
-      // remap it, and a remap stalls every thread's page faults.
-      out.records.reserve(range.size() / 32 + 16);
-      CsvRecord record;
-      while (size_t used =
-                 NextCsvRecord(range, /*at_end=*/true, options, &record)) {
-        range.remove_prefix(used);
-        if (record.blank) continue;
-        const size_t fields = 1 + CountByte(record.text, options.delimiter);
-        if (fields != m && !out.bad_record.has_value()) {
-          out.bad_record = out.records.size();
-          out.bad_fields = fields;
-        }
-        out.records.push_back(record.text);
-      }
-    }
-  });
-  size_t total = 0;
-  for (const Range& range : ranges) {
-    if (range.quoted) {
-      *plain = false;
-      located->names.clear();
-      return Status::OK();
-    }
-    total += range.records.size();
-  }
-  for (const Range& range : ranges) {
-    if (range.bad_record.has_value()) {
-      return WidthError(text, range.records[*range.bad_record],
-                        range.bad_fields, m, options);
-    }
-  }
-  located->rows.reserve(total);
-  for (const Range& range : ranges) {
-    located->rows.insert(located->rows.end(), range.records.begin(),
-                         range.records.end());
-  }
-  return Status::OK();
-}
-
 /// Encodes `records` (data records of `text`, in order) into `m`
-/// columns, cut into `k` contiguous chunks that encode in parallel on
-/// `pool` through chunk-local dictionaries, merged in chunk order: the
-/// codes follow first appearance in `records`, whatever `k` is. The
-/// first record whose width is not `m` is the loader's error.
+/// columns, cut into `num_chunks` contiguous chunks (0 sizes them by the
+/// work) that encode in parallel through chunk-local dictionaries,
+/// merged in chunk order: the codes follow first appearance in
+/// `records`, whatever the cut. The first record whose width is not `m`
+/// is the loader's error.
 Result<std::vector<Column>> EncodeRecords(
     std::string_view text, std::span<const std::string_view> records,
-    size_t m, const CsvOptions& options, size_t k, ThreadPool* pool) {
+    size_t m, const CsvOptions& options, size_t num_chunks) {
+  size_t k = num_chunks;
+  std::unique_ptr<ThreadPool> owned_pool = ChunkPool(records.size(), &k);
+  ThreadPool* pool = owned_pool.get();
   const size_t n = records.size();
   std::vector<std::vector<ValueCode>> codes(m);
   ThreadPool::ParallelFor(pool, m, [&](size_t begin, size_t end) {
@@ -355,17 +236,8 @@ Result<Dataset> LoadCsvDatasetInChunks(std::string_view text,
                                        const CsvOptions& options,
                                        size_t num_chunks) {
   LocatedRecords located = LocateRecords(text, options);
-  const size_t m = located.names.size();
-  // The work sets the thread count; a forced chunk count only changes
-  // how the records are cut, so tiny inputs never start threads.
-  const size_t threads = ThreadsFor(located.rows.size());
-  const size_t k = num_chunks > 0 ? num_chunks : threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (std::min(k, threads) > 1) {
-    pool = std::make_unique<ThreadPool>(std::min(k, threads));
-  }
-  Result<std::vector<Column>> columns =
-      EncodeRecords(text, located.rows, m, options, k, pool.get());
+  Result<std::vector<Column>> columns = EncodeRecords(
+      text, located.rows, located.names.size(), options, num_chunks);
   if (!columns.ok()) return columns.status();
   return Dataset(Schema(std::move(located.names)),
                  std::move(columns).ValueOrDie());
@@ -415,29 +287,35 @@ Result<std::unique_ptr<CsvRowReader>> CsvRowReader::Open(
 }
 
 Status CsvRowReader::Index() {
-  const size_t threads = std::clamp(text_.size() / kMinChunkBytes, size_t{1},
-                                    UsableCpuCount());
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  LocatedRecords located;
-  bool plain = false;
-  Status status = LocatePlainRecords(text_, options_,
-                                     num_chunks_ > 0 ? num_chunks_ : threads,
-                                     pool_.get(), &located, &plain);
-  if (plain) {
-    names_ = std::move(located.names);
-    rows_ = std::move(located.rows);
-    return status;
-  }
-  // A quote may hide newlines: the loader's serial pass finds the
-  // records, and their widths are checked one by one.
-  located = LocateRecords(text_, options_);
+  // The loader's serial pass finds the records (a quote may hide
+  // newlines). Their widths are checked in contiguous chunks of records,
+  // in parallel; chunks run in record order, so the first chunk with a
+  // bad record holds the first one.
+  LocatedRecords located = LocateRecords(text_, options_);
   names_ = std::move(located.names);
   rows_ = std::move(located.rows);
-  CsvFieldSplitter splitter(options_);
-  for (std::string_view record : rows_) {
-    const size_t fields = CountCsvFields(record, options_, &splitter);
-    if (fields != names_.size()) {
-      return WidthError(text_, record, fields, names_.size(), options_);
+  const size_t n = rows_.size();
+  const size_t m = names_.size();
+  size_t k = num_chunks_;
+  std::unique_ptr<ThreadPool> pool = ChunkPool(n, &k);
+  std::vector<std::optional<size_t>> bad_row(k);
+  std::vector<size_t> bad_fields(k, 0);
+  ThreadPool::ParallelFor(pool.get(), k, [&](size_t begin, size_t end) {
+    CsvFieldSplitter splitter(options_);
+    for (size_t c = begin; c < end; ++c) {
+      for (size_t r = c * n / k; r < (c + 1) * n / k; ++r) {
+        const size_t fields = CountCsvFields(rows_[r], options_, &splitter);
+        if (fields != m) {
+          bad_row[c] = r;
+          bad_fields[c] = fields;
+          break;
+        }
+      }
+    }
+  });
+  for (size_t c = 0; c < k; ++c) {
+    if (bad_row[c].has_value()) {
+      return WidthError(text_, rows_[*bad_row[c]], bad_fields[c], m, options_);
     }
   }
   return Status::OK();
@@ -450,46 +328,11 @@ Dataset CsvRowReader::EncodeRows(std::span<const RowIndex> rows) const {
     QIKEY_CHECK(row < rows_.size()) << "row " << row << " out of range";
     records.push_back(rows_[row]);
   }
-  const size_t k = num_chunks_ > 0 ? num_chunks_ : ThreadsFor(records.size());
   // Every record's width was checked when the file was indexed.
-  Result<std::vector<Column>> columns = EncodeRecords(
-      text_, records, names_.size(), options_, k, pool_.get());
+  Result<std::vector<Column>> columns =
+      EncodeRecords(text_, records, names_.size(), options_, num_chunks_);
   QIKEY_CHECK(columns.ok()) << columns.status().ToString();
   return Dataset(Schema(names_), std::move(columns).ValueOrDie());
-}
-
-std::vector<uint64_t> CsvRowReader::DisagreeMasks(
-    std::span<const std::pair<RowIndex, RowIndex>> pairs) const {
-  const size_t m = names_.size();
-  const size_t wpp = (m + 63) / 64;
-  const size_t s = pairs.size();
-  std::vector<uint64_t> masks(s * wpp, 0);
-  for (const auto& [a, b] : pairs) {
-    QIKEY_CHECK(a < rows_.size() && b < rows_.size()) << "pair out of range";
-  }
-  const size_t k = num_chunks_ > 0 ? num_chunks_ : ThreadsFor(s);
-  ThreadPool::ParallelFor(pool_.get(), k, [&](size_t begin, size_t end) {
-    CsvFieldSplitter split_a(options_);
-    CsvFieldSplitter split_b(options_);
-    for (size_t c = begin; c < end; ++c) {
-      for (size_t p = c * s / k; p < (c + 1) * s / k; ++p) {
-        std::string_view a = rows_[pairs[p].first];
-        std::string_view b = rows_[pairs[p].second];
-        uint64_t* mask = masks.data() + p * wpp;
-        if (a.find(options_.quote) == std::string_view::npos &&
-            b.find(options_.quote) == std::string_view::npos) {
-          PlainDisagreeMask(a, b, options_, m, mask);
-          continue;
-        }
-        std::span<const std::string_view> fa = split_a.Split(a);
-        std::span<const std::string_view> fb = split_b.Split(b);
-        for (size_t j = 0; j < m; ++j) {
-          mask[j / 64] |= uint64_t{!SameField(fa[j], fb[j])} << (j % 64);
-        }
-      }
-    }
-  });
-  return masks;
 }
 
 std::string DatasetToCsv(const Dataset& dataset, const CsvOptions& options) {

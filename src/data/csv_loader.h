@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -17,13 +16,12 @@ namespace qikey {
 
 class CsvRowReader;
 class FileText;
-class ThreadPool;
 
 namespace internal {
 /// Test seam: a `CsvRowReader` over `text` (which must outlive it) whose
-/// index, encode and mask stages are each cut into exactly `num_chunks`
-/// chunks (0 sizes them by the work, as `Open` does). No result, error
-/// text included, may depend on `num_chunks`.
+/// width check and encode are each cut into exactly `num_chunks` chunks
+/// (0 sizes them by the work, as `Open` does). No result, error text
+/// included, may depend on `num_chunks`.
 Result<std::unique_ptr<CsvRowReader>> CsvRowReaderForText(
     std::string_view text, const CsvOptions& options, size_t num_chunks);
 }  // namespace internal
@@ -41,19 +39,17 @@ Result<Dataset> LoadCsvDatasetFromString(std::string_view text,
                                          const CsvOptions& options = {});
 
 /// \brief A CSV file opened for sample-first reading: a caller that
-/// needs only some rows encodes just those (`EncodeRows`), and compares
-/// pairs of rows field by field without encoding them (`DisagreeMasks`).
+/// needs only some rows encodes just those (`EncodeRows`).
 ///
-/// `Open` locates the records and checks every record's width, so a
-/// malformed file fails with the loader's error ("CSV record N has F
-/// fields, expected M") before any row is read. When no data record
-/// holds a quote, byte ranges cut just past a newline are located (and
-/// their widths counted) in parallel; otherwise `LoadCsvDataset`'s
-/// serial pass finds the records. The reader keeps the file's text (a
-/// mapping, or the bytes of a pipe) and views into it, so it is handed
-/// out behind a `unique_ptr` and never moves; everything its methods
-/// return is owned. Work is cut into chunks sized by the work and the
-/// usable CPUs, and no result depends on the cut.
+/// `Open` locates the records with `LoadCsvDataset`'s serial pass and
+/// checks every record's width, so a malformed file fails with the
+/// loader's error ("CSV record N has F fields, expected M") before any
+/// row is read. The reader keeps the file's text (a mapping, or the
+/// bytes of a pipe) and views into it, so it is handed out behind a
+/// `unique_ptr` and never moves; everything its methods return is
+/// owned. The width check and the encode are cut into chunks of
+/// records sized by the work and the usable CPUs, and no result
+/// depends on the cut.
 class CsvRowReader {
  public:
   static Result<std::unique_ptr<CsvRowReader>> Open(
@@ -75,13 +71,6 @@ class CsvRowReader {
   /// cardinality) holds only these rows' values.
   Dataset EncodeRows(std::span<const RowIndex> rows) const;
 
-  /// Disagree mask of each pair of data rows: `⌈m/64⌉` words per pair,
-  /// pair-major, bit `j % 64` of word `j / 64` set iff the two records'
-  /// field `j` differ (compared as `LoadCsvDataset` would encode them).
-  /// The layout `PackedEvidence::FromPairMasks` packs.
-  std::vector<uint64_t> DisagreeMasks(
-      std::span<const std::pair<RowIndex, RowIndex>> pairs) const;
-
  private:
   friend Result<std::unique_ptr<CsvRowReader>> internal::CsvRowReaderForText(
       std::string_view text, const CsvOptions& options, size_t num_chunks);
@@ -97,7 +86,6 @@ class CsvRowReader {
   size_t num_chunks_;  // 0 = sized by the work
   std::vector<std::string> names_;
   std::vector<std::string_view> rows_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// \brief Renders a data set back to CSV text (dictionary values when

@@ -70,28 +70,38 @@ Result<PipelineResult> DiscoveryPipeline::Run(const std::string& csv_path,
                                               Rng* rng) const {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
   Timer timer;
-  Result<std::unique_ptr<CsvRowReader>> reader =
-      CsvRowReader::Open(csv_path);
+  Result<std::unique_ptr<CsvRowReader>> reader = CsvRowReader::Open(csv_path);
   if (!reader.ok()) return reader.status();
-  const uint64_t n = (*reader)->num_rows();
-  const size_t m = (*reader)->names().size();
+  const double read_millis = timer.ElapsedMillis();
+  Result<PipelineResult> result = Run(**reader, rng);
+  if (!result.ok()) return result;
+  result->stages.insert(result->stages.begin(),
+                        PipelineStage{"read", read_millis});
+  result->total_millis += read_millis;
+  return result;
+}
+
+Result<PipelineResult> DiscoveryPipeline::Run(const CsvRowReader& reader,
+                                              Rng* rng) const {
+  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  const uint64_t n = reader.num_rows();
+  const size_t m = reader.names().size();
   if (n < 2) return Status::InvalidArgument("need at least two rows");
   QIKEY_RETURN_NOT_OK(ValidateOptions(options_));
-  const double read_millis = timer.ElapsedMillis();
 
   // The draws need only the record count, so they run here, in
   // `Run(const Dataset&)`'s order: the tuple rows, then (bitset, in
-  // `BitsetSeparationFilter::Build`) the pair slots. Only the tuple rows
-  // are encoded.
-  timer.Restart();
+  // `BitsetSeparationFilter::Build`) the pair slots.
+  Timer timer;
   std::vector<RowIndex> provenance = DrawTupleRows(
       0, n, ResolveTupleSampleSize(options_.sample_size, m, options_.eps), rng);
-  auto sample = std::make_shared<Dataset>((*reader)->EncodeRows(provenance));
+  auto sample = std::make_shared<Dataset>(reader.EncodeRows(provenance));
   const double sample_millis = timer.ElapsedMillis();
 
-  // Stage: filter, as `RunStages` builds it. The pair rows are compared
-  // field by field in the text, never encoded; the masks are the ones
-  // `Build` computes from codes, so the evidence is its evidence.
+  // Stage: filter, as `RunStages` builds it. The pairs' distinct rows
+  // are encoded as one table, in file order, and packed by the code that
+  // packs `Build`'s pairs; the representatives name the file's rows, so
+  // the evidence is `Build`'s evidence.
   timer.Restart();
   std::unique_ptr<SeparationFilter> filter;
   switch (options_.backend) {
@@ -104,10 +114,28 @@ Result<PipelineResult> DiscoveryPipeline::Run(const std::string& csv_path,
       std::vector<std::pair<RowIndex, RowIndex>> pairs = DrawPairSlots(
           n, ResolvePairSampleSize(options_.pair_sample_size, m, options_.eps),
           rng);
+      // `local_of[r]` is row `r`'s index among the pairs' distinct rows,
+      // which are numbered in file order.
+      constexpr RowIndex kUnused = ~RowIndex{0};
+      std::vector<RowIndex> local_of(n, kUnused);
+      for (const auto& [a, b] : pairs) {
+        local_of[a] = 0;
+        local_of[b] = 0;
+      }
+      std::vector<RowIndex> rows;
+      for (RowIndex r = 0; r < n; ++r) {
+        if (local_of[r] == kUnused) continue;
+        local_of[r] = static_cast<RowIndex>(rows.size());
+        rows.push_back(r);
+      }
+      std::vector<std::pair<RowIndex, RowIndex>> local(pairs.size());
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        local[p] = {local_of[pairs[p].first], local_of[pairs[p].second]};
+      }
       Result<BitsetSeparationFilter> built =
           BitsetSeparationFilter::FromPackedEvidence(
-              PackedEvidence::FromPairMasks(
-                  m, (*reader)->DisagreeMasks(pairs), pairs),
+              PackedEvidence::FromDatasetPairs(reader.EncodeRows(rows), local,
+                                               rows),
               pairs.size());
       if (!built.ok()) return built.status();
       filter = std::make_unique<BitsetSeparationFilter>(
@@ -120,9 +148,8 @@ Result<PipelineResult> DiscoveryPipeline::Run(const std::string& csv_path,
   if (!result.ok()) return result;
   result->rows = n;
   result->stages.insert(result->stages.begin(),
-                        {PipelineStage{"read", read_millis},
-                         PipelineStage{"sample", sample_millis}});
-  result->total_millis += read_millis + sample_millis;
+                        PipelineStage{"sample", sample_millis});
+  result->total_millis += sample_millis;
   return result;
 }
 

@@ -21,6 +21,8 @@
 
 namespace qikey {
 
+class CsvRowReader;
+
 /// Options for `DiscoveryPipeline`. Defaults reproduce the paper's
 /// Table-1 regime serially; `num_threads` > 1 parallelizes the greedy
 /// gain scans and every batched filter query on one shared pool.
@@ -127,16 +129,22 @@ class DiscoveryPipeline {
   Result<PipelineResult> Run(const Dataset& dataset, Rng* rng) const;
 
   /// \brief Sample-first entry: runs all stages on a CSV file, encoding
-  /// only the rows the draws name (`LoadCsvRows`).
+  /// only the rows the draws name.
   ///
-  /// The records are indexed and width-checked first; then the tuple
-  /// draw and, on the bitset backend, the pair draw run over the record
-  /// count exactly as `Run(const Dataset&)` runs them (neither reads a
-  /// value), so for the same `rng` the result — key, greedy steps,
-  /// verdict, witness rows — is `Run`'s on `LoadCsvDataset(csv_path)`,
-  /// and so are its errors. Only the sample's dictionaries differ: they
-  /// hold the encoded rows' values, not the whole columns'.
+  /// The records are indexed and width-checked first (`CsvRowReader`);
+  /// then the tuple draw and, on the bitset backend, the pair draw run
+  /// over the record count exactly as `Run(const Dataset&)` runs them
+  /// (neither reads a value), so for the same `rng` the result — key,
+  /// greedy steps, verdict, witness rows — is `Run`'s on
+  /// `LoadCsvDataset(csv_path)`, and so are its errors. Only the sample's
+  /// dictionaries differ: they hold the encoded rows' values, not the
+  /// whole columns'. Its stages start with "read" (the index).
   Result<PipelineResult> Run(const std::string& csv_path, Rng* rng) const;
+
+  /// As `Run(csv_path)` on a file already opened (so a caller can tell
+  /// the file's own errors from the pipeline's); its stages start with
+  /// "sample", as `Run(const Dataset&)`'s do.
+  Result<PipelineResult> Run(const CsvRowReader& reader, Rng* rng) const;
 
   /// Streaming entry: consumes a tuple reservoir already drawn from a
   /// stream (e.g. `StreamingTupleFilterBuilder`'s sample), skipping the

@@ -316,6 +316,13 @@ def main():
                                 f"want 1 and {wants[0]!r}\n"
                                 f"  stderr: {err.strip()[:200]}")
 
+    # In memory, a malformed file is a load error: the message names it.
+    code, out, err = run([qikey, "discover", ragged])
+    want = f"cannot load {ragged}: InvalidArgument: CSV record 3 has"
+    if code != 1 or want not in err:
+        failures.append(f"qikey discover {ragged}\n  exit {code}, want 1 "
+                        f"and {want!r}\n  stderr: {err.strip()[:200]}")
+
     # A served bitset image reports how many of the pairs its sample
     # drew it stores: the minimal masks, at most all of them.
     bitset_snap = os.path.join(tmp, "people_bitset.qsnp")
@@ -333,7 +340,7 @@ def main():
         failures.append(f"snapshot inspect {bitset_snap}\n  exit {code}, "
                         f"no evidence counts ({e}): {out.strip()[:300]}")
 
-    checked = len(cases) + 3 + (len(modes) + 2) * len(same_error_cases)
+    checked = len(cases) + 4 + (len(modes) + 2) * len(same_error_cases)
     shutil.rmtree(tmp, ignore_errors=True)
     if failures:
         print(f"{len(failures)} of {checked} case(s) failed:\n")

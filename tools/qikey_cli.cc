@@ -919,12 +919,16 @@ int RunDiscover(const Args& args) {
   opts.num_threads = args.threads;
   if (!ParseBackend(args.backend, &opts.backend)) return 2;
   DiscoveryPipeline pipeline(opts);
+  Result<std::unique_ptr<CsvRowReader>> reader =
+      CsvRowReader::Open(args.csv_path);
+  if (!reader.ok()) {
+    std::fprintf(stderr, "cannot load %s: %s\n", args.csv_path.c_str(),
+                 reader.status().ToString().c_str());
+    return 1;
+  }
   Rng rng(args.seed);
-  auto result = pipeline.Run(args.csv_path, &rng);
+  auto result = pipeline.Run(**reader, &rng);
   if (!result.ok()) {
-    if (result.status().code() == StatusCode::kIOError) {
-      std::fprintf(stderr, "cannot load %s: ", args.csv_path.c_str());
-    }
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
