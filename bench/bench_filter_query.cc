@@ -9,8 +9,8 @@
 // enumeration workload (QueryBatch over a 512-candidate pool): the
 // bitset backend must beat the scalar tuple-sample backend by >= 10x
 // there — asserted, and recorded in the JSON for CI's baseline check.
-// Part 3 forces each evidence-kernel dispatch tier (scalar / avx2 /
-// avx512) over the same batch, self-checking bit-identical verdicts;
+// Part 3 forces each evidence-kernel dispatch tier (scalar / avx2)
+// over the same batch, self-checking bit-identical verdicts;
 // the scalar rows double as the differential oracle's timing. Each
 // tier runs twice: over the full evidence that discovery queries, and
 // (rows with evidence=antichain) over its minimal-mask antichain, the
@@ -246,7 +246,7 @@ double BenchKernelTiers(const Fixture& fx, size_t query_size,
                 ev.filter->evidence().num_pairs(),
                 static_cast<unsigned long long>(ev.filter->sample_size()));
     double scalar_ns = 0.0;
-    for (const char* kernel : {"scalar", "avx2", "avx512"}) {
+    for (const char* kernel : {"scalar", "avx2"}) {
       if (!SetEvidenceKernel(kernel).ok()) continue;  // CPU lacks the tier
       // Same verdicts on every tier, from either evidence.
       const double ns = BatchNsPerQuery(*ev.filter, pool, &expect, 24);

@@ -6,15 +6,26 @@
 // file for CI to archive, e.g.
 //
 //   {"benchmarks": [
+//     {"name": "env", "params": {"cpu_model": "...", "isa": "avx,avx2",
+//      "nproc": "4"}, "ns_per_op": 0.000, "ops_per_sec": 0.000},
 //     {"name": "monitor_update", "params": {"backend": "tuple"},
 //      "ns_per_op": 1234.5, "ops_per_sec": 810045.2}
 //   ]}
+//
+// The first row, `env`, names the host the file was measured on: CPU
+// model, hardware threads and the ISA flags qbench's host stamp reads
+// (qbench/qbench.cc, `RunEnv`). ci/check_bench_regression.py compares a
+// run with a baseline only when their env rows match.
 //
 // Header-only on purpose: benches are standalone main() programs and
 // this keeps them that way.
 
 #include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,9 +49,11 @@ class BenchJsonWriter {
   }
 
   std::string ToJson() const {
+    std::vector<Entry> entries = {Entry{"env", HostEnv()}};
+    entries.insert(entries.end(), entries_.begin(), entries_.end());
     std::string out = "{\"benchmarks\": [\n";
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const Entry& e = entries[i];
       out += "  {\"name\": " + Quote(e.name) + ", \"params\": {";
       for (size_t p = 0; p < e.params.size(); ++p) {
         out += Quote(e.params[p].first) + ": " + Quote(e.params[p].second);
@@ -51,7 +64,7 @@ class BenchJsonWriter {
                     "}, \"ns_per_op\": %.3f, \"ops_per_sec\": %.3f}",
                     e.ns_per_op, e.ops_per_sec);
       out += numbers;
-      if (i + 1 < entries_.size()) out += ",";
+      if (i + 1 < entries.size()) out += ",";
       out += "\n";
     }
     out += "]}\n";
@@ -84,6 +97,34 @@ class BenchJsonWriter {
     double ns_per_op = 0.0;
     double ops_per_sec = 0.0;
   };
+
+  /// The env row's params, read as qbench's `RunEnv` reads them.
+  static Params HostEnv() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line, model = "unknown";
+    std::set<std::string> flags;
+    while (std::getline(cpuinfo, line)) {
+      if (model == "unknown" && line.rfind("model name", 0) == 0) {
+        model = line.substr(line.find(':') + 2);
+      }
+      if (flags.empty() && line.rfind("flags", 0) == 0) {
+        std::istringstream words(line.substr(line.find(':') + 1));
+        std::string w;
+        while (words >> w) flags.insert(w);
+      }
+    }
+    std::string isa;
+    for (const char* f : {"sse4_2", "avx", "avx2", "bmi2", "popcnt",
+                          "avx512f", "avx512bw", "avx512vl",
+                          "avx512_vpopcntdq"}) {
+      if (flags.count(f) == 0) continue;
+      if (!isa.empty()) isa += ',';
+      isa += f;
+    }
+    return {{"cpu_model", model},
+            {"isa", isa},
+            {"nproc", std::to_string(std::thread::hardware_concurrency())}};
+  }
 
   static std::string Quote(const std::string& s) {
     std::string out = "\"";

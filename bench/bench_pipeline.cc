@@ -5,7 +5,8 @@
 // serial loops against QueryBatch fanned out over a ThreadPool — the
 // workload candidate-set enumeration generates per level. Part 2 times
 // DiscoveryPipeline end to end (sample / filter / greedy / minimize /
-// verify) at 1 and N threads, reporting the median of 5 runs per row.
+// verify) at 1 and N threads. Every row of parts 1 and 2 reports the
+// median of 5 runs.
 // Part 3 times discovery from a covtype-sized CSV file (300k x 55): the
 // whole-table `LoadCsvDataset` + `Run` (`csv_load_run` rows) against the
 // sample-first `Run(csv_path)` (`run_csv` rows), which encodes only the
@@ -51,6 +52,26 @@ void RecordQueries(BenchJsonWriter* json, const char* filter,
             ms * 1e6 / num_queries, num_queries / ms * 1e3);
 }
 
+/// Runs per timed row; the row reports the median run, because a
+/// single cold run on a shared host swings by 2x.
+constexpr size_t kPipelineRuns = 5;
+
+/// Median wall time over `kPipelineRuns` calls of `run`, which returns
+/// the run's answer (a key, or verdicts); every run must give the same.
+template <typename RunFn, typename Answer>
+double MedianRunMillis(RunFn run, Answer* answer) {
+  std::vector<double> ms;
+  for (size_t r = 0; r < kPipelineRuns; ++r) {
+    Timer timer;
+    Answer found = run();
+    ms.push_back(timer.ElapsedMillis());
+    QIKEY_CHECK(r == 0 || found == *answer);
+    *answer = std::move(found);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[kPipelineRuns / 2];
+}
+
 void BenchBatchedQueries(const Dataset& d, const SeparationFilter& filter,
                          const char* name, size_t max_threads,
                          BenchJsonWriter* json) {
@@ -61,18 +82,24 @@ void BenchBatchedQueries(const Dataset& d, const SeparationFilter& filter,
     queries.push_back(AttributeSet::RandomOfSize(m, 8, &qrng));
   }
 
-  Timer timer;
   std::vector<FilterVerdict> serial;
-  serial.reserve(queries.size());
-  for (const AttributeSet& q : queries) serial.push_back(filter.Query(q));
-  double serial_ms = timer.ElapsedMillis();
+  const double serial_ms = MedianRunMillis(
+      [&] {
+        std::vector<FilterVerdict> verdicts;
+        verdicts.reserve(queries.size());
+        for (const AttributeSet& q : queries) {
+          verdicts.push_back(filter.Query(q));
+        }
+        return verdicts;
+      },
+      &serial);
   std::printf("  %-22s %8s %12.2f %10.1f %8s\n", name, "serial", serial_ms,
               queries.size() / serial_ms * 1e3, "1.00x");
   RecordQueries(json, name, "serial", queries.size(), serial_ms);
 
-  timer.Restart();
-  std::vector<FilterVerdict> batched = filter.QueryBatch(queries, nullptr);
-  double batch1_ms = timer.ElapsedMillis();
+  std::vector<FilterVerdict> batched;
+  const double batch1_ms = MedianRunMillis(
+      [&] { return filter.QueryBatch(queries, nullptr); }, &batched);
   QIKEY_CHECK(batched == serial);
   std::printf("  %-22s %8s %12.2f %10.1f %7.2fx\n", name, "batch/1",
               batch1_ms, queries.size() / batch1_ms * 1e3,
@@ -83,9 +110,9 @@ void BenchBatchedQueries(const Dataset& d, const SeparationFilter& filter,
     ThreadPool pool(t);
     // Warm the pool so thread start-up cost is not billed to the batch.
     ThreadPool::ParallelFor(&pool, t, [](size_t, size_t) {});
-    timer.Restart();
-    std::vector<FilterVerdict> parallel = filter.QueryBatch(queries, &pool);
-    double ms = timer.ElapsedMillis();
+    std::vector<FilterVerdict> parallel;
+    const double ms = MedianRunMillis(
+        [&] { return filter.QueryBatch(queries, &pool); }, &parallel);
     QIKEY_CHECK(parallel == serial);
     char label[32];
     std::snprintf(label, sizeof(label), "batch/%zu", t);
@@ -94,10 +121,6 @@ void BenchBatchedQueries(const Dataset& d, const SeparationFilter& filter,
     RecordQueries(json, name, label, queries.size(), ms);
   }
 }
-
-/// Runs per pipeline row; the row reports the median run, because a
-/// single cold run on a shared host swings by 2x.
-constexpr size_t kPipelineRuns = 5;
 
 void BenchPipeline(const Dataset& d, FilterBackend backend, const char* name,
                    size_t max_threads, BenchJsonWriter* json) {
@@ -131,22 +154,6 @@ void BenchPipeline(const Dataset& d, FilterBackend backend, const char* name,
               {{"backend", name}, {"threads", std::to_string(t)}},
               median.total_millis * 1e6, 1e3 / median.total_millis);
   }
-}
-
-/// Median wall time over `kPipelineRuns` calls of `run`, which returns
-/// the run's key; every run must find the same key.
-template <typename RunFn>
-double MedianRunMillis(RunFn run, AttributeSet* key) {
-  std::vector<double> ms;
-  for (size_t r = 0; r < kPipelineRuns; ++r) {
-    Timer timer;
-    AttributeSet found = run();
-    ms.push_back(timer.ElapsedMillis());
-    QIKEY_CHECK(r == 0 || found == *key);
-    *key = std::move(found);
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[kPipelineRuns / 2];
 }
 
 /// Part 3: discovery from a CSV file, whole-table load vs sample-first.

@@ -17,6 +17,13 @@ was never committed (a brand-new bench, or a fork without baselines)
 prints an advisory note and exits 0 — missing history must not block
 the run that would create it.
 
+Every bench writes an `env` row first (bench/bench_json.h): the CPU
+model, hardware threads and ISA flags of the host it ran on. When the
+baseline or any current file lacks that row, or their rows differ, the
+numbers were measured on different hosts: the check prints
+`incomparable` and skips the baseline diff (exit 0). The same-run
+checks below still run. env rows are excluded from the diff.
+
 With --p50-overhead-threshold F, additionally compares WITHIN the
 current file: every (name, params, quantile=p50) pair that differs
 only in instrumentation=idle vs instrumentation=on. An instrumented
@@ -45,6 +52,9 @@ import os
 import statistics
 import sys
 
+# Rows that describe the host a file was measured on, not the code.
+RUNNER_ROWS = ("env", "serve_env")
+
 
 def load(path):
     with open(path) as f:
@@ -54,6 +64,22 @@ def load(path):
         key = (entry["name"], tuple(sorted(entry.get("params", {}).items())))
         out[key] = float(entry["ns_per_op"])
     return out
+
+
+def load_env(path):
+    """The params of the file's env row, or None when it has none."""
+    with open(path) as f:
+        doc = json.load(f)
+    for entry in doc.get("benchmarks", []):
+        if entry["name"] == "env":
+            return entry.get("params", {})
+    return None
+
+
+def describe_env(env):
+    if env is None:
+        return "no env row"
+    return ", ".join(f"{k}={env[k]}" for k in sorted(env))
 
 
 def load_median(paths):
@@ -180,13 +206,23 @@ def main():
 
     try:
         baseline = load(args.baseline)
+        base_env = load_env(args.baseline)
+        current_envs = [load_env(path) for path in args.current]
     except (OSError, ValueError, KeyError) as err:
         print(f"::error::cannot read bench json: {err}")
         return 1
+    for path, env in zip(args.current, current_envs):
+        if base_env is None or env != base_env:
+            print(
+                f"incomparable: {args.baseline} ({describe_env(base_env)}) "
+                f"vs {path} ({describe_env(env)}); skipping the baseline "
+                "diff"
+            )
+            return 0
 
     regressions = 0
     for key, base_ns in sorted(baseline.items()):
-        if key[0] == "serve_env":
+        if key[0] in RUNNER_ROWS:
             continue  # describes the runner, not the code
         cur_ns = current.get(key)
         if cur_ns is None or base_ns <= 0:
@@ -203,7 +239,7 @@ def main():
             print(f"ok: {name} {base_ns:.0f} -> {cur_ns:.0f} ns/op ({ratio:.2f}x)")
     missing = sorted(set(baseline) - set(current))
     for key in missing:
-        if key[0] == "serve_env":
+        if key[0] in RUNNER_ROWS:
             continue
         print(f"::warning::bench entry missing from current run: {key[0]}")
     print(f"{regressions} regression(s) beyond {args.threshold:.0%}")

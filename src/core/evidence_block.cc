@@ -99,6 +99,10 @@ namespace {
 /// thread.
 constexpr size_t kMinPairsPerWorker = 8192;
 
+/// Words one antichain probe of the AVX2 tier covers; posting rows are
+/// padded to it, and the scalar probe scans the same padded rows.
+constexpr size_t kProbeWords = 4;
+
 /// First-occurrence dedupe of pair-major masks through a flat
 /// open-addressing table (linear probing, power-of-two capacity of at
 /// least twice the offered masks, so probe chains stay short). A slot
@@ -368,7 +372,6 @@ bool ForceScalarFromEnv() {
 EvidenceKernel DetectEvidenceKernel() {
   if (ForceScalarFromEnv()) return EvidenceKernel::kScalar;
 #if QIKEY_EVIDENCE_SIMD
-  if (__builtin_cpu_supports("avx512f")) return EvidenceKernel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return EvidenceKernel::kAvx2;
 #endif
   return EvidenceKernel::kScalar;
@@ -378,8 +381,8 @@ EvidenceKernel DetectEvidenceKernel() {
 std::atomic<int> g_evidence_kernel{-1};
 
 // ---------------------------------------------------------------------------
-// Scalar kernels (the oracle) — block ranges so vector tiers can reuse
-// them for the remainder after their full-block groups.
+// Scalar kernels (the oracle) — block ranges so the vector tier can
+// reuse them for the remainder after its full-block groups.
 // ---------------------------------------------------------------------------
 
 std::optional<uint32_t> FindUnseparatedScalarBlocks(
@@ -422,7 +425,7 @@ void TestMasksScalarBlocks(const uint64_t* words, size_t m, size_t pairs,
 /// `dead` sets every lane that holds no kept mask. True iff some kept
 /// mask has none of the `count` attributes in `idx`: when `idx` lists
 /// the attributes a mask `x` lacks, iff some kept mask is a subset of
-/// `x`. `words` (a multiple of the tier's vector width) bounds the scan.
+/// `x`. `words` (a multiple of `kProbeWords`) bounds the scan.
 bool AnyKeptAvoidsScalar(const uint64_t* posting, size_t stride,
                          const uint32_t* idx, size_t count,
                          const uint64_t* dead, size_t words) {
@@ -437,10 +440,10 @@ bool AnyKeptAvoidsScalar(const uint64_t* posting, size_t stride,
 #if QIKEY_EVIDENCE_SIMD
 
 // ---------------------------------------------------------------------------
-// Vector kernels. The storage stays attribute-major (one word per
+// AVX2 kernels. The storage stays attribute-major (one word per
 // attribute per block — the mmap contract), so a lane-OR gathers the
-// same attribute's word from 4 (AVX2) or 8 (AVX-512F) CONSECUTIVE
-// fully-live blocks: strided loads m words apart, then one vector OR.
+// same attribute's word from 4 CONSECUTIVE fully-live blocks: strided
+// loads m words apart, then one vector OR.
 // Only full blocks enter a group — the partial last block (LiveLanes
 // masking) and the sub-group remainder run through the scalar oracle,
 // so verdicts and first-witness indices are bit-identical by
@@ -449,7 +452,6 @@ bool AnyKeptAvoidsScalar(const uint64_t* posting, size_t stride,
 // ---------------------------------------------------------------------------
 
 typedef uint64_t V4 __attribute__((vector_size(32)));
-typedef uint64_t V8 __attribute__((vector_size(64)));
 
 __attribute__((target("avx2"))) std::optional<uint32_t> FindUnseparatedAvx2(
     const uint64_t* words, size_t m, size_t full_blocks, const uint32_t* idx,
@@ -465,36 +467,6 @@ __attribute__((target("avx2"))) std::optional<uint32_t> FindUnseparatedAvx2(
     const V4 hits = ~acc;
     if ((hits[0] | hits[1] | hits[2] | hits[3]) != 0) {
       for (size_t lane = 0; lane < 4; ++lane) {
-        if (hits[lane] != 0) {
-          return static_cast<uint32_t>((b + lane) *
-                                           PackedEvidence::kPairsPerBlock +
-                                       std::countr_zero(hits[lane]));
-        }
-      }
-    }
-  }
-  *resume_block = b;
-  return std::nullopt;
-}
-
-__attribute__((target("avx512f"))) std::optional<uint32_t>
-FindUnseparatedAvx512(const uint64_t* words, size_t m, size_t full_blocks,
-                      const uint32_t* idx, size_t count,
-                      size_t* resume_block) {
-  size_t b = 0;
-  for (; b + 8 <= full_blocks; b += 8) {
-    const uint64_t* base = words + b * m;
-    V8 acc = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t a = 0; a < count; ++a) {
-      const uint64_t* w = base + idx[a];
-      acc |= V8{w[0],     w[m],     w[2 * m], w[3 * m],
-                w[4 * m], w[5 * m], w[6 * m], w[7 * m]};
-    }
-    const V8 hits = ~acc;
-    const uint64_t any = (hits[0] | hits[1] | hits[2] | hits[3]) |
-                         (hits[4] | hits[5] | hits[6] | hits[7]);
-    if (any != 0) {
-      for (size_t lane = 0; lane < 8; ++lane) {
         if (hits[lane] != 0) {
           return static_cast<uint32_t>((b + lane) *
                                            PackedEvidence::kPairsPerBlock +
@@ -535,40 +507,9 @@ __attribute__((target("avx2"))) size_t TestMasksAvx2Groups(
   return b;
 }
 
-__attribute__((target("avx512f"))) size_t TestMasksAvx512Groups(
-    const uint64_t* words, size_t m, size_t full_blocks, const uint32_t* flat,
-    const std::pair<uint32_t, uint32_t>* ranges, std::vector<uint32_t>& active,
-    uint8_t* rejected) {
-  size_t b = 0;
-  for (; b + 8 <= full_blocks && !active.empty(); b += 8) {
-    const uint64_t* base = words + b * m;
-    for (size_t a = 0; a < active.size();) {
-      const auto [offset, len] = ranges[active[a]];
-      const uint32_t* idx = flat + offset;
-      V8 acc = {0, 0, 0, 0, 0, 0, 0, 0};
-      for (size_t i = 0; i < len; ++i) {
-        const uint64_t* w = base + idx[i];
-        acc |= V8{w[0],     w[m],     w[2 * m], w[3 * m],
-                  w[4 * m], w[5 * m], w[6 * m], w[7 * m]};
-      }
-      const V8 hits = ~acc;
-      const uint64_t any = (hits[0] | hits[1] | hits[2] | hits[3]) |
-                           (hits[4] | hits[5] | hits[6] | hits[7]);
-      if (any != 0) {
-        rejected[active[a]] = 1;
-        active[a] = active.back();
-        active.pop_back();
-      } else {
-        ++a;
-      }
-    }
-  }
-  return b;
-}
-
-// The antichain probe's vector tiers. Posting rows are contiguous, so
-// each attribute's 4 or 8 words load as one vector; two accumulators
-// halve the dependency chain.
+// The antichain probe. Posting rows are contiguous, so each
+// attribute's 4 words load as one vector; two accumulators halve the
+// dependency chain.
 
 __attribute__((target("avx2"))) bool AnyKeptAvoidsAvx2(
     const uint64_t* posting, size_t stride, const uint32_t* idx, size_t count,
@@ -597,60 +538,14 @@ __attribute__((target("avx2"))) bool AnyKeptAvoidsAvx2(
   return false;
 }
 
-__attribute__((target("avx512f"))) bool AnyKeptAvoidsAvx512(
-    const uint64_t* posting, size_t stride, const uint32_t* idx, size_t count,
-    const uint64_t* dead, size_t words) {
-  for (size_t c = 0; c < words; c += 8) {
-    V8 acc;
-    V8 acc2 = {0, 0, 0, 0, 0, 0, 0, 0};
-    V8 row;
-    std::memcpy(&acc, dead + c, sizeof(acc));
-    size_t a = 0;
-    for (; a + 2 <= count; a += 2) {
-      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
-      acc |= row;
-      std::memcpy(&row, posting + idx[a + 1] * stride + c, sizeof(row));
-      acc2 |= row;
-    }
-    if (a < count) {
-      std::memcpy(&row, posting + idx[a] * stride + c, sizeof(row));
-      acc |= row;
-    }
-    const V8 avoided = ~(acc | acc2);
-    if (((avoided[0] | avoided[1]) | (avoided[2] | avoided[3]) |
-         (avoided[4] | avoided[5]) | (avoided[6] | avoided[7])) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 #endif  // QIKEY_EVIDENCE_SIMD
-
-/// Words one probe of `kernel` covers: posting rows are padded to it.
-size_t AntichainProbeWords(EvidenceKernel kernel) {
-  switch (kernel) {
-    case EvidenceKernel::kAvx512:
-      return 8;
-    case EvidenceKernel::kAvx2:
-      return 4;
-    case EvidenceKernel::kScalar:
-      break;
-  }
-  return 1;
-}
 
 bool AnyKeptAvoids(EvidenceKernel kernel, const uint64_t* posting,
                    size_t stride, const uint32_t* idx, size_t count,
                    const uint64_t* dead, size_t words) {
 #if QIKEY_EVIDENCE_SIMD
-  switch (kernel) {
-    case EvidenceKernel::kAvx512:
-      return AnyKeptAvoidsAvx512(posting, stride, idx, count, dead, words);
-    case EvidenceKernel::kAvx2:
-      return AnyKeptAvoidsAvx2(posting, stride, idx, count, dead, words);
-    case EvidenceKernel::kScalar:
-      break;
+  if (kernel == EvidenceKernel::kAvx2) {
+    return AnyKeptAvoidsAvx2(posting, stride, idx, count, dead, words);
   }
 #else
   (void)kernel;
@@ -666,8 +561,6 @@ const char* EvidenceKernelName(EvidenceKernel kernel) {
       return "scalar";
     case EvidenceKernel::kAvx2:
       return "avx2";
-    case EvidenceKernel::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -690,20 +583,14 @@ Status SetEvidenceKernel(std::string_view name) {
     kernel = EvidenceKernel::kScalar;
   } else if (name == "avx2") {
     kernel = EvidenceKernel::kAvx2;
-  } else if (name == "avx512") {
-    kernel = EvidenceKernel::kAvx512;
   } else {
     return Status::InvalidArgument("unknown evidence kernel \"" +
                                    std::string(name) +
-                                   "\" (want scalar|avx2|avx512|auto)");
+                                   "\" (want scalar|avx2|auto)");
   }
 #if QIKEY_EVIDENCE_SIMD
   if (kernel == EvidenceKernel::kAvx2 && !__builtin_cpu_supports("avx2")) {
     return Status::InvalidArgument("this CPU does not support avx2");
-  }
-  if (kernel == EvidenceKernel::kAvx512 &&
-      !__builtin_cpu_supports("avx512f")) {
-    return Status::InvalidArgument("this CPU does not support avx512f");
   }
 #else
   if (kernel != EvidenceKernel::kScalar) {
@@ -727,25 +614,13 @@ std::optional<uint32_t> PackedEvidence::FindUnseparated(
   MaskToIndices(mask.data(), words_per_pair_, &idx);
   size_t b = 0;
 #if QIKEY_EVIDENCE_SIMD
-  // Vector tiers cover groups of fully-live blocks; everything after
-  // `b` (group remainder + partial last block) falls through to the
-  // scalar oracle below.
-  const size_t full_blocks = pairs / kPairsPerBlock;
-  switch (ActiveEvidenceKernel()) {
-    case EvidenceKernel::kAvx512: {
-      auto hit = FindUnseparatedAvx512(words, m, full_blocks, idx.data(),
-                                       idx.size(), &b);
-      if (hit.has_value()) return hit;
-      break;
-    }
-    case EvidenceKernel::kAvx2: {
-      auto hit = FindUnseparatedAvx2(words, m, full_blocks, idx.data(),
-                                     idx.size(), &b);
-      if (hit.has_value()) return hit;
-      break;
-    }
-    case EvidenceKernel::kScalar:
-      break;
+  // The vector tier covers groups of fully-live blocks; everything
+  // after `b` (group remainder + partial last block) falls through to
+  // the scalar oracle below.
+  if (ActiveEvidenceKernel() == EvidenceKernel::kAvx2) {
+    auto hit = FindUnseparatedAvx2(words, m, pairs / kPairsPerBlock,
+                                   idx.data(), idx.size(), &b);
+    if (hit.has_value()) return hit;
   }
 #endif
   return FindUnseparatedScalarBlocks(words, m, pairs, idx.data(), idx.size(),
@@ -779,18 +654,9 @@ void PackedEvidence::TestMasksBlockMajor(const uint64_t* masks, size_t stride,
   }
   size_t b = 0;
 #if QIKEY_EVIDENCE_SIMD
-  const size_t full_blocks = pairs / kPairsPerBlock;
-  switch (ActiveEvidenceKernel()) {
-    case EvidenceKernel::kAvx512:
-      b = TestMasksAvx512Groups(words, m, full_blocks, flat.data(),
-                                ranges.data(), active, rejected);
-      break;
-    case EvidenceKernel::kAvx2:
-      b = TestMasksAvx2Groups(words, m, full_blocks, flat.data(),
-                              ranges.data(), active, rejected);
-      break;
-    case EvidenceKernel::kScalar:
-      break;
+  if (ActiveEvidenceKernel() == EvidenceKernel::kAvx2) {
+    b = TestMasksAvx2Groups(words, m, pairs / kPairsPerBlock, flat.data(),
+                            ranges.data(), active, rejected);
   }
 #endif
   TestMasksScalarBlocks(words, m, pairs, flat.data(), ranges.data(), active,
@@ -845,9 +711,8 @@ PackedEvidence PackedEvidence::MinimalAntichain() const {
   // Kept masks so far as one bitmap per attribute (`posting`), each row
   // padded to the probe width; `dead` sets the lanes not yet kept.
   const EvidenceKernel kernel = ActiveEvidenceKernel();
-  const size_t probe_words = AntichainProbeWords(kernel);
-  auto padded_words = [&](size_t lanes) {
-    return ((lanes + 63) / 64 + probe_words - 1) / probe_words * probe_words;
+  auto padded_words = [](size_t lanes) {
+    return ((lanes + 63) / 64 + kProbeWords - 1) / kProbeWords * kProbeWords;
   };
   const size_t stride = padded_words(n);
   AlignedWordBuffer posting(m * stride);

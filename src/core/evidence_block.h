@@ -16,32 +16,31 @@ namespace qikey {
 /// \brief SIMD tier of the block kernels (`FindUnseparated`,
 /// `TestMasksBlockMajor`).
 ///
-/// The scalar tier is always compiled in and serves as the differential
-/// oracle for the vector tiers; every tier produces bit-identical
-/// verdicts and witness indices. Vector tiers widen the per-attribute
-/// OR to 4 (AVX2) or 8 (AVX-512F) consecutive 64-pair blocks per lane
-/// without changing the storage layout, so mmap-borrowed snapshot words
-/// are served unmodified.
+/// The scalar tier is always compiled in: it is the differential oracle
+/// for the AVX2 tier and the path on CPUs without AVX2. Both tiers
+/// produce bit-identical verdicts and witness indices. The AVX2 tier
+/// widens the per-attribute OR to 4 consecutive 64-pair blocks without
+/// changing the storage layout, so mmap-borrowed snapshot words are
+/// served unmodified.
 enum class EvidenceKernel : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
-/// Tier name: "scalar", "avx2", or "avx512".
+/// Tier name: "scalar" or "avx2".
 const char* EvidenceKernelName(EvidenceKernel kernel);
 
 /// \brief The tier block queries dispatch to right now.
 ///
-/// The first call resolves it from the CPU (`__builtin_cpu_supports`,
-/// preferring AVX-512F over AVX2 over scalar) — unless the
+/// The first call resolves it from the CPU (`__builtin_cpu_supports`:
+/// AVX2 when the CPU has it, else scalar) — unless the
 /// `QIKEY_FORCE_SCALAR` environment variable is set to anything other
 /// than empty or "0", which pins the scalar oracle for differential
 /// runs. The resolved tier is cached process-wide.
 EvidenceKernel ActiveEvidenceKernel();
 
-/// \brief Overrides kernel dispatch: "scalar", "avx2", "avx512", or
-/// "auto" (re-run CPU detection, still honoring QIKEY_FORCE_SCALAR).
+/// \brief Overrides kernel dispatch: "scalar", "avx2", or "auto" (re-run
+/// CPU detection, still honoring QIKEY_FORCE_SCALAR).
 /// Fails without changing dispatch when this build or CPU lacks the
 /// requested tier. Thread-compatible with concurrent queries (the tier
 /// is an atomic), but meant for test/bench setup, not steady state.

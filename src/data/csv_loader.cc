@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -51,20 +50,6 @@ LocatedRecords LocateRecords(std::string_view text,
     located.rows.push_back(record.text);
   }
   return located;
-}
-
-/// The 1-based number of the record that starts at `target`, counting
-/// blank records and the header, as error messages do.
-size_t RecordNumber(std::string_view text, const char* target,
-                    const CsvOptions& options) {
-  size_t record_no = 0;
-  CsvRecord record;
-  while (size_t used = NextCsvRecord(text, /*at_end=*/true, options, &record)) {
-    text.remove_prefix(used);
-    ++record_no;
-    if (record.text.data() == target) break;
-  }
-  return record_no;
 }
 
 /// One chunk's encoding state: a dictionary per column whose codes
@@ -178,10 +163,8 @@ std::unique_ptr<ThreadPool> ChunkPool(size_t records, size_t* num_chunks) {
 /// `fields` fields where `m` were expected.
 Status WidthError(std::string_view text, std::string_view record,
                   size_t fields, size_t m, const CsvOptions& options) {
-  std::ostringstream msg;
-  msg << "CSV record " << RecordNumber(text, record.data(), options)
-      << " has " << fields << " fields, expected " << m;
-  return Status::InvalidArgument(msg.str());
+  return CsvWidthError(CsvRecordNumber(text, record.data(), options), fields,
+                       m);
 }
 
 /// Encodes `records` (data records of `text`, in order) into `m`

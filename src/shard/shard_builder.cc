@@ -79,13 +79,6 @@ struct ShardArtifactBuilder::Impl {
   // index overhead.
   uint64_t dict_bytes = 0;
 
-  Status ArityError(uint64_t pos, size_t fields) const {
-    return Status::InvalidArgument(
-        "CSV data row " + std::to_string(first_row + pos + 1) + " has " +
-        std::to_string(fields) + " fields, expected " +
-        std::to_string(schema.num_attributes()));
-  }
-
   Impl(std::vector<std::string> names_in, const CsvOptions& csv_in,
        FilterBackend backend_in, uint64_t tuple_sample_size,
        uint64_t pair_slots, uint32_t shard_index_in, uint64_t first_row_in,
@@ -121,7 +114,8 @@ ShardArtifactBuilder::~ShardArtifactBuilder() = default;
 ShardArtifactBuilder::ShardArtifactBuilder(ShardArtifactBuilder&&) noexcept =
     default;
 
-Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
+std::optional<size_t> ShardArtifactBuilder::OfferRecord(
+    std::string_view record) {
   Impl& im = *impl_;
   const uint64_t pos = im.tuples.seen();  // local position of this row
   // The pair side draws before the tuple side reads its planned skip,
@@ -132,16 +126,12 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   if (!pair_keeps && !tuple_keeps) {
     // Neither side keeps it: check its width, never split or encode it.
     const size_t width = CountCsvFields(record, im.csv, &im.splitter);
-    if (width != im.schema.num_attributes()) {
-      return im.ArityError(pos, width);
-    }
+    if (width != im.schema.num_attributes()) return width;
     im.tuples.SkipNext();
-    return Status::OK();
+    return std::nullopt;
   }
   std::span<const std::string_view> fields = im.splitter.Split(record);
-  if (fields.size() != im.schema.num_attributes()) {
-    return im.ArityError(pos, fields.size());
-  }
+  if (fields.size() != im.schema.num_attributes()) return fields.size();
   auto& [row, row_pos] = im.offered;
   row.clear();
   for (size_t j = 0; j < fields.size(); ++j) {
@@ -158,7 +148,7 @@ Status ShardArtifactBuilder::OfferRecord(std::string_view record) {
   } else {
     im.tuples.SkipNext();
   }
-  return Status::OK();
+  return std::nullopt;
 }
 
 uint64_t ShardArtifactBuilder::rows_seen() const {
@@ -285,8 +275,13 @@ Result<std::vector<ShardFilterArtifact>> BuildShardArtifactsFromCsv(
                                    static_cast<uint32_t>(i), range.first_row,
                                    seeds[i]);
       Status st = ForEachCsvRecordInRange(
-          file->view(), range, options.csv, [&](std::string_view record) {
-            return builder.OfferRecord(record);
+          file->view(), range, options.csv,
+          [&](std::string_view record) -> Status {
+            const std::optional<size_t> width = builder.OfferRecord(record);
+            if (!width.has_value()) return Status::OK();
+            return CsvWidthError(
+                CsvRecordNumber(file->view(), record.data(), options.csv),
+                *width, plan->attribute_names.size());
           });
       if (st.ok()) {
         Result<ShardFilterArtifact> built = std::move(builder).Finish();
@@ -317,13 +312,17 @@ Result<ShardFilterArtifact> internal::StreamCsvShardArtifact(
   std::optional<ShardArtifactBuilder> builder;
   CsvFieldSplitter splitter(options.csv);
   uint64_t peak = 0;
+  uint64_t record_number = 0;  // counting blank records and the header
+  size_t num_attributes = 0;
   Status inner = Status::OK();
   Status walk = WalkCsvRecords(
       in, options.csv, [&](const CsvRecord& record, size_t buffer_bytes) {
+        ++record_number;
         if (record.blank) return true;
         if (!builder.has_value()) {
           std::vector<std::string> names =
               CsvAttributeNames(splitter.Split(record.text), options.csv);
+          num_attributes = names.size();
           uint64_t r = 0, s = 0;
           ResolveShardSampleSizes(options,
                                   static_cast<uint32_t>(names.size()), &r, &s);
@@ -334,7 +333,9 @@ Result<ShardFilterArtifact> internal::StreamCsvShardArtifact(
                           Rng(options.seed).Next());
           if (options.csv.has_header) return true;
         }
-        inner = builder->OfferRecord(record.text);
+        if (std::optional<size_t> width = builder->OfferRecord(record.text)) {
+          inner = CsvWidthError(record_number, *width, num_attributes);
+        }
         const uint64_t tracked = buffer_bytes + builder->RetainedBytes();
         peak = std::max(peak, tracked);
         if (inner.ok() && options.memory_budget_bytes > 0 &&

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,11 +70,11 @@ class ShardArtifactBuilder {
 
   /// Offers the shard's next data record (its text, as
   /// `ForEachCsvRecordInRange` yields it; it need only live for the
-  /// call). A record whose field count differs from the attribute count
-  /// is InvalidArgument, whether or not it is sampled: "CSV data row N
-  /// has X fields, expected Y", N counting data rows from 1 over the
-  /// whole file (`first_row` + 1 for the shard's first record).
-  Status OfferRecord(std::string_view record);
+  /// call). Returns nullopt, or — whether or not the record is sampled —
+  /// its field count when that differs from the attribute count. The
+  /// build has then failed; the caller, who knows where the record sits
+  /// in the file, reports it with `CsvWidthError`.
+  std::optional<size_t> OfferRecord(std::string_view record);
 
   uint64_t rows_seen() const;
 

@@ -212,6 +212,26 @@ size_t CountCsvFields(std::string_view record, const CsvOptions& options,
   return 1 + CountByte(record, options.delimiter);
 }
 
+size_t CsvRecordNumber(std::string_view text, const char* record,
+                       const CsvOptions& options) {
+  size_t record_no = 0;
+  CsvRecord located;
+  while (size_t used =
+             NextCsvRecord(text, /*at_end=*/true, options, &located)) {
+    text.remove_prefix(used);
+    ++record_no;
+    if (located.text.data() == record) break;
+  }
+  return record_no;
+}
+
+Status CsvWidthError(uint64_t record_number, size_t fields, size_t expected) {
+  std::ostringstream msg;
+  msg << "CSV record " << record_number << " has " << fields
+      << " fields, expected " << expected;
+  return Status::InvalidArgument(msg.str());
+}
+
 Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
   CsvTable table;
   CsvFieldSplitter splitter(options);
@@ -227,10 +247,7 @@ Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
     if (expected_fields == 0) {
       expected_fields = fields.size();
     } else if (fields.size() != expected_fields) {
-      std::ostringstream msg;
-      msg << "CSV record " << record_no << " has " << fields.size()
-          << " fields, expected " << expected_fields;
-      return Status::InvalidArgument(msg.str());
+      return CsvWidthError(record_no, fields.size(), expected_fields);
     }
     std::vector<std::string> row(fields.begin(), fields.end());
     if (header_pending) {

@@ -1,6 +1,7 @@
 #ifndef QIKEY_UTIL_CSV_H_
 #define QIKEY_UTIL_CSV_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -127,6 +128,17 @@ size_t CountByte(std::string_view text, char byte);
 /// delimiters. One holding the quote character is split by `splitter`.
 size_t CountCsvFields(std::string_view record, const CsvOptions& options,
                       CsvFieldSplitter* splitter);
+
+/// The 1-based number of the record of `text` that starts at `record`
+/// (a pointer into `text`, as `NextCsvRecord` yields it), counting blank
+/// records and the header. A rescan from the start: for error paths.
+size_t CsvRecordNumber(std::string_view text, const char* record,
+                       const CsvOptions& options);
+
+/// Every CSV reader's error for a record of the wrong width:
+/// InvalidArgument "CSV record N has F fields, expected M", N numbered
+/// as `CsvRecordNumber` numbers it.
+Status CsvWidthError(uint64_t record_number, size_t fields, size_t expected);
 
 /// Parsed CSV content: optional header plus rows of string fields.
 struct CsvTable {

@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -298,9 +300,7 @@ struct KernelGuard {
 /// is always first.
 std::vector<const char*> AvailableKernels() {
   std::vector<const char*> tiers = {"scalar"};
-  for (const char* name : {"avx2", "avx512"}) {
-    if (SetEvidenceKernel(name).ok()) tiers.push_back(name);
-  }
+  if (SetEvidenceKernel("avx2").ok()) tiers.push_back("avx2");
   (void)SetEvidenceKernel("auto");
   return tiers;
 }
@@ -334,15 +334,29 @@ TEST(EvidenceKernelTest, DispatchNamesAndOverrides) {
   KernelGuard guard;
   EXPECT_STREQ(EvidenceKernelName(EvidenceKernel::kScalar), "scalar");
   EXPECT_STREQ(EvidenceKernelName(EvidenceKernel::kAvx2), "avx2");
-  EXPECT_STREQ(EvidenceKernelName(EvidenceKernel::kAvx512), "avx512");
   // The scalar oracle and auto detection are always available.
   ASSERT_TRUE(SetEvidenceKernel("scalar").ok());
   EXPECT_EQ(ActiveEvidenceKernel(), EvidenceKernel::kScalar);
   ASSERT_TRUE(SetEvidenceKernel("auto").ok());
-  // Unknown names fail without changing dispatch.
-  EvidenceKernel before = ActiveEvidenceKernel();
-  EXPECT_FALSE(SetEvidenceKernel("sse9").ok());
-  EXPECT_EQ(ActiveEvidenceKernel(), before);
+  // AVX2 is the one vector tier: auto picks it on any CPU that has it,
+  // AVX-512 CPUs included, unless QIKEY_FORCE_SCALAR pins the oracle.
+  const char* force = std::getenv("QIKEY_FORCE_SCALAR");
+  const bool forced = force != nullptr && force[0] != '\0' &&
+                      std::string_view(force) != "0";
+  const bool cpu_has_avx2 = SetEvidenceKernel("avx2").ok();
+  ASSERT_TRUE(SetEvidenceKernel("auto").ok());
+  EXPECT_STREQ(EvidenceKernelName(ActiveEvidenceKernel()),
+               cpu_has_avx2 && !forced ? "avx2" : "scalar");
+  // Unknown names, "avx512" among them, fail without changing dispatch.
+  for (const char* tier : {"scalar", "auto"}) {
+    ASSERT_TRUE(SetEvidenceKernel(tier).ok());
+    const EvidenceKernel before = ActiveEvidenceKernel();
+    for (const char* name : {"sse9", "avx512"}) {
+      const Status st = SetEvidenceKernel(name);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_EQ(ActiveEvidenceKernel(), before) << name << " after " << tier;
+    }
+  }
 }
 
 TEST(EvidenceKernelTest, TiersBitIdenticalOnBlockAndWidthEdges) {

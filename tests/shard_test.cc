@@ -886,27 +886,59 @@ TEST(StreamingShardBuildTest, RetainedBytesCountRowsAndNewValues) {
                                /*shard_index=*/0, /*first_row=*/0,
                                /*seed=*/1);
   EXPECT_EQ(builder.RetainedBytes(), 0u);
-  ASSERT_TRUE(builder.OfferRecord("one,two").ok());
+  ASSERT_EQ(builder.OfferRecord("one,two"), std::nullopt);
   const uint64_t one = builder.RetainedBytes();
   EXPECT_EQ(one, 2 * sizeof(ValueCode) + 6 + 4 * sizeof(void*));
-  ASSERT_TRUE(builder.OfferRecord("one,two").ok());  // no new values
+  ASSERT_EQ(builder.OfferRecord("one,two"), std::nullopt);  // no new values
   EXPECT_EQ(builder.RetainedBytes() - one, 2 * sizeof(ValueCode));
 }
 
-// A wrong width names the record's data row over the whole file, counted
-// from 1, whether a reservoir keeps the record (it is split) or not (only
-// its delimiters are counted).
-TEST(StreamingShardBuildTest, ArityErrorNamesTheDataRowAndBothCounts) {
+// A wrong width is reported by its field count whether a reservoir keeps
+// the record (it is split) or not (only its delimiters are counted).
+TEST(StreamingShardBuildTest, WrongWidthReportsItsFieldCount) {
   for (uint64_t tuples : {uint64_t{1}, uint64_t{8}}) {
     ShardArtifactBuilder builder({"a", "b"}, CsvOptions{},
                                  FilterBackend::kTupleSample, tuples,
                                  /*pair_slots=*/0, /*shard_index=*/2,
                                  /*first_row=*/10, /*seed=*/1);
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE(builder.OfferRecord("x,y").ok());
-    Status bad = builder.OfferRecord("x,\"y,z\",w");
-    EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(bad.message(), "CSV data row 15 has 3 fields, expected 2")
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(builder.OfferRecord("x,y"), std::nullopt);
+    }
+    EXPECT_EQ(builder.OfferRecord("x,\"y,z\",w"), std::optional<size_t>(3))
         << tuples << " tuples";
+  }
+}
+
+// Both sharded readers fail a record of the wrong width with the
+// loader's error, numbered as the loader numbers it (blank records and
+// the header counted), at any shard count and on either backend.
+TEST(StreamingShardBuildTest, WrongWidthReadsAsTheLoadersError) {
+  std::string rows = "a,b\n";
+  for (int i = 0; i < 200; ++i) {
+    rows += std::to_string(i) + ",x\n";
+    if (i % 37 == 0) rows += "\n";
+  }
+  const std::string texts[] = {
+      "a,b\n1,2\n\n1,2,3\n4,5\n",
+      rows + "\n \n1,\"2,3\",4\n" + rows,
+      rows + "9\n",
+      "a,b\n\n" + rows.substr(4) + "1,2,3\n" + rows,
+  };
+  for (const std::string& text : texts) {
+    const Status want = LoadCsvDatasetFromString(text).status();
+    ASSERT_EQ(want.code(), StatusCode::kInvalidArgument);
+    const std::string path = WriteTempFile("wrong_width.csv", text);
+    for (FilterBackend backend :
+         {FilterBackend::kTupleSample, FilterBackend::kBitset}) {
+      for (size_t shards : {1u, 2u, 3u}) {
+        ShardedBuildOptions options = SkipBuild(backend, shards, 2, 1, 5);
+        EXPECT_EQ(BuildShardArtifactsFromCsv(path, options).status(), want)
+            << shards << " shards";
+      }
+      ShardedBuildOptions options = SkipBuild(backend, 1, 2, 1, 5);
+      EXPECT_EQ(StreamCsvShardArtifact(path, options, nullptr).status(),
+                want);
+    }
   }
 }
 

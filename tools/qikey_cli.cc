@@ -911,6 +911,14 @@ int RunAnonymize(const Dataset& data, const Args& args) {
   return 0;
 }
 
+/// Every discover mode's failure line: a malformed or too-small input
+/// reads the same whichever mode met it.
+int DiscoverFailed(const Args& args, const Status& status) {
+  std::fprintf(stderr, "cannot load %s: %s\n", args.csv_path.c_str(),
+               status.ToString().c_str());
+  return 1;
+}
+
 /// In-memory discover, sample-first: the pipeline reads the CSV itself
 /// and encodes only the rows its draws name.
 int RunDiscover(const Args& args) {
@@ -921,17 +929,10 @@ int RunDiscover(const Args& args) {
   DiscoveryPipeline pipeline(opts);
   Result<std::unique_ptr<CsvRowReader>> reader =
       CsvRowReader::Open(args.csv_path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "cannot load %s: %s\n", args.csv_path.c_str(),
-                 reader.status().ToString().c_str());
-    return 1;
-  }
+  if (!reader.ok()) return DiscoverFailed(args, reader.status());
   Rng rng(args.seed);
   auto result = pipeline.Run(**reader, &rng);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return DiscoverFailed(args, result.status());
   std::printf("%s", result->Report(&result->sample->schema()).c_str());
   if (result->verdict != FilterVerdict::kAccept) {
     std::fprintf(stderr,
@@ -954,10 +955,7 @@ int RunDiscoverSharded(const Args& args) {
       static_cast<uint64_t>(args.memory_budget_mb * 1024.0 * 1024.0);
   DiscoveryPipeline pipeline(opts);
   auto result = pipeline.RunSharded(args.csv_path, sharded, args.seed);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return DiscoverFailed(args, result.status());
   // The merged sample carries the header's names; the input is not
   // opened again (a FIFO could not be).
   std::printf("%s", result->Report(result->sample != nullptr
